@@ -8,6 +8,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use gcs_collectives::{ring_all_reduce, F32Sum};
+use gcs_nn::layers::{Conv3x3, Dense, Layer};
 use gcs_tensor::hadamard::{fwht, fwht_iterations};
 use gcs_tensor::matrix::{orthonormalize_columns, Matrix};
 use gcs_tensor::vector::top_k_indices;
@@ -224,6 +225,68 @@ fn bench_pool_vs_alloc(c: &mut Criterion) {
     g.finish();
 }
 
+/// `gcs-nn`'s two heavy layers at VggMini's shapes, at the training batch
+/// (8) and the evaluation batch (160): forward alone, and backward on the
+/// forward's buffers with an output gradient as sparse as pooling and ReLU
+/// leave it (one element in eight non-zero).
+fn bench_nn_layers(c: &mut Criterion) {
+    let mut g = c.benchmark_group("nn_layers");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let layers: Vec<(&str, Box<dyn Layer>, usize)> = vec![
+        (
+            "conv_3to16_16x16",
+            Box::new(Conv3x3::new(3, 16, 16, 16, &mut rng)),
+            3 * 256,
+        ),
+        (
+            "conv_16to32_8x8",
+            Box::new(Conv3x3::new(16, 32, 8, 8, &mut rng)),
+            16 * 64,
+        ),
+        (
+            "dense_512to128",
+            Box::new(Dense::new(512, 128, &mut rng)),
+            512,
+        ),
+        (
+            "dense_128to256",
+            Box::new(Dense::new(128, 256, &mut rng)),
+            128,
+        ),
+    ];
+    for (name, mut layer, in_dim) in layers {
+        let params = layer.take_init();
+        let mut grads = vec![0.0f32; params.len()];
+        for batch in [8usize, 160] {
+            let input = data(batch * in_dim, 8);
+            let mut output = vec![0.0f32; batch * layer.out_dim(in_dim)];
+            let mut grad_out = data(output.len(), 9);
+            for (i, gv) in grad_out.iter_mut().enumerate() {
+                if i % 8 != 0 {
+                    *gv = 0.0;
+                }
+            }
+            let mut grad_in = vec![0.0f32; input.len()];
+            g.bench_function(BenchmarkId::new(format!("{name}/forward"), batch), |b| {
+                b.iter(|| layer.forward(black_box(&input), &mut output, &params))
+            });
+            g.bench_function(BenchmarkId::new(format!("{name}/backward"), batch), |b| {
+                b.iter(|| {
+                    layer.backward(
+                        black_box(&input),
+                        &output,
+                        &grad_out,
+                        &params,
+                        &mut grads,
+                        Some(&mut grad_in),
+                    )
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_fwht,
@@ -231,6 +294,7 @@ criterion_group!(
     bench_gram_schmidt,
     bench_ring_all_reduce,
     bench_parallel_runtime,
-    bench_pool_vs_alloc
+    bench_pool_vs_alloc,
+    bench_nn_layers
 );
 criterion_main!(benches);

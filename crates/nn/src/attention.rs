@@ -20,13 +20,41 @@ pub struct SelfAttention {
     /// Initial `[Wq | Wk | Wv | Wo]`, each `dim × dim` row-major; consumed
     /// into the arena by `Sequential::new`.
     init: Vec<f32>,
-    // Forward caches.
-    cached_input: Vec<f32>,
+    // What backward needs of the forward pass beyond the layer's input and
+    // output; sized by the largest batch seen and reused.
     cached_q: Vec<f32>,
     cached_k: Vec<f32>,
     cached_v: Vec<f32>,
     cached_attn: Vec<f32>,
     cached_ctx: Vec<f32>,
+}
+
+/// `out[t] = W x[t]` for every token (`x`: `[seq × d]`, `w`: `[d × d]`).
+fn project(w: &[f32], x: &[f32], out: &mut [f32], d: usize) {
+    for (xi, oi) in x.chunks_exact(d).zip(out.chunks_exact_mut(d)) {
+        for (o, row) in oi.iter_mut().zip(w.chunks_exact(d)) {
+            *o = row.iter().zip(xi).map(|(a, b)| a * b).sum();
+        }
+    }
+}
+
+/// Accumulates `dW += dy[t] ⊗ x[t]` and `dx[t] += Wᵀ dy[t]`.
+fn project_backward(w: &[f32], x: &[f32], dy: &[f32], dx: &mut [f32], dw: &mut [f32], d: usize) {
+    for ((xi, dyi), dxi) in x
+        .chunks_exact(d)
+        .zip(dy.chunks_exact(d))
+        .zip(dx.chunks_exact_mut(d))
+    {
+        for (r, &g) in dyi.iter().enumerate() {
+            if g == 0.0 {
+                continue;
+            }
+            for c in 0..d {
+                dw[r * d + c] += g * xi[c];
+                dxi[c] += g * w[r * d + c];
+            }
+        }
+    }
 }
 
 impl SelfAttention {
@@ -40,7 +68,6 @@ impl SelfAttention {
             seq,
             dim,
             init,
-            cached_input: Vec::new(),
             cached_q: Vec::new(),
             cached_k: Vec::new(),
             cached_v: Vec::new(),
@@ -48,139 +75,121 @@ impl SelfAttention {
             cached_ctx: Vec::new(),
         }
     }
-
-    /// `out[t] = W x[t]` for every token (x: [seq×dim]); `params` is the
-    /// layer's full arena slice, `which` selects the projection.
-    fn project(&self, which: usize, x: &[f32], out: &mut [f32], params: &[f32]) {
-        let d = self.dim;
-        let dd = d * d;
-        let w = &params[which * dd..(which + 1) * dd];
-        for t in 0..self.seq {
-            let xi = &x[t * d..(t + 1) * d];
-            let oi = &mut out[t * d..(t + 1) * d];
-            for r in 0..d {
-                let row = &w[r * d..(r + 1) * d];
-                oi[r] = row.iter().zip(xi).map(|(a, b)| a * b).sum();
-            }
-        }
-    }
-
-    /// Accumulates `dW += dy[t] ⊗ x[t]` and `dx[t] += Wᵀ dy[t]`.
-    fn project_backward(
-        &self,
-        which: usize,
-        x: &[f32],
-        dy: &[f32],
-        dx: &mut [f32],
-        params: &[f32],
-        grads: &mut [f32],
-    ) {
-        let d = self.dim;
-        let dd = d * d;
-        for t in 0..self.seq {
-            let xi = &x[t * d..(t + 1) * d];
-            let dyi = &dy[t * d..(t + 1) * d];
-            for (r, &g) in dyi.iter().enumerate() {
-                if g == 0.0 {
-                    continue;
-                }
-                for c in 0..d {
-                    grads[which * dd + r * d + c] += g * xi[c];
-                    dx[t * d + c] += g * params[which * dd + r * d + c];
-                }
-            }
-        }
-    }
 }
 
 impl Layer for SelfAttention {
-    fn forward(&mut self, input: &[f32], batch: usize, params: &[f32]) -> Vec<f32> {
+    fn forward(&mut self, input: &[f32], output: &mut [f32], params: &[f32]) {
         let (s, d) = (self.seq, self.dim);
         let sample = s * d;
-        assert_eq!(input.len(), batch * sample, "SelfAttention: bad input");
-        self.cached_input = input.to_vec();
-        self.cached_q = vec![0.0; batch * sample];
-        self.cached_k = vec![0.0; batch * sample];
-        self.cached_v = vec![0.0; batch * sample];
-        self.cached_attn = vec![0.0; batch * s * s];
-        self.cached_ctx = vec![0.0; batch * sample];
-        let mut out = vec![0.0f32; batch * sample];
+        assert!(
+            sample > 0 && input.len().is_multiple_of(sample),
+            "SelfAttention: bad input"
+        );
+        assert_eq!(output.len(), input.len(), "SelfAttention: bad output");
+        let batch = input.len() / sample;
+        for cache in [
+            &mut self.cached_q,
+            &mut self.cached_k,
+            &mut self.cached_v,
+            &mut self.cached_ctx,
+        ] {
+            cache.resize(batch * sample, 0.0);
+        }
+        self.cached_attn.resize(batch * s * s, 0.0);
+        let (wq, rest) = params.split_at(d * d);
+        let (wk, rest) = rest.split_at(d * d);
+        let (wv, wo) = rest.split_at(d * d);
         let scale = 1.0 / (d as f32).sqrt();
-        for b in 0..batch {
-            let x = &input[b * sample..(b + 1) * sample];
-            let (q, k, v) = (
-                &mut self.cached_q[b * sample..(b + 1) * sample].to_vec(),
-                &mut self.cached_k[b * sample..(b + 1) * sample].to_vec(),
-                &mut self.cached_v[b * sample..(b + 1) * sample].to_vec(),
-            );
-            self.project(0, x, q, params);
-            self.project(1, x, k, params);
-            self.project(2, x, v, params);
-            self.cached_q[b * sample..(b + 1) * sample].copy_from_slice(q);
-            self.cached_k[b * sample..(b + 1) * sample].copy_from_slice(k);
-            self.cached_v[b * sample..(b + 1) * sample].copy_from_slice(v);
+        for (b, (x, out)) in input
+            .chunks_exact(sample)
+            .zip(output.chunks_exact_mut(sample))
+            .enumerate()
+        {
+            let at = b * sample..(b + 1) * sample;
+            let q = &mut self.cached_q[at.clone()];
+            let k = &mut self.cached_k[at.clone()];
+            let v = &mut self.cached_v[at.clone()];
+            project(wq, x, q, d);
+            project(wk, x, k, d);
+            project(wv, x, v, d);
             // Attention weights: softmax over keys per query.
-            for i in 0..s {
-                let qi = &q[i * d..(i + 1) * d];
-                let mut logits = vec![0.0f32; s];
-                for (j, l) in logits.iter_mut().enumerate() {
-                    let kj = &k[j * d..(j + 1) * d];
-                    *l = qi.iter().zip(kj).map(|(a, c)| a * c).sum::<f32>() * scale;
+            let attn = &mut self.cached_attn[b * s * s..(b + 1) * s * s];
+            for (qi, arow) in q.chunks_exact(d).zip(attn.chunks_exact_mut(s)) {
+                for (a, kj) in arow.iter_mut().zip(k.chunks_exact(d)) {
+                    *a = qi.iter().zip(kj).map(|(a, c)| a * c).sum::<f32>() * scale;
                 }
-                let max = logits.iter().fold(f32::NEG_INFINITY, |a, &x| a.max(x));
-                let exps: Vec<f32> = logits.iter().map(|&x| (x - max).exp()).collect();
-                let sum: f32 = exps.iter().sum();
-                for (j, e) in exps.iter().enumerate() {
-                    self.cached_attn[(b * s + i) * s + j] = e / sum;
+                let max = arow.iter().fold(f32::NEG_INFINITY, |a, &x| a.max(x));
+                for a in arow.iter_mut() {
+                    *a = (*a - max).exp();
+                }
+                let sum: f32 = arow.iter().sum();
+                for a in arow.iter_mut() {
+                    *a /= sum;
                 }
             }
             // Context: ctx[i] = Σ_j a[i][j] v[j]; output = Wo ctx.
-            let mut ctx = vec![0.0f32; sample];
-            for i in 0..s {
-                for j in 0..s {
-                    let a = self.cached_attn[(b * s + i) * s + j];
-                    for c in 0..d {
-                        ctx[i * d + c] += a * v[j * d + c];
+            let ctx = &mut self.cached_ctx[at];
+            ctx.fill(0.0);
+            for (ci, arow) in ctx.chunks_exact_mut(d).zip(attn.chunks_exact(s)) {
+                for (&a, vj) in arow.iter().zip(v.chunks_exact(d)) {
+                    for (c, vv) in ci.iter_mut().zip(vj) {
+                        *c += a * vv;
                     }
                 }
             }
-            self.cached_ctx[b * sample..(b + 1) * sample].copy_from_slice(&ctx);
-            let mut o = vec![0.0f32; sample];
-            self.project(3, &ctx, &mut o, params);
-            out[b * sample..(b + 1) * sample].copy_from_slice(&o);
+            project(wo, ctx, out, d);
         }
-        out
     }
 
     fn backward(
         &mut self,
+        input: &[f32],
+        _output: &[f32],
         grad_out: &[f32],
-        batch: usize,
         params: &[f32],
         grads: &mut [f32],
-    ) -> Vec<f32> {
+        mut grad_in: Option<&mut [f32]>,
+    ) {
         let (s, d) = (self.seq, self.dim);
         let sample = s * d;
         let scale = 1.0 / (d as f32).sqrt();
-        let mut grad_in = vec![0.0f32; batch * sample];
-        for b in 0..batch {
-            let x = self.cached_input[b * sample..(b + 1) * sample].to_vec();
-            let q = self.cached_q[b * sample..(b + 1) * sample].to_vec();
-            let k = self.cached_k[b * sample..(b + 1) * sample].to_vec();
-            let v = self.cached_v[b * sample..(b + 1) * sample].to_vec();
-            let ctx = self.cached_ctx[b * sample..(b + 1) * sample].to_vec();
-            let dy = &grad_out[b * sample..(b + 1) * sample];
+        let (wq, rest) = params.split_at(d * d);
+        let (wk, rest) = rest.split_at(d * d);
+        let (wv, wo) = rest.split_at(d * d);
+        let (dwq, rest) = grads.split_at_mut(d * d);
+        let (dwk, rest) = rest.split_at_mut(d * d);
+        let (dwv, dwo) = rest.split_at_mut(d * d);
+        // Per-sample scratch, zeroed for each sample.
+        let mut per_token = vec![0.0f32; 5 * sample];
+        let mut per_pair = vec![0.0f32; 2 * s * s];
+        for (b, (x, dy)) in input
+            .chunks_exact(sample)
+            .zip(grad_out.chunks_exact(sample))
+            .enumerate()
+        {
+            let at = b * sample..(b + 1) * sample;
+            let (q, k, v) = (
+                &self.cached_q[at.clone()],
+                &self.cached_k[at.clone()],
+                &self.cached_v[at.clone()],
+            );
+            let ctx = &self.cached_ctx[at.clone()];
+            let attn = &self.cached_attn[b * s * s..(b + 1) * s * s];
+            per_token.fill(0.0);
+            per_pair.fill(0.0);
+            let (dctx, rest) = per_token.split_at_mut(sample);
+            let (dv, rest) = rest.split_at_mut(sample);
+            let (dq, rest) = rest.split_at_mut(sample);
+            let (dk, dx) = rest.split_at_mut(sample);
+            let (da, dlogits) = per_pair.split_at_mut(s * s);
 
             // Through Wo.
-            let mut dctx = vec![0.0f32; sample];
-            self.project_backward(3, &ctx, dy, &mut dctx, params, grads);
+            project_backward(wo, ctx, dy, dctx, dwo, d);
 
             // Through the attention mix: dV and dA.
-            let mut dv = vec![0.0f32; sample];
-            let mut da = vec![0.0f32; s * s];
             for i in 0..s {
                 for j in 0..s {
-                    let a = self.cached_attn[(b * s + i) * s + j];
+                    let a = attn[i * s + j];
                     let mut dot = 0.0f32;
                     for c in 0..d {
                         dv[j * d + c] += a * dctx[i * d + c];
@@ -190,9 +199,8 @@ impl Layer for SelfAttention {
                 }
             }
             // Softmax backward per query row.
-            let mut dlogits = vec![0.0f32; s * s];
             for i in 0..s {
-                let arow = &self.cached_attn[(b * s + i) * s..(b * s + i + 1) * s];
+                let arow = &attn[i * s..(i + 1) * s];
                 let darow = &da[i * s..(i + 1) * s];
                 let inner: f32 = arow.iter().zip(darow).map(|(a, g)| a * g).sum();
                 for j in 0..s {
@@ -200,8 +208,6 @@ impl Layer for SelfAttention {
                 }
             }
             // Through Q·Kᵀ.
-            let mut dq = vec![0.0f32; sample];
-            let mut dk = vec![0.0f32; sample];
             for i in 0..s {
                 for j in 0..s {
                     let g = dlogits[i * s + j] * scale;
@@ -215,13 +221,13 @@ impl Layer for SelfAttention {
                 }
             }
             // Through the Q/K/V projections into dX.
-            let mut dx = vec![0.0f32; sample];
-            self.project_backward(0, &x, &dq, &mut dx, params, grads);
-            self.project_backward(1, &x, &dk, &mut dx, params, grads);
-            self.project_backward(2, &x, &dv, &mut dx, params, grads);
-            grad_in[b * sample..(b + 1) * sample].copy_from_slice(&dx);
+            project_backward(wq, x, dq, dx, dwq, d);
+            project_backward(wk, x, dk, dx, dwk, d);
+            project_backward(wv, x, dv, dx, dwv, d);
+            if let Some(gin) = grad_in.as_deref_mut() {
+                gin[at].copy_from_slice(dx);
+            }
         }
-        grad_in
     }
 
     fn param_len(&self) -> usize {
@@ -249,6 +255,7 @@ impl Layer for SelfAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::testing::{backward, forward, half_sq_loss};
     use rand::SeedableRng;
 
     #[test]
@@ -257,7 +264,7 @@ mod tests {
         let mut layer = SelfAttention::new(3, 4, &mut rng);
         let params = layer.take_init();
         let input: Vec<f32> = (0..2 * 12).map(|i| (i as f32 * 0.3).sin()).collect();
-        let out = layer.forward(&input, 2, &params);
+        let out = forward(&mut layer, &input, 2, &params);
         assert_eq!(out.len(), 24);
         for b in 0..2 {
             for i in 0..3 {
@@ -275,24 +282,16 @@ mod tests {
         let mut grads = vec![0.0f32; params.len()];
         let input: Vec<f32> = (0..12).map(|i| (i as f32 * 0.7).cos()).collect();
         // Loss = 0.5 sum(out^2).
-        let out = layer.forward(&input, 1, &params);
-        let _ = layer.backward(&out, 1, &params, &mut grads);
+        let out = forward(&mut layer, &input, 1, &params);
+        backward(&mut layer, &input, &out, &out, &params, &mut grads);
         let eps = 1e-3f32;
         let n = params.len();
         for pi in (0..n).step_by(7) {
             let orig = params[pi];
             params[pi] = orig + eps;
-            let lp: f32 = layer
-                .forward(&input, 1, &params)
-                .iter()
-                .map(|x| 0.5 * x * x)
-                .sum();
+            let lp = half_sq_loss(&mut layer, &input, 1, &params);
             params[pi] = orig - eps;
-            let lm: f32 = layer
-                .forward(&input, 1, &params)
-                .iter()
-                .map(|x| 0.5 * x * x)
-                .sum();
+            let lm = half_sq_loss(&mut layer, &input, 1, &params);
             params[pi] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
             let denom = grads[pi].abs().max(numeric.abs()).max(0.5);
@@ -311,24 +310,16 @@ mod tests {
         let params = layer.take_init();
         let mut grads = vec![0.0f32; params.len()];
         let input: Vec<f32> = (0..6).map(|i| (i as f32 * 1.1).sin()).collect();
-        let out = layer.forward(&input, 1, &params);
-        let gin = layer.backward(&out, 1, &params, &mut grads);
+        let out = forward(&mut layer, &input, 1, &params);
+        let gin = backward(&mut layer, &input, &out, &out, &params, &mut grads);
         let eps = 1e-3f32;
         for i in 0..6 {
             let mut ip = input.clone();
             ip[i] += eps;
-            let lp: f32 = layer
-                .forward(&ip, 1, &params)
-                .iter()
-                .map(|x| 0.5 * x * x)
-                .sum();
+            let lp = half_sq_loss(&mut layer, &ip, 1, &params);
             let mut im = input.clone();
             im[i] -= eps;
-            let lm: f32 = layer
-                .forward(&im, 1, &params)
-                .iter()
-                .map(|x| 0.5 * x * x)
-                .sum();
+            let lm = half_sq_loss(&mut layer, &im, 1, &params);
             let numeric = (lp - lm) / (2.0 * eps);
             let denom = gin[i].abs().max(numeric.abs()).max(0.5);
             assert!(

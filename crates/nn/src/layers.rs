@@ -1,8 +1,12 @@
-//! Neural-network layers over arena-backed flat parameter storage.
+//! Neural-network layers over arena-backed flat parameter and activation
+//! storage.
 //!
-//! Layers do **not** own their parameters. A [`Sequential`] owns two
-//! [`ParamArena`]s — one for parameters, one for gradients — and passes each
-//! layer its slice on every `forward`/`backward` call. The payoff is the view
+//! Layers own neither their parameters nor their activations. A
+//! [`Sequential`] owns two [`ParamArena`]s — one for parameters, one for
+//! gradients — and passes each layer its slice on every `forward`/`backward`
+//! call; it also owns an [`ActivationArena`] in which layer `i`'s output is
+//! layer `i + 1`'s input, so a pass copies and (once sized) allocates
+//! nothing. The payoff of the first is the view
 //! a gradient-compression system wants: a whole model's parameters (and its
 //! whole gradient) is *one contiguous slice*, so replica sync is a single
 //! `copy_from_slice`, optimizers update in place, and collectives operate on
@@ -13,27 +17,44 @@
 //! so model initialization is bitwise-identical); `Sequential::new` then
 //! moves those values into the arena via [`Layer::take_init`].
 //!
+//! The kernels are loop interchanges of the textbook per-element loops,
+//! never a change in the order any single accumulator is summed in (and
+//! never an FMA): they are bit-identical to those loops, which
+//! `tests/nn_kernels.rs` keeps as oracles. DESIGN.md §6g has the argument
+//! per kernel.
+//!
 //! Correctness is guarded by finite-difference gradient checks in the test
 //! module (the strongest test a hand-written backprop can have).
 
-use gcs_tensor::ParamArena;
+use crate::data::Batch;
+use crate::loss::softmax_cross_entropy;
+use gcs_tensor::{simd, ActivationArena, ParamArena};
 
-/// A differentiable layer viewing externally owned parameter storage.
+/// A differentiable layer viewing externally owned parameter *and*
+/// activation storage: `input` and `output` are regions of the owning
+/// [`Sequential`]'s activation arena (layer `i`'s output region is layer
+/// `i + 1`'s input), so a layer keeps no copy of either. The batch size is
+/// `input.len()` over the layer's per-sample input width.
 pub trait Layer {
-    /// Forward pass over a batch; caches whatever backward needs. `params`
-    /// is this layer's slice of the model arena (`param_len()` values).
-    fn forward(&mut self, input: &[f32], batch: usize, params: &[f32]) -> Vec<f32>;
+    /// Forward pass over a batch: overwrites every element of `output`.
+    /// `params` is this layer's slice of the model arena (`param_len()`
+    /// values).
+    fn forward(&mut self, input: &[f32], output: &mut [f32], params: &[f32]);
 
-    /// Backward pass: consumes `d(loss)/d(output)`, **accumulates** into
-    /// `grads` (this layer's slice of the gradient arena), and returns
-    /// `d(loss)/d(input)`.
+    /// Backward pass, given the `input`/`output` of the matching forward
+    /// call and `grad_out = d(loss)/d(output)`: **accumulates** into `grads`
+    /// (this layer's slice of the gradient arena) and, unless the caller
+    /// has no use for it (the first layer of a stack), overwrites `grad_in`
+    /// with `d(loss)/d(input)`.
     fn backward(
         &mut self,
+        input: &[f32],
+        output: &[f32],
         grad_out: &[f32],
-        batch: usize,
         params: &[f32],
         grads: &mut [f32],
-    ) -> Vec<f32>;
+        grad_in: Option<&mut [f32]>,
+    );
 
     /// Number of parameters this layer owns in the arena.
     fn param_len(&self) -> usize;
@@ -60,10 +81,20 @@ pub trait Layer {
         }
     }
 
-    /// Deep copy of the layer (caches and dims; parameters live in the
-    /// arena), boxed and `Send` so whole models can be replicated onto
-    /// worker threads for parallel per-worker gradient computation.
+    /// Deep copy of the layer (dims and scratch; parameters and activations
+    /// live in the arenas), boxed and `Send` so whole models can be
+    /// replicated onto worker threads for parallel per-worker gradient
+    /// computation.
     fn clone_layer(&self) -> Box<dyn Layer + Send>;
+}
+
+/// Samples in `buf`, a batch of `width` values per sample.
+fn batch_of(buf: &[f32], width: usize, layer: &str) -> usize {
+    assert!(
+        width > 0 && buf.len().is_multiple_of(width),
+        "{layer}: bad input size"
+    );
+    buf.len() / width
 }
 
 /// Fully connected layer `y = x W^T + b`, weights stored `[out × in]`.
@@ -73,7 +104,6 @@ pub struct Dense {
     out_dim: usize,
     /// Initial `[weights (out*in) | bias (out)]`, consumed into the arena.
     init: Vec<f32>,
-    cached_input: Vec<f32>,
 }
 
 impl Dense {
@@ -89,53 +119,93 @@ impl Dense {
             in_dim,
             out_dim,
             init,
-            cached_input: Vec::new(),
         }
     }
+
+    /// Output rows whose dot products run side by side in
+    /// [`Dense::forward`].
+    const ROWS: usize = 4;
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &[f32], batch: usize, params: &[f32]) -> Vec<f32> {
-        assert_eq!(input.len(), batch * self.in_dim, "Dense: bad input size");
-        self.cached_input = input.to_vec();
-        let (w, b) = params.split_at(self.out_dim * self.in_dim);
-        let mut out = vec![0.0f32; batch * self.out_dim];
-        for s in 0..batch {
-            let x = &input[s * self.in_dim..(s + 1) * self.in_dim];
-            let y = &mut out[s * self.out_dim..(s + 1) * self.out_dim];
-            for (o, yo) in y.iter_mut().enumerate() {
-                let row = &w[o * self.in_dim..(o + 1) * self.in_dim];
-                *yo = b[o] + row.iter().zip(x).map(|(wi, xi)| wi * xi).sum::<f32>();
+    /// `y[o] = b[o] + Σ_i w[o][i]·x[i]`, every dot a strict left-to-right
+    /// sum seeded as `Iterator::sum` seeds it. A single such sum is bound
+    /// by the latency of its add chain, so [`Dense::ROWS`] rows advance
+    /// together: independent chains, each in its own unchanged order.
+    fn forward(&mut self, input: &[f32], output: &mut [f32], params: &[f32]) {
+        let (ind, outd) = (self.in_dim, self.out_dim);
+        let batch = batch_of(input, ind, "Dense");
+        assert_eq!(output.len(), batch * outd, "Dense: bad output size");
+        let (w, b) = params.split_at(outd * ind);
+        let seed: f32 = std::iter::empty::<f32>().sum();
+        for (x, y) in input.chunks_exact(ind).zip(output.chunks_exact_mut(outd)) {
+            let blocks = y
+                .chunks_mut(Self::ROWS)
+                .zip(w.chunks(Self::ROWS * ind))
+                .zip(b.chunks(Self::ROWS));
+            for ((yb, wb), bb) in blocks {
+                if let [y0, y1, y2, y3] = yb {
+                    let (r0, rest) = wb.split_at(ind);
+                    let (r1, rest) = rest.split_at(ind);
+                    let (r2, r3) = rest.split_at(ind);
+                    let mut acc = [seed; Self::ROWS];
+                    for ((((xi, w0), w1), w2), w3) in x.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+                        acc[0] += w0 * xi;
+                        acc[1] += w1 * xi;
+                        acc[2] += w2 * xi;
+                        acc[3] += w3 * xi;
+                    }
+                    *y0 = bb[0] + acc[0];
+                    *y1 = bb[1] + acc[1];
+                    *y2 = bb[2] + acc[2];
+                    *y3 = bb[3] + acc[3];
+                } else {
+                    for ((yo, row), bo) in yb.iter_mut().zip(wb.chunks_exact(ind)).zip(bb) {
+                        *yo = bo + row.iter().zip(x).map(|(wi, xi)| wi * xi).sum::<f32>();
+                    }
+                }
             }
         }
-        out
     }
 
+    /// Per sample and output `o`, two row AXPYs: `dW[o] += g·x` and
+    /// `dx += g·W[o]`. Every `dW` element still accumulates over samples in
+    /// order and every `dx` element over outputs in order; the elements of
+    /// a row are independent, which is what lets the rows vectorise.
     fn backward(
         &mut self,
+        input: &[f32],
+        _output: &[f32],
         grad_out: &[f32],
-        batch: usize,
         params: &[f32],
         grads: &mut [f32],
-    ) -> Vec<f32> {
-        assert_eq!(grad_out.len(), batch * self.out_dim, "Dense: bad grad size");
-        let wlen = self.out_dim * self.in_dim;
-        let mut grad_in = vec![0.0f32; batch * self.in_dim];
-        for s in 0..batch {
-            let x = &self.cached_input[s * self.in_dim..(s + 1) * self.in_dim];
-            let gy = &grad_out[s * self.out_dim..(s + 1) * self.out_dim];
-            let gx = &mut grad_in[s * self.in_dim..(s + 1) * self.in_dim];
+        mut grad_in: Option<&mut [f32]>,
+    ) {
+        let (ind, outd) = (self.in_dim, self.out_dim);
+        let batch = batch_of(input, ind, "Dense");
+        assert_eq!(grad_out.len(), batch * outd, "Dense: bad grad size");
+        let w = &params[..outd * ind];
+        let (dw, db) = grads.split_at_mut(outd * ind);
+        if let Some(gin) = grad_in.as_deref_mut() {
+            gin.fill(0.0);
+        }
+        for (s, (x, gy)) in input
+            .chunks_exact(ind)
+            .zip(grad_out.chunks_exact(outd))
+            .enumerate()
+        {
+            let mut gx = grad_in
+                .as_deref_mut()
+                .map(|g| &mut g[s * ind..(s + 1) * ind]);
             for (o, &g) in gy.iter().enumerate() {
-                let wrow = o * self.in_dim;
-                // dW[o][i] += g * x[i]; dx[i] += g * W[o][i]
-                for i in 0..self.in_dim {
-                    grads[wrow + i] += g * x[i];
-                    gx[i] += g * params[wrow + i];
+                let row = o * ind..(o + 1) * ind;
+                simd::axpy(g, x, &mut dw[row.clone()]);
+                if let Some(gx) = gx.as_deref_mut() {
+                    simd::axpy(g, &w[row], gx);
                 }
-                grads[wlen + o] += g;
+                db[o] += g;
             }
         }
-        grad_in
     }
 
     fn param_len(&self) -> usize {
@@ -163,34 +233,37 @@ impl Layer for Dense {
 
 /// Element-wise ReLU.
 #[derive(Clone, Default)]
-pub struct Relu {
-    mask: Vec<bool>,
-}
+pub struct Relu;
 
 impl Relu {
     /// Creates a ReLU.
     pub fn new() -> Relu {
-        Relu::default()
+        Relu
     }
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, input: &[f32], _batch: usize, _params: &[f32]) -> Vec<f32> {
-        self.mask = input.iter().map(|&x| x > 0.0).collect();
-        input.iter().map(|&x| x.max(0.0)).collect()
+    fn forward(&mut self, input: &[f32], output: &mut [f32], _params: &[f32]) {
+        assert_eq!(input.len(), output.len(), "Relu: bad output size");
+        for (y, &x) in output.iter_mut().zip(input) {
+            *y = x.max(0.0);
+        }
     }
+    /// The gradient passes where the input was positive, which is exactly
+    /// where the output is.
     fn backward(
         &mut self,
+        _input: &[f32],
+        output: &[f32],
         grad_out: &[f32],
-        _batch: usize,
         _params: &[f32],
         _grads: &mut [f32],
-    ) -> Vec<f32> {
-        grad_out
-            .iter()
-            .zip(&self.mask)
-            .map(|(&g, &m)| if m { g } else { 0.0 })
-            .collect()
+        grad_in: Option<&mut [f32]>,
+    ) {
+        let Some(grad_in) = grad_in else { return };
+        for ((gi, &g), &y) in grad_in.iter_mut().zip(grad_out).zip(output) {
+            *gi = if y > 0.0 { g } else { 0.0 };
+        }
     }
     fn param_len(&self) -> usize {
         0
@@ -212,7 +285,6 @@ pub struct Conv3x3 {
     w: usize,
     /// Initial `[weights (out*in*9) | bias (out)]`, consumed into the arena.
     init: Vec<f32>,
-    cached_input: Vec<f32>,
 }
 
 impl Conv3x3 {
@@ -238,97 +310,118 @@ impl Conv3x3 {
             h,
             w,
             init,
-            cached_input: Vec::new(),
         }
-    }
-
-    #[inline]
-    fn widx(&self, o: usize, c: usize, ky: usize, kx: usize) -> usize {
-        ((o * self.in_ch + c) * 3 + ky) * 3 + kx
     }
 }
 
+/// The output positions along an axis of length `len` whose tap `k`
+/// (source position `p + k − 1`) falls inside the map.
+fn tap_range(k: usize, len: usize) -> std::ops::Range<usize> {
+    usize::from(k == 0)..if k == 2 { len - 1 } else { len }
+}
+
+/// The taps `k` of output position `p` that fall inside an axis of length
+/// `len`.
+fn taps_inside(p: usize, len: usize) -> std::ops::Range<usize> {
+    usize::from(p == 0)..if p + 1 == len { 2 } else { 3 }
+}
+
 impl Layer for Conv3x3 {
-    fn forward(&mut self, input: &[f32], batch: usize, params: &[f32]) -> Vec<f32> {
+    /// Row AXPY: each `(sample, out-channel)` plane starts at the bias and
+    /// then, for `(in-channel, ky, kx)` in that order, gains `w · in_row`
+    /// over the rows and columns the tap reaches. Every output element
+    /// receives the same products in the same order as the textbook
+    /// per-element loop, but the innermost loop is a branch-free pass over
+    /// two contiguous rows.
+    fn forward(&mut self, input: &[f32], output: &mut [f32], params: &[f32]) {
         let (h, w) = (self.h, self.w);
-        let in_sz = self.in_ch * h * w;
-        assert_eq!(input.len(), batch * in_sz, "Conv3x3: bad input size");
-        self.cached_input = input.to_vec();
-        let wlen = self.out_ch * self.in_ch * 9;
-        let mut out = vec![0.0f32; batch * self.out_ch * h * w];
-        for s in 0..batch {
-            let xin = &input[s * in_sz..(s + 1) * in_sz];
-            for o in 0..self.out_ch {
-                let bias = params[wlen + o];
-                for y in 0..h {
-                    for x in 0..w {
-                        let mut acc = bias;
-                        for c in 0..self.in_ch {
-                            for ky in 0..3usize {
-                                let sy = y + ky;
-                                if sy < 1 || sy > h {
-                                    continue;
-                                }
-                                let sy = sy - 1;
-                                for kx in 0..3usize {
-                                    let sx = x + kx;
-                                    if sx < 1 || sx > w {
-                                        continue;
-                                    }
-                                    let sx = sx - 1;
-                                    acc += params[self.widx(o, c, ky, kx)]
-                                        * xin[(c * h + sy) * w + sx];
-                                }
+        let hw = h * w;
+        let batch = batch_of(input, self.in_ch * hw, "Conv3x3");
+        assert_eq!(
+            output.len(),
+            batch * self.out_ch * hw,
+            "Conv3x3: bad output size"
+        );
+        let (weights, bias) = params.split_at(self.out_ch * self.in_ch * 9);
+        let samples = input
+            .chunks_exact(self.in_ch * hw)
+            .zip(output.chunks_exact_mut(self.out_ch * hw));
+        for (xin, out) in samples {
+            for (o, plane) in out.chunks_exact_mut(hw).enumerate() {
+                plane.fill(bias[o]);
+                for (c, xc) in xin.chunks_exact(hw).enumerate() {
+                    let taps = &weights[(o * self.in_ch + c) * 9..][..9];
+                    for (k, &wv) in taps.iter().enumerate() {
+                        let (ky, kx) = (k / 3, k % 3);
+                        let cols = tap_range(kx, w);
+                        for y in tap_range(ky, h) {
+                            let src = (y + ky - 1) * w + kx;
+                            let orow = &mut plane[y * w..][cols.clone()];
+                            let irow = &xc[src + cols.start - 1..src + cols.end - 1];
+                            for (ov, iv) in orow.iter_mut().zip(irow) {
+                                *ov += wv * iv;
                             }
                         }
-                        out[((s * self.out_ch + o) * h + y) * w + x] = acc;
                     }
                 }
             }
         }
-        out
     }
 
+    /// Scatter per non-zero output gradient, in `(sample, out-channel, y,
+    /// x)` order: the taps that stay inside the map are found once per
+    /// position, then each `(in-channel, ky)` is one short row of `dW += g ·
+    /// in` and `d_in += g · w`. `dW` and `d_in` elements accumulate in the
+    /// order of the per-element loop.
     fn backward(
         &mut self,
+        input: &[f32],
+        _output: &[f32],
         grad_out: &[f32],
-        batch: usize,
         params: &[f32],
         grads: &mut [f32],
-    ) -> Vec<f32> {
+        mut grad_in: Option<&mut [f32]>,
+    ) {
         let (h, w) = (self.h, self.w);
-        let in_sz = self.in_ch * h * w;
-        let out_sz = self.out_ch * h * w;
-        assert_eq!(grad_out.len(), batch * out_sz, "Conv3x3: bad grad size");
+        let hw = h * w;
+        let in_sz = self.in_ch * hw;
+        let batch = batch_of(input, in_sz, "Conv3x3");
+        assert_eq!(
+            grad_out.len(),
+            batch * self.out_ch * hw,
+            "Conv3x3: bad grad size"
+        );
         let wlen = self.out_ch * self.in_ch * 9;
-        let mut grad_in = vec![0.0f32; batch * in_sz];
-        for s in 0..batch {
-            let xin = &self.cached_input[s * in_sz..(s + 1) * in_sz];
-            let gout = &grad_out[s * out_sz..(s + 1) * out_sz];
-            for o in 0..self.out_ch {
-                for y in 0..h {
-                    for x in 0..w {
-                        let g = gout[(o * h + y) * w + x];
-                        if g == 0.0 {
-                            continue;
-                        }
-                        grads[wlen + o] += g;
-                        for c in 0..self.in_ch {
-                            for ky in 0..3usize {
-                                let sy = y + ky;
-                                if sy < 1 || sy > h {
-                                    continue;
-                                }
-                                let sy = sy - 1;
-                                for kx in 0..3usize {
-                                    let sx = x + kx;
-                                    if sx < 1 || sx > w {
-                                        continue;
-                                    }
-                                    let sx = sx - 1;
-                                    let wi = self.widx(o, c, ky, kx);
-                                    grads[wi] += g * xin[(c * h + sy) * w + sx];
-                                    grad_in[s * in_sz + (c * h + sy) * w + sx] += g * params[wi];
+        let weights = &params[..wlen];
+        let (dw, db) = grads.split_at_mut(wlen);
+        if let Some(gin) = grad_in.as_deref_mut() {
+            gin.fill(0.0);
+        }
+        let samples = input
+            .chunks_exact(in_sz)
+            .zip(grad_out.chunks_exact(self.out_ch * hw));
+        for (s, (xin, gout)) in samples.enumerate() {
+            let mut gin = grad_in.as_deref_mut().map(|g| &mut g[s * in_sz..][..in_sz]);
+            for (o, gplane) in gout.chunks_exact(hw).enumerate() {
+                for (pos, &g) in gplane.iter().enumerate() {
+                    if g == 0.0 {
+                        continue;
+                    }
+                    db[o] += g;
+                    let (y, x) = (pos / w, pos % w);
+                    let kxs = taps_inside(x, w);
+                    for c in 0..self.in_ch {
+                        for ky in taps_inside(y, h) {
+                            let wi = ((o * self.in_ch + c) * 3 + ky) * 3;
+                            let xi = (c * h + y + ky - 1) * w + x;
+                            let taps = wi + kxs.start..wi + kxs.end;
+                            let src = xi + kxs.start - 1..xi + kxs.end - 1;
+                            for (d, iv) in dw[taps.clone()].iter_mut().zip(&xin[src.clone()]) {
+                                *d += g * iv;
+                            }
+                            if let Some(gin) = gin.as_deref_mut() {
+                                for (gi, wv) in gin[src].iter_mut().zip(&weights[taps]) {
+                                    *gi += g * wv;
                                 }
                             }
                         }
@@ -336,7 +429,6 @@ impl Layer for Conv3x3 {
                 }
             }
         }
-        grad_in
     }
 
     fn param_len(&self) -> usize {
@@ -368,7 +460,9 @@ pub struct MaxPool2 {
     ch: usize,
     h: usize,
     w: usize,
-    argmax: Vec<usize>,
+    /// Per output element, the batch-wide input index that won its window;
+    /// sized by the largest batch seen and reused.
+    argmax: Vec<u32>,
 }
 
 impl MaxPool2 {
@@ -391,51 +485,55 @@ impl MaxPool2 {
 }
 
 impl Layer for MaxPool2 {
-    fn forward(&mut self, input: &[f32], batch: usize, _params: &[f32]) -> Vec<f32> {
-        let (h, w) = (self.h, self.w);
-        let (oh, ow) = (h / 2, w / 2);
-        let in_sz = self.ch * h * w;
-        assert_eq!(input.len(), batch * in_sz, "MaxPool2: bad input size");
-        let mut out = vec![0.0f32; batch * self.ch * oh * ow];
-        self.argmax = vec![0usize; out.len()];
-        for s in 0..batch {
-            for c in 0..self.ch {
-                for y in 0..oh {
-                    for x in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0;
-                        for dy in 0..2 {
-                            for dx in 0..2 {
-                                let idx = s * in_sz + (c * h + 2 * y + dy) * w + 2 * x + dx;
-                                if input[idx] > best {
-                                    best = input[idx];
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        let oidx = ((s * self.ch + c) * oh + y) * ow + x;
-                        out[oidx] = best;
-                        self.argmax[oidx] = best_idx;
+    fn forward(&mut self, input: &[f32], output: &mut [f32], _params: &[f32]) {
+        let (w, ow) = (self.w, self.w / 2);
+        let batch = batch_of(input, self.ch * self.h * w, "MaxPool2");
+        assert_eq!(output.len(), input.len() / 4, "MaxPool2: bad output size");
+        assert!(
+            u32::try_from(input.len()).is_ok(),
+            "MaxPool2: batch of {batch} exceeds u32 indices"
+        );
+        self.argmax.resize(output.len(), 0);
+        // Output rows are the pairs of input rows, across samples and
+        // channels alike.
+        for (r, (orow, arow)) in output
+            .chunks_exact_mut(ow)
+            .zip(self.argmax.chunks_exact_mut(ow))
+            .enumerate()
+        {
+            let top = 2 * r * w;
+            for (x, (ov, av)) in orow.iter_mut().zip(arow).enumerate() {
+                // The window's own first element seeds the search, so a
+                // window with no element greater than another (all NaN,
+                // all −inf) still routes its gradient to itself.
+                let first = top + 2 * x;
+                let (mut best, mut best_idx) = (input[first], first);
+                for idx in [first + 1, first + w, first + w + 1] {
+                    if input[idx] > best {
+                        best = input[idx];
+                        best_idx = idx;
                     }
                 }
+                *ov = best;
+                *av = best_idx as u32;
             }
         }
-        out
     }
 
     fn backward(
         &mut self,
+        _input: &[f32],
+        _output: &[f32],
         grad_out: &[f32],
-        batch: usize,
         _params: &[f32],
         _grads: &mut [f32],
-    ) -> Vec<f32> {
-        let in_sz = self.ch * self.h * self.w;
-        let mut grad_in = vec![0.0f32; batch * in_sz];
-        for (oidx, &g) in grad_out.iter().enumerate() {
-            grad_in[self.argmax[oidx]] += g;
+        grad_in: Option<&mut [f32]>,
+    ) {
+        let Some(grad_in) = grad_in else { return };
+        grad_in.fill(0.0);
+        for (&idx, &g) in self.argmax.iter().zip(grad_out) {
+            grad_in[idx as usize] += g;
         }
-        grad_in
     }
 
     fn param_len(&self) -> usize {
@@ -459,8 +557,9 @@ impl Layer for MaxPool2 {
 /// uniformity is the gradient structure TopKC's chunk selection exploits.
 #[derive(Clone, Default)]
 pub struct LayerNorm {
-    cached_xhat: Vec<f32>,
-    cached_inv_std: Vec<f32>,
+    /// `1/√(σ² + ε)` per sample of the last forward (the normalized values
+    /// themselves are the layer's output); reused across calls.
+    inv_std: Vec<f32>,
     features: usize,
 }
 
@@ -468,8 +567,7 @@ impl LayerNorm {
     /// Creates a LayerNorm over `features`-dimensional samples.
     pub fn new(features: usize) -> LayerNorm {
         LayerNorm {
-            cached_xhat: Vec::new(),
-            cached_inv_std: Vec::new(),
+            inv_std: Vec::new(),
             features,
         }
     }
@@ -478,47 +576,42 @@ impl LayerNorm {
 }
 
 impl Layer for LayerNorm {
-    fn forward(&mut self, input: &[f32], batch: usize, _params: &[f32]) -> Vec<f32> {
+    fn forward(&mut self, input: &[f32], output: &mut [f32], _params: &[f32]) {
         let f = self.features;
-        assert_eq!(input.len(), batch * f, "LayerNorm: bad input size");
-        let mut out = vec![0.0f32; input.len()];
-        self.cached_xhat = vec![0.0; input.len()];
-        self.cached_inv_std = vec![0.0; batch];
-        for s in 0..batch {
-            let x = &input[s * f..(s + 1) * f];
+        let batch = batch_of(input, f, "LayerNorm");
+        assert_eq!(output.len(), input.len(), "LayerNorm: bad output size");
+        self.inv_std.resize(batch, 0.0);
+        let samples = input.chunks_exact(f).zip(output.chunks_exact_mut(f));
+        for ((x, y), inv_std) in samples.zip(&mut self.inv_std) {
             let mean = x.iter().sum::<f32>() / f as f32;
             let var = x.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / f as f32;
             let inv = 1.0 / (var + Self::EPS).sqrt();
-            self.cached_inv_std[s] = inv;
-            for i in 0..f {
-                let xhat = (x[i] - mean) * inv;
-                self.cached_xhat[s * f + i] = xhat;
-                out[s * f + i] = xhat;
+            *inv_std = inv;
+            for (yi, xi) in y.iter_mut().zip(x) {
+                *yi = (xi - mean) * inv;
             }
         }
-        out
     }
 
     fn backward(
         &mut self,
+        _input: &[f32],
+        output: &[f32],
         grad_out: &[f32],
-        batch: usize,
         _params: &[f32],
         _grads: &mut [f32],
-    ) -> Vec<f32> {
+        grad_in: Option<&mut [f32]>,
+    ) {
+        let Some(grad_in) = grad_in else { return };
         let f = self.features;
-        let mut grad_in = vec![0.0f32; grad_out.len()];
-        for s in 0..batch {
-            let g = &grad_out[s * f..(s + 1) * f];
-            let xhat = &self.cached_xhat[s * f..(s + 1) * f];
-            let inv = self.cached_inv_std[s];
+        let samples = grad_out.chunks_exact(f).zip(output.chunks_exact(f));
+        for (((g, xhat), gx), &inv) in samples.zip(grad_in.chunks_exact_mut(f)).zip(&self.inv_std) {
             let mean_g = g.iter().sum::<f32>() / f as f32;
             let mean_gx = g.iter().zip(xhat).map(|(a, b)| a * b).sum::<f32>() / f as f32;
-            for i in 0..f {
-                grad_in[s * f + i] = inv * (g[i] - mean_g - xhat[i] * mean_gx);
+            for ((gxi, gi), xi) in gx.iter_mut().zip(g).zip(xhat) {
+                *gxi = inv * (gi - mean_g - xi * mean_gx);
             }
         }
-        grad_in
     }
 
     fn param_len(&self) -> usize {
@@ -540,7 +633,6 @@ pub struct Embedding {
     dim: usize,
     ctx: usize,
     init: Vec<f32>,
-    cached_ids: Vec<usize>,
 }
 
 impl Embedding {
@@ -553,45 +645,48 @@ impl Embedding {
             dim,
             ctx,
             init,
-            cached_ids: Vec::new(),
         }
+    }
+
+    /// The table row of token `t`.
+    fn row(&self, t: f32) -> std::ops::Range<usize> {
+        let id = t as usize;
+        assert!(id < self.vocab, "Embedding: token {id} out of vocab");
+        id * self.dim..(id + 1) * self.dim
     }
 }
 
 impl Layer for Embedding {
-    fn forward(&mut self, input: &[f32], batch: usize, params: &[f32]) -> Vec<f32> {
-        assert_eq!(input.len(), batch * self.ctx, "Embedding: bad input size");
-        self.cached_ids = input
-            .iter()
-            .map(|&t| {
-                let id = t as usize;
-                assert!(id < self.vocab, "Embedding: token {id} out of vocab");
-                id
-            })
-            .collect();
-        let mut out = vec![0.0f32; batch * self.ctx * self.dim];
-        for (slot, &id) in self.cached_ids.iter().enumerate() {
-            out[slot * self.dim..(slot + 1) * self.dim]
-                .copy_from_slice(&params[id * self.dim..(id + 1) * self.dim]);
+    fn forward(&mut self, input: &[f32], output: &mut [f32], params: &[f32]) {
+        batch_of(input, self.ctx, "Embedding");
+        assert_eq!(
+            output.len(),
+            input.len() * self.dim,
+            "Embedding: bad output size"
+        );
+        for (&t, slot) in input.iter().zip(output.chunks_exact_mut(self.dim)) {
+            slot.copy_from_slice(&params[self.row(t)]);
         }
-        out
     }
 
     fn backward(
         &mut self,
+        input: &[f32],
+        _output: &[f32],
         grad_out: &[f32],
-        _batch: usize,
         _params: &[f32],
         grads: &mut [f32],
-    ) -> Vec<f32> {
-        for (slot, &id) in self.cached_ids.iter().enumerate() {
-            let g = &grad_out[slot * self.dim..(slot + 1) * self.dim];
-            for (gi, gv) in grads[id * self.dim..(id + 1) * self.dim].iter_mut().zip(g) {
+        grad_in: Option<&mut [f32]>,
+    ) {
+        for (&t, g) in input.iter().zip(grad_out.chunks_exact(self.dim)) {
+            for (gi, gv) in grads[self.row(t)].iter_mut().zip(g) {
                 *gi += gv;
             }
         }
         // Token ids have no gradient.
-        vec![0.0; self.cached_ids.len()]
+        if let Some(grad_in) = grad_in {
+            grad_in.fill(0.0);
+        }
     }
 
     fn param_len(&self) -> usize {
@@ -614,13 +709,17 @@ impl Layer for Embedding {
     }
 }
 
-/// A sequential stack of layers over one parameter arena and one gradient
-/// arena: layer `i` views `params.layer(i)` / `grads.layer(i)`, and the
-/// whole model's parameters and gradient are each a single contiguous slice.
+/// A sequential stack of layers over one parameter arena, one gradient
+/// arena and one activation arena: layer `i` views `params.layer(i)` /
+/// `grads.layer(i)`, the whole model's parameters and gradient are each a
+/// single contiguous slice, and every layer reads its input from, and
+/// writes its output into, the activation arena — the input batch itself is
+/// only ever borrowed.
 pub struct Sequential {
     layers: Vec<Box<dyn Layer + Send>>,
     params: ParamArena,
     grads: ParamArena,
+    acts: ActivationArena,
 }
 
 impl Clone for Sequential {
@@ -629,17 +728,28 @@ impl Clone for Sequential {
             layers: self.layers.iter().map(|l| l.clone_layer()).collect(),
             params: self.params.clone(),
             grads: self.grads.clone(),
+            acts: self.acts.clone(),
         }
     }
 }
 
 impl Sequential {
-    /// Builds from boxed layers, moving each layer's construction-time
-    /// initial values into the parameter arena.
-    pub fn new(mut layers: Vec<Box<dyn Layer + Send>>) -> Sequential {
+    /// Samples the activation arena holds until a larger batch arrives.
+    const INITIAL_CHUNK: usize = 8;
+
+    /// Builds from boxed layers taking `in_dim` values per sample, moving
+    /// each layer's construction-time initial values into the parameter
+    /// arena.
+    ///
+    /// # Panics
+    /// Panics if `layers` is empty.
+    pub fn new(in_dim: usize, mut layers: Vec<Box<dyn Layer + Send>>) -> Sequential {
+        assert!(!layers.is_empty(), "Sequential: no layers");
         let lens: Vec<usize> = layers.iter().map(|l| l.param_len()).collect();
         let mut params = ParamArena::from_layer_lens(&lens);
         let grads = ParamArena::from_layer_lens(&lens);
+        let mut widths = Vec::with_capacity(layers.len());
+        let mut width = in_dim;
         for (i, l) in layers.iter_mut().enumerate() {
             let init = l.take_init();
             assert_eq!(
@@ -648,33 +758,92 @@ impl Sequential {
                 "Sequential: layer {i} init/param_len mismatch"
             );
             params.layer_mut(i).copy_from_slice(&init);
+            width = l.out_dim(width);
+            widths.push(width);
         }
         Sequential {
             layers,
             params,
             grads,
+            acts: ActivationArena::new(&widths, Self::INITIAL_CHUNK),
         }
     }
 
-    /// Forward through all layers.
-    pub fn forward(&mut self, input: &[f32], batch: usize) -> Vec<f32> {
-        let mut act = input.to_vec();
+    /// Forward through all layers; returns the last layer's output, which
+    /// stays in the activation arena.
+    pub fn forward(&mut self, input: &[f32], batch: usize) -> &[f32] {
+        self.acts.reserve(batch);
+        let last = self.layers.len() - 1;
         for (i, l) in self.layers.iter_mut().enumerate() {
-            act = l.forward(&act, batch, self.params.layer(i));
+            let params = self.params.layer(i);
+            if i == 0 {
+                l.forward(input, self.acts.output_mut(0, batch), params);
+            } else {
+                let (x, y) = self.acts.forward_views(i, batch);
+                l.forward(x, y, params);
+            }
         }
-        act
+        self.acts.output(last, batch)
     }
 
-    /// Backward through all layers (after a forward pass).
-    pub fn backward(&mut self, grad_out: &[f32], batch: usize) {
-        let Sequential {
-            layers,
-            params,
-            grads,
-        } = self;
-        let mut g = grad_out.to_vec();
-        for (i, l) in layers.iter_mut().enumerate().rev() {
-            g = l.backward(&g, batch, params.layer(i), grads.layer_mut(i));
+    /// The last [`Sequential::forward`]'s output and the buffer a loss
+    /// writes `d(loss)/d(output)` into before [`Sequential::backward`].
+    pub fn output_and_grad_mut(&mut self, batch: usize) -> (&[f32], &mut [f32]) {
+        self.acts.output_and_grad_mut(self.layers.len() - 1, batch)
+    }
+
+    /// Backward through all layers, after a forward pass over the same
+    /// `input` and with the output gradient in place.
+    pub fn backward(&mut self, input: &[f32], batch: usize) {
+        for (i, l) in self.layers.iter_mut().enumerate().rev() {
+            let (params, grads) = (self.params.layer(i), self.grads.layer_mut(i));
+            if i == 0 {
+                let (y, gy) = self.acts.output_and_grad_mut(0, batch);
+                l.backward(input, y, gy, params, grads, None);
+            } else {
+                let v = self.acts.backward_views(i, batch);
+                l.backward(
+                    v.input,
+                    v.output,
+                    v.grad_out,
+                    params,
+                    grads,
+                    Some(v.grad_in),
+                );
+            }
+        }
+    }
+
+    /// Mean softmax cross-entropy of `batch` under this stack's logits,
+    /// leaving its gradient in [`Sequential::grads_flat`].
+    pub fn softmax_loss_grad(&mut self, batch: &Batch) -> f32 {
+        let n = batch.targets.len();
+        let classes = self.forward(&batch.inputs, n).len() / n.max(1);
+        let (logits, grad) = self.output_and_grad_mut(n);
+        let loss = softmax_cross_entropy(logits, &batch.targets, classes, Some(grad));
+        self.zero_grads();
+        self.backward(&batch.inputs, n);
+        loss
+    }
+
+    /// Forward only, over any number of samples: streams `inputs` through
+    /// the activation arena a chunk at a time and collects the outputs in
+    /// `logits`. Samples do not interact in a forward pass, so the result
+    /// is the same as one pass over all of them, at a chunk's memory.
+    ///
+    /// # Panics
+    /// Panics if `logits` is not `n` samples of the stack's output width.
+    pub fn predict_into(&mut self, inputs: &[f32], n: usize, logits: &mut [f32]) {
+        if n == 0 {
+            return;
+        }
+        let (in_dim, out_dim) = (inputs.len() / n, logits.len() / n);
+        let chunk = self.acts.chunk();
+        for (x, y) in inputs
+            .chunks(chunk * in_dim)
+            .zip(logits.chunks_mut(chunk * out_dim))
+        {
+            y.copy_from_slice(self.forward(x, x.len() / in_dim));
         }
     }
 
@@ -805,8 +974,56 @@ impl ParamSegment {
     }
 }
 
+/// Runs a single layer outside a [`Sequential`], lending it the buffers the
+/// activation arena otherwise would (NaN-filled, so an element a layer
+/// fails to overwrite shows).
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::Layer;
+
+    pub(crate) fn forward(
+        layer: &mut dyn Layer,
+        input: &[f32],
+        batch: usize,
+        params: &[f32],
+    ) -> Vec<f32> {
+        let mut output = vec![f32::NAN; batch * layer.out_dim(input.len() / batch)];
+        layer.forward(input, &mut output, params);
+        output
+    }
+
+    /// Backward of the forward that produced `output`; returns
+    /// `d(loss)/d(input)`.
+    pub(crate) fn backward(
+        layer: &mut dyn Layer,
+        input: &[f32],
+        output: &[f32],
+        grad_out: &[f32],
+        params: &[f32],
+        grads: &mut [f32],
+    ) -> Vec<f32> {
+        let mut grad_in = vec![f32::NAN; input.len()];
+        layer.backward(input, output, grad_out, params, grads, Some(&mut grad_in));
+        grad_in
+    }
+
+    /// `0.5 · Σ out²` of a forward pass — the loss whose `d/d(out)` is `out`.
+    pub(crate) fn half_sq_loss(
+        layer: &mut dyn Layer,
+        input: &[f32],
+        batch: usize,
+        params: &[f32],
+    ) -> f32 {
+        forward(layer, input, batch, params)
+            .iter()
+            .map(|x| 0.5 * x * x)
+            .sum()
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::testing::{backward, forward, half_sq_loss};
     use super::*;
     use rand::SeedableRng;
 
@@ -818,24 +1035,16 @@ mod tests {
         assert_eq!(params.len(), layer.param_len());
         let mut grads = vec![0.0f32; params.len()];
         // Loss = 0.5 * sum(out^2); dLoss/dout = out.
-        let out = layer.forward(input, batch, &params);
-        let _ = layer.backward(&out, batch, &params, &mut grads);
+        let out = forward(layer, input, batch, &params);
+        backward(layer, input, &out, &out, &params, &mut grads);
         let eps = 1e-3f32;
         let n_params = params.len();
         for pi in (0..n_params).step_by((n_params / 24).max(1)) {
             let orig = params[pi];
             params[pi] = orig + eps;
-            let lp: f32 = layer
-                .forward(input, batch, &params)
-                .iter()
-                .map(|x| 0.5 * x * x)
-                .sum();
+            let lp = half_sq_loss(layer, input, batch, &params);
             params[pi] = orig - eps;
-            let lm: f32 = layer
-                .forward(input, batch, &params)
-                .iter()
-                .map(|x| 0.5 * x * x)
-                .sum();
+            let lm = half_sq_loss(layer, input, batch, &params);
             params[pi] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
             let a = grads[pi];
@@ -843,6 +1052,29 @@ mod tests {
             assert!(
                 (a - numeric).abs() / denom < tol,
                 "param {pi}: analytic {a} vs numeric {numeric}"
+            );
+        }
+    }
+
+    /// Finite-difference check of `d(loss)/d(input)` under the same loss.
+    fn input_grad_check(layer: &mut dyn Layer, input: &[f32], batch: usize, tol: f32) {
+        let params = layer.take_init();
+        let mut grads = vec![0.0f32; params.len()];
+        let out = forward(layer, input, batch, &params);
+        let gin = backward(layer, input, &out, &out, &params, &mut grads);
+        let eps = 1e-3;
+        for i in 0..input.len() {
+            let mut ip = input.to_vec();
+            ip[i] += eps;
+            let mut im = input.to_vec();
+            im[i] -= eps;
+            let numeric = (half_sq_loss(layer, &ip, batch, &params)
+                - half_sq_loss(layer, &im, batch, &params))
+                / (2.0 * eps);
+            assert!(
+                (gin[i] - numeric).abs() / numeric.abs().max(1.0) < tol,
+                "input {i}: {} vs {numeric}",
+                gin[i]
             );
         }
     }
@@ -857,6 +1089,8 @@ mod tests {
         let mut layer = Dense::new(5, 4, &mut r);
         let input: Vec<f32> = (0..10).map(|i| (i as f32 * 0.7).sin()).collect();
         grad_check(&mut layer, &input, 2, 2e-2);
+        // Six outputs: one block of side-by-side rows and a remainder.
+        grad_check(&mut Dense::new(5, 6, &mut r), &input, 2, 2e-2);
     }
 
     #[test]
@@ -865,6 +1099,7 @@ mod tests {
         let mut layer = Conv3x3::new(2, 3, 4, 4, &mut r);
         let input: Vec<f32> = (0..2 * 2 * 16).map(|i| (i as f32 * 0.31).cos()).collect();
         grad_check(&mut layer, &input, 2, 2e-2);
+        input_grad_check(&mut Conv3x3::new(2, 3, 4, 4, &mut r), &input, 2, 2e-2);
     }
 
     #[test]
@@ -878,7 +1113,7 @@ mod tests {
     #[test]
     fn layernorm_normalizes_and_gradient_checks() {
         let mut l = LayerNorm::new(4);
-        let out = l.forward(&[1.0, 2.0, 3.0, 4.0], 1, &[]);
+        let out = forward(&mut l, &[1.0, 2.0, 3.0, 4.0], 1, &[]);
         let mean: f32 = out.iter().sum::<f32>() / 4.0;
         let var: f32 = out.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / 4.0;
         assert!(mean.abs() < 1e-5 && (var - 1.0).abs() < 1e-3);
@@ -889,15 +1124,15 @@ mod tests {
         let input = vec![0.5f32, -1.0, 2.0, 0.3];
         let w = [1.0f32, 2.0, -1.0, 0.5];
         let loss = |l: &mut LayerNorm, x: &[f32]| -> f32 {
-            l.forward(x, 1, &[])
+            forward(l, x, 1, &[])
                 .iter()
                 .zip(&w)
                 .map(|(y, wi)| 0.5 * (y * wi) * (y * wi))
                 .sum()
         };
-        let y = l.forward(&input, 1, &[]);
+        let y = forward(&mut l, &input, 1, &[]);
         let gy: Vec<f32> = y.iter().zip(&w).map(|(yi, wi)| yi * wi * wi).collect();
-        let gin = l.backward(&gy, 1, &[], &mut []);
+        let gin = backward(&mut l, &input, &y, &gy, &[], &mut []);
         let eps = 1e-3;
         for i in 0..4 {
             let mut xp = input.clone();
@@ -916,64 +1151,57 @@ mod tests {
     #[test]
     fn relu_masks_gradient() {
         let mut l = Relu::new();
-        let out = l.forward(&[-1.0, 2.0, 0.0, 3.0], 1, &[]);
+        let input = [-1.0, 2.0, 0.0, 3.0];
+        let out = forward(&mut l, &input, 1, &[]);
         assert_eq!(out, vec![0.0, 2.0, 0.0, 3.0]);
-        let gin = l.backward(&[1.0, 1.0, 1.0, 1.0], 1, &[], &mut []);
+        let gin = backward(&mut l, &input, &out, &[1.0; 4], &[], &mut []);
         assert_eq!(gin, vec![0.0, 1.0, 0.0, 1.0]);
     }
 
     #[test]
     fn maxpool_routes_gradient_to_argmax() {
         let mut l = MaxPool2::new(1, 2, 2);
-        let out = l.forward(&[1.0, 5.0, 2.0, 3.0], 1, &[]);
+        let input = [1.0, 5.0, 2.0, 3.0];
+        let out = forward(&mut l, &input, 1, &[]);
         assert_eq!(out, vec![5.0]);
-        let gin = l.backward(&[7.0], 1, &[], &mut []);
+        let gin = backward(&mut l, &input, &out, &[7.0], &[], &mut []);
         assert_eq!(gin, vec![0.0, 7.0, 0.0, 0.0]);
+    }
+
+    /// Regression: the search used to start from the batch-wide index 0, so
+    /// a window in which no element is greater than another (all NaN, all
+    /// −inf) sent its gradient to element 0 of sample 0.
+    #[test]
+    fn maxpool_degenerate_window_keeps_its_gradient_in_its_own_sample() {
+        let mut l = MaxPool2::new(1, 2, 2);
+        for degenerate in [f32::NAN, f32::NEG_INFINITY] {
+            let mut input = vec![1.0, 5.0, 2.0, 3.0];
+            input.extend([degenerate; 4]);
+            let out = forward(&mut l, &input, 2, &[]);
+            let gin = backward(&mut l, &input, &out, &[7.0, 11.0], &[], &mut []);
+            assert_eq!(gin[..4], [0.0, 7.0, 0.0, 0.0], "sample 0 of {degenerate}");
+            assert_eq!(gin[4..], [11.0, 0.0, 0.0, 0.0], "sample 1 of {degenerate}");
+        }
     }
 
     #[test]
     fn dense_input_gradient_check() {
-        // Check d(loss)/d(input) too, via finite differences on the input.
         let mut r = rng();
-        let mut layer = Dense::new(4, 3, &mut r);
-        let params = layer.take_init();
-        let mut grads = vec![0.0f32; params.len()];
         let input: Vec<f32> = (0..4).map(|i| (i as f32 * 0.9).sin()).collect();
-        let out = layer.forward(&input, 1, &params);
-        let gin = layer.backward(&out, 1, &params, &mut grads);
-        let eps = 1e-3;
-        for i in 0..4 {
-            let mut ip = input.clone();
-            ip[i] += eps;
-            let lp: f32 = layer
-                .forward(&ip, 1, &params)
-                .iter()
-                .map(|x| 0.5 * x * x)
-                .sum();
-            let mut im = input.clone();
-            im[i] -= eps;
-            let lm: f32 = layer
-                .forward(&im, 1, &params)
-                .iter()
-                .map(|x| 0.5 * x * x)
-                .sum();
-            let numeric = (lp - lm) / (2.0 * eps);
-            assert!(
-                (gin[i] - numeric).abs() / numeric.abs().max(1.0) < 2e-2,
-                "input {i}: {} vs {numeric}",
-                gin[i]
-            );
-        }
+        input_grad_check(&mut Dense::new(4, 3, &mut r), &input, 1, 2e-2);
     }
 
     #[test]
     fn sequential_flat_round_trip() {
         let mut r = rng();
-        let mut seq = Sequential::new(vec![
-            Box::new(Dense::new(6, 5, &mut r)),
-            Box::new(Relu::new()),
-            Box::new(Dense::new(5, 2, &mut r)),
-        ]);
+        let mut seq = Sequential::new(
+            6,
+            vec![
+                Box::new(Dense::new(6, 5, &mut r)),
+                Box::new(Relu::new()),
+                Box::new(Dense::new(5, 2, &mut r)),
+            ],
+        );
         let p = seq.flat_params();
         assert_eq!(p.len(), 6 * 5 + 5 + 5 * 2 + 2);
         let mut p2 = p.clone();
@@ -987,11 +1215,14 @@ mod tests {
     #[test]
     fn arena_layers_are_views_into_the_flat_params() {
         let mut r = rng();
-        let seq = Sequential::new(vec![
-            Box::new(Dense::new(3, 2, &mut r)),
-            Box::new(Relu::new()),
-            Box::new(Dense::new(2, 4, &mut r)),
-        ]);
+        let seq = Sequential::new(
+            3,
+            vec![
+                Box::new(Dense::new(3, 2, &mut r)),
+                Box::new(Relu::new()),
+                Box::new(Dense::new(2, 4, &mut r)),
+            ],
+        );
         let arena = seq.param_arena();
         assert_eq!(arena.n_layers(), 3);
         assert_eq!(arena.layer_len(0), 3 * 2 + 2);
@@ -1008,19 +1239,44 @@ mod tests {
     fn sequential_trains_a_linear_map() {
         // One dense layer can fit y = 2x exactly with SGD on MSE.
         let mut r = rng();
-        let mut seq = Sequential::new(vec![Box::new(Dense::new(1, 1, &mut r))]);
+        let mut seq = Sequential::new(1, vec![Box::new(Dense::new(1, 1, &mut r))]);
+        let x = [0.5f32, -1.0, 2.0];
         for _ in 0..300 {
-            let x = vec![0.5f32, -1.0, 2.0];
-            let y = seq.forward(&x, 3);
-            let target: Vec<f32> = x.iter().map(|v| 2.0 * v).collect();
-            let grad: Vec<f32> = y.iter().zip(&target).map(|(a, b)| a - b).collect();
+            seq.forward(&x, 3);
+            let (y, grad) = seq.output_and_grad_mut(3);
+            for ((g, yi), xi) in grad.iter_mut().zip(y).zip(&x) {
+                *g = yi - 2.0 * xi;
+            }
             seq.zero_grads();
-            seq.backward(&grad, 3);
+            seq.backward(&x, 3);
             let g = seq.flat_grads();
             let delta: Vec<f32> = g.iter().map(|v| -0.05 * v).collect();
             seq.apply_flat_delta(&delta);
         }
         let out = seq.forward(&[1.0], 1);
         assert!((out[0] - 2.0).abs() < 0.05, "learned {}", out[0]);
+    }
+
+    #[test]
+    fn predict_into_streams_in_chunks_and_matches_one_pass() {
+        let mut r = rng();
+        let mut seq = Sequential::new(
+            6,
+            vec![
+                Box::new(Dense::new(6, 5, &mut r)),
+                Box::new(Relu::new()),
+                Box::new(LayerNorm::new(5)),
+                Box::new(Dense::new(5, 3, &mut r)),
+            ],
+        );
+        // 21 samples: two full chunks of the initial arena and a ragged one.
+        let n = 2 * Sequential::INITIAL_CHUNK + 5;
+        let inputs: Vec<f32> = (0..n * 6).map(|i| (i as f32 * 0.13).sin()).collect();
+        let mut streamed = vec![0.0f32; n * 3];
+        seq.predict_into(&inputs, n, &mut streamed);
+        assert_eq!(seq.acts.chunk(), Sequential::INITIAL_CHUNK);
+        let one_pass = seq.forward(&inputs, n).to_vec();
+        assert_eq!(seq.acts.chunk(), n);
+        assert_eq!(streamed, one_pass);
     }
 }

@@ -17,8 +17,12 @@
 //! contiguous parameter arena and one gradient arena that its layers view
 //! as slices, so a whole model's gradient *is* one flat slice — exactly the
 //! view a gradient-compression system has of a model — and replica sync /
-//! optimizer updates are single-pass operations over that slice. Backprop
-//! correctness is finite-difference checked in the layer tests.
+//! optimizer updates are single-pass operations over that slice. Activations
+//! live in a third, chunk-sized arena ([`gcs_tensor::ActivationArena`]), so
+//! a warm forward/backward pass or evaluation allocates nothing. Backprop
+//! correctness is finite-difference checked in the layer tests, and the
+//! kernels are pinned bit for bit against per-element oracles in
+//! `tests/nn_kernels.rs`.
 
 pub mod attention;
 pub mod data;

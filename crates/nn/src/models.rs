@@ -103,6 +103,8 @@ pub struct VggMini {
     dataset: ImageDataset,
     classes: usize,
     eval_batch: Batch,
+    /// The held-out batch's logits — the only evaluation-sized buffer.
+    eval_logits: Vec<f32>,
 }
 
 impl VggMini {
@@ -112,7 +114,7 @@ impl VggMini {
         let size = 16usize;
         let channels = 3usize;
         let classes = 10usize;
-        let net = Sequential::new(vec![
+        let layers = vec![
             Box::new(Conv3x3::new(channels, 16, size, size, &mut rng)) as Box<dyn Layer + Send>,
             Box::new(Relu::new()),
             Box::new(MaxPool2::new(16, size, size)),
@@ -122,13 +124,15 @@ impl VggMini {
             Box::new(Dense::new(32 * (size / 4) * (size / 4), 128, &mut rng)),
             Box::new(Relu::new()),
             Box::new(Dense::new(128, classes, &mut rng)),
-        ]);
+        ];
+        let net = Sequential::new(channels * size * size, layers);
         let dataset = ImageDataset::new(size, channels, classes, 1.2, seed ^ 0xDA7A);
         let eval_batch = dataset.eval_batch(160);
         VggMini {
             net,
             dataset,
             classes,
+            eval_logits: vec![0.0; eval_batch.targets.len() * classes],
             eval_batch,
         }
     }
@@ -137,15 +141,6 @@ impl VggMini {
     /// (layer offsets, per-layer views) for layout-sensitive callers.
     pub fn net(&self) -> &Sequential {
         &self.net
-    }
-
-    fn loss_grad(&mut self, batch: &Batch) -> f32 {
-        let n = batch.targets.len();
-        let logits = self.net.forward(&batch.inputs, n);
-        let (loss, grad) = softmax_cross_entropy(&logits, &batch.targets, self.classes);
-        self.net.zero_grads();
-        self.net.backward(&grad, n);
-        loss
     }
 }
 
@@ -157,7 +152,7 @@ impl Model for VggMini {
         self.net.param_count()
     }
     fn forward_backward(&mut self, batch: &Batch) -> f32 {
-        self.loss_grad(batch)
+        self.net.softmax_loss_grad(batch)
     }
     fn grads_flat(&self) -> &[f32] {
         self.net.grads_flat()
@@ -169,10 +164,10 @@ impl Model for VggMini {
         self.net.params_flat_mut()
     }
     fn evaluate(&mut self) -> f64 {
-        let n = self.eval_batch.targets.len();
-        let inputs = self.eval_batch.inputs.clone();
-        let logits = self.net.forward(&inputs, n);
-        top1_accuracy(&logits, &self.eval_batch.targets, self.classes)
+        let Batch { inputs, targets } = &self.eval_batch;
+        self.net
+            .predict_into(inputs, targets.len(), &mut self.eval_logits);
+        top1_accuracy(&self.eval_logits, targets, self.classes)
     }
     fn higher_is_better(&self) -> bool {
         true
@@ -197,6 +192,8 @@ pub struct BertMini {
     dataset: TextDataset,
     vocab: usize,
     eval_batch: Batch,
+    /// The held-out batch's logits — the only evaluation-sized buffer.
+    eval_logits: Vec<f32>,
 }
 
 impl BertMini {
@@ -212,7 +209,7 @@ impl BertMini {
         let ctx = 4usize;
         let dim = 128usize;
         let hidden = 128usize;
-        let net = Sequential::new(vec![
+        let layers = vec![
             Box::new(Embedding::new(vocab, dim, ctx, &mut rng)) as Box<dyn Layer + Send>,
             Box::new(Dense::new(ctx * dim, hidden, &mut rng)),
             Box::new(Relu::new()),
@@ -220,13 +217,15 @@ impl BertMini {
             Box::new(Relu::new()),
             Box::new(LayerNorm::new(hidden)),
             Box::new(Dense::new(hidden, vocab, &mut rng)),
-        ]);
+        ];
+        let net = Sequential::new(ctx, layers);
         let dataset = TextDataset::new(vocab, ctx, 3, seed ^ 0x7E57);
         let eval_batch = dataset.eval_batch(512);
         BertMini {
             net,
             dataset,
             vocab,
+            eval_logits: vec![0.0; eval_batch.targets.len() * vocab],
             eval_batch,
         }
     }
@@ -246,12 +245,7 @@ impl Model for BertMini {
         self.net.param_count()
     }
     fn forward_backward(&mut self, batch: &Batch) -> f32 {
-        let n = batch.targets.len();
-        let logits = self.net.forward(&batch.inputs, n);
-        let (loss, grad) = softmax_cross_entropy(&logits, &batch.targets, self.vocab);
-        self.net.zero_grads();
-        self.net.backward(&grad, n);
-        loss
+        self.net.softmax_loss_grad(batch)
     }
     fn grads_flat(&self) -> &[f32] {
         self.net.grads_flat()
@@ -263,10 +257,10 @@ impl Model for BertMini {
         self.net.params_flat_mut()
     }
     fn evaluate(&mut self) -> f64 {
-        let n = self.eval_batch.targets.len();
-        let inputs = self.eval_batch.inputs.clone();
-        let logits = self.net.forward(&inputs, n);
-        let (loss, _) = softmax_cross_entropy(&logits, &self.eval_batch.targets, self.vocab);
+        let Batch { inputs, targets } = &self.eval_batch;
+        self.net
+            .predict_into(inputs, targets.len(), &mut self.eval_logits);
+        let loss = softmax_cross_entropy(&self.eval_logits, targets, self.vocab, None);
         perplexity(loss as f64)
     }
     fn higher_is_better(&self) -> bool {
@@ -295,6 +289,8 @@ pub struct TransformerMini {
     dataset: TextDataset,
     vocab: usize,
     eval_batch: Batch,
+    /// The held-out batch's logits — the only evaluation-sized buffer.
+    eval_logits: Vec<f32>,
 }
 
 impl TransformerMini {
@@ -306,7 +302,7 @@ impl TransformerMini {
         let ctx = 8usize;
         let dim = 32usize;
         let hidden = 128usize;
-        let net = Sequential::new(vec![
+        let layers = vec![
             Box::new(Embedding::new(vocab, dim, ctx, &mut rng)) as Box<dyn Layer + Send>,
             Box::new(SelfAttention::new(ctx, dim, &mut rng)),
             Box::new(LayerNorm::new(ctx * dim)),
@@ -314,13 +310,15 @@ impl TransformerMini {
             Box::new(Relu::new()),
             Box::new(LayerNorm::new(hidden)),
             Box::new(Dense::new(hidden, vocab, &mut rng)),
-        ]);
+        ];
+        let net = Sequential::new(ctx, layers);
         let dataset = TextDataset::new(vocab, ctx, 3, seed ^ 0xA77);
         let eval_batch = dataset.eval_batch(160);
         TransformerMini {
             net,
             dataset,
             vocab,
+            eval_logits: vec![0.0; eval_batch.targets.len() * vocab],
             eval_batch,
         }
     }
@@ -334,12 +332,7 @@ impl Model for TransformerMini {
         self.net.param_count()
     }
     fn forward_backward(&mut self, batch: &Batch) -> f32 {
-        let n = batch.targets.len();
-        let logits = self.net.forward(&batch.inputs, n);
-        let (loss, grad) = softmax_cross_entropy(&logits, &batch.targets, self.vocab);
-        self.net.zero_grads();
-        self.net.backward(&grad, n);
-        loss
+        self.net.softmax_loss_grad(batch)
     }
     fn grads_flat(&self) -> &[f32] {
         self.net.grads_flat()
@@ -351,10 +344,10 @@ impl Model for TransformerMini {
         self.net.params_flat_mut()
     }
     fn evaluate(&mut self) -> f64 {
-        let n = self.eval_batch.targets.len();
-        let inputs = self.eval_batch.inputs.clone();
-        let logits = self.net.forward(&inputs, n);
-        let (loss, _) = softmax_cross_entropy(&logits, &self.eval_batch.targets, self.vocab);
+        let Batch { inputs, targets } = &self.eval_batch;
+        self.net
+            .predict_into(inputs, targets.len(), &mut self.eval_logits);
+        let loss = softmax_cross_entropy(&self.eval_logits, targets, self.vocab, None);
         perplexity(loss as f64)
     }
     fn higher_is_better(&self) -> bool {

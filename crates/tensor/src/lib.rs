@@ -11,7 +11,9 @@
 //! * [`vector`] — flat `f32` vector kernels (norms, dot, axpy, reductions).
 //! * [`arena`] — [`arena::ParamArena`]: one contiguous `Box<[f32]>` +
 //!   layer-offset table per model replica, so a full model gradient is a
-//!   single slice and replica sync is one `copy_from_slice`.
+//!   single slice and replica sync is one `copy_from_slice`; and
+//!   [`arena::ActivationArena`], the same layout for a layer stack's
+//!   activations and activation gradients over a fixed chunk of samples.
 //! * [`simd`] — explicit x86-64 SIMD fast paths (AVX2/SSE2, runtime
 //!   detected) for the four hottest kernels, each bitwise-identical to its
 //!   scalar reference; the scalar path runs on non-x86 targets and when
@@ -52,6 +54,6 @@ pub mod sketch;
 pub mod vector;
 
 pub use crate::half::{Bf16, F16};
-pub use arena::ParamArena;
+pub use arena::{ActivationArena, ParamArena};
 pub use bitpack::PackedIntVec;
 pub use matrix::Matrix;

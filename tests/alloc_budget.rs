@@ -26,7 +26,7 @@ use gradient_utility::core::schemes::thc::{Thc, ThcAggregation};
 use gradient_utility::core::schemes::topk::TopK;
 use gradient_utility::core::schemes::topkc::TopKC;
 use gradient_utility::core::schemes::topkc_q::TopKCQ;
-use gradient_utility::nn::{Adam, Model, Sgd, VggMini};
+use gradient_utility::nn::{Adam, BertMini, Model, Sgd, VggMini};
 use gradient_utility::tensor::bitpack::PackedIntVec;
 use gradient_utility::tensor::hadamard::RotationMode;
 use gradient_utility::tensor::parallel::with_threads;
@@ -409,5 +409,32 @@ fn whole_model_collective_round_steady_state_is_allocation_free() {
             events, 0,
             "whole-model collective + flat optimizer step must not allocate"
         );
+    });
+}
+
+#[test]
+fn forward_backward_and_evaluate_steady_state_are_allocation_free() {
+    // The activation arena's pin: every layer reads its input from, and
+    // writes its output into, one chunk-sized buffer the model owns, and
+    // evaluation streams the held-out batch through that same buffer — so
+    // once the training batch has sized it, neither a gradient computation
+    // nor an evaluation touches the heap. (`TransformerMini` is exempt:
+    // attention keeps per-call scratch of its own.)
+    with_threads(1, || {
+        let models: [(Box<dyn Model>, usize); 2] = [
+            (Box::new(VggMini::new(7)), 8),
+            (Box::new(BertMini::new(7)), 4),
+        ];
+        for (mut model, batch_size) in models {
+            let batch = model.train_batch(batch_size, 0, 0);
+            let events = steady_events(|| {
+                model.forward_backward(&batch);
+            });
+            assert_eq!(events, 0, "{}: forward_backward allocates", model.name());
+            let events = steady_events(|| {
+                model.evaluate();
+            });
+            assert_eq!(events, 0, "{}: evaluate allocates", model.name());
+        }
     });
 }
