@@ -223,6 +223,16 @@ impl SchemeSpec {
                 if !(2..=16).contains(&q) {
                     return Err(format!("thc q={q} out of range"));
                 }
+                // `Thc::baseline`'s widened lanes hold the exact sum of at
+                // most 16–18 workers; a HELLO may declare up to
+                // `MAX_WORKERS`, so refuse here rather than let the
+                // constructor's assertion fire on a shard thread.
+                let b = q + Thc::BASELINE_WIDENING;
+                if !Thc::widened_sum_fits(q, b, n_workers) {
+                    return Err(format!(
+                        "thc q={q}: {n_workers} workers overflow its {b}-bit widened lanes"
+                    ));
+                }
                 Ok(Box::new(Thc::baseline(q, n_workers)))
             }
             SchemeSpec::Qsgd { q } => {
@@ -566,6 +576,16 @@ mod tests {
         let mut c = Cursor::new(&buf[1..]);
         assert_eq!(decode_hello(&mut c).unwrap(), cfg);
         assert_eq!(c.remaining(), 0);
+    }
+
+    #[test]
+    fn thc_with_more_workers_than_its_widened_lanes_hold_is_a_build_error() {
+        let spec = SchemeSpec::Thc { q: 4 };
+        assert!(spec.build(4, 256).is_ok());
+        assert!(spec.build(18, 256).is_ok());
+        let err = spec.build(32, 256).err().expect("32 x 7 > 127");
+        assert!(err.contains("overflow"), "{err}");
+        assert!(spec.build(MAX_WORKERS, 256).is_err());
     }
 
     #[test]

@@ -8,12 +8,13 @@
 
 use gcs_bench::{expect, header, measured_only};
 use gcs_core::schemes::baseline::PrecisionBaseline;
-use gcs_core::schemes::thc::Thc;
+use gcs_core::schemes::thc::{Thc, ThcAggregation};
 use gcs_core::schemes::topk::TopK;
 use gcs_core::schemes::topkc::TopKC;
 use gcs_ddp::ThroughputModel;
 use gcs_gpusim::{DeviceSpec, ModelProfile, Precision};
 use gcs_netsim::ClusterSpec;
+use gcs_tensor::hadamard::RotationMode;
 
 fn main() {
     header(
@@ -33,7 +34,16 @@ fn main() {
         let topk = TopK::with_bits(2.0, n, true);
         let topkc = TopKC::paper_config(2.0, n);
         let sat = Thc::improved(4, &DeviceSpec::a100(), n);
-        let widened = Thc::baseline(4, n);
+        // Widened to exactly the bits this cluster size needs — the
+        // baseline's fixed q + 4 stops holding the sum past 18 workers.
+        let widened = Thc::new(
+            4,
+            RotationMode::Full,
+            ThcAggregation::Widened {
+                b: sat.overflow_free_bits(),
+            },
+            n,
+        );
         let r_fp16 = tm.rounds_per_sec(&fp16, &profile, Precision::Tf32);
         let r_topk = tm.rounds_per_sec(&topk, &profile, Precision::Tf32);
         let r_topkc = tm.rounds_per_sec(&topkc, &profile, Precision::Tf32);

@@ -287,8 +287,73 @@ fn bench_nn_layers(c: &mut Criterion) {
     g.finish();
 }
 
+/// The THC round's stages on one partial-rotation block of the benchmark's
+/// `thc_sat` (2^13 lanes, 32 KiB of `f32`): the FWHT, the quantize kernel on
+/// pre-drawn uniforms, a worker's whole draw → quantize → pack pass, the
+/// word-parallel `Sat` fold a ring hop applies at 4 and 8 bits (and the
+/// per-lane fold an odd width takes), and the unpack. For looking, not for
+/// claiming — claims come from `benchmarks/e2e/run.sh compare`.
+fn bench_thc_stages(c: &mut Criterion) {
+    use gcs_tensor::bitpack::{LaneAdd, PackedIntVec};
+    use gcs_tensor::simd::quantize_stochastic;
+    const BLOCK: usize = 1 << 13;
+    let mut g = c.benchmark_group("thc_stages");
+    let v = data(BLOCK, 11);
+    let uniforms: Vec<f32> = data(BLOCK, 12).iter().map(|u| (u + 1.0) * 0.5).collect();
+
+    g.bench_function(BenchmarkId::new("fwht", BLOCK), |b| {
+        let mut x = v.clone();
+        b.iter(|| fwht(black_box(&mut x)))
+    });
+    g.bench_function(BenchmarkId::new("quantize_q4", BLOCK), |b| {
+        let mut lanes = vec![0i32; BLOCK];
+        b.iter(|| quantize_stochastic(black_box(&v), &uniforms, 1.0, 7, &mut lanes))
+    });
+    g.bench_function(BenchmarkId::new("draw_quantize_pack_q4", BLOCK), |b| {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        let mut packed = PackedIntVec::zeros(4, BLOCK);
+        let (mut us, mut lanes) = ([0.0f32; 64], [0i32; 64]);
+        b.iter(|| {
+            let mut writer = packed.writer();
+            for xs in black_box(&v).chunks(64) {
+                us.fill_with(|| rng.gen::<f32>());
+                quantize_stochastic(xs, &us, 1.0, 7, &mut lanes);
+                writer.push(&lanes);
+            }
+            writer.finish();
+        })
+    });
+    for q in [4u32, 8, 9] {
+        let max = (1i32 << (q - 1)) - 1;
+        let lanes = |seed| -> Vec<i32> {
+            data(BLOCK, seed)
+                .iter()
+                .map(|x| (x * max as f32) as i32)
+                .collect()
+        };
+        let src = PackedIntVec::from_signed(q, &lanes(14));
+        let mut acc = PackedIntVec::from_signed(q, &lanes(15));
+        g.bench_function(BenchmarkId::new(format!("sat_fold_q{q}"), BLOCK), |b| {
+            b.iter(|| {
+                acc.fold_lanes(
+                    LaneAdd::Saturating,
+                    0,
+                    BLOCK,
+                    black_box(&src).covering_words(0, BLOCK),
+                )
+            })
+        });
+        g.bench_function(BenchmarkId::new(format!("unpack_q{q}"), BLOCK), |b| {
+            let mut out = vec![0i32; BLOCK];
+            b.iter(|| black_box(&src).unpack_into(0, &mut out))
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
+    bench_thc_stages,
     bench_fwht,
     bench_selection,
     bench_gram_schmidt,

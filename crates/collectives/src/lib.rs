@@ -55,7 +55,8 @@ pub use error::CollectiveError;
 pub use ops::{
     all_gather, all_gather_into, broadcast, broadcast_into, parameter_server,
     parameter_server_into, reduce_scatter, reduce_scatter_into, ring_all_reduce,
-    ring_all_reduce_into, tree_all_reduce, tree_all_reduce_into, RingScratch, Traffic,
+    ring_all_reduce_into, ring_all_reduce_packed_into, tree_all_reduce, tree_all_reduce_into,
+    RingScratch, Traffic,
 };
 pub use reduce::{
     copy_lanes, reduce_lanes, F16Sum, F32Max, F32Sum, ReduceOp, SaturatingIntSum, WideIntSum,

@@ -9,6 +9,10 @@
 //! Every operation returns a [`Traffic`] record with exact per-worker byte
 //! counts; the timing layer (`gcs-netsim`) turns those into seconds.
 //!
+//! The ring also runs over bit-packed integer lanes
+//! ([`ring_all_reduce_packed_into`]): one walk, two buffer kinds, so
+//! quantized payloads move — and are reduced in — their wire words.
+//!
 //! Each collective has two entry points: the original allocating signature
 //! (`ring_all_reduce`, …) and a `_into` variant that writes into
 //! caller-owned scratch ([`RingScratch`], a reused [`Traffic`], reused
@@ -18,6 +22,7 @@
 //! allocating wrappers simply delegate with fresh scratch.
 
 use crate::reduce::ReduceOp;
+use gcs_tensor::bitpack::{LaneAdd, PackedIntVec};
 
 /// Exact communication accounting for one collective invocation.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -155,67 +160,111 @@ pub fn ring_all_reduce_into<T: Clone>(
     scratch: &mut RingScratch<T>,
     traffic: &mut Traffic,
 ) {
-    let _span = gcs_trace::span(gcs_trace::Phase::Network, "ring_all_reduce");
-    let _timer = gcs_metrics::timer("collective/ring_all_reduce/latency_ns");
-    let n = bufs.len();
-    assert!(n > 0, "ring_all_reduce: no workers");
+    assert!(!bufs.is_empty(), "ring_all_reduce: no workers");
     let len = bufs[0].len();
     assert!(
         bufs.iter().all(|b| b.len() == len),
         "ring_all_reduce: ragged buffers"
     );
+    ring_walk(
+        bufs,
+        len,
+        bytes_per_elem,
+        scratch,
+        traffic,
+        |buf, lo, hi, staging| staging.extend_from_slice(&buf[lo..hi]),
+        |buf, lo, hi, data| op.reduce_slice(&mut buf[lo..hi], data),
+        |buf, lo, hi, data| buf[lo..hi].clone_from_slice(data),
+    );
+}
+
+/// Ring all-reduce over bit-packed integer lanes: the same walk as
+/// [`ring_all_reduce_into`] — segments are [`segment_bounds`] **in lanes**,
+/// so the lane → segment map, and with it the order a non-associative `Sat`
+/// is applied in, is exactly that of an `i32`-lane ring — but each hop
+/// stages the words covering its lane segment and folds them a word at a
+/// time. The words moved are the `lane_bits / 8` bytes per lane that
+/// `traffic` records.
+///
+/// # Panics
+/// Panics if `bufs` is empty or the vectors differ in length or lane width.
+pub fn ring_all_reduce_packed_into(
+    bufs: &mut [PackedIntVec],
+    op: LaneAdd,
+    scratch: &mut RingScratch<u64>,
+    traffic: &mut Traffic,
+) {
+    assert!(!bufs.is_empty(), "ring_all_reduce: no workers");
+    let (len, bits) = (bufs[0].len(), bufs[0].lane_bits());
+    assert!(
+        bufs.iter().all(|b| b.len() == len && b.lane_bits() == bits),
+        "ring_all_reduce: ragged buffers"
+    );
+    ring_walk(
+        bufs,
+        len,
+        bits as f64 / 8.0,
+        scratch,
+        traffic,
+        |buf, lo, hi, staging| staging.extend_from_slice(buf.covering_words(lo, hi)),
+        |buf, lo, hi, data| buf.fold_lanes(op, lo, hi, data),
+        |buf, lo, hi, data| buf.copy_lanes(lo, hi, data),
+    );
+}
+
+/// The ring walk itself, over any buffer kind that can `stage` a lane range
+/// into the step's staging area, `fold` staged data into a lane range, and
+/// `copy` staged data over one. `len` is the buffers' common lane count.
+#[allow(clippy::too_many_arguments)]
+fn ring_walk<B, W>(
+    bufs: &mut [B],
+    len: usize,
+    bytes_per_lane: f64,
+    scratch: &mut RingScratch<W>,
+    traffic: &mut Traffic,
+    stage: impl Fn(&B, usize, usize, &mut Vec<W>),
+    fold: impl Fn(&mut B, usize, usize, &[W]),
+    copy: impl Fn(&mut B, usize, usize, &[W]),
+) {
+    let _span = gcs_trace::span(gcs_trace::Phase::Network, "ring_all_reduce");
+    let _timer = gcs_metrics::timer("collective/ring_all_reduce/latency_ns");
+    let n = bufs.len();
     traffic.reset(n);
     if n == 1 || len == 0 {
         return;
     }
 
-    // Reduce-scatter: at step k, worker i sends segment (i - k) to i+1,
-    // which folds it into its own copy. After n-1 steps worker i owns the
-    // full reduction of segment (i + 1) mod n.
-    for k in 0..n - 1 {
-        // Capture the sends before mutating (simultaneous steps).
-        scratch.staging.clear();
-        scratch.offsets.clear();
-        scratch.offsets.push(0);
-        for (i, buf) in bufs.iter().enumerate() {
-            let seg = (i + n - k) % n;
-            let (lo, hi) = segment_bounds(len, n, seg);
-            let dst = (i + 1) % n;
-            scratch.staging.extend_from_slice(&buf[lo..hi]);
-            scratch.offsets.push(scratch.staging.len());
-            traffic.record(i, dst, ((hi - lo) as f64 * bytes_per_elem).ceil() as u64);
+    // Reduce-scatter (`shift` 0): at step k, worker i sends segment (i - k)
+    // to i+1, which folds it into its own copy. After n-1 steps worker i
+    // owns the full reduction of segment (i + 1) mod n. All-gather
+    // (`shift` 1) then circulates the finished segments the same way,
+    // copying instead of folding.
+    for shift in [0usize, 1] {
+        for k in 0..n - 1 {
+            let segment = |i: usize| segment_bounds(len, n, (i + shift + n - k) % n);
+            // Capture the sends before mutating (simultaneous steps).
+            scratch.staging.clear();
+            scratch.offsets.clear();
+            scratch.offsets.push(0);
+            for (i, buf) in bufs.iter().enumerate() {
+                let (lo, hi) = segment(i);
+                stage(buf, lo, hi, &mut scratch.staging);
+                scratch.offsets.push(scratch.staging.len());
+                let bytes = ((hi - lo) as f64 * bytes_per_lane).ceil() as u64;
+                traffic.record(i, (i + 1) % n, bytes);
+            }
+            for i in 0..n {
+                let (lo, hi) = segment(i);
+                let data = &scratch.staging[scratch.offsets[i]..scratch.offsets[i + 1]];
+                let dst = &mut bufs[(i + 1) % n];
+                if shift == 0 {
+                    fold(dst, lo, hi, data);
+                } else {
+                    copy(dst, lo, hi, data);
+                }
+            }
+            traffic.steps += 1;
         }
-        for i in 0..n {
-            let seg = (i + n - k) % n;
-            let (lo, hi) = segment_bounds(len, n, seg);
-            let dst = (i + 1) % n;
-            let data = &scratch.staging[scratch.offsets[i]..scratch.offsets[i + 1]];
-            op.reduce_slice(&mut bufs[dst][lo..hi], data);
-        }
-        traffic.steps += 1;
-    }
-
-    // All-gather: worker i owns segment (i+1); circulate finished segments.
-    for k in 0..n - 1 {
-        scratch.staging.clear();
-        scratch.offsets.clear();
-        scratch.offsets.push(0);
-        for (i, buf) in bufs.iter().enumerate() {
-            let seg = (i + 1 + n - k) % n;
-            let (lo, hi) = segment_bounds(len, n, seg);
-            let dst = (i + 1) % n;
-            scratch.staging.extend_from_slice(&buf[lo..hi]);
-            scratch.offsets.push(scratch.staging.len());
-            traffic.record(i, dst, ((hi - lo) as f64 * bytes_per_elem).ceil() as u64);
-        }
-        for i in 0..n {
-            let seg = (i + 1 + n - k) % n;
-            let (lo, hi) = segment_bounds(len, n, seg);
-            let dst = (i + 1) % n;
-            let data = &scratch.staging[scratch.offsets[i]..scratch.offsets[i + 1]];
-            bufs[dst][lo..hi].clone_from_slice(data);
-        }
-        traffic.steps += 1;
     }
     gcs_trace::counter("wire_bytes", traffic.total() as f64);
     gcs_metrics::counter_add(

@@ -8,10 +8,11 @@
 //! precision cost is real in our experiments too.
 
 use crate::scheme::{AggregationOutcome, CommEvent, CompressionScheme, RoundContext};
-use gcs_collectives::{ring_all_reduce, F16Sum, F32Sum};
+use gcs_collectives::{ring_all_reduce_into, F16Sum, F32Sum, RingScratch};
 use gcs_gpusim::{ops, DeviceSpec};
 use gcs_netsim::Collective;
-use gcs_tensor::half::{decode_f16, encode_f16};
+use gcs_tensor::half::{decode_f16_into, encode_f16_into, F16};
+use gcs_tensor::pool::WorkerBufs;
 
 /// Communication precision of an uncompressed baseline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,25 +33,40 @@ impl CommPrecision {
     }
 }
 
+/// Round scratch owned across rounds: the per-worker wire buffers and ring
+/// staging of whichever precision runs, at their high-water mark after the
+/// first round (the zero-allocation steady state).
+#[derive(Clone, Debug, Default)]
+struct BaselineScratch {
+    f32_bufs: WorkerBufs<f32>,
+    f16_bufs: WorkerBufs<F16>,
+    ring_f32: RingScratch<f32>,
+    ring_f16: RingScratch<F16>,
+}
+
 /// An uncompressed baseline at the given communication precision.
 #[derive(Clone, Debug)]
 pub struct PrecisionBaseline {
     precision: CommPrecision,
+    scratch: BaselineScratch,
 }
 
 impl PrecisionBaseline {
+    fn new(precision: CommPrecision) -> PrecisionBaseline {
+        PrecisionBaseline {
+            precision,
+            scratch: BaselineScratch::default(),
+        }
+    }
+
     /// FP32 aggregation.
     pub fn fp32() -> PrecisionBaseline {
-        PrecisionBaseline {
-            precision: CommPrecision::Fp32,
-        }
+        PrecisionBaseline::new(CommPrecision::Fp32)
     }
 
     /// FP16 aggregation (the paper's recommended baseline).
     pub fn fp16() -> PrecisionBaseline {
-        PrecisionBaseline {
-            precision: CommPrecision::Fp16,
-        }
+        PrecisionBaseline::new(CommPrecision::Fp16)
     }
 
     /// The configured precision.
@@ -67,44 +83,52 @@ impl CompressionScheme for PrecisionBaseline {
         }
     }
 
-    fn aggregate_round(&mut self, grads: &[Vec<f32>], _ctx: &RoundContext) -> AggregationOutcome {
+    fn aggregate_round(&mut self, grads: &[Vec<f32>], ctx: &RoundContext) -> AggregationOutcome {
+        let mut out = AggregationOutcome::default();
+        self.aggregate_round_into(grads, ctx, &mut out);
+        out
+    }
+
+    fn aggregate_round_into(
+        &mut self,
+        grads: &[Vec<f32>],
+        _ctx: &RoundContext,
+        out: &mut AggregationOutcome,
+    ) {
         let _round_timer = gcs_metrics::timer("scheme/fp16_baseline/round_ns");
         let n = grads.len();
         let d = grads[0].len();
+        let scratch = &mut self.scratch;
+        let mean = &mut out.mean_estimate;
+        mean.clear();
         match self.precision {
             CommPrecision::Fp32 => {
-                let mut bufs: Vec<Vec<f32>> = grads.to_vec();
-                let traffic = ring_all_reduce(&mut bufs, &F32Sum, 4.0);
-                let mut mean = bufs.into_iter().next().expect("no workers");
-                gcs_tensor::vector::scale(&mut mean, 1.0 / n as f32);
-                AggregationOutcome {
-                    mean_estimate: mean,
-                    comm: vec![CommEvent {
-                        collective: Collective::RingAllReduce,
-                        payload_bytes: 4.0 * d as f64,
-                    }],
-                    traffic,
-                }
+                let bufs = scratch.f32_bufs.copy_from(grads);
+                ring_all_reduce_into(bufs, &F32Sum, 4.0, &mut scratch.ring_f32, &mut out.traffic);
+                mean.extend_from_slice(&bufs[0]);
+                gcs_tensor::vector::scale(mean, 1.0 / n as f32);
             }
             CommPrecision::Fp16 => {
-                let mut bufs: Vec<Vec<gcs_tensor::F16>> = {
+                let bufs = scratch.f16_bufs.prepare(n);
+                {
                     let _s = gcs_trace::span(gcs_trace::Phase::Compress, "encode_f16");
-                    grads.iter().map(|g| encode_f16(g)).collect()
-                };
-                let traffic = ring_all_reduce(&mut bufs, &F16Sum, 2.0);
+                    for (buf, g) in bufs.iter_mut().zip(grads) {
+                        encode_f16_into(g, buf);
+                    }
+                }
+                ring_all_reduce_into(bufs, &F16Sum, 2.0, &mut scratch.ring_f16, &mut out.traffic);
                 let _s = gcs_trace::span(gcs_trace::Phase::Decompress, "decode_f16");
-                let sum = decode_f16(&bufs[0]);
-                let mean: Vec<f32> = sum.iter().map(|s| s / n as f32).collect();
-                AggregationOutcome {
-                    mean_estimate: mean,
-                    comm: vec![CommEvent {
-                        collective: Collective::RingAllReduce,
-                        payload_bytes: 2.0 * d as f64,
-                    }],
-                    traffic,
+                decode_f16_into(&bufs[0], mean);
+                for m in mean.iter_mut() {
+                    *m /= n as f32;
                 }
             }
         }
+        out.comm.clear();
+        out.comm.push(CommEvent {
+            collective: Collective::RingAllReduce,
+            payload_bytes: self.precision.bits() / 8.0 * d as f64,
+        });
     }
 
     fn all_reduce_compatible(&self) -> bool {

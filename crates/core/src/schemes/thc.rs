@@ -1,22 +1,39 @@
 //! THC-style stochastic quantization with the paper's two improvements:
 //! **partial rotation** and **saturation-based aggregation** (§3.2).
 //!
-//! Pipeline per round:
+//! Pipeline per round, block by block (a *block* is the span one scale
+//! covers: the rotation block under partial rotation, the whole padded
+//! vector otherwise):
 //!
 //! 1. Pad the gradient to `2^l` and apply a Randomized Hadamard Transform —
 //!    fully (`l` iterations), partially (`l' = log2(shared-memory block)`
-//!    iterations ≡ independent per-block rotations), or not at all.
+//!    iterations ≡ independent per-block rotations), or not at all. Each
+//!    block is signed, transformed and scanned for its max magnitude while
+//!    it is cache-resident.
 //! 2. Agree on per-block symmetric scales: each worker's per-block max
 //!    magnitude is max-all-reduced (tiny payload), so every worker uses the
 //!    *same* quantization grid — a precondition for summing lanes at
 //!    intermediate hops.
 //! 3. Stochastically round each coordinate to a signed `q`-bit lane
-//!    (unbiased).
-//! 4. Aggregate lanes with a ring all-reduce whose reduction is either
-//!    the paper's **`Sat(·,·)`** operator at `b = q` bits (§3.2.2), or THC's
+//!    (unbiased) with the block's scale hoisted, streaming the lanes
+//!    straight into a [`PackedIntVec`] at the **wire width** — `q` bits for
+//!    saturation, `b` for widening. There is no unpacked lane buffer.
+//! 4. Aggregate the packed words with a ring all-reduce
+//!    ([`ring_all_reduce_packed_into`]) whose reduction is either the
+//!    paper's **`Sat(·,·)`** operator at `b = q` bits (§3.2.2), or THC's
 //!    original "simple adaptation": widen to `b > q` bits so sums cannot
-//!    overflow — more traffic, still `n`-limited.
-//! 5. Rescale, inverse-rotate, truncate.
+//!    overflow — more traffic, still `n`-limited. The ring moves exactly the
+//!    `wire_bits / 8` bytes per lane that [`Traffic`] records, and folds
+//!    them a word at a time.
+//! 5. Unpack, rescale, inverse-rotate (again per block), truncate.
+//!
+//! The round is pinned, bit for bit, to a plain one-`i32`-per-lane
+//! formulation that shares none of these kernels (the oracle in
+//! `tests/thc_round.rs`; DESIGN.md, "THC round on packed lanes", says why
+//! each step is exact). The one shared-state subtlety is the rounding
+//! stream: each worker draws one uniform per lane, in lane order, from its
+//! `(worker, round)` stream — and **nothing** for a block whose agreed scale
+//! is zero.
 //!
 //! Why saturation is safe *after rotation*: the RHT spreads each gradient
 //! into approximately Gaussian coordinates concentrated near zero, and
@@ -27,15 +44,29 @@
 
 use crate::scheme::{AggregationOutcome, CommEvent, CompressionScheme, RoundContext};
 use gcs_collectives::{
-    ring_all_reduce_into, F32Max, RingScratch, SaturatingIntSum, Traffic, WideIntSum,
+    ring_all_reduce_into, ring_all_reduce_packed_into, F32Max, RingScratch, Traffic,
 };
 use gcs_gpusim::{ops, DeviceSpec};
 use gcs_netsim::Collective;
-use gcs_tensor::hadamard::{padded_len, rht_forward, rht_inverse, RotationMode};
+use gcs_tensor::bitpack::{LaneAdd, PackedIntVec};
+use gcs_tensor::hadamard::{
+    fwht, padded_len, rademacher_diagonal, rademacher_diagonal_at, RotationMode,
+};
 use gcs_tensor::half::F16;
 use gcs_tensor::pool::WorkerBufs;
 use gcs_tensor::rng::{worker_rng, SharedSeed, Stream};
+use gcs_tensor::simd::quantize_stochastic;
 use rand::Rng;
+
+/// Lanes quantized per kernel call: uniforms are drawn into, and lanes
+/// packed out of, stack blocks of this many.
+const LANE_BLOCK: usize = 64;
+
+/// `q + ceil(log2 n)`: lane bits that always hold the exact sum of `n`
+/// workers' `q`-bit lanes.
+fn sufficient_bits(q: u32, n: usize) -> u32 {
+    q + (n.max(1) as f64).log2().ceil() as u32
+}
 
 /// How quantized lanes are aggregated across workers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,23 +74,25 @@ pub enum ThcAggregation {
     /// The paper's saturation operator at `b = q` bits — no widening.
     Saturating,
     /// THC's simple adaptation: widen lanes to `b > q` bits so the exact sum
-    /// fits. `b` must satisfy `b >= q + ceil(log2 n)`.
+    /// fits: `n · (2^{q−1}−1) <= 2^{b−1}−1`, for which
+    /// `b >= q + ceil(log2 n)` suffices. [`Thc::new`] and every round
+    /// enforce it — on `b`-bit lanes a sum that does not fit would wrap.
     Widened {
         /// Communication bits per lane.
         b: u32,
     },
 }
 
-/// Round scratch owned across rounds: per-worker rotation, scale and lane
-/// buffers plus collective staging, all at their high-water mark after the
-/// first round (the zero-allocation steady state).
+/// Round scratch owned across rounds: per-worker rotation and scale buffers,
+/// the packed wire lanes, and collective staging, all at their high-water
+/// mark after the first round (the zero-allocation steady state).
 #[derive(Clone, Debug, Default)]
 struct ThcScratch {
     rotated: WorkerBufs<f32>,
     scales: WorkerBufs<f32>,
-    lanes: WorkerBufs<i32>,
+    packed: Vec<PackedIntVec>,
     ring_f32: RingScratch<f32>,
-    ring_i32: RingScratch<i32>,
+    ring_words: RingScratch<u64>,
     lane_traffic: Traffic,
 }
 
@@ -77,7 +110,9 @@ impl Thc {
     /// Creates THC with `q`-bit quantization.
     ///
     /// # Panics
-    /// Panics if `q < 2` or a widened config has `b < q`.
+    /// Panics if `q` is outside `2..=16`, or a widened config has `b < q`,
+    /// `b > 32`, or a `b` too narrow for the exact sum of `n_workers` lanes
+    /// ([`Thc::widened_sum_fits`]).
     pub fn new(
         q: u32,
         rotation: RotationMode,
@@ -87,13 +122,41 @@ impl Thc {
         assert!((2..=16).contains(&q), "Thc: q={q} out of range");
         if let ThcAggregation::Widened { b } = aggregation {
             assert!(b >= q, "Thc: widened b={b} must be >= q={q}");
+            assert!(b <= 32, "Thc: widened b={b} exceeds the 32-bit lane limit");
         }
-        Thc {
+        let thc = Thc {
             q,
             rotation,
             aggregation,
             n_workers,
             scratch: ThcScratch::default(),
+        };
+        thc.assert_sum_fits(n_workers);
+        thc
+    }
+
+    /// Whether the exact sum of `n_workers` quantized `q`-bit lanes fits a
+    /// signed `b`-bit lane: `n · (2^{q−1}−1) <= 2^{b−1}−1` (false for widths
+    /// outside `1..=32`).
+    pub fn widened_sum_fits(q: u32, b: u32, n_workers: usize) -> bool {
+        if !(1..=32).contains(&q) || !(1..=32).contains(&b) {
+            return false;
+        }
+        let qmax = (1u64 << (q - 1)) - 1;
+        (n_workers as u64).saturating_mul(qmax) < 1u64 << (b - 1)
+    }
+
+    /// Panics if this is a widened configuration whose lanes cannot hold the
+    /// exact sum of `n` workers' lanes.
+    fn assert_sum_fits(&self, n: usize) {
+        if let ThcAggregation::Widened { b } = self.aggregation {
+            assert!(
+                Thc::widened_sum_fits(self.q, b, n),
+                "Thc: the sum of {n} workers' q={} lanes overflows widened b={b} lanes \
+                 (overflow_free_bits() = {} always suffices)",
+                self.q,
+                sufficient_bits(self.q, n),
+            );
         }
     }
 
@@ -110,13 +173,23 @@ impl Thc {
         )
     }
 
+    /// Extra lane bits [`Thc::baseline`] widens by.
+    pub const BASELINE_WIDENING: u32 = 4;
+
     /// The baseline THC adaptation from §3.2.1: full rotation, widened to
-    /// `b = q + 4` (the paper's Table 8 baseline uses q=4, b=8).
+    /// `b = q + 4` (the paper's Table 8 baseline uses q=4, b=8) — room for
+    /// the exact sum of 16–18 workers.
+    ///
+    /// # Panics
+    /// Panics as [`Thc::new`] does, in particular when `n_workers` lanes
+    /// cannot be summed in `q + 4` bits.
     pub fn baseline(q: u32, n_workers: usize) -> Thc {
         Thc::new(
             q,
             RotationMode::Full,
-            ThcAggregation::Widened { b: q + 4 },
+            ThcAggregation::Widened {
+                b: q + Thc::BASELINE_WIDENING,
+            },
             n_workers,
         )
     }
@@ -138,7 +211,7 @@ impl Thc {
     /// The paper's point (§3.2.2) is that this grows with `n` while
     /// saturation stays at `b = q`.
     pub fn overflow_free_bits(&self) -> u32 {
-        self.q + (self.n_workers.max(1) as f64).log2().ceil() as u32
+        sufficient_bits(self.q, self.n_workers)
     }
 
     /// Functional padded length for a gradient of `d` coordinates.
@@ -174,37 +247,97 @@ impl Thc {
         padded.max(1).div_ceil(self.block_len_for(padded))
     }
 
-    /// Applies the rotation in place (vector length must be a multiple of
-    /// the block length; full rotation requires a power of two).
-    fn rotate(&self, v: &mut [f32], seed: SharedSeed, inverse: bool) {
-        match self.rotation {
-            RotationMode::None => {}
-            RotationMode::Full => {
-                let l = if v.len() <= 1 {
-                    0
-                } else {
-                    v.len().trailing_zeros() as usize
-                };
-                if inverse {
-                    rht_inverse(v, l, seed);
-                } else {
-                    rht_forward(v, l, seed);
-                }
+    /// Whether blocks are rotated at all.
+    fn rotates(&self) -> bool {
+        self.rotation != RotationMode::None
+    }
+
+    /// Step 1 for one worker: `rotated` becomes the padded gradient with
+    /// every block signed and transformed, `scales` each block's max
+    /// magnitude rounded to FP16 for the wire — one visit per block.
+    fn rotate_blocks(
+        &self,
+        grad: &[f32],
+        padded: usize,
+        block_len: usize,
+        seed: SharedSeed,
+        rotated: &mut Vec<f32>,
+        scales: &mut Vec<f32>,
+    ) {
+        rotated.extend_from_slice(grad);
+        rotated.resize(padded, 0.0);
+        for (b, block) in rotated.chunks_mut(block_len).enumerate() {
+            if self.rotates() {
+                rademacher_diagonal_at(block, seed, b * block_len);
+                fwht(block);
             }
-            RotationMode::Partial { block_log2 } => {
-                let block = (1usize << block_log2).min(v.len().max(1));
-                if inverse {
-                    for chunk in v.chunks_mut(block) {
-                        gcs_tensor::hadamard::fwht(chunk);
-                    }
-                    gcs_tensor::hadamard::rademacher_diagonal(v, seed);
-                } else {
-                    gcs_tensor::hadamard::rademacher_diagonal(v, seed);
-                    for chunk in v.chunks_mut(block) {
-                        gcs_tensor::hadamard::fwht(chunk);
-                    }
-                }
+            let max = block.iter().fold(0.0f32, |a, &x| a.max(x.abs()));
+            scales.push(F16::from_f32(max).to_f32());
+        }
+    }
+
+    /// Step 3 for one worker: unbiased stochastic rounding of every block
+    /// onto its agreed grid, packed at the wire width. One uniform per lane,
+    /// in lane order, from `rng`; a block with `s <= 0` is all-zero on every
+    /// worker, writes zero lanes and draws nothing.
+    fn quantize_blocks(
+        &self,
+        rotated: &[f32],
+        block_len: usize,
+        scales: &[f32],
+        rng: &mut impl Rng,
+        packed: &mut PackedIntVec,
+    ) {
+        let qmax = self.qmax();
+        packed.reset(self.wire_bits(), rotated.len());
+        let mut writer = packed.writer();
+        let mut uniforms = [0.0f32; LANE_BLOCK];
+        let mut lanes = [0i32; LANE_BLOCK];
+        for (block, &s) in rotated.chunks(block_len).zip(scales) {
+            if s <= 0.0 {
+                writer.push_zeros(block.len());
+                continue;
             }
+            for xs in block.chunks(LANE_BLOCK) {
+                let (us, lanes) = (&mut uniforms[..xs.len()], &mut lanes[..xs.len()]);
+                us.fill_with(|| rng.gen::<f32>());
+                quantize_stochastic(xs, us, s, qmax, lanes);
+                writer.push(lanes);
+            }
+        }
+        writer.finish();
+    }
+
+    /// Step 5: the aggregated lanes back to a gradient-sum estimate —
+    /// unpack, rescale and inverse-transform block by block, then truncate
+    /// the padding and undo the signs.
+    fn decode_blocks(
+        &self,
+        sum: &PackedIntVec,
+        block_len: usize,
+        scales: &[f32],
+        seed: SharedSeed,
+        d: usize,
+        est: &mut Vec<f32>,
+    ) {
+        let qmax = self.qmax() as f32;
+        let mut lanes = [0i32; LANE_BLOCK];
+        est.clear();
+        for (b, &s) in scales.iter().enumerate() {
+            let lo = b * block_len;
+            let hi = (lo + block_len).min(sum.len());
+            for at in (lo..hi).step_by(LANE_BLOCK) {
+                let lanes = &mut lanes[..LANE_BLOCK.min(hi - at)];
+                sum.unpack_into(at, lanes);
+                est.extend(lanes.iter().map(|&l| l as f32 * s / qmax));
+            }
+            if self.rotates() {
+                fwht(&mut est[lo..hi]);
+            }
+        }
+        est.truncate(d);
+        if self.rotates() {
+            rademacher_diagonal(est, seed);
         }
     }
 }
@@ -237,11 +370,12 @@ impl CompressionScheme for Thc {
         let _round_timer = gcs_metrics::timer("scheme/thc/round_ns");
         let n = grads.len();
         let d = grads[0].len();
+        self.assert_sum_fits(n);
         let padded = self.padded_for(d);
         let seed = SharedSeed::derive(ctx.experiment_seed, ctx.round, Stream::RhtSigns);
-        let qmax = self.qmax();
         let blocks = self.scale_blocks(padded);
         let block_len = self.block_len_for(padded);
+        let wire_bits = self.wire_bits();
 
         // The round scratch moves out of `self` for the duration of the
         // round (disjoint borrows against `&self` config reads) and back in
@@ -249,33 +383,19 @@ impl CompressionScheme for Thc {
         let mut scratch = std::mem::take(&mut self.scratch);
         let this = &*self;
 
-        // Rotate. Workers are independent (shared seed, private data), so
-        // the forward rotations fan out across them; with few workers the
-        // FWHT kernel inside parallelizes over the vector instead.
+        // Rotate and take per-block maxima. Workers are independent (shared
+        // seed, private data), so they fan out; with few workers the FWHT
+        // kernel inside parallelizes over the vector instead.
         {
             let _s = gcs_trace::span(gcs_trace::Phase::Compress, "thc_rotate");
             let rotated = scratch.rotated.prepare(n);
-            gcs_tensor::parallel::for_each_chunk_mut(rotated, 1, |w, slot| {
-                let v = &mut slot[0];
-                v.extend_from_slice(&grads[w]);
-                v.resize(padded, 0.0);
-                this.rotate(v, seed, false);
+            let scale_bufs = scratch.scales.prepare(n);
+            gcs_tensor::parallel::for_each_zip2_mut(rotated, scale_bufs, 1, |w, r, s| {
+                this.rotate_blocks(&grads[w], padded, block_len, seed, &mut r[0], &mut s[0]);
             });
         }
 
-        // Agree on per-block scales (max |value| across workers), rounded
-        // to FP16 for the wire.
-        {
-            let _s = gcs_trace::span(gcs_trace::Phase::Compress, "thc_block_scales");
-            let rotated = scratch.rotated.slice(n);
-            let scale_bufs = scratch.scales.prepare(n);
-            gcs_tensor::parallel::for_each_chunk_mut(scale_bufs, 1, |w, slot| {
-                slot[0].extend(rotated[w].chunks(block_len).map(|c| {
-                    let m = c.iter().fold(0.0f32, |a, &x| a.max(x.abs()));
-                    F16::from_f32(m).to_f32()
-                }));
-            });
-        }
+        // Agree on per-block scales (max |value| across workers).
         ring_all_reduce_into(
             scratch.scales.slice_mut(n),
             &F32Max,
@@ -284,49 +404,36 @@ impl CompressionScheme for Thc {
             &mut out.traffic,
         );
 
-        // Quantize each worker's rotated gradient to signed q-bit lanes with
-        // unbiased stochastic rounding. Each worker owns a private
-        // counter-derived RNG stream, so quantization parallelizes across
-        // workers without perturbing any random sequence.
+        // Quantize + pack. Each worker owns a private counter-derived RNG
+        // stream, so quantization parallelizes across workers without
+        // perturbing any random sequence.
+        if scratch.packed.len() < n {
+            scratch
+                .packed
+                .resize_with(n, || PackedIntVec::zeros(wire_bits, 0));
+        }
         {
             let _s = gcs_trace::span(gcs_trace::Phase::Compress, "thc_quantize");
             let rotated = scratch.rotated.slice(n);
             let scales = &scratch.scales.slice(n)[0];
-            let lane_bufs = scratch.lanes.prepare(n);
-            gcs_tensor::parallel::for_each_chunk_mut(lane_bufs, 1, |w, slot| {
+            gcs_tensor::parallel::for_each_chunk_mut(&mut scratch.packed[..n], 1, |w, slot| {
                 let mut rng = worker_rng(ctx.experiment_seed ^ 0x74c0u64, w, ctx.round);
-                slot[0].extend(rotated[w].iter().enumerate().map(|(i, &x)| {
-                    let s = scales[i / block_len];
-                    if s <= 0.0 {
-                        return 0;
-                    }
-                    let y = (x / s) * qmax as f32;
-                    let lo = y.floor();
-                    let frac = y - lo;
-                    let up: bool = rng.gen::<f32>() < frac;
-                    ((lo as i32) + i32::from(up)).clamp(-qmax, qmax)
-                }));
+                this.quantize_blocks(&rotated[w], block_len, scales, &mut rng, &mut slot[0]);
             });
         }
 
-        // Aggregate lanes.
-        let wire_bits = self.wire_bits();
-        match self.aggregation {
-            ThcAggregation::Saturating => ring_all_reduce_into(
-                scratch.lanes.slice_mut(n),
-                &SaturatingIntSum::new(self.q),
-                self.q as f64 / 8.0,
-                &mut scratch.ring_i32,
-                &mut scratch.lane_traffic,
-            ),
-            ThcAggregation::Widened { b } => ring_all_reduce_into(
-                scratch.lanes.slice_mut(n),
-                &WideIntSum,
-                b as f64 / 8.0,
-                &mut scratch.ring_i32,
-                &mut scratch.lane_traffic,
-            ),
+        // Aggregate the packed lanes.
+        let lane_add = match self.aggregation {
+            ThcAggregation::Saturating => LaneAdd::Saturating,
+            // Exact: `assert_sum_fits` rules out a wrap.
+            ThcAggregation::Widened { .. } => LaneAdd::Wrapping,
         };
+        ring_all_reduce_packed_into(
+            &mut scratch.packed[..n],
+            lane_add,
+            &mut scratch.ring_words,
+            &mut scratch.lane_traffic,
+        );
         out.traffic.merge(&scratch.lane_traffic);
 
         // Decode: rescale, inverse rotation, truncate, divide by n.
@@ -334,15 +441,7 @@ impl CompressionScheme for Thc {
             let _s = gcs_trace::span(gcs_trace::Phase::Decompress, "thc_decode");
             let scales = &scratch.scales.slice(n)[0];
             let est = &mut out.mean_estimate;
-            est.clear();
-            est.extend(
-                scratch.lanes.slice(n)[0]
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &l)| l as f32 * scales[i / block_len] / qmax as f32),
-            );
-            self.rotate(est, seed, true);
-            est.truncate(d);
+            self.decode_blocks(&scratch.packed[0], block_len, scales, seed, d, est);
             gcs_tensor::vector::scale(est, 1.0 / n as f32);
         }
 
@@ -545,6 +644,43 @@ mod tests {
         assert!((b - 4.004).abs() < 0.01, "b = {b}");
         let wide = Thc::baseline(4, 4);
         assert!((wide.nominal_bits_per_coord(4096) - 8.0).abs() < 0.1);
+    }
+
+    #[test]
+    fn widened_lanes_must_hold_the_exact_sum() {
+        // q = 4: lanes in [-7, 7]; four workers sum to at most 28 < 32.
+        assert!(Thc::widened_sum_fits(4, 6, 4));
+        assert!(!Thc::widened_sum_fits(4, 5, 4));
+        // Tighter than `q + ceil(log2 n)`: 3 x 1 fits 3-bit lanes.
+        assert!(Thc::widened_sum_fits(2, 3, 3));
+        // The baseline's q + 4 bits carry 16-18 workers, not 32.
+        assert!(Thc::widened_sum_fits(4, 8, 18));
+        assert!(!Thc::widened_sum_fits(4, 8, 19));
+        assert!(
+            !Thc::widened_sum_fits(4, 33, 1),
+            "no lane is wider than 32 bits"
+        );
+        let s = Thc::new(4, RotationMode::Full, ThcAggregation::Widened { b: 6 }, 4);
+        assert_eq!(s.overflow_free_bits(), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow_free_bits() = 6")]
+    fn constructor_rejects_widened_lanes_too_narrow_for_the_cluster() {
+        Thc::new(4, RotationMode::Full, ThcAggregation::Widened { b: 4 }, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit lane limit")]
+    fn constructor_rejects_lanes_wider_than_32_bits() {
+        Thc::new(4, RotationMode::Full, ThcAggregation::Widened { b: 33 }, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "the sum of 8 workers")]
+    fn a_round_with_more_workers_than_configured_is_checked_too() {
+        let mut s = Thc::new(4, RotationMode::None, ThcAggregation::Widened { b: 6 }, 4);
+        s.aggregate_round(&gaussian_grads(8, 16, 1), &ctx(0));
     }
 
     #[test]

@@ -316,22 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_round_is_timed_per_scheme_family() {
-        let grads = vec![vec![1.0f32, -2.0, 0.5], vec![0.5, 1.0, -0.25]];
-        let (_, reg) = gcs_metrics::with_capture(|| {
-            let mut s = TopK::with_bits(8.0, 2, true);
-            s.aggregate_round(&grads, &ctx());
-            s.aggregate_round(&grads, &RoundContext::new(7, 1));
-        });
-        if !gcs_metrics::is_captured() {
-            return;
-        }
-        let h = reg.hist("scheme/topk/round_ns").unwrap();
-        assert_eq!(h.count(), 2);
-        assert!(h.min().unwrap() >= 0.0);
-    }
-
-    #[test]
     fn dense_k_recovers_exact_mean() {
         // b = 48 => K = d: lossless up to f16 rounding.
         let grads = vec![vec![1.0f32, -2.0, 0.5], vec![0.5, 1.0, -0.25]];

@@ -32,8 +32,7 @@ const FWHT_PAR_MIN: usize = 1 << 15;
 /// log2 of the blockwise phase's chunk (2^14 f32 = 64 KiB, L2-resident).
 const FWHT_BLOCK_LOG2: usize = 14;
 
-/// Chunk length for the Rademacher diagonal — a multiple of 64 so chunk
-/// boundaries always fall on sign-word boundaries.
+/// Chunk length for the Rademacher diagonal.
 const RADEMACHER_CHUNK: usize = 1 << 15;
 
 /// In-place normalized fast Walsh–Hadamard transform on a power-of-two
@@ -55,18 +54,58 @@ pub fn fwht(data: &mut [f32]) {
 
 /// The sequential stage loop; also the within-chunk worker of the parallel
 /// path (each aligned power-of-two chunk runs its local stages with exactly
-/// this code, so parallel results are bitwise-identical). Every stage routes
-/// through [`butterfly_halves`], so the SIMD fast path applies here too once
-/// the stage width reaches a register.
+/// this code, so parallel results are bitwise-identical). Stages `h = 1, 2,
+/// 4` run as one radix-8 pass in registers ([`fwht_head8`]); from `h = 8` on
+/// every stage routes through [`butterfly_halves`], whose halves are then at
+/// least one SIMD register wide.
 fn fwht_seq(data: &mut [f32], iters: usize) {
-    let mut h = 1usize;
-    for _ in 0..iters {
+    let (mut h, done) = if iters >= 3 {
+        for group in data.chunks_exact_mut(8) {
+            fwht_head8(group.try_into().expect("chunks_exact_mut(8)"));
+        }
+        (8usize, 3)
+    } else {
+        (1usize, 0)
+    };
+    for _ in done..iters {
         for window in data.chunks_mut(h * 2) {
             let (lo, hi) = window.split_at_mut(h);
             butterfly_halves(lo, hi);
         }
         h *= 2;
     }
+}
+
+/// Stages `h = 1, 2, 4` on one aligned 8-group, in registers. Per element
+/// and per stage this is the same `(a+b)·c`, `(a−b)·c` that three
+/// [`crate::simd::butterfly_scalar`] passes compute, in the same order, so
+/// the group's bits are identical — only the 0.875·n calls on halves too
+/// short for a SIMD register are gone.
+#[inline]
+fn fwht_head8(g: &mut [f32; 8]) {
+    const C: f32 = std::f32::consts::FRAC_1_SQRT_2;
+    let [a0, a1, a2, a3, a4, a5, a6, a7] = *g;
+    // h = 1: pairs (0,1) (2,3) (4,5) (6,7).
+    let (b0, b1) = ((a0 + a1) * C, (a0 - a1) * C);
+    let (b2, b3) = ((a2 + a3) * C, (a2 - a3) * C);
+    let (b4, b5) = ((a4 + a5) * C, (a4 - a5) * C);
+    let (b6, b7) = ((a6 + a7) * C, (a6 - a7) * C);
+    // h = 2: pairs (0,2) (1,3) (4,6) (5,7).
+    let (c0, c2) = ((b0 + b2) * C, (b0 - b2) * C);
+    let (c1, c3) = ((b1 + b3) * C, (b1 - b3) * C);
+    let (c4, c6) = ((b4 + b6) * C, (b4 - b6) * C);
+    let (c5, c7) = ((b5 + b7) * C, (b5 - b7) * C);
+    // h = 4: pairs (0,4) (1,5) (2,6) (3,7).
+    *g = [
+        (c0 + c4) * C,
+        (c1 + c5) * C,
+        (c2 + c6) * C,
+        (c3 + c7) * C,
+        (c0 - c4) * C,
+        (c1 - c5) * C,
+        (c2 - c6) * C,
+        (c3 - c7) * C,
+    ];
 }
 
 /// One butterfly stage over an aligned `2h` window, given its two halves.
@@ -83,9 +122,10 @@ fn butterfly_halves(lo: &mut [f32], hi: &mut [f32]) {
 /// full FWHT applied independently to each aligned block of `2^iters`
 /// elements. This is the paper's *partial rotation*.
 ///
-/// Large inputs run in two parallel phases: stages `< FWHT_BLOCK_LOG2`
-/// execute blockwise (each aligned chunk runs its local stages
-/// independently), and each remaining stage parallelizes over its
+/// Large inputs run in two phases, on however many threads there are — one
+/// included, where the first phase is what keeps the working set in cache:
+/// stages `< FWHT_BLOCK_LOG2` execute blockwise (each aligned chunk runs its
+/// local stages independently), and each remaining stage parallelizes over its
 /// independent `2h` windows — or, when the windows are few and large, over
 /// zip-chunks of each window's two halves. Every decomposition computes the
 /// same per-element expressions, so the output is bitwise-identical to the
@@ -104,7 +144,7 @@ pub fn fwht_iterations(data: &mut [f32], iters: usize) {
         iters <= max_iters,
         "fwht_iterations: {iters} iterations exceed log2({n}) = {max_iters}"
     );
-    if n < FWHT_PAR_MIN || parallel::max_threads() <= 1 {
+    if n < FWHT_PAR_MIN {
         fwht_seq(data, iters);
         return;
     }
@@ -162,16 +202,38 @@ pub fn rademacher_sign_bits(seed: SharedSeed, block: u64) -> u64 {
 /// the work was partitioned. Applying the same diagonal twice is a no-op,
 /// which makes the randomized transform below an involution too.
 pub fn rademacher_diagonal(data: &mut [f32], seed: SharedSeed) {
-    parallel::for_each_chunk_mut(data, RADEMACHER_CHUNK, |chunk_idx, chunk| {
-        let first_block = (chunk_idx * RADEMACHER_CHUNK / 64) as u64;
-        for (w, word) in chunk.chunks_mut(64).enumerate() {
-            let bits = rademacher_sign_bits(seed, first_block + w as u64);
-            for (j, x) in word.iter_mut().enumerate() {
-                if (bits >> j) & 1 == 1 {
-                    *x = -*x;
-                }
-            }
+    rademacher_diagonal_at(data, seed, 0);
+}
+
+/// [`rademacher_diagonal`] for a window of a longer vector: `data[0]` is
+/// element `start` of the vector the signs are indexed by, so a block can be
+/// signed on its own while it is cache-resident. `start` need not be a
+/// multiple of 64.
+pub fn rademacher_diagonal_at(data: &mut [f32], seed: SharedSeed, start: usize) {
+    // XOR into the sign bit: negation for every bit pattern (NaN and ±0
+    // included), without a branch per element. Bit `j` of `bits` flips
+    // `run[j]`.
+    #[inline(always)]
+    fn flip(run: &mut [f32], bits: u64) {
+        for (j, x) in run.iter_mut().enumerate() {
+            *x = f32::from_bits(x.to_bits() ^ ((((bits >> j) & 1) as u32) << 31));
         }
+    }
+    parallel::for_each_chunk_mut(data, RADEMACHER_CHUNK, |chunk_idx, chunk| {
+        let at = start + chunk_idx * RADEMACHER_CHUNK;
+        // A head run up to the next 64-bit sign word, whole words (a fixed
+        // 64-element body the compiler unrolls), and a tail run.
+        let off = at % 64;
+        let (head, rest) = chunk.split_at_mut(((64 - off) % 64).min(chunk.len()));
+        flip(head, rademacher_sign_bits(seed, (at / 64) as u64) >> off);
+        let mut block = (at + head.len()) as u64 / 64;
+        let mut words = rest.chunks_exact_mut(64);
+        for word in words.by_ref() {
+            let word: &mut [f32; 64] = word.try_into().expect("chunks_exact_mut(64)");
+            flip(word, rademacher_sign_bits(seed, block));
+            block += 1;
+        }
+        flip(words.into_remainder(), rademacher_sign_bits(seed, block));
     });
 }
 
@@ -309,6 +371,41 @@ mod tests {
     }
 
     #[test]
+    fn radix8_head_is_bitwise_three_butterfly_stages() {
+        for n in [8usize, 16, 256, 1 << 13] {
+            // Signed zeros, a subnormal and a large value among the rest.
+            let orig: Vec<f32> = (0..n)
+                .map(|i| match crate::rng::splitmix64(i as u64 ^ 0xf1) % 11 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => 1.5e-42,
+                    3 => 3.0e37,
+                    r => (r as f32 - 5.0) * 0.731 + (i as f32 * 0.137).sin(),
+                })
+                .collect();
+            for iters in 3..=n.trailing_zeros() as usize {
+                let mut got = orig.clone();
+                fwht_seq(&mut got, iters);
+                let mut expect = orig.clone();
+                let mut h = 1;
+                for _ in 0..iters {
+                    for window in expect.chunks_mut(2 * h) {
+                        let (lo, hi) = window.split_at_mut(h);
+                        crate::simd::butterfly_scalar(lo, hi, std::f32::consts::FRAC_1_SQRT_2);
+                    }
+                    h *= 2;
+                }
+                assert!(
+                    got.iter()
+                        .zip(&expect)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "n={n} iters={iters}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn rht_round_trips() {
         let seed = SharedSeed::new(42);
         let mut rng = rand::rngs::StdRng::seed_from_u64(10);
@@ -379,6 +476,47 @@ mod tests {
         rademacher_diagonal(&mut v, seed);
         rademacher_diagonal(&mut v, seed);
         assert_eq!(v, orig);
+    }
+
+    #[test]
+    fn sign_xor_is_negation_on_every_kind_of_bit_pattern() {
+        // Every exponent (zeros, subnormals, infinities and NaNs among them)
+        // with sampled mantissas, both signs.
+        let mut orig: Vec<f32> = Vec::new();
+        for exp in 0..=255u32 {
+            for m in [0u32, 1, 0x40_0000, 0x7f_ffff, 0x2a_aaaa, 0x12_3456] {
+                orig.push(f32::from_bits((exp << 23) | m));
+                orig.push(f32::from_bits((1 << 31) | (exp << 23) | m));
+            }
+        }
+        let seed = SharedSeed::new(0x51);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut got = orig.clone();
+        rademacher_diagonal(&mut got, seed);
+        let mut expect = orig.clone();
+        for (i, x) in expect.iter_mut().enumerate() {
+            if (rademacher_sign_bits(seed, (i / 64) as u64) >> (i % 64)) & 1 == 1 {
+                *x = -*x;
+            }
+        }
+        assert_eq!(bits(&got), bits(&expect));
+        assert_ne!(bits(&got), bits(&orig), "some sign must have flipped");
+    }
+
+    #[test]
+    fn rademacher_window_sees_the_whole_vectors_signs() {
+        let seed = SharedSeed::new(21);
+        let orig: Vec<f32> = (0..700).map(|i| i as f32 - 350.5).collect();
+        let mut whole = orig.clone();
+        rademacher_diagonal(&mut whole, seed);
+        for start in [0usize, 1, 63, 64, 65, 130, 699] {
+            for len in [0usize, 1, 5, 64, 200] {
+                let end = (start + len).min(orig.len());
+                let mut window = orig[start..end].to_vec();
+                rademacher_diagonal_at(&mut window, seed, start);
+                assert_eq!(window, whole[start..end], "start={start} len={len}");
+            }
+        }
     }
 
     #[test]

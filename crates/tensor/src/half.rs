@@ -211,12 +211,30 @@ pub fn round_trip_tf32(values: &mut [f32]) {
 
 /// Encodes a slice of f32 into binary16 bit patterns.
 pub fn encode_f16(values: &[f32]) -> Vec<F16> {
-    values.iter().map(|&v| F16::from_f32(v)).collect()
+    let mut out = Vec::new();
+    encode_f16_into(values, &mut out);
+    out
+}
+
+/// [`encode_f16`] into a caller-owned buffer (cleared first; capacity
+/// reused).
+pub fn encode_f16_into(values: &[f32], out: &mut Vec<F16>) {
+    out.clear();
+    out.extend(values.iter().map(|&v| F16::from_f32(v)));
 }
 
 /// Decodes binary16 bit patterns into f32.
 pub fn decode_f16(values: &[F16]) -> Vec<f32> {
-    values.iter().map(|v| v.to_f32()).collect()
+    let mut out = Vec::new();
+    decode_f16_into(values, &mut out);
+    out
+}
+
+/// [`decode_f16`] into a caller-owned buffer (cleared first; capacity
+/// reused).
+pub fn decode_f16_into(values: &[F16], out: &mut Vec<f32>) {
+    out.clear();
+    out.extend(values.iter().map(|v| v.to_f32()));
 }
 
 #[cfg(test)]

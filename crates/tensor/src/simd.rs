@@ -11,9 +11,9 @@
 //! **Bitwise contract.** Every primitive has a `_scalar` reference and an
 //! AVX2 variant that computes the *same expression tree*:
 //!
-//! * element-wise ops ([`butterfly`], [`axpy`], [`scale`], [`abs_keys_into`])
-//!   perform one independent IEEE-754 operation sequence per element, so
-//!   vectorization cannot change a bit;
+//! * element-wise ops ([`butterfly`], [`axpy`], [`scale`], [`abs_keys_into`],
+//!   [`quantize_stochastic`]) perform one independent IEEE-754 operation
+//!   sequence per element, so vectorization cannot change a bit;
 //! * the one reduction ([`dot_folded`]) fixes its shape in the *scalar*
 //!   definition: 8 stride-8 partial accumulators (exactly the 8 lanes of a
 //!   `__m256`), folded in a fixed tree, then a sequential tail. The AVX2
@@ -349,6 +349,116 @@ pub fn collect_indices_above(keys: &[u32], t: u32, base: usize, out: &mut Vec<us
     collect_indices_above_scalar(keys, t, base, out);
 }
 
+// ---------------------------------------------------------------------------
+// Stochastic quantization to signed integer lanes (THC, §3.2.1)
+// ---------------------------------------------------------------------------
+
+/// Below this magnitude every `f32` converts to `i32` exactly, so the
+/// truncate-and-correct floor (scalar) and `cvttps` (AVX2) are exact.
+const EXACT_INT_LIMIT: f32 = 8_388_608.0; // 2^23
+
+/// One lane of [`quantize_stochastic_scalar`].
+///
+/// `y = (x / s) · qmax` stays a division then a multiply (a reciprocal or an
+/// FMA would change bits). For `|y| < 2^23` the floor is computed without
+/// the libm call baseline x86-64 needs for `f32::floor`: truncate toward
+/// zero, then subtract one where truncation rounded up (negative
+/// non-integers). Everything else (huge, ±inf, NaN) takes `y.floor()`. The
+/// two forms can differ only in the sign of a zero `lo`, which neither the
+/// `u < y − lo` compare nor `lo as i32` can observe.
+#[inline]
+fn quantize_lane(x: f32, u: f32, s: f32, qmax: i32) -> i32 {
+    let y = (x / s) * qmax as f32;
+    let lo = if y.abs() < EXACT_INT_LIMIT {
+        let t = (y as i32) as f32;
+        t - ((t > y) as i32 as f32)
+    } else {
+        y.floor()
+    };
+    let up = u < y - lo;
+    ((lo as i32) + i32::from(up)).max(-qmax).min(qmax)
+}
+
+/// Scalar reference for [`quantize_stochastic`].
+pub fn quantize_stochastic_scalar(xs: &[f32], us: &[f32], s: f32, qmax: i32, out: &mut [i32]) {
+    for ((o, &x), &u) in out.iter_mut().zip(xs).zip(us) {
+        *o = quantize_lane(x, u, s, qmax);
+    }
+}
+
+/// # Safety
+/// The CPU must support AVX2, and `xs`, `us` and `out` must have equal
+/// lengths.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn quantize_stochastic_avx2(xs: &[f32], us: &[f32], s: f32, qmax: i32, out: &mut [i32]) {
+    let n = xs.len();
+    debug_assert!(us.len() == n && out.len() == n);
+    let main = n - n % LANES;
+    let vs = _mm256_set1_ps(s);
+    let vq = _mm256_set1_ps(qmax as f32);
+    let limit = _mm256_set1_ps(EXACT_INT_LIMIT);
+    let abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff));
+    let vmax = _mm256_set1_epi32(qmax);
+    let vmin = _mm256_set1_epi32(-qmax);
+    let mut i = 0;
+    while i < main {
+        // SAFETY: `i + LANES <= main <= n`, and all three slices hold `n`
+        // elements (caller contract, debug-asserted above), so every
+        // unaligned 8-lane load and store below stays in bounds.
+        let x = _mm256_loadu_ps(xs.as_ptr().add(i));
+        let u = _mm256_loadu_ps(us.as_ptr().add(i));
+        let y = _mm256_mul_ps(_mm256_div_ps(x, vs), vq);
+        // `cvttps` answers 0x8000_0000 where `as i32` saturates or gives 0,
+        // so a group goes through the vector body only when all eight
+        // |y| < 2^23 under an *ordered* compare (NaN fails it).
+        let small = _mm256_cmp_ps::<_CMP_LT_OQ>(_mm256_and_ps(y, abs_mask), limit);
+        if _mm256_movemask_ps(small) != 0xff {
+            quantize_stochastic_scalar(
+                &xs[i..i + LANES],
+                &us[i..i + LANES],
+                s,
+                qmax,
+                &mut out[i..i + LANES],
+            );
+            i += LANES;
+            continue;
+        }
+        let lo = _mm256_floor_ps(y);
+        // All-ones (−1) where the lane rounds up; subtracting it adds one.
+        let up = _mm256_cmp_ps::<_CMP_LT_OQ>(u, _mm256_sub_ps(y, lo));
+        let lane = _mm256_sub_epi32(_mm256_cvttps_epi32(lo), _mm256_castps_si256(up));
+        let lane = _mm256_min_epi32(_mm256_max_epi32(lane, vmin), vmax);
+        _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, lane);
+        i += LANES;
+    }
+    quantize_stochastic_scalar(&xs[main..], &us[main..], s, qmax, &mut out[main..]);
+}
+
+/// Unbiased stochastic rounding of `xs` onto the signed grid of step
+/// `s / qmax`, clamped to `[−qmax, qmax]`:
+/// `out[i] = clamp(⌊y⌋ + [us[i] < y − ⌊y⌋])` with `y = (xs[i] / s) · qmax`.
+///
+/// The uniforms are **pre-drawn** by the caller (`us[i] ∈ [0, 1)`, one per
+/// lane, in lane order), which keeps the kernel purely element-wise — the
+/// sequential RNG stream never enters it, so the AVX2 path is
+/// bitwise-identical to the scalar one on every input, ±inf and NaN
+/// included (a NaN `y` quantizes to lane 0, as `NaN as i32` does).
+///
+/// # Panics
+/// Panics if the slices have different lengths.
+pub fn quantize_stochastic(xs: &[f32], us: &[f32], s: f32, qmax: i32, out: &mut [i32]) {
+    assert_eq!(xs.len(), us.len(), "quantize_stochastic: length mismatch");
+    assert_eq!(xs.len(), out.len(), "quantize_stochastic: length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if avx2_enabled() {
+        // SAFETY: AVX2 support was just detected at run time, and the
+        // asserts above establish the equal-length contract.
+        return unsafe { quantize_stochastic_avx2(xs, us, s, qmax, out) };
+    }
+    quantize_stochastic_scalar(xs, us, s, qmax, out);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,6 +549,106 @@ mod tests {
             scale(&mut ya, 1.37);
             scale_scalar(&mut yb, 1.37);
             assert_eq!(bits(&ya), bits(&yb), "scale n={n}");
+        }
+    }
+
+    /// The quantizer as the THC round wrote it before this kernel existed:
+    /// a libm `floor`, a branch on the draw, `clamp`.
+    fn quantize_original(x: f32, u: f32, s: f32, qmax: i32) -> i32 {
+        let y = (x / s) * qmax as f32;
+        let lo = y.floor();
+        ((lo as i32) + i32::from(u < y - lo)).clamp(-qmax, qmax)
+    }
+
+    /// The next `f32` towards +inf.
+    fn ulp_up(x: f32) -> f32 {
+        if x == 0.0 {
+            f32::from_bits(1)
+        } else if x > 0.0 {
+            f32::from_bits(x.to_bits() + 1)
+        } else {
+            f32::from_bits(x.to_bits() - 1)
+        }
+    }
+
+    #[test]
+    fn quantize_stochastic_dispatch_matches_scalar_and_the_floor_form() {
+        // Where a vector convert and `as i32` disagree, and where the
+        // truncate-and-correct floor could: ±0, subnormals, both sides of
+        // 2^23 and of i32's range, ±inf, NaN, and integers k ± 1 ulp.
+        let mut xs = vec![
+            0.0f32,
+            -0.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            8_388_607.5,
+            -8_388_607.5,
+            8_388_608.0,
+            -8_388_608.0,
+            8_388_609.0,
+            2_147_483_648.0,
+            -2_147_483_648.0,
+            4.0e9,
+            -4.0e9,
+            3.0e38,
+            -3.0e38,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+        ];
+        for k in -130i32..=130 {
+            let k = k as f32;
+            xs.extend([k, ulp_up(k), -ulp_up(-k), k + 0.5, k * 0.37]);
+        }
+        xs.extend(probe(400, 0x90).iter().map(|x| x * 37.5));
+        let us = [
+            0.0f32,
+            f32::from_bits(1),
+            0.25,
+            0.5,
+            0.75,
+            1.0 - 1.0 / (1u64 << 24) as f32,
+        ];
+        for (s, qmax) in [
+            (1.0f32, 1),
+            (1.0, 7),
+            (0.37, 7),
+            (3.0, 127),
+            (1.0e-3, 32767),
+            (6.0e-8, 7),
+            (f32::INFINITY, 7),
+            (f32::NAN, 7),
+        ] {
+            // Rotate the probe so every value meets every position of an
+            // 8-lane group, and specials share groups with ordinary values.
+            for rot in 0..LANES {
+                let mut x_col = Vec::new();
+                let mut u_col = Vec::new();
+                for (i, &x) in xs.iter().cycle().skip(rot).take(xs.len()).enumerate() {
+                    for (j, &u) in us.iter().enumerate() {
+                        x_col.push(x);
+                        // Also the uniform sitting exactly on the fraction.
+                        let y = (x / s) * qmax as f32;
+                        u_col.push(if (i + j) % 5 == 0 { y - y.floor() } else { u });
+                    }
+                }
+                // An odd length leaves a scalar tail.
+                x_col.truncate(x_col.len() - 3);
+                u_col.truncate(x_col.len());
+                let mut got = vec![0i32; x_col.len()];
+                let mut scalar = vec![0i32; x_col.len()];
+                quantize_stochastic(&x_col, &u_col, s, qmax, &mut got);
+                quantize_stochastic_scalar(&x_col, &u_col, s, qmax, &mut scalar);
+                for i in 0..x_col.len() {
+                    let expect = quantize_original(x_col[i], u_col[i], s, qmax);
+                    let at = format!("x={:e} u={:e} s={s:e} qmax={qmax}", x_col[i], u_col[i]);
+                    assert_eq!(scalar[i], expect, "scalar, {at}");
+                    assert_eq!(got[i], expect, "dispatched, {at}");
+                }
+            }
         }
     }
 

@@ -21,11 +21,13 @@ use gradient_utility::collectives::{
     Traffic,
 };
 use gradient_utility::core::scheme::{AggregationOutcome, CompressionScheme, RoundContext};
+use gradient_utility::core::schemes::baseline::PrecisionBaseline;
 use gradient_utility::core::schemes::powersgd::PowerSgd;
 use gradient_utility::core::schemes::thc::{Thc, ThcAggregation};
 use gradient_utility::core::schemes::topk::TopK;
 use gradient_utility::core::schemes::topkc::TopKC;
 use gradient_utility::core::schemes::topkc_q::TopKCQ;
+use gradient_utility::gpusim::DeviceSpec;
 use gradient_utility::nn::{Adam, BertMini, Model, Sgd, VggMini};
 use gradient_utility::tensor::bitpack::PackedIntVec;
 use gradient_utility::tensor::hadamard::RotationMode;
@@ -248,10 +250,41 @@ fn scheme_steady_events(scheme: &mut dyn CompressionScheme, n: usize, d: usize) 
 #[test]
 fn thc_round_steady_state_is_allocation_free() {
     with_threads(1, || {
-        for agg in [ThcAggregation::Saturating, ThcAggregation::Widened { b: 8 }] {
-            let mut s = Thc::new(4, RotationMode::Full, agg, N);
+        // Full rotation at both aggregations; the benchmark's `thc_sat`
+        // (partial rotation) and an odd wire width (the per-lane fold) at a
+        // `d` that is not a multiple of the rotation block.
+        let a100 = DeviceSpec::a100();
+        let odd_d = 3 * (1usize << a100.shared_mem_block_log2()) + 77;
+        let cases = [
+            (
+                Thc::new(4, RotationMode::Full, ThcAggregation::Saturating, N),
+                D,
+            ),
+            (Thc::baseline(4, N), D),
+            (Thc::improved(4, &a100, N), odd_d),
+            (
+                Thc::new(
+                    4,
+                    RotationMode::Partial { block_log2: 6 },
+                    ThcAggregation::Widened { b: 9 },
+                    N,
+                ),
+                1000,
+            ),
+        ];
+        for (mut s, d) in cases {
+            let events = scheme_steady_events(&mut s, N, d);
+            assert_eq!(events, 0, "{} at d={d} must not allocate", s.name());
+        }
+    });
+}
+
+#[test]
+fn precision_baseline_round_steady_state_is_allocation_free() {
+    with_threads(1, || {
+        for mut s in [PrecisionBaseline::fp16(), PrecisionBaseline::fp32()] {
             let events = scheme_steady_events(&mut s, N, D);
-            assert_eq!(events, 0, "THC({agg:?}) round must not allocate");
+            assert_eq!(events, 0, "{} round must not allocate", s.name());
         }
     });
 }
