@@ -19,7 +19,7 @@
 //!   plane and served on the Prometheus scrape path;
 //! * [`client`] — the synchronous tenant client;
 //! * [`loadgen`] — the open-loop load generator and capacity sweep behind
-//!   the `gcs_loadgen` binary and the BENCH `aggd` section.
+//!   the `gcs_loadgen` binary.
 
 pub mod client;
 pub mod daemon;
@@ -30,8 +30,7 @@ pub mod state;
 pub use client::{ClientError, TenantClient};
 pub use daemon::{AggDaemon, AggdConfig};
 pub use loadgen::{
-    capacity_sweep, conformance_probe, run_capacity_point, synth_grad, tenant_config,
-    CapacityPoint, LoadgenConfig,
+    capacity_sweep, run_capacity_point, synth_grad, tenant_config, CapacityPoint, LoadgenConfig,
 };
 pub use proto::{Reject, RejectCode, SchemeSpec, TenantConfig, TenantFaultSpec};
 pub use state::{FetchVerdict, SubmitVerdict, TenantState};

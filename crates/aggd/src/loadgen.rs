@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use gcs_metrics::Histogram;
 
-use crate::client::{ClientError, TenantClient};
+use crate::client::TenantClient;
 use crate::proto::{splitmix64, SchemeSpec, TenantConfig};
 
 /// One load point's shape.
@@ -274,7 +274,7 @@ fn drive(
 }
 
 /// Runs one point per tenant count (rate, rounds, and mix fixed), in the
-/// given order — the BENCH `aggd` capacity curve.
+/// given order — the capacity curve `gcs_loadgen --tenants N,N,...` prints.
 pub fn capacity_sweep(
     addr: SocketAddr,
     tenant_counts: &[usize],
@@ -290,88 +290,4 @@ pub fn capacity_sweep(
             run_capacity_point(addr, &cfg)
         })
         .collect()
-}
-
-/// Differential conformance probe: for every scheme family, runs a few
-/// rounds through a live daemon and a standalone twin instance, and
-/// reports whether every estimate was bitwise identical. The BENCH `aggd`
-/// section records this as its `conformant` flag.
-pub fn conformance_probe(addr: SocketAddr, dim: usize, rounds: u64) -> bool {
-    use gcs_core::scheme::RoundContext;
-    for (fam_idx, spec) in [
-        (
-            0u64,
-            SchemeSpec::TopK {
-                bits_x100: 200,
-                error_feedback: true,
-            },
-        ),
-        (1, SchemeSpec::Thc { q: 4 }),
-        (2, SchemeSpec::Qsgd { q: 4 }),
-        (
-            3,
-            SchemeSpec::PowerSgd {
-                rank: 2,
-                rows: 8,
-                cols: (dim / 8) as u32,
-            },
-        ),
-    ] {
-        let tcfg = TenantConfig {
-            tenant: 0xC0DE + fam_idx,
-            model: 7,
-            dim,
-            n_workers: 2,
-            experiment_seed: 99,
-            scheme: spec,
-            fault: None,
-        };
-        let mut reference = match spec.build(2, dim) {
-            Ok(s) => s,
-            Err(_) => return false,
-        };
-        let deadline = Duration::from_secs(10);
-        let Ok(mut c0) = TenantClient::connect(addr, &tcfg, deadline) else {
-            return false;
-        };
-        let Ok(mut c1) = TenantClient::connect(addr, &tcfg, deadline) else {
-            return false;
-        };
-        let mut g0 = vec![0.0f32; dim];
-        let mut g1 = vec![0.0f32; dim];
-        let mut out = Vec::with_capacity(dim);
-        for round in 0..rounds {
-            synth_grad(7, tcfg.tenant, round, 0, &mut g0);
-            synth_grad(7, tcfg.tenant, round, 1, &mut g1);
-            if c0.submit(round, 0, &g0).is_err() {
-                return false;
-            }
-            if c1.submit(round, 1, &g1).is_err() {
-                return false;
-            }
-            let mut ok = false;
-            for _ in 0..1000 {
-                match c0.fetch_into(round, &mut out) {
-                    Ok(()) => {
-                        ok = true;
-                        break;
-                    }
-                    Err(ClientError::Rejected(r)) if r.code.retryable() => {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Err(_) => return false,
-                }
-            }
-            if !ok {
-                return false;
-            }
-            let want = reference
-                .aggregate_round(&[g0.clone(), g1.clone()], &RoundContext::new(99, round))
-                .mean_estimate;
-            if out != want {
-                return false;
-            }
-        }
-    }
-    true
 }

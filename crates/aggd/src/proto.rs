@@ -185,7 +185,7 @@ pub enum SchemeSpec {
 }
 
 impl SchemeSpec {
-    /// Family label for metrics and BENCH rows.
+    /// Family label for metrics.
     pub fn family(&self) -> &'static str {
         match self {
             SchemeSpec::TopK { .. } => "topk",

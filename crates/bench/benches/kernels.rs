@@ -130,101 +130,6 @@ fn bench_parallel_runtime(c: &mut Criterion) {
     g.finish();
 }
 
-/// Pooled (zero-allocation) hot paths against their allocating pre-pool
-/// equivalents. Each pair does bitwise-identical work — the identity is
-/// pinned in `tests/pool_identity.rs` — so the delta here is purely the
-/// cost of per-round heap traffic.
-fn bench_pool_vs_alloc(c: &mut Criterion) {
-    use gcs_collectives::{ring_all_reduce_into, RingScratch, Traffic};
-    use gcs_core::scheme::{AggregationOutcome, CompressionScheme, RoundContext};
-    use gcs_core::schemes::thc::{Thc, ThcAggregation};
-    use gcs_core::schemes::topkc::TopKC;
-    use gcs_tensor::bitpack::PackedIntVec;
-    use gcs_tensor::hadamard::RotationMode;
-
-    let mut g = c.benchmark_group("pool_vs_alloc");
-
-    // Ring all-reduce: persistent staging + refill vs per-iter clone.
-    let d = 1 << 16;
-    let bufs: Vec<Vec<f32>> = (0..4).map(|w| data(d, w as u64)).collect();
-    g.bench_function("ring_4x65536/alloc", |b| {
-        b.iter(|| {
-            let mut bb = bufs.clone();
-            ring_all_reduce(black_box(&mut bb), &F32Sum, 4.0);
-            bb
-        })
-    });
-    g.bench_function("ring_4x65536/pooled", |b| {
-        let mut bb = bufs.clone();
-        let mut scratch = RingScratch::default();
-        let mut traffic = Traffic::default();
-        b.iter(|| {
-            for (dst, src) in bb.iter_mut().zip(&bufs) {
-                dst.clear();
-                dst.extend_from_slice(src);
-            }
-            ring_all_reduce_into(black_box(&mut bb), &F32Sum, 4.0, &mut scratch, &mut traffic);
-            traffic.steps
-        })
-    });
-
-    // Full scheme rounds: warm scratch + reused outcome vs cold instance.
-    let n = 4;
-    let grads: Vec<Vec<f32>> = (0..n).map(|w| data(1 << 14, 20 + w as u64)).collect();
-    let ctx = RoundContext::new(17, 0);
-    g.bench_function("topkc_round_4x16384/alloc", |b| {
-        b.iter(|| {
-            let mut s = TopKC::with_bits(2.0, 64, n, true);
-            s.aggregate_round(black_box(&grads), &ctx)
-        })
-    });
-    g.bench_function("topkc_round_4x16384/pooled", |b| {
-        let mut s = TopKC::with_bits(2.0, 64, n, true);
-        let mut out = AggregationOutcome::default();
-        b.iter(|| {
-            s.aggregate_round_into(black_box(&grads), &ctx, &mut out);
-            out.mean_estimate.len()
-        })
-    });
-    g.bench_function("thc_round_4x16384/alloc", |b| {
-        b.iter(|| {
-            let mut s = Thc::new(4, RotationMode::Full, ThcAggregation::Saturating, n);
-            s.aggregate_round(black_box(&grads), &ctx)
-        })
-    });
-    g.bench_function("thc_round_4x16384/pooled", |b| {
-        let mut s = Thc::new(4, RotationMode::Full, ThcAggregation::Saturating, n);
-        let mut out = AggregationOutcome::default();
-        b.iter(|| {
-            s.aggregate_round_into(black_box(&grads), &ctx, &mut out);
-            out.mean_estimate.len()
-        })
-    });
-
-    // Quantize+pack: fused streaming writer vs quantize-to-Vec then pack.
-    let q = 4u32;
-    let len = 1 << 16;
-    let v = data(len, 30);
-    let qmax = (1i32 << (q - 1)) - 1;
-    let quant = |x: f32| ((x * qmax as f32) as i32).clamp(-qmax, qmax);
-    g.bench_function("quantize_pack_65536/alloc", |b| {
-        b.iter(|| {
-            let lanes: Vec<i32> = v.iter().map(|&x| quant(x)).collect();
-            PackedIntVec::from_signed(q, black_box(&lanes))
-        })
-    });
-    g.bench_function("quantize_pack_65536/pooled", |b| {
-        let mut packed = PackedIntVec::zeros(q, len);
-        b.iter(|| {
-            packed.reset(q, len);
-            packed.pack_with(|i| quant(black_box(&v)[i]));
-            packed.len()
-        })
-    });
-
-    g.finish();
-}
-
 /// `gcs-nn`'s two heavy layers at VggMini's shapes, at the training batch
 /// (8) and the evaluation batch (160): forward alone, and backward on the
 /// forward's buffers with an output gradient as sparse as pooling and ReLU
@@ -359,7 +264,6 @@ criterion_group!(
     bench_gram_schmidt,
     bench_ring_all_reduce,
     bench_parallel_runtime,
-    bench_pool_vs_alloc,
     bench_nn_layers
 );
 criterion_main!(benches);

@@ -20,23 +20,13 @@ use crate::reduce::{copy_lanes, reduce_lanes, ReduceOp};
 /// (rank `i` maps to `n-1-i`), which suffices for the inner/leaf swap
 /// property when `n` is even and is a good approximation otherwise.
 ///
+/// `traffic` is the caller's accumulator, [`Traffic::reset`] here rather
+/// than rebuilt, and segments hop through in-place [`reduce_lanes`] /
+/// [`copy_lanes`] split borrows, so after the first round the simulated
+/// data path is allocation-free.
+///
 /// # Panics
 /// Panics on ragged or empty input.
-pub fn double_tree_all_reduce<T: Clone>(
-    bufs: &mut [Vec<T>],
-    op: &dyn ReduceOp<T>,
-    bytes_per_elem: f64,
-) -> Traffic {
-    let mut traffic = Traffic::default();
-    double_tree_all_reduce_into(bufs, op, bytes_per_elem, &mut traffic);
-    traffic
-}
-
-/// [`double_tree_all_reduce`] with a caller-owned traffic accumulator:
-/// after the first round the simulated data path is allocation-free — the
-/// per-segment staging `to_vec()`s are replaced by in-place
-/// [`reduce_lanes`] / [`copy_lanes`] split-borrow hops (ISSUE 9
-/// satellite), and `traffic` is [`Traffic::reset`] rather than rebuilt.
 pub fn double_tree_all_reduce_into<T: Clone>(
     bufs: &mut [Vec<T>],
     op: &dyn ReduceOp<T>,
@@ -120,23 +110,12 @@ pub fn double_tree_all_reduce_into<T: Clone>(
 /// what the per-node NIC actually carries (see
 /// `gcs_netsim::timing::HierarchicalSpec`).
 ///
+/// `traffic` is the caller's accumulator and all three phases hop through
+/// in-place [`reduce_lanes`] / [`copy_lanes`] split borrows, so reruns are
+/// allocation-free.
+///
 /// # Panics
 /// Panics if `group` does not divide the worker count, or on ragged input.
-pub fn hierarchical_ring_all_reduce<T: Clone>(
-    bufs: &mut [Vec<T>],
-    group: usize,
-    op: &dyn ReduceOp<T>,
-    bytes_per_elem: f64,
-) -> Traffic {
-    let mut traffic = Traffic::default();
-    hierarchical_ring_all_reduce_into(bufs, group, op, bytes_per_elem, &mut traffic);
-    traffic
-}
-
-/// [`hierarchical_ring_all_reduce`] with a caller-owned traffic
-/// accumulator; the per-shard staging `to_vec()`s of all three phases go
-/// through [`reduce_lanes`] / [`copy_lanes`] instead, so reruns are
-/// allocation-free (ISSUE 9 satellite).
 pub fn hierarchical_ring_all_reduce_into<T: Clone>(
     bufs: &mut [Vec<T>],
     group: usize,
@@ -269,7 +248,7 @@ mod tests {
         for n in [2usize, 3, 4, 6, 8] {
             let orig = grads(n, 57);
             let mut bufs = orig.clone();
-            double_tree_all_reduce(&mut bufs, &F32Sum, 4.0);
+            double_tree_all_reduce_into(&mut bufs, &F32Sum, 4.0, &mut Traffic::default());
             assert_matches_ring(orig, &bufs);
         }
     }
@@ -280,7 +259,8 @@ mod tests {
         // in the double tree, send load spreads. Compare max/mean skew.
         let n = 8;
         let mut bufs = grads(n, 1024);
-        let t = double_tree_all_reduce(&mut bufs, &F32Sum, 4.0);
+        let mut t = Traffic::default();
+        double_tree_all_reduce_into(&mut bufs, &F32Sum, 4.0, &mut t);
         let mut single = grads(n, 1024);
         let t_single = crate::ops::tree_all_reduce(&mut single, &F32Sum, 4.0);
         let skew = |tr: &Traffic| {
@@ -301,7 +281,13 @@ mod tests {
         for (n, group) in [(4usize, 2usize), (8, 2), (8, 4), (6, 3), (4, 4), (4, 1)] {
             let orig = grads(n, 83);
             let mut bufs = orig.clone();
-            hierarchical_ring_all_reduce(&mut bufs, group, &F32Sum, 4.0);
+            hierarchical_ring_all_reduce_into(
+                &mut bufs,
+                group,
+                &F32Sum,
+                4.0,
+                &mut Traffic::default(),
+            );
             assert_matches_ring(orig, &bufs);
         }
     }
@@ -315,7 +301,8 @@ mod tests {
         let group = 4;
         let len = 1000;
         let mut bufs = grads(n, len);
-        let t_h = hierarchical_ring_all_reduce(&mut bufs, group, &F32Sum, 4.0);
+        let mut t_h = Traffic::default();
+        hierarchical_ring_all_reduce_into(&mut bufs, group, &F32Sum, 4.0, &mut t_h);
         // Inter-node traffic = what shard owners exchange: per shard,
         // (nodes-1) sends each way. Total here: 2 * (2-1) * payload.
         let payload = (len * 4) as u64;
@@ -337,6 +324,6 @@ mod tests {
     #[should_panic(expected = "must divide")]
     fn hierarchical_rejects_uneven_groups() {
         let mut bufs = grads(6, 10);
-        hierarchical_ring_all_reduce(&mut bufs, 4, &F32Sum, 4.0);
+        hierarchical_ring_all_reduce_into(&mut bufs, 4, &F32Sum, 4.0, &mut Traffic::default());
     }
 }

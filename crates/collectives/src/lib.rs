@@ -47,10 +47,7 @@ pub mod tcp;
 pub mod telemetry;
 pub mod transport;
 
-pub use advanced::{
-    double_tree_all_reduce, double_tree_all_reduce_into, hierarchical_ring_all_reduce,
-    hierarchical_ring_all_reduce_into,
-};
+pub use advanced::{double_tree_all_reduce_into, hierarchical_ring_all_reduce_into};
 pub use error::CollectiveError;
 pub use ops::{
     all_gather, all_gather_into, broadcast, broadcast_into, parameter_server,
@@ -71,6 +68,6 @@ pub use telemetry::{
     FleetEvent, TelemetryCollector, TelemetryConfig, TelemetryShipper, TELEMETRY_MAGIC,
 };
 pub use transport::{
-    all_gather_worker, broadcast_worker, ring_all_reduce_worker, ring_all_reduce_worker_into,
-    threaded_ring_all_reduce, MessageLinks, ThreadedCluster, WorkerLinks,
+    all_gather_worker, broadcast_worker, ring_all_reduce_worker_into, threaded_ring_all_reduce,
+    MessageLinks, ThreadedCluster, WorkerLinks,
 };

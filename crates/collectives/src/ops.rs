@@ -13,13 +13,17 @@
 //! ([`ring_all_reduce_packed_into`]): one walk, two buffer kinds, so
 //! quantized payloads move — and are reduced in — their wire words.
 //!
-//! Each collective has two entry points: the original allocating signature
-//! (`ring_all_reduce`, …) and a `_into` variant that writes into
+//! Each collective has two entry points. The `_into` variant writes into
 //! caller-owned scratch ([`RingScratch`], a reused [`Traffic`], reused
-//! output vectors). The `_into` variants are the steady-state hot path —
-//! after warm-up they perform **zero heap allocations** (asserted by
-//! `tests/alloc_budget.rs` under a counting global allocator); the
-//! allocating wrappers simply delegate with fresh scratch.
+//! output vectors) and is the steady-state hot path — after warm-up it
+//! performs **zero heap allocations** (asserted by `tests/alloc_budget.rs`
+//! under a counting global allocator). The plain signature
+//! ([`ring_all_reduce`], [`tree_all_reduce`], [`all_gather`],
+//! [`reduce_scatter`], [`broadcast`], [`parameter_server`]) delegates with
+//! fresh scratch, for callers that do not pool by design: the Table 1
+//! schemes in `gcs-core` (`literature.rs`, `sketch.rs`) and the `gcs-faults`
+//! reference runs call three of the six, and the six stay together as one
+//! family rather than being split by which member has a caller today.
 
 use crate::reduce::ReduceOp;
 use gcs_tensor::bitpack::{LaneAdd, PackedIntVec};

@@ -2,7 +2,7 @@
 //! membership (ISSUE 7 tentpole, ROADMAP item 2).
 //!
 //! The PR 5 [`MessageLinks`] seam made the worker bodies
-//! ([`crate::transport::ring_all_reduce_worker`] & friends) generic over the
+//! ([`crate::transport::ring_all_reduce_worker_into`] & friends) generic over the
 //! transport; this module supplies the second implementation — real sockets
 //! instead of in-process channels — without touching those bodies. Layers,
 //! bottom-up:
@@ -587,17 +587,10 @@ impl TcpMesh {
         self.recv_deadline
     }
 
-    /// Pipelining chunk bound (bytes) the collective bodies will stream
-    /// large messages at over this mesh.
-    pub fn chunk_bytes(&self) -> usize {
-        self.chunk_bytes
-    }
-
     /// Overrides the pipelining chunk bound. Normally set once from
-    /// `GCS_TCP_CHUNK` at build; tests and benches use this to force tiny
-    /// chunks (chunking-boundary coverage) or effectively disable chunking
-    /// (stop-and-wait baselines). Every rank must use the same value — both
-    /// ends of a link derive the frame count from it.
+    /// `GCS_TCP_CHUNK` at build; tests use this to force tiny chunks
+    /// (chunking-boundary coverage). Every rank must use the same value —
+    /// both ends of a link derive the frame count from it.
     pub fn set_chunk_bytes(&mut self, bytes: usize) {
         self.chunk_bytes = bytes.max(1);
     }
@@ -704,7 +697,7 @@ impl TcpMesh {
 // ---------------------------------------------------------------------------
 
 /// [`MessageLinks`] over a [`TcpMesh`]: the adapter that lets
-/// `ring_all_reduce_worker` & friends run over sockets unchanged. Borrows
+/// `ring_all_reduce_worker_into` & friends run over sockets unchanged. Borrows
 /// the mesh so elastic callers ([`FleetWorker`]) can keep the mesh across
 /// rounds and hand out fresh typed views.
 pub struct TcpLinks<'m, T: WireElem> {
@@ -755,7 +748,7 @@ impl<T: WireElem> MessageLinks<T> for TcpLinks<'_, T> {
     }
 
     fn chunk_elems(&self) -> usize {
-        (self.mesh.chunk_bytes() / T::BYTES).max(1)
+        (self.mesh.chunk_bytes / T::BYTES).max(1)
     }
 }
 
@@ -1350,7 +1343,7 @@ mod tests {
     use super::*;
     use crate::reduce::F32Sum;
     use crate::transport::{
-        all_gather_worker, broadcast_worker, ring_all_reduce_worker, threaded_ring_all_reduce,
+        all_gather_worker, broadcast_worker, ring_all_reduce_worker_into, threaded_ring_all_reduce,
     };
 
     fn bufs(n: usize, len: usize) -> Vec<Vec<f32>> {
@@ -1378,7 +1371,9 @@ mod tests {
                 threaded_ring_all_reduce(inputs.clone(), F32Sum, 4.0).expect("threaded");
             let inputs = Arc::new(inputs);
             let results = TcpCluster::run(n, move |rank, links: &mut TcpLinks<'_, f32>| {
-                ring_all_reduce_worker(links, inputs[rank].clone(), &F32Sum, 4.0)
+                let mut buf = inputs[rank].clone();
+                ring_all_reduce_worker_into(links, &mut buf, &F32Sum, 4.0, &mut Vec::new())
+                    .map(|(sent, recv)| (buf, sent, recv))
             });
             for (rank, r) in results.into_iter().enumerate() {
                 let (buf, sent, recv) = r.expect("healthy tcp cluster");
@@ -1434,18 +1429,20 @@ mod tests {
                     return (rs.rank, None, 0usize);
                 }
                 let mut links = worker.links::<f32>();
-                let buf: Vec<f32> = (0..16).map(|i| (rs.rank * 16 + i) as f32).collect();
-                let err = ring_all_reduce_worker(&mut links, buf, &F32Sum, 4.0)
-                    .expect_err("dead peer must surface");
+                let mut buf: Vec<f32> = (0..16).map(|i| (rs.rank * 16 + i) as f32).collect();
+                let mut scratch = Vec::new();
+                let err =
+                    ring_all_reduce_worker_into(&mut links, &mut buf, &F32Sum, 4.0, &mut scratch)
+                        .expect_err("dead peer must surface");
                 assert!(err.is_peer_failure(), "unexpected error {err:?}");
                 // Re-barrier: the registry must renumber the survivors.
                 let rs2 = worker.next_round(1).expect("survivor round");
                 assert_eq!(rs2.n, 2, "survivors renumbered to n=2");
                 assert!(rs2.rebuilt);
                 let mut links = worker.links::<f32>();
-                let buf: Vec<f32> = (0..16).map(|i| (rs2.rank * 16 + i) as f32).collect();
-                let (out, _, _) =
-                    ring_all_reduce_worker(&mut links, buf, &F32Sum, 4.0).expect("survivor ring");
+                let mut out: Vec<f32> = (0..16).map(|i| (rs2.rank * 16 + i) as f32).collect();
+                ring_all_reduce_worker_into(&mut links, &mut out, &F32Sum, 4.0, &mut scratch)
+                    .expect("survivor ring");
                 worker.leave().expect("leave");
                 (rs.rank, Some(err), out.len())
             }));
@@ -1492,8 +1489,9 @@ mod tests {
             assert_eq!(rs.n, 3, "joiner sees the full fleet");
             assert_eq!(rs.round, 1, "joiner adopts the survivors' clock");
             let mut links = w.links::<f32>();
-            let (out, _, _) =
-                ring_all_reduce_worker(&mut links, vec![1.0f32; 8], &F32Sum, 4.0).expect("ring");
+            let mut out = vec![1.0f32; 8];
+            ring_all_reduce_worker_into(&mut links, &mut out, &F32Sum, 4.0, &mut Vec::new())
+                .expect("ring");
             w.leave().expect("leave");
             out
         });
@@ -1505,9 +1503,15 @@ mod tests {
                     assert_eq!(rs.n, 3, "founder sees the joiner");
                     assert!(rs.rebuilt, "epoch change rebuilds the mesh");
                     let mut links = w.links::<f32>();
-                    let (out, _, _) =
-                        ring_all_reduce_worker(&mut links, vec![1.0f32; 8], &F32Sum, 4.0)
-                            .expect("ring");
+                    let mut out = vec![1.0f32; 8];
+                    ring_all_reduce_worker_into(
+                        &mut links,
+                        &mut out,
+                        &F32Sum,
+                        4.0,
+                        &mut Vec::new(),
+                    )
+                    .expect("ring");
                     w.leave().expect("leave");
                     out
                 })
@@ -1652,11 +1656,17 @@ mod tests {
                     let rs = w.next_round(0).expect("round");
                     w.mesh_mut().set_chunk_bytes(8); // two f32 lanes per frame
                     let mut links = w.links::<f32>();
-                    let out =
-                        ring_all_reduce_worker(&mut links, inputs[rs.rank].clone(), &F32Sum, 4.0)
-                            .expect("chunked ring");
+                    let mut buf = inputs[rs.rank].clone();
+                    let (sent, recv) = ring_all_reduce_worker_into(
+                        &mut links,
+                        &mut buf,
+                        &F32Sum,
+                        4.0,
+                        &mut Vec::new(),
+                    )
+                    .expect("chunked ring");
                     w.leave().expect("leave");
-                    (rs.rank, out)
+                    (rs.rank, (buf, sent, recv))
                 }));
             }
             let mut results: Vec<_> = handles
@@ -1665,7 +1675,7 @@ mod tests {
                 .collect();
             registry.shutdown();
             results.sort_by_key(|(rank, _)| *rank);
-            for (rank, (buf, sent, recv)) in results.into_iter().map(|(r, o)| (r, o)) {
+            for (rank, (buf, sent, recv)) in results {
                 assert_eq!(buf, expect[rank], "n={n} rank={rank} under tiny chunks");
                 // Traffic is counted per segment, so chunking must not
                 // change the accounting either.

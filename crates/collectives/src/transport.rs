@@ -33,7 +33,7 @@ use crate::reduce::ReduceOp;
 /// mesh) and by `gcs-faults`' `FaultyLinks` (injected delay / drop /
 /// duplication / crash with ack-and-resend recovery).
 ///
-/// The per-op worker functions ([`ring_all_reduce_worker`],
+/// The per-op worker functions ([`ring_all_reduce_worker_into`],
 /// [`broadcast_worker`], [`all_gather_worker`]) are generic over this trait,
 /// so a faulty execution runs the *same* algorithm as the reference — which
 /// is what makes "recovered run is bitwise-identical" a meaningful test.
@@ -337,33 +337,6 @@ impl<T: Send + 'static> ThreadedCluster<T> {
     }
 }
 
-/// Ring all-reduce executed by one worker over message-passing links.
-///
-/// The algorithm (and therefore the reduction order) matches
-/// [`crate::ops::ring_all_reduce`] exactly, so results are bit-identical —
-/// the integration tests (and the chaos suite's recovered-run identity
-/// check) rely on this.
-///
-/// Returns the fully reduced buffer and this worker's traffic counts
-/// `(bytes_sent, bytes_received)`, or the first [`CollectiveError`] the
-/// transport surfaced.
-pub fn ring_all_reduce_worker<T, O, L>(
-    links: &mut L,
-    mut buf: Vec<T>,
-    op: &O,
-    bytes_per_elem: f64,
-) -> Result<(Vec<T>, u64, u64), CollectiveError>
-where
-    T: Clone + Send + 'static,
-    O: ReduceOp<T>,
-    L: MessageLinks<T>,
-{
-    let mut scratch = Vec::new();
-    let (sent, received) =
-        ring_all_reduce_worker_into(links, &mut buf, op, bytes_per_elem, &mut scratch)?;
-    Ok((buf, sent, received))
-}
-
 /// How many messages a transfer of `len` elements becomes under `chunk`.
 /// Zero-length transfers still cost one (empty) message, preserving the
 /// per-hop frame count of the unchunked algorithm.
@@ -371,10 +344,12 @@ fn chunk_count(len: usize, chunk: usize) -> usize {
     len.div_ceil(chunk).max(1)
 }
 
-/// Zero-allocation ring all-reduce worker body (ISSUE 9 tentpole): reduces
-/// `buf` in place, staging incoming reduce-scatter segments in the
+/// Ring all-reduce executed by one worker over message-passing links:
+/// reduces `buf` in place, staging incoming reduce-scatter segments in the
 /// caller-owned `scratch` (sized once to the largest segment; no heap
-/// traffic at steady state when `scratch` is reused across rounds).
+/// traffic at steady state when `scratch` is reused across rounds), and
+/// returns this worker's traffic counts `(bytes_sent, bytes_received)` or
+/// the first [`CollectiveError`] the transport surfaced.
 ///
 /// Segments stream through the borrow-based [`MessageLinks::send_slice`] /
 /// [`MessageLinks::recv_into`] entry points in chunks of at most
@@ -575,10 +550,11 @@ where
     ));
     let bufs_for_run = Arc::clone(&bufs);
     let results = cluster.run(move |rank, mut links| {
-        let buf = bufs_for_run.lock().expect("buffer mutex poisoned")[rank]
+        let mut buf = bufs_for_run.lock().expect("buffer mutex poisoned")[rank]
             .take()
             .expect("buffer taken twice");
-        ring_all_reduce_worker(&mut links, buf, &op, bytes_per_elem)
+        ring_all_reduce_worker_into(&mut links, &mut buf, &op, bytes_per_elem, &mut Vec::new())
+            .map(|(sent, received)| (buf, sent, received))
     });
     let mut traffic = Traffic {
         sent: vec![0; n],
@@ -701,8 +677,9 @@ mod tests {
                 // Simulated pre-collective death: drop all links immediately.
                 return Err(CollectiveError::WorkerCrashed { rank });
             }
-            let buf: Vec<f32> = (0..24).map(|i| (rank * 24 + i) as f32).collect();
-            ring_all_reduce_worker(&mut links, buf, &F32Sum, 4.0).map(|_| ())
+            let mut buf: Vec<f32> = (0..24).map(|i| (rank * 24 + i) as f32).collect();
+            ring_all_reduce_worker_into(&mut links, &mut buf, &F32Sum, 4.0, &mut Vec::new())
+                .map(|_| ())
         });
         assert_eq!(results[0], Err(CollectiveError::WorkerCrashed { rank: 0 }));
         for (rank, r) in results.iter().enumerate().skip(1) {

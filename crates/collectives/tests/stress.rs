@@ -1,8 +1,8 @@
 //! Concurrency stress and property tests for the collectives.
 
 use gcs_collectives::{
-    double_tree_all_reduce, hierarchical_ring_all_reduce, ring_all_reduce,
-    threaded_ring_all_reduce, tree_all_reduce, F16Sum, F32Sum, SaturatingIntSum,
+    double_tree_all_reduce_into, hierarchical_ring_all_reduce_into, ring_all_reduce,
+    threaded_ring_all_reduce, tree_all_reduce, F16Sum, F32Sum, SaturatingIntSum, Traffic,
 };
 use gcs_tensor::half::encode_f16;
 use proptest::prelude::*;
@@ -60,7 +60,7 @@ proptest! {
         let mut tree = bufs.clone();
         tree_all_reduce(&mut tree, &F32Sum, 4.0);
         let mut dtree = bufs.clone();
-        double_tree_all_reduce(&mut dtree, &F32Sum, 4.0);
+        double_tree_all_reduce_into(&mut dtree, &F32Sum, 4.0, &mut Traffic::default());
         for (a, b) in ring[0].iter().zip(&tree[0]) {
             prop_assert!((a - b).abs() < 1e-2 * a.abs().max(1.0));
         }
@@ -73,7 +73,7 @@ proptest! {
                 continue;
             }
             let mut h = bufs.clone();
-            hierarchical_ring_all_reduce(&mut h, group, &F32Sum, 4.0);
+            hierarchical_ring_all_reduce_into(&mut h, group, &F32Sum, 4.0, &mut Traffic::default());
             for (a, b) in ring[0].iter().zip(&h[0]) {
                 prop_assert!((a - b).abs() < 1e-2 * a.abs().max(1.0), "group {group}");
             }

@@ -16,7 +16,7 @@
 //! equals the cumulative gradient stream minus the current memory — is
 //! property-tested.
 //!
-//! The batched [`ErrorFeedback::corrected_all`] / [`ErrorFeedback::update_all`]
+//! The batched [`ErrorFeedback::corrected_all_into`] / [`ErrorFeedback::update_all`]
 //! variants fan out across workers on [`gcs_tensor::parallel`] — memories are
 //! per-worker disjoint, so this is embarrassingly parallel and bitwise
 //! identical to the per-worker loop for any thread count.
@@ -93,22 +93,10 @@ impl ErrorFeedback {
     }
 
     /// Batched [`ErrorFeedback::corrected`] over workers `0..grads.len()`,
-    /// parallel across workers. Returns one corrected vector per worker, in
-    /// worker order.
-    ///
-    /// # Panics
-    /// Panics if more gradients than workers are supplied, or a gradient
-    /// length changed between rounds.
-    pub fn corrected_all(&mut self, grads: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        let mut out = Vec::with_capacity(grads.len());
-        self.corrected_all_into(grads, &mut out);
-        out
-    }
-
-    /// [`ErrorFeedback::corrected_all`] writing into caller-owned vectors
-    /// (resized to one per worker, each cleared and refilled in place) — the
-    /// zero-allocation steady-state entry point for schemes that own a
-    /// round scratch.
+    /// parallel across workers, writing into caller-owned vectors (resized
+    /// to one per worker, in worker order, each cleared and refilled in
+    /// place) — allocation-free at steady state for schemes that own a round
+    /// scratch.
     ///
     /// # Panics
     /// Panics if more gradients than workers are supplied, or a gradient
@@ -277,7 +265,7 @@ mod tests {
                 let mut ef = ErrorFeedback::new(n, true);
                 let mut corrected = Vec::new();
                 for _round in 0..2 {
-                    corrected = ef.corrected_all(&grads);
+                    ef.corrected_all_into(&grads, &mut corrected);
                     ef.update_all(&corrected, &sents);
                 }
                 assert_eq!(corrected, ref_corrected, "threads={threads}");
@@ -304,7 +292,7 @@ mod tests {
             let mut out = Vec::new();
             let mut ptrs: Vec<*const f32> = Vec::new();
             for round in 0..3 {
-                let expect = a.corrected_all(&grads);
+                let expect: Vec<Vec<f32>> = (0..n).map(|w| a.corrected(w, &grads[w])).collect();
                 b.corrected_all_into(&grads, &mut out);
                 assert_eq!(out, expect, "enabled={enabled} round={round}");
                 let sents: Vec<Vec<f32>> = out

@@ -157,23 +157,6 @@ pub struct TrainLog {
     pub survivors: usize,
 }
 
-impl TrainLog {
-    /// First recorded eval metric, or `None` when the run crashed before
-    /// its first eval (empty curve). Reporters must treat `None` as a
-    /// null field, not a panic — all-workers-dead-at-round-0 is a valid
-    /// degraded outcome.
-    pub fn first_metric(&self) -> Option<f64> {
-        self.curve.first_metric()
-    }
-
-    /// Last *recorded* eval metric, or `None` on an empty curve. Unlike
-    /// [`TrainLog::final_metric`] (which falls back to a fresh
-    /// `model.evaluate()`), this reflects only what the curve captured.
-    pub fn last_eval(&self) -> Option<f64> {
-        self.curve.final_metric()
-    }
-}
-
 /// One worker replica plus its per-round outputs, used by the parallel
 /// gradient path. `grads` is a persistent buffer refilled by
 /// `copy_from_slice` every round, so the steady state allocates nothing.
@@ -515,7 +498,7 @@ mod tests {
         let mut model = BertMini::new(2);
         let mut scheme = PrecisionBaseline::fp32();
         let log = Trainer::new(quick_config()).train(&mut model, &mut scheme, 0.5);
-        let first = log.first_metric().expect("run recorded evals");
+        let first = log.curve.first_metric().expect("run recorded evals");
         let last = log.final_metric;
         assert!(last < first, "perplexity should fall: {first} -> {last}");
         assert!((log.bits_per_coord - 32.0).abs() < 0.5);
@@ -528,7 +511,7 @@ mod tests {
         let mut scheme = TopKC::with_bits(2.0, 64, 2, true);
         let log = Trainer::new(quick_config()).train(&mut model, &mut scheme, 0.25);
         assert!(log.mean_vnmse > 1e-4, "vNMSE = {}", log.mean_vnmse);
-        assert!(log.final_metric < log.first_metric().expect("run recorded evals"));
+        assert!(log.final_metric < log.curve.first_metric().expect("run recorded evals"));
         assert!((log.bits_per_coord - 2.0).abs() < 0.5);
     }
 
@@ -567,7 +550,7 @@ mod tests {
         assert_eq!(times, vec![20.0, 40.0, 60.0, 74.0]);
         // final_metric is the metric of that last point, i.e. the model
         // after all 37 rounds — not the stale round-30 evaluation.
-        let last = log.last_eval().expect("run recorded evals");
+        let last = log.curve.final_metric().expect("run recorded evals");
         assert_eq!(log.final_metric, last);
         assert_eq!(log.final_metric, model.evaluate());
     }
@@ -621,7 +604,7 @@ mod tests {
             ..quick_config()
         };
         let log = Trainer::new(cfg).train(&mut model, &mut scheme, 0.5);
-        let first = log.first_metric().expect("run recorded evals");
+        let first = log.curve.first_metric().expect("run recorded evals");
         assert!(
             log.final_metric < first,
             "Adam run did not improve: {first} -> {}",
@@ -801,8 +784,8 @@ mod tests {
         assert_eq!(log.rounds, 0);
         assert_eq!(log.survivors, 0);
         assert!(log.curve.points.is_empty());
-        assert_eq!(log.first_metric(), None);
-        assert_eq!(log.last_eval(), None);
+        assert_eq!(log.curve.first_metric(), None);
+        assert_eq!(log.curve.final_metric(), None);
         // The struct-level final_metric still falls back to a live eval so
         // downstream f64 consumers stay finite.
         assert!(log.final_metric.is_finite());

@@ -32,7 +32,7 @@
 //! [`fleet_round`] under the new `(rank, n)`.
 
 use gcs_collectives::error::CollectiveError;
-use gcs_collectives::transport::{broadcast_worker, ring_all_reduce_worker, MessageLinks};
+use gcs_collectives::transport::{broadcast_worker, ring_all_reduce_worker_into, MessageLinks};
 use gcs_collectives::F32Sum;
 use gcs_nn::{Model, Sgd};
 use gcs_tensor::rng::splitmix64;
@@ -63,24 +63,24 @@ pub fn fleet_round<L: MessageLinks<f32>>(
 ) -> Result<FleetRoundOutcome, CollectiveError> {
     let rank = links.rank();
     let n = links.n();
-    let (loss, grads) = {
+    let (loss, mut grads) = {
         let _s = gcs_trace::span(gcs_trace::Phase::Compute, "fleet_compute");
         let batch = model.train_batch(batch_per_worker, rank, round);
         let loss = model.forward_backward(&batch);
         (loss, model.grads_flat().to_vec())
     };
-    let (mut sum, bytes_sent, bytes_received) = {
+    let (bytes_sent, bytes_received) = {
         let _s = gcs_trace::span(gcs_trace::Phase::Network, "fleet_all_reduce");
-        ring_all_reduce_worker(links, grads, &F32Sum, 4.0)?
+        ring_all_reduce_worker_into(links, &mut grads, &F32Sum, 4.0, &mut Vec::new())?
     };
     gcs_trace::counter("fleet_wire_bytes", (bytes_sent + bytes_received) as f64);
     {
         let _s = gcs_trace::span(gcs_trace::Phase::Optimizer, "fleet_sgd_step");
         let inv = 1.0 / n as f32;
-        for g in &mut sum {
+        for g in &mut grads {
             *g *= inv;
         }
-        opt.step_into(model.params_flat_mut(), &sum);
+        opt.step_into(model.params_flat_mut(), &grads);
     }
     Ok(FleetRoundOutcome {
         loss,

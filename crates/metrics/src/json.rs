@@ -1,6 +1,7 @@
 //! A minimal JSON value type with a recursive-descent parser and a
-//! deterministic renderer — just enough for the JSONL exporter and the
-//! `BENCH_*.json` artifact schema, with no dependencies.
+//! deterministic renderer — just enough for the flight recorder's JSONL
+//! dump and the reference benchmark's result objects (`benchmarks/e2e`),
+//! with no dependencies.
 //!
 //! Objects preserve insertion order (`Vec<(String, Json)>`), so rendered
 //! artifacts diff cleanly across runs. Numbers are `f64`; integers render

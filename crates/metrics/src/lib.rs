@@ -7,10 +7,9 @@
 //! evaluation methodology calls for — [`TtaMonitor`] (time-to-accuracy,
 //! rolling averages, utility vs FP16, divergence early warning) and
 //! [`StragglerMonitor`] (per-worker skew, per-collective tail latencies).
-//! Three exporters serialize the state: Prometheus text format
-//! ([`Registry::to_prometheus`]), JSONL time series ([`Registry::to_jsonl`]),
-//! and the `BENCH_*.json` artifact schema ([`validate_bench_json`]) emitted
-//! by `gcs-bench`'s `bench_report` binary.
+//! [`Registry::to_prometheus`] serializes the state in the Prometheus text
+//! format; [`Json`] is the dependency-free value type machine-readable
+//! reports are built from.
 //!
 //! # Probe contract (same as `gcs-trace`)
 //!
@@ -37,7 +36,6 @@
 //! # let _ = reg.to_prometheus();
 //! ```
 
-mod bench_schema;
 pub mod fleet;
 mod hist;
 mod json;
@@ -47,7 +45,6 @@ mod straggler;
 mod tta;
 mod wirefmt;
 
-pub use bench_schema::{validate_bench_json, SCHEMA_VERSION};
 pub use fleet::{
     decode_registry, encode_registry, FleetAggregator, FleetMember, FlightEntry, FlightRecorder,
     FLEET_WIRE_VERSION, FLIGHT_CAPACITY,

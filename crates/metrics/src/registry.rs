@@ -1,6 +1,6 @@
 //! The metric registry: named counters, gauges, histograms, and time series,
 //! plus the bridge that turns a raw [`gcs_trace::Trace`] into aggregated
-//! telemetry and the Prometheus/JSONL exporters.
+//! telemetry and the Prometheus exporter.
 //!
 //! Naming convention (slash-separated, lowercase): `collective/<op>/...`,
 //! `scheme/<family>/...`, `train/...`, `flowsim/...`, `throughput/...`.
@@ -238,60 +238,6 @@ impl Registry {
         }
         out
     }
-
-    /// JSONL export: one JSON object per line. Every time-series point is a
-    /// line `{"kind":"series","name":...,"round":...,"value":...}`; counters,
-    /// gauges, and histogram summaries follow as single snapshot lines.
-    pub fn to_jsonl(&self) -> String {
-        use crate::json::Json;
-        let mut out = String::new();
-        for (name, s) in &self.series {
-            for (round, v) in s.iter() {
-                let line = Json::Object(vec![
-                    ("kind".into(), Json::Str("series".into())),
-                    ("name".into(), Json::Str(name.clone())),
-                    ("round".into(), Json::Num(round as f64)),
-                    ("value".into(), Json::Num(v)),
-                ]);
-                out.push_str(&line.render());
-                out.push('\n');
-            }
-        }
-        for (name, v) in &self.counters {
-            let line = Json::Object(vec![
-                ("kind".into(), Json::Str("counter".into())),
-                ("name".into(), Json::Str(name.clone())),
-                ("value".into(), Json::Num(*v)),
-            ]);
-            out.push_str(&line.render());
-            out.push('\n');
-        }
-        for (name, v) in &self.gauges {
-            let line = Json::Object(vec![
-                ("kind".into(), Json::Str("gauge".into())),
-                ("name".into(), Json::Str(name.clone())),
-                ("value".into(), Json::Num(*v)),
-            ]);
-            out.push_str(&line.render());
-            out.push('\n');
-        }
-        for (name, h) in &self.hists {
-            let mut fields = vec![
-                ("kind".into(), Json::Str("histogram".into())),
-                ("name".into(), Json::Str(name.clone())),
-                ("count".into(), Json::Num(h.count() as f64)),
-                ("sum".into(), Json::Num(h.sum())),
-            ];
-            for (q, label) in [(0.50, "p50"), (0.90, "p90"), (0.99, "p99")] {
-                if let Some(v) = h.quantile(q) {
-                    fields.push((label.into(), Json::Num(v)));
-                }
-            }
-            out.push_str(&Json::Object(fields).render());
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Sanitizes a registry name into a valid Prometheus metric name:
@@ -486,23 +432,5 @@ mod tests {
         assert_eq!(prom_label_value("a\"b"), "a\\\"b");
         assert_eq!(prom_label_value("a\\b"), "a\\\\b");
         assert_eq!(prom_label_value("a\nb"), "a\\nb");
-    }
-
-    #[test]
-    fn jsonl_export_emits_one_object_per_line() {
-        let mut r = Registry::new();
-        r.series_push("train/loss", 0, 2.0);
-        r.series_push("train/loss", 1, 1.0);
-        r.counter_add("wire", 3.0);
-        r.observe("lat", 10.0);
-        let text = r.to_jsonl();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4);
-        for line in &lines {
-            let parsed = crate::json::Json::parse(line).expect("valid JSON line");
-            assert!(matches!(parsed, crate::json::Json::Object(_)));
-        }
-        assert!(lines[0].contains("\"kind\":\"series\""));
-        assert!(lines[0].contains("\"round\":0"));
     }
 }

@@ -877,11 +877,6 @@ impl Sequential {
         &self.grads
     }
 
-    /// Copies all parameters into one flat vector.
-    pub fn flat_params(&self) -> Vec<f32> {
-        self.params_flat().to_vec()
-    }
-
     /// Overwrites all parameters from a flat vector — one `copy_from_slice`
     /// over the arena.
     ///
@@ -889,24 +884,6 @@ impl Sequential {
     /// Panics on length mismatch.
     pub fn set_flat_params(&mut self, flat: &[f32]) {
         self.params.copy_from(flat);
-    }
-
-    /// Copies all gradients into one flat vector.
-    pub fn flat_grads(&self) -> Vec<f32> {
-        self.grads_flat().to_vec()
-    }
-
-    /// Adds `delta` to the parameters (`params += delta`), one pass over the
-    /// flat arena.
-    ///
-    /// # Panics
-    /// Panics on length mismatch.
-    pub fn apply_flat_delta(&mut self, delta: &[f32]) {
-        let p = self.params.as_mut_slice();
-        assert_eq!(delta.len(), p.len(), "apply_flat_delta: size");
-        for (pi, &di) in p.iter_mut().zip(delta) {
-            *pi += di;
-        }
     }
 
     /// Zeroes all gradients (one `fill` over the flat arena).
@@ -1202,14 +1179,16 @@ mod tests {
                 Box::new(Dense::new(5, 2, &mut r)),
             ],
         );
-        let p = seq.flat_params();
+        let p = seq.params_flat().to_vec();
         assert_eq!(p.len(), 6 * 5 + 5 + 5 * 2 + 2);
         let mut p2 = p.clone();
         p2[0] = 42.0;
         seq.set_flat_params(&p2);
-        assert_eq!(seq.flat_params()[0], 42.0);
-        seq.apply_flat_delta(&vec![1.0; p.len()]);
-        assert_eq!(seq.flat_params()[0], 43.0);
+        assert_eq!(seq.params_flat()[0], 42.0);
+        for v in seq.params_flat_mut() {
+            *v += 1.0;
+        }
+        assert_eq!(seq.params_flat()[0], 43.0);
     }
 
     #[test]
@@ -1241,6 +1220,7 @@ mod tests {
         let mut r = rng();
         let mut seq = Sequential::new(1, vec![Box::new(Dense::new(1, 1, &mut r))]);
         let x = [0.5f32, -1.0, 2.0];
+        let mut opt = crate::optim::Sgd::new(0.05, 0.0, 0.0);
         for _ in 0..300 {
             seq.forward(&x, 3);
             let (y, grad) = seq.output_and_grad_mut(3);
@@ -1249,9 +1229,8 @@ mod tests {
             }
             seq.zero_grads();
             seq.backward(&x, 3);
-            let g = seq.flat_grads();
-            let delta: Vec<f32> = g.iter().map(|v| -0.05 * v).collect();
-            seq.apply_flat_delta(&delta);
+            let g = seq.grads_flat().to_vec();
+            opt.step_into(seq.params_flat_mut(), &g);
         }
         let out = seq.forward(&[1.0], 1);
         assert!((out[0] - 2.0).abs() < 0.05, "learned {}", out[0]);

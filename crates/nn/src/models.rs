@@ -41,29 +41,6 @@ pub trait Model {
     /// and `copy_from_slice` replica sync.
     fn params_flat_mut(&mut self) -> &mut [f32];
 
-    /// The flat gradient from the last [`Model::forward_backward`]
-    /// (copying convenience over [`Model::grads_flat`]).
-    fn flat_grads(&self) -> Vec<f32> {
-        self.grads_flat().to_vec()
-    }
-
-    /// Adds `delta` to the flat parameters.
-    ///
-    /// # Panics
-    /// Panics on length mismatch.
-    fn apply_flat_delta(&mut self, delta: &[f32]) {
-        let p = self.params_flat_mut();
-        assert_eq!(delta.len(), p.len(), "apply_flat_delta: size");
-        for (pi, &di) in p.iter_mut().zip(delta) {
-            *pi += di;
-        }
-    }
-
-    /// Copies the flat parameters.
-    fn flat_params(&self) -> Vec<f32> {
-        self.params_flat().to_vec()
-    }
-
     /// Overwrites the flat parameters (one `copy_from_slice`).
     ///
     /// # Panics
@@ -368,17 +345,18 @@ impl Model for TransformerMini {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optim::Sgd;
 
     #[test]
     fn transformer_mini_learns() {
         let mut m = TransformerMini::new(9);
         let before = m.evaluate();
+        let mut opt = Sgd::new(0.05, 0.0, 0.0);
         for round in 0..150 {
             let b = m.train_batch(32, 0, round);
             m.forward_backward(&b);
-            let g = m.flat_grads();
-            let delta: Vec<f32> = g.iter().map(|x| -0.05 * x).collect();
-            m.apply_flat_delta(&delta);
+            let g = m.grads_flat().to_vec();
+            opt.step_into(m.params_flat_mut(), &g);
         }
         let after = m.evaluate();
         assert!(
@@ -416,12 +394,12 @@ mod tests {
     fn vgg_mini_learns_above_chance_quickly() {
         let mut m = VggMini::new(3);
         let before = m.evaluate();
+        let mut opt = Sgd::new(0.02, 0.0, 0.0);
         for round in 0..250 {
             let b = m.train_batch(32, 0, round);
             m.forward_backward(&b);
-            let g = m.flat_grads();
-            let delta: Vec<f32> = g.iter().map(|x| -0.02 * x).collect();
-            m.apply_flat_delta(&delta);
+            let g = m.grads_flat().to_vec();
+            opt.step_into(m.params_flat_mut(), &g);
         }
         let after = m.evaluate();
         assert!(
@@ -435,12 +413,12 @@ mod tests {
         let mut m = BertMini::new(4);
         let before = m.evaluate();
         assert!(before > 100.0, "initial ppl ~ vocab, got {before}");
+        let mut opt = Sgd::new(0.02, 0.0, 0.0);
         for round in 0..400 {
             let b = m.train_batch(64, 0, round);
             m.forward_backward(&b);
-            let g = m.flat_grads();
-            let delta: Vec<f32> = g.iter().map(|x| -0.02 * x).collect();
-            m.apply_flat_delta(&delta);
+            let g = m.grads_flat().to_vec();
+            opt.step_into(m.params_flat_mut(), &g);
         }
         let after = m.evaluate();
         assert!(after < before * 0.6, "perplexity {before} -> {after}");
@@ -453,16 +431,16 @@ mod tests {
         let b = m1.train_batch(8, 1, 3);
         m1.forward_backward(&b);
         m2.forward_backward(&b);
-        assert_eq!(m1.flat_grads(), m2.flat_grads());
+        assert_eq!(m1.grads_flat(), m2.grads_flat());
     }
 
     #[test]
     fn flat_param_round_trip() {
         let mut m = VggMini::new(6);
-        let p = m.flat_params();
+        let p = m.params_flat().to_vec();
         let mut p2 = p.clone();
         p2[10] += 1.0;
         m.set_flat_params(&p2);
-        assert_eq!(m.flat_params()[10], p[10] + 1.0);
+        assert_eq!(m.params_flat()[10], p[10] + 1.0);
     }
 }

@@ -28,9 +28,7 @@ impl Sgd {
 
     /// Takes one step **in place**: updates `params` directly from an
     /// (aggregated) gradient, allocating nothing after the first call
-    /// (which sizes the velocity buffer). Bitwise-identical to applying
-    /// the delta the deprecated [`Sgd::step`] returns, since
-    /// `θ − η·v ≡ θ + (−(η·v))` in IEEE-754.
+    /// (which sizes the velocity buffer).
     ///
     /// # Panics
     /// Panics if the gradient dimension changes between steps.
@@ -49,31 +47,6 @@ impl Sgd {
             self.velocity[i] = self.momentum * self.velocity[i] + g;
             params[i] -= self.lr * self.velocity[i];
         }
-    }
-
-    /// Computes the parameter delta for one step from an (aggregated)
-    /// gradient; the caller applies it.
-    ///
-    /// # Panics
-    /// Panics if the gradient dimension changes between steps.
-    #[deprecated(since = "0.6.0", note = "use the allocation-free `step_into`")]
-    pub fn step(&mut self, params: &[f32], grad: &[f32]) -> Vec<f32> {
-        if self.velocity.is_empty() {
-            self.velocity = vec![0.0; grad.len()];
-        }
-        assert_eq!(
-            self.velocity.len(),
-            grad.len(),
-            "Sgd: gradient dimension changed"
-        );
-        assert_eq!(params.len(), grad.len(), "Sgd: params/grad mismatch");
-        let mut delta = Vec::with_capacity(grad.len());
-        for i in 0..grad.len() {
-            let g = grad[i] + self.weight_decay * params[i];
-            self.velocity[i] = self.momentum * self.velocity[i] + g;
-            delta.push(-self.lr * self.velocity[i]);
-        }
-        delta
     }
 
     /// Resets momentum state.
@@ -121,8 +94,7 @@ impl Adam {
 
     /// Takes one AdamW step **in place**: updates `params` directly,
     /// allocating nothing after the first call (which sizes the moment
-    /// buffers). Bitwise-identical to applying the delta the deprecated
-    /// [`Adam::step`] returns.
+    /// buffers).
     ///
     /// # Panics
     /// Panics if the gradient dimension changes between steps.
@@ -145,34 +117,6 @@ impl Adam {
             params[i] -=
                 self.lr * (mhat / (vhat.sqrt() + self.eps) + self.weight_decay * params[i]);
         }
-    }
-
-    /// Computes the parameter delta for one step.
-    ///
-    /// # Panics
-    /// Panics if the gradient dimension changes between steps.
-    #[deprecated(since = "0.6.0", note = "use the allocation-free `step_into`")]
-    pub fn step(&mut self, params: &[f32], grad: &[f32]) -> Vec<f32> {
-        if self.m.is_empty() {
-            self.m = vec![0.0; grad.len()];
-            self.v = vec![0.0; grad.len()];
-        }
-        assert_eq!(self.m.len(), grad.len(), "Adam: gradient dimension changed");
-        assert_eq!(params.len(), grad.len(), "Adam: params/grad mismatch");
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let mut delta = Vec::with_capacity(grad.len());
-        for i in 0..grad.len() {
-            let g = grad[i];
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g;
-            let mhat = self.m[i] / bc1;
-            let vhat = self.v[i] / bc2;
-            delta
-                .push(-self.lr * (mhat / (vhat.sqrt() + self.eps) + self.weight_decay * params[i]));
-        }
-        delta
     }
 
     /// Resets moment state.
@@ -349,39 +293,5 @@ mod tests {
         let mut opt = Sgd::new(0.1, 0.9, 0.0);
         opt.step_into(&mut [0.0], &[1.0]);
         opt.step_into(&mut [0.0, 0.0], &[1.0, 1.0]);
-    }
-
-    /// The deprecated delta-returning forms and the in-place forms walk the
-    /// exact same trajectory bit for bit (θ += −η·v ≡ θ −= η·v).
-    #[test]
-    #[allow(deprecated)]
-    fn step_into_matches_deprecated_step_bitwise() {
-        let grads = [[0.7f32, -0.3], [0.1, 0.9], [-0.5, 0.2], [0.0, -1.0]];
-
-        let mut sgd_a = Sgd::new(0.1, 0.9, 0.01);
-        let mut sgd_b = sgd_a.clone();
-        let mut xa = [1.0f32, -2.0];
-        let mut xb = xa;
-        for g in &grads {
-            sgd_a.step_into(&mut xa, g);
-            let d = sgd_b.step(&xb, g);
-            for (x, di) in xb.iter_mut().zip(&d) {
-                *x += di;
-            }
-        }
-        assert_eq!(xa.map(f32::to_bits), xb.map(f32::to_bits));
-
-        let mut adam_a = Adam::new(0.01, 0.1);
-        let mut adam_b = adam_a.clone();
-        let mut ya = [0.5f32, 3.0];
-        let mut yb = ya;
-        for g in &grads {
-            adam_a.step_into(&mut ya, g);
-            let d = adam_b.step(&yb, g);
-            for (y, di) in yb.iter_mut().zip(&d) {
-                *y += di;
-            }
-        }
-        assert_eq!(ya.map(f32::to_bits), yb.map(f32::to_bits));
     }
 }

@@ -808,7 +808,7 @@ mod tests {
         for round in 0..3 {
             v.reset(5, 77);
             v.pack_with(|i| ((i as i32 + round) % 31) - 15);
-            let expect: Vec<i32> = (0..77).map(|i| ((i as i32 + round) % 31) - 15).collect();
+            let expect: Vec<i32> = (0..77).map(|i| ((i + round) % 31) - 15).collect();
             assert_eq!(v.to_signed_vec(), expect, "round={round}");
         }
     }

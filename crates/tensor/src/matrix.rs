@@ -128,32 +128,6 @@ impl Matrix {
         out
     }
 
-    /// `selfᵀ * other` without materializing the transpose.
-    ///
-    /// Parallelized over output rows (columns of `self`) with the sequential
-    /// per-element term order preserved, so the result is bitwise-identical
-    /// for any thread count.
-    ///
-    /// # Panics
-    /// Panics if row counts disagree.
-    pub fn transpose_matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.rows, other.rows,
-            "transpose_matmul: {}x{}^T * {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        transpose_matmul_into(
-            &self.data,
-            self.rows,
-            self.cols,
-            &other.data,
-            other.cols,
-            &mut out.data,
-        );
-        out
-    }
-
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -484,7 +458,8 @@ mod tests {
     fn transpose_matmul_matches_explicit_transpose() {
         let a = Matrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
         let b = Matrix::from_vec(3, 2, vec![7., 8., 9., 10., 11., 12.]);
-        let via_helper = a.transpose_matmul(&b);
+        let mut via_helper = Matrix::zeros(2, 2);
+        transpose_matmul_into(a.data(), 3, 2, b.data(), 2, via_helper.data_mut());
         let via_transpose = a.transpose().matmul(&b);
         assert_eq!(via_helper, via_transpose);
     }
@@ -557,10 +532,16 @@ mod tests {
         // Mᵀ P̂ with M (m×n), P̂ (m×r).
         let a = random_matrix(256, 96, 0x33);
         let b = random_matrix(256, 32, 0x44);
-        let reference = crate::parallel::with_threads(1, || a.transpose_matmul(&b));
+        let mut reference = vec![0.0f32; 96 * 32];
+        crate::parallel::with_threads(1, || {
+            transpose_matmul_into(a.data(), 256, 96, b.data(), 32, &mut reference)
+        });
         for threads in [2, 3, 8] {
-            let got = crate::parallel::with_threads(threads, || a.transpose_matmul(&b));
-            for (x, y) in got.data().iter().zip(reference.data()) {
+            let mut got = vec![0.0f32; 96 * 32];
+            crate::parallel::with_threads(threads, || {
+                transpose_matmul_into(a.data(), 256, 96, b.data(), 32, &mut got)
+            });
+            for (x, y) in got.iter().zip(&reference) {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }

@@ -208,7 +208,7 @@ mod tests {
     fn checkin_then_checkout_reuses_allocation() {
         let mut pool = SizeClassPool::<f32>::default();
         let mut buf = pool.checkout(1000);
-        buf.extend(std::iter::repeat(1.0).take(1000));
+        buf.extend(std::iter::repeat_n(1.0, 1000));
         let ptr = buf.as_ptr();
         pool.checkin(buf);
         // A smaller request must be served by the pooled (larger) buffer.
@@ -267,13 +267,13 @@ mod tests {
         let mut wb = WorkerBufs::<f32>::default();
         let bufs = wb.prepare(4);
         for (w, b) in bufs.iter_mut().enumerate() {
-            b.extend(std::iter::repeat(w as f32).take(128));
+            b.extend(std::iter::repeat_n(w as f32, 128));
         }
         let ptrs: Vec<*const f32> = wb.slice(4).iter().map(|b| b.as_ptr()).collect();
         // Round 2: same n, same allocations.
         let bufs = wb.prepare(4);
         for b in bufs.iter_mut() {
-            b.extend(std::iter::repeat(0.0).take(128));
+            b.extend(std::iter::repeat_n(0.0, 128));
         }
         for (b, &p) in wb.slice(4).iter().zip(&ptrs) {
             assert_eq!(b.as_ptr(), p, "prepare() must not reallocate");

@@ -110,15 +110,10 @@ impl CountSketch {
         }
     }
 
-    /// Median-of-rows estimate of coordinate `i`.
-    pub fn estimate(&self, i: usize) -> f32 {
-        self.estimate_with(i, &mut Vec::with_capacity(self.rows))
-    }
-
-    /// [`CountSketch::estimate`] with a caller-owned median buffer — the
-    /// per-call allocation is the entire cost of estimation loops, so hot
-    /// paths (heavy-hitter recovery, per-worker EF contributions) reuse one
-    /// buffer across all `d` coordinates.
+    /// Median-of-rows estimate of coordinate `i`, staged in a caller-owned
+    /// median buffer — a per-call allocation would be the entire cost of an
+    /// estimation loop, so heavy-hitter recovery and the per-worker EF
+    /// contributions reuse one buffer across all `d` coordinates.
     pub fn estimate_with(&self, i: usize, vals: &mut Vec<f32>) -> f32 {
         vals.clear();
         vals.extend((0..self.rows).map(|row| {
@@ -134,19 +129,11 @@ impl CountSketch {
         }
     }
 
-    /// Estimates all `d` coordinates and returns the indices of the `k`
-    /// largest-magnitude estimates (heavy-hitter recovery).
-    pub fn heavy_hitters(&self, d: usize, k: usize) -> Vec<usize> {
-        let mut out = Vec::with_capacity(k.min(d));
-        self.heavy_hitters_into(d, k, &mut SketchScratch::new(), &mut out);
-        out
-    }
-
-    /// [`CountSketch::heavy_hitters`] writing into caller-owned scratch and
-    /// output — the allocation-free estimation path: estimates stage in
-    /// `scratch.est`, each median reuses `scratch.vals`, and the final
-    /// selection threads `scratch.topk` through
-    /// [`crate::vector::top_k_indices_into`].
+    /// Heavy-hitter recovery: estimates all `d` coordinates and writes the
+    /// indices of the `k` largest-magnitude estimates to `out`. Allocation-
+    /// free at steady state: estimates stage in `scratch.est`, each median
+    /// reuses `scratch.vals`, and the final selection threads `scratch.topk`
+    /// through [`crate::vector::top_k_indices_into`].
     pub fn heavy_hitters_into(
         &self,
         d: usize,
@@ -195,8 +182,10 @@ mod tests {
         v[123] = 5.0;
         let mut s = CountSketch::new(5, 64, seed());
         s.insert(&v);
-        assert!((s.estimate(123) - 5.0).abs() < 1e-6);
-        assert_eq!(s.heavy_hitters(d, 1), vec![123]);
+        assert!((s.estimate_with(123, &mut Vec::new()) - 5.0).abs() < 1e-6);
+        let mut found = Vec::new();
+        s.heavy_hitters_into(d, 1, &mut SketchScratch::new(), &mut found);
+        assert_eq!(found, vec![123]);
     }
 
     #[test]
@@ -231,7 +220,8 @@ mod tests {
         }
         let mut s = CountSketch::new(5, 256, seed());
         s.insert(&v);
-        let mut found = s.heavy_hitters(d, 5);
+        let mut found = Vec::new();
+        s.heavy_hitters_into(d, 5, &mut SketchScratch::new(), &mut found);
         found.sort_unstable();
         assert_eq!(found, heavy.to_vec());
     }
@@ -244,10 +234,11 @@ mod tests {
         let v: Vec<f32> = (0..d).map(|i| ((i * 31) % 7) as f32 - 3.0).collect();
         let mut acc = 0.0f64;
         let trials = 200;
+        let mut vals = Vec::new();
         for t in 0..trials {
             let mut s = CountSketch::new(1, 32, SharedSeed::new(t));
             s.insert(&v);
-            acc += s.estimate(200) as f64;
+            acc += s.estimate_with(200, &mut vals) as f64;
         }
         let avg = acc / trials as f64;
         assert!(

@@ -184,7 +184,7 @@ fn magnitude_order(v: &[f32], a: usize, b: usize) -> std::cmp::Ordering {
     v[b].abs().total_cmp(&v[a].abs()).then(a.cmp(&b))
 }
 
-/// Reusable scratch for [`top_k_indices_with`]: hot loops (per-worker TopK
+/// Reusable scratch for [`top_k_indices_into`]: hot loops (per-worker TopK
 /// compression, per-round chunk scoring) call selection thousands of times,
 /// and reusing the index/key buffers avoids `O(d)` allocations each call.
 #[derive(Clone, Default, Debug)]
@@ -212,13 +212,8 @@ impl TopKScratch {
 /// parallel, then merge); the comparator is a total order, so the chunked
 /// result is identical to the flat one bit-for-bit.
 pub fn top_k_indices(v: &[f32], k: usize) -> Vec<usize> {
-    top_k_indices_with(v, k, &mut TopKScratch::new())
-}
-
-/// [`top_k_indices`] with caller-owned scratch, for hot loops.
-pub fn top_k_indices_with(v: &[f32], k: usize, scratch: &mut TopKScratch) -> Vec<usize> {
     let mut out = Vec::with_capacity(k.min(v.len()));
-    top_k_indices_into(v, k, scratch, &mut out);
+    top_k_indices_into(v, k, &mut TopKScratch::new(), &mut out);
     out
 }
 
@@ -453,20 +448,13 @@ mod tests {
     #[test]
     fn top_k_scratch_reuse_matches_fresh_calls() {
         let mut scratch = TopKScratch::new();
+        let mut out = Vec::new();
         let a = [0.5f32, -9.0, 2.0, 2.0, -2.0, 7.5];
         let b = [1.0f32, 0.0, -3.0];
-        assert_eq!(
-            top_k_indices_with(&a, 3, &mut scratch),
-            top_k_indices(&a, 3)
-        );
-        assert_eq!(
-            top_k_indices_with(&b, 2, &mut scratch),
-            top_k_indices(&b, 2)
-        );
-        assert_eq!(
-            top_k_indices_with(&a, 5, &mut scratch),
-            top_k_indices(&a, 5)
-        );
+        for (v, k) in [(&a[..], 3), (&b[..], 2), (&a[..], 5)] {
+            top_k_indices_into(v, k, &mut scratch, &mut out);
+            assert_eq!(out, top_k_indices(v, k));
+        }
     }
 
     #[test]

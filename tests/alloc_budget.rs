@@ -200,7 +200,6 @@ fn tcp_ring_steady_state_is_allocation_free() {
                 round();
                 round();
                 let ((), stats) = measure(&mut round);
-                drop(links);
                 w.leave().expect("leave");
                 stats.total_events()
             })
@@ -334,9 +333,8 @@ fn powersgd_round_allocation_budget_is_bounded() {
 
 #[test]
 fn optimizer_step_into_steady_state_is_allocation_free() {
-    // The deprecated `step` forms returned fresh parameter vectors every
-    // round; `step_into` updates in place, with optimizer state sized once
-    // on the first call (covered by the warm-up rounds).
+    // `step_into` updates in place, with optimizer state sized once on the
+    // first call (covered by the warm-up rounds).
     with_threads(1, || {
         let g = grads(1, D);
         let mut params = vec![0.1f32; D];

@@ -162,7 +162,7 @@ proptest! {
 }
 
 /// A canned highly-degraded-but-recoverable run, pinned as a regression:
-/// the exact plan `bench_report` publishes must recover bitwise.
+/// this exact plan must recover bitwise.
 #[test]
 fn canned_bench_plan_recovers() {
     use gradient_utility::faults::canned_inputs;

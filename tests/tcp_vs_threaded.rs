@@ -20,7 +20,7 @@
 
 use gradient_utility::collectives::tcp::{FleetWorker, Registry, TcpCluster, TcpTimeouts};
 use gradient_utility::collectives::transport::{
-    all_gather_worker, broadcast_worker, ring_all_reduce_worker, MessageLinks, ThreadedCluster,
+    all_gather_worker, broadcast_worker, ring_all_reduce_worker_into, MessageLinks, ThreadedCluster,
 };
 use gradient_utility::collectives::F32Sum;
 use proptest::prelude::*;
@@ -59,9 +59,10 @@ fn inputs(n: usize, len: usize, seed: u64) -> Vec<Vec<f32>> {
 /// counts come from the worker bodies themselves.
 type WorkerOut = (Vec<f32>, u64, u64);
 
-fn run_op<L: MessageLinks<f32>>(op: Op, links: &mut L, buf: Vec<f32>) -> WorkerOut {
+fn run_op<L: MessageLinks<f32>>(op: Op, links: &mut L, mut buf: Vec<f32>) -> WorkerOut {
     match op {
-        Op::Ring => ring_all_reduce_worker(links, buf, &F32Sum, 4.0),
+        Op::Ring => ring_all_reduce_worker_into(links, &mut buf, &F32Sum, 4.0, &mut Vec::new())
+            .map(|(sent, received)| (buf, sent, received)),
         Op::Broadcast { root } => broadcast_worker(links, buf, root, 4.0),
         Op::AllGather => all_gather_worker(links, buf, 4.0),
     }
