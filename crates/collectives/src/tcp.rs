@@ -80,6 +80,10 @@ const POLL_SLEEP: Duration = Duration::from_millis(1);
 /// and exact round-tripping. Encoding is little-endian, so a value reduced
 /// over TCP is bit-identical to the same value reduced in process — the
 /// property the differential suite asserts.
+///
+/// Implementations mark both methods `#[inline]`: the codec loops call them
+/// once per element from generic code instantiated in downstream crates,
+/// where a method that cannot be inlined is a call through the GOT.
 pub trait WireElem: Clone + Send + 'static {
     /// Encoded width in bytes.
     const BYTES: usize;
@@ -91,9 +95,11 @@ pub trait WireElem: Clone + Send + 'static {
 
 impl WireElem for f32 {
     const BYTES: usize = 4;
+    #[inline]
     fn write_to(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_le_bytes());
     }
+    #[inline]
     fn read_from(bytes: &[u8]) -> Self {
         f32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]])
     }
@@ -101,9 +107,11 @@ impl WireElem for f32 {
 
 impl WireElem for u32 {
     const BYTES: usize = 4;
+    #[inline]
     fn write_to(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_le_bytes());
     }
+    #[inline]
     fn read_from(bytes: &[u8]) -> Self {
         u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]])
     }

@@ -5,8 +5,8 @@
 //! the previous round's `Q`:
 //!
 //! 1. `P = Σᵢ Mᵢ Q`       — ring all-reduce of `m×r` (FP32)
-//! 2. `P̂ = GramSchmidt(P)` — **the expensive part**, §3.3's profiled
-//!    bottleneck
+//! 2. `P̂ = GramSchmidt(P)` — §3.3's profiled bottleneck at the paper's
+//!    `r = 64`
 //! 3. `Q' = Σᵢ Mᵢᵀ P̂ / n` — ring all-reduce of `n×r` (FP32)
 //! 4. estimate `= P̂ Q'ᵀ`; per-worker error feedback
 //!    `memᵢ = Mᵢ − P̂ (Mᵢᵀ P̂)ᵀ`
@@ -14,8 +14,10 @@
 //! PowerSGD is natively all-reduce compatible (summing `P`s and `Q`s *is*
 //! the aggregation — the paper's Table 1 credits it via \[11\]), and achieves
 //! extreme compression ratios (`b` well below 1 bit/coordinate, Table 9) —
-//! but its throughput is bounded by orthogonalization, not communication,
-//! which is the §3.3 finding our cost model reproduces.
+//! but its throughput is bounded by compute, not communication: §3.3's
+//! finding, which our cost model reproduces. On this substrate the compute
+//! is a layer's `3n + 1` thin matrix products (steps 1, 3 and 4);
+//! EXPERIMENTS.md (Table 9) has the measured split by rank.
 
 use crate::ef::ErrorFeedback;
 use crate::scheme::{AggregationOutcome, CommEvent, CompressionScheme, RoundContext};
@@ -46,6 +48,8 @@ struct PowerSgdScratch {
     q_bufs: WorkerBufs<f32>,
     /// The summed-and-orthonormalized P factor for the current layer.
     p_hat: Vec<f32>,
+    /// `Qᵀ` staging for the `P̂ Qᵀ` products.
+    q_t: Vec<f32>,
     gs: GsScratch,
     rest: WorkerBufs<f32>,
     ring: RingScratch<f32>,
@@ -200,6 +204,7 @@ impl CompressionScheme for PowerSgd {
             q_locals,
             q_bufs,
             p_hat,
+            q_t,
             gs,
             rest,
             ring,
@@ -237,7 +242,9 @@ impl CompressionScheme for PowerSgd {
             }
 
             // Q_i = M_iᵀ P̂, kept per worker for the EF contributions, with
-            // a copy all-reduced then averaged.
+            // a copy all-reduced then averaged. The factors stay `cols × r`
+            // through the ring: an element's segment fixes the order its
+            // workers are summed in, so a transposed layout would change bits.
             {
                 let _s = gcs_trace::span(gcs_trace::Phase::Compress, "powersgd_matmul_q");
                 for (buf, c) in q_locals.prepare(n).iter_mut().zip(corrected.iter()) {
@@ -268,6 +275,7 @@ impl CompressionScheme for PowerSgd {
                     r,
                     q_state.data(),
                     cols,
+                    q_t,
                     &mut estimate[offset..offset + len],
                 );
             }
@@ -285,6 +293,7 @@ impl CompressionScheme for PowerSgd {
                         r,
                         q_local,
                         cols,
+                        q_t,
                         &mut sent[w][offset..offset + len],
                     );
                 }

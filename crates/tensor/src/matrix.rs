@@ -11,17 +11,22 @@
 //!
 //! This module supplies the matmuls and the modified Gram–Schmidt.
 //!
-//! The matmuls fan out over **output rows** on the [`crate::parallel`]
-//! runtime: every output row is produced by exactly one task using the same
-//! per-element accumulation order as the sequential loops, so results are
-//! bitwise-identical for any `GCS_THREADS`.
+//! The three products of a round — `M·Q`, `Mᵀ·P̂` and the `P̂·Qᵀ` of the
+//! estimate and the error-feedback contributions — have the rank as their
+//! inner or output dimension, so each kernel blocks over the rank and
+//! vectorises along the long dimension. Each fixes, in its doc comment, the
+//! expression tree of one output element; blocking, streaming and the
+//! [`crate::parallel`] fan-out over **blocks of output rows** only decide
+//! who evaluates a tree, so results are bitwise-identical for any
+//! `GCS_THREADS`. `tests/powersgd_kernels.rs` holds the plain row loops the
+//! trees are read off.
 
 use crate::parallel;
+use crate::simd::LANES;
 
-/// Minimum number of multiply-adds before a matmul fans out to threads.
-/// Below this the spawn cost dominates; PowerSGD's P/Q products on real
-/// layer shapes sit far above it.
-const MATMUL_PAR_MIN: usize = 1 << 16;
+/// Minimum number of multiply-adds a matmul hands one thread — some 150 µs
+/// of these kernels' work. Below this the spawn cost dominates.
+const MATMUL_PAR_MIN: usize = 1 << 20;
 
 /// Minimum element count before `transpose` fans out.
 const TRANSPOSE_PAR_MIN: usize = 1 << 16;
@@ -104,9 +109,7 @@ impl Matrix {
 
     /// `self * other` — returns an `m×p` product.
     ///
-    /// Fans out over output rows when the flop count warrants it; each row is
-    /// computed by exactly one task with the sequential accumulation order,
-    /// so the product is bitwise-identical for any thread count.
+    /// Bitwise-identical for any thread count (see [`matmul_into`]).
     ///
     /// # Panics
     /// Panics if inner dimensions disagree.
@@ -157,52 +160,101 @@ impl Matrix {
     }
 }
 
-/// Accumulates row `i` of `A(ar×ac) · B(ac×bc)` into `crow` using the kj
-/// (streaming) inner order — shared by every sequential and parallel matmul
-/// path so all produce identical bits.
-#[inline]
-fn matmul_row(a: &[f32], ac: usize, b: &[f32], bc: usize, i: usize, crow: &mut [f32]) {
-    let arow = &a[i * ac..(i + 1) * ac];
-    for (k, &av) in arow.iter().enumerate() {
-        if av == 0.0 {
-            continue;
-        }
-        let brow = &b[k * bc..(k + 1) * bc];
-        for (c, &bv) in crow.iter_mut().zip(brow) {
-            *c += av * bv;
+/// `dst = srcᵀ` for a row-major `src` of `cols > 0` columns.
+fn transpose_into(src: &[f32], cols: usize, dst: &mut [f32]) {
+    let rows = src.len() / cols;
+    for (r, row) in src.chunks_exact(cols).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            dst[c * rows + r] = v;
         }
     }
 }
 
-/// Accumulates row `i` of `A(ar×ac)ᵀ · B(ar×bc)` into `crow`. Per element,
-/// terms are added in ascending `k` — the sequential k-outer order.
-#[inline]
-fn transpose_matmul_row(
+/// Runs `body(first_row, block)` over blocks of whole output rows of `out`
+/// (`row_len` floats and `row_work` multiply-adds a row): one block per
+/// thread, but never more blocks than the product has multiples of
+/// [`MATMUL_PAR_MIN`] multiply-adds — so one thread, or a small product, is
+/// a single in-thread call of the same body.
+fn for_each_row_block(
+    out: &mut [f32],
+    row_len: usize,
+    row_work: usize,
+    body: impl Fn(usize, &mut [f32]) + Sync,
+) {
+    if out.is_empty() {
+        return;
+    }
+    let rows = out.len() / row_len;
+    let tasks = parallel::max_threads()
+        .min(rows * row_work / MATMUL_PAR_MIN)
+        .max(1);
+    let rows_per_task = rows.div_ceil(tasks);
+    parallel::for_each_chunk_mut(out, rows_per_task * row_len, |t, block| {
+        body(t * rows_per_task, block)
+    });
+}
+
+/// Rows a register block spans: the output rows [`matmul_into`] carries
+/// through its `k` loop together (one load of a `B` row feeds all of them,
+/// and their sums are independent add chains), and the rows of `A`
+/// [`transpose_matmul_into`] adds per pass over its output.
+const BLOCK: usize = 4;
+
+/// Output columns a register block spans; columns past the last whole tile
+/// go one at a time through the same body.
+const TILE: usize = 4;
+
+/// Columns `c0..c0 + W` of `R` output rows of `A·B`, held in registers
+/// across the whole `k` loop. `a` and `out` hold exactly those `R` rows.
+#[inline(always)]
+fn matmul_tile<const R: usize, const W: usize>(
     a: &[f32],
-    ar: usize,
     ac: usize,
     b: &[f32],
     bc: usize,
-    i: usize,
-    crow: &mut [f32],
+    c0: usize,
+    out: &mut [f32],
 ) {
-    for k in 0..ar {
-        let av = a[k * ac + i];
-        if av == 0.0 {
-            continue;
+    let arows: [&[f32]; R] = std::array::from_fn(|r| &a[r * ac..(r + 1) * ac]);
+    let mut acc = [[0.0f32; W]; R];
+    for (k, brow) in b.chunks_exact(bc).enumerate() {
+        let bk: [f32; W] = brow[c0..c0 + W].try_into().expect("tile width");
+        for (accr, arow) in acc.iter_mut().zip(&arows) {
+            let av = arow[k];
+            for (s, &bv) in accr.iter_mut().zip(&bk) {
+                *s += av * bv;
+            }
         }
-        let brow = &b[k * bc..(k + 1) * bc];
-        for (c, &bv) in crow.iter_mut().zip(brow) {
-            *c += av * bv;
+    }
+    for (r, accr) in acc.iter().enumerate() {
+        out[r * bc + c0..r * bc + c0 + W].copy_from_slice(accr);
+    }
+}
+
+/// `out = A·B` for a whole number of `R`-row blocks, tile by tile.
+fn matmul_blocks<const R: usize>(a: &[f32], ac: usize, b: &[f32], bc: usize, out: &mut [f32]) {
+    let tiled = bc - bc % TILE;
+    for (arows, orows) in a.chunks_exact(R * ac).zip(out.chunks_exact_mut(R * bc)) {
+        for c0 in (0..tiled).step_by(TILE) {
+            matmul_tile::<R, TILE>(arows, ac, b, bc, c0, orows);
+        }
+        for c0 in tiled..bc {
+            matmul_tile::<R, 1>(arows, ac, b, bc, c0, orows);
         }
     }
 }
 
 /// `out = A(ar×ac) · B(ac×bc)` over row-major slices — the pooled-buffer
 /// matmul: callers keep `out` in reusable scratch, so a steady-state round
-/// performs no allocation. `out` is overwritten. Fans out over output rows
-/// above the flop threshold with the same per-row accumulation order as the
-/// sequential loop, so results are bitwise-identical for any thread count.
+/// performs no allocation. `out` is overwritten.
+///
+/// Every output element is `((+0.0 + a[i][0]·b[0][c]) + a[i][1]·b[1][c]) + …`
+/// — multiply, then add, `k` ascending. Which elements share a register
+/// block or a task only decides who computes a sum, never its terms or their
+/// order, so the product is bitwise-identical for any thread count. Zero
+/// entries of `A` are multiplied like any other: a sum that starts at `+0.0`
+/// can never become `−0.0`, so adding a `±0.0` product leaves it unchanged
+/// on finite data (the [`crate::simd`] caveat about `0·∞` applies).
 ///
 /// # Panics
 /// Panics if slice lengths disagree with the shapes.
@@ -210,24 +262,77 @@ pub fn matmul_into(a: &[f32], ar: usize, ac: usize, b: &[f32], bc: usize, out: &
     assert_eq!(a.len(), ar * ac, "matmul_into: lhs size mismatch");
     assert_eq!(b.len(), ac * bc, "matmul_into: rhs size mismatch");
     assert_eq!(out.len(), ar * bc, "matmul_into: out size mismatch");
-    out.fill(0.0);
-    let work = ar * ac * bc;
-    if bc > 0 && work >= MATMUL_PAR_MIN && parallel::max_threads() > 1 {
-        // One output row per chunk: chunk index == row index.
-        parallel::for_each_chunk_mut(out, bc, |i, crow| {
-            matmul_row(a, ac, b, bc, i, crow);
-        });
-    } else {
-        // ikj loop order: streaming access on `b` and `out` rows.
-        for (i, crow) in out.chunks_exact_mut(bc.max(1)).enumerate() {
-            matmul_row(a, ac, b, bc, i, crow);
+    if ac == 0 {
+        out.fill(0.0);
+        return;
+    }
+    for_each_row_block(out, bc, ac * bc, |row0, block| {
+        let rows = block.len() / bc;
+        let blocked = rows - rows % BLOCK;
+        let (a_blocks, a_tail) = a[row0 * ac..(row0 + rows) * ac].split_at(blocked * ac);
+        let (out_blocks, out_tail) = block.split_at_mut(blocked * bc);
+        matmul_blocks::<BLOCK>(a_blocks, ac, b, bc, out_blocks);
+        matmul_blocks::<1>(a_tail, ac, b, bc, out_tail);
+    });
+}
+
+/// Adds `K` consecutive rows' terms of the `Aᵀ·B` sum, in row order, to
+/// columns `c0..c0 + W` of every row of `block`. `a` starts at the first of
+/// those rows of `A`, at the column `block` starts at; `b` at the same row of
+/// `B`, whose `K` tiles sit in registers while `A` is read left to right.
+#[inline(always)]
+fn transpose_matmul_tile<const K: usize, const W: usize>(
+    a: &[f32],
+    ac: usize,
+    b: &[f32],
+    bc: usize,
+    c0: usize,
+    block: &mut [f32],
+) {
+    let ni = block.len() / bc;
+    let arows: [&[f32]; K] = std::array::from_fn(|k| &a[k * ac..k * ac + ni]);
+    let bk: [[f32; W]; K] =
+        std::array::from_fn(|k| b[k * bc + c0..][..W].try_into().expect("tile width"));
+    for (i, orow) in block.chunks_exact_mut(bc).enumerate() {
+        let o = &mut orow[c0..c0 + W];
+        for (arow, bkk) in arows.iter().zip(&bk) {
+            let av = arow[i];
+            for (s, &bv) in o.iter_mut().zip(bkk) {
+                *s += av * bv;
+            }
+        }
+    }
+}
+
+/// One pass over `block` (output rows `i0..` of `Aᵀ·B`) per `K` rows of `a`
+/// and `b`, which hold the same whole number of `K`-row blocks.
+fn transpose_matmul_passes<const K: usize>(
+    a: &[f32],
+    ac: usize,
+    b: &[f32],
+    bc: usize,
+    i0: usize,
+    block: &mut [f32],
+) {
+    let tiled = bc - bc % TILE;
+    for (arows, brows) in a.chunks_exact(K * ac).zip(b.chunks_exact(K * bc)) {
+        for c0 in (0..tiled).step_by(TILE) {
+            transpose_matmul_tile::<K, TILE>(&arows[i0..], ac, brows, bc, c0, block);
+        }
+        for c0 in tiled..bc {
+            transpose_matmul_tile::<K, 1>(&arows[i0..], ac, brows, bc, c0, block);
         }
     }
 }
 
 /// `out = A(ar×ac)ᵀ · B(ar×bc)` over row-major slices, without
 /// materializing the transpose; `out` (ac×bc) is overwritten. Same pooled,
-/// thread-count-invariant contract as [`matmul_into`].
+/// thread-count-invariant contract and the same per-element sum as
+/// [`matmul_into`]: `+0.0`, then `a[k][i]·b[k][c]` for `k` ascending.
+///
+/// `k` is the outer loop, so `A` streams row-major while the output block
+/// stays in cache; each pass adds [`BLOCK`] rows' terms to an element as one
+/// chain in `k` order, which is the order the element's sum has anyway.
 ///
 /// # Panics
 /// Panics if slice lengths disagree with the shapes.
@@ -246,45 +351,89 @@ pub fn transpose_matmul_into(
         ac * bc,
         "transpose_matmul_into: out size mismatch"
     );
-    out.fill(0.0);
-    let work = ar * ac * bc;
-    if bc > 0 && work >= MATMUL_PAR_MIN && parallel::max_threads() > 1 {
-        parallel::for_each_chunk_mut(out, bc, |i, crow| {
-            transpose_matmul_row(a, ar, ac, b, bc, i, crow);
-        });
+    let blocked = ar - ar % BLOCK;
+    let (a_blocks, a_tail) = a.split_at(blocked * ac);
+    let (b_blocks, b_tail) = b.split_at(blocked * bc);
+    for_each_row_block(out, bc, ar * bc, |i0, block| {
+        block.fill(0.0);
+        transpose_matmul_passes::<BLOCK>(a_blocks, ac, b_blocks, bc, i0, block);
+        transpose_matmul_passes::<1>(a_tail, ac, b_tail, bc, i0, block);
+    });
+}
+
+/// Columns [`matmul_bt_into`] folds at a time when the inner dimension
+/// reaches [`LANES`]: the eight partial rows of this width live on the stack.
+const FOLD_TILE: usize = 256;
+
+/// One output row of `A·Bᵀ` from row `arow` of `A` and the staged `Bᵀ`
+/// (`arow.len() × br`): [`crate::simd::dot_folded`]'s expression tree,
+/// replayed for the whole row at once with every term a row AXPY.
+fn matmul_bt_row(arow: &[f32], bt: &[f32], br: usize, crow: &mut [f32]) {
+    let main = arow.len() - arow.len() % LANES;
+    if main == 0 {
+        // All eight partials are `+0.0`, and so is their fold.
+        crow.fill(0.0);
     } else {
-        for (i, crow) in out.chunks_exact_mut(bc.max(1)).enumerate() {
-            transpose_matmul_row(a, ar, ac, b, bc, i, crow);
+        for (t, ctile) in crow.chunks_mut(FOLD_TILE).enumerate() {
+            let w = ctile.len();
+            let mut p = [[0.0f32; FOLD_TILE]; LANES];
+            for (k, &av) in arow[..main].iter().enumerate() {
+                let x = &bt[k * br + t * FOLD_TILE..][..w];
+                crate::simd::axpy(av, x, &mut p[k % LANES][..w]);
+            }
+            for (j, c) in ctile.iter_mut().enumerate() {
+                *c = ((p[0][j] + p[1][j]) + (p[2][j] + p[3][j]))
+                    + ((p[4][j] + p[5][j]) + (p[6][j] + p[7][j]));
+            }
         }
+    }
+    for (k, &av) in arow.iter().enumerate().skip(main) {
+        crate::simd::axpy(av, &bt[k * br..(k + 1) * br], crow);
     }
 }
 
 /// `out = A(ar×ac) · B(br×ac)ᵀ` over row-major slices; `out` (ar×br) is
-/// overwritten. Every output element is a dot of two *contiguous* rows, so
-/// this runs on [`crate::simd::dot_folded`] directly — no transpose is
-/// materialized and no scratch is needed. The fold shape is fixed, so the
-/// result is identical for any thread count or SIMD dispatch.
+/// overwritten. `stage` is caller-owned scratch that receives `Bᵀ`
+/// (`ac × br`); it grows on first use and is reused after.
+///
+/// Every output element is `dot_folded(a[i], b[j])` to the bit —
+/// [`crate::simd::dot_folded`]: eight stride-8 partials each started at
+/// `+0.0`, the fixed tree `((p0+p1)+(p2+p3))+((p4+p5)+(p6+p7))`, then the
+/// tail terms in order; below eight terms that is `((+0.0 + t₀) + t₁) + …`.
+/// The tree is evaluated for a whole output row at a time: with `Bᵀ`
+/// staged, term `k` of every dot in row `i` is the row AXPY `a[i][k] · bᵀ[k]`
+/// (multiply, then add, per element), so each element still sees its own
+/// terms in its own order. Thread count and SIMD dispatch cannot change a
+/// bit.
 ///
 /// # Panics
 /// Panics if slice lengths disagree with the shapes.
-pub fn matmul_bt_into(a: &[f32], ar: usize, ac: usize, b: &[f32], br: usize, out: &mut [f32]) {
+pub fn matmul_bt_into(
+    a: &[f32],
+    ar: usize,
+    ac: usize,
+    b: &[f32],
+    br: usize,
+    stage: &mut Vec<f32>,
+    out: &mut [f32],
+) {
     assert_eq!(a.len(), ar * ac, "matmul_bt_into: lhs size mismatch");
     assert_eq!(b.len(), br * ac, "matmul_bt_into: rhs size mismatch");
     assert_eq!(out.len(), ar * br, "matmul_bt_into: out size mismatch");
-    let work = ar * ac * br;
-    let row_body = |i: usize, crow: &mut [f32]| {
-        let arow = &a[i * ac..(i + 1) * ac];
-        for (j, c) in crow.iter_mut().enumerate() {
-            *c = crate::simd::dot_folded(arow, &b[j * ac..(j + 1) * ac]);
-        }
-    };
-    if br > 0 && work >= MATMUL_PAR_MIN && parallel::max_threads() > 1 {
-        parallel::for_each_chunk_mut(out, br, |i, crow| row_body(i, crow));
-    } else {
-        for (i, crow) in out.chunks_exact_mut(br.max(1)).enumerate() {
-            row_body(i, crow);
-        }
+    if ac == 0 {
+        out.fill(0.0);
+        return;
     }
+    stage.clear();
+    stage.resize(ac * br, 0.0);
+    transpose_into(b, ac, stage);
+    let bt = &stage[..];
+    for_each_row_block(out, br, ac * br, |row0, block| {
+        let arows = a[row0 * ac..].chunks_exact(ac);
+        for (crow, arow) in block.chunks_exact_mut(br).zip(arows) {
+            matmul_bt_row(arow, bt, br, crow);
+        }
+    });
 }
 
 /// Reusable scratch for Gram–Schmidt: a column-major staging buffer that
@@ -357,11 +506,7 @@ pub fn orthonormalize_columns_slice(
     let buf = &mut scratch.colmajor;
     buf.clear();
     buf.resize(rows * cols, 0.0);
-    for (r, row) in data.chunks_exact(cols).enumerate() {
-        for (c, &v) in row.iter().enumerate() {
-            buf[c * rows + r] = v;
-        }
-    }
+    transpose_into(data, cols, buf);
     // "Twice is enough" (Kahan/Parlett): a single modified-GS pass can
     // leave O(eps·kappa) non-orthogonality for ill-conditioned inputs,
     // which downstream error feedback amplifies round over round (PowerSGD
@@ -369,11 +514,7 @@ pub fn orthonormalize_columns_slice(
     // restores orthogonality to machine precision.
     orthonormalize_contig_once(buf, rows, cols);
     orthonormalize_contig_once(buf, rows, cols);
-    for (r, row) in data.chunks_exact_mut(cols).enumerate() {
-        for (c, v) in row.iter_mut().enumerate() {
-            *v = buf[c * rows + r];
-        }
-    }
+    transpose_into(buf, rows, data);
 }
 
 /// One modified-GS pass over a column-major buffer with contiguous columns.
@@ -513,9 +654,9 @@ mod tests {
 
     #[test]
     fn parallel_matmul_is_bitwise_identical_to_sequential() {
-        // PowerSGD-ish shapes: M (m×n) * Q (n×r), well above MATMUL_PAR_MIN.
-        let a = random_matrix(256, 96, 0x11);
-        let b = random_matrix(96, 32, 0x22);
+        // PowerSGD-ish shapes: M (m×n) * Q (n×r), four times MATMUL_PAR_MIN.
+        let a = random_matrix(512, 128, 0x11);
+        let b = random_matrix(128, 64, 0x22);
         let reference = crate::parallel::with_threads(1, || a.matmul(&b));
         for threads in [2, 3, 8] {
             let got = crate::parallel::with_threads(threads, || a.matmul(&b));
@@ -530,16 +671,16 @@ mod tests {
     #[test]
     fn parallel_transpose_matmul_is_bitwise_identical_to_sequential() {
         // Mᵀ P̂ with M (m×n), P̂ (m×r).
-        let a = random_matrix(256, 96, 0x33);
-        let b = random_matrix(256, 32, 0x44);
-        let mut reference = vec![0.0f32; 96 * 32];
+        let a = random_matrix(512, 128, 0x33);
+        let b = random_matrix(512, 64, 0x44);
+        let mut reference = vec![0.0f32; 128 * 64];
         crate::parallel::with_threads(1, || {
-            transpose_matmul_into(a.data(), 256, 96, b.data(), 32, &mut reference)
+            transpose_matmul_into(a.data(), 512, 128, b.data(), 64, &mut reference)
         });
         for threads in [2, 3, 8] {
-            let mut got = vec![0.0f32; 96 * 32];
+            let mut got = vec![0.0f32; 128 * 64];
             crate::parallel::with_threads(threads, || {
-                transpose_matmul_into(a.data(), 256, 96, b.data(), 32, &mut got)
+                transpose_matmul_into(a.data(), 512, 128, b.data(), 64, &mut got)
             });
             for (x, y) in got.iter().zip(&reference) {
                 assert_eq!(x.to_bits(), y.to_bits());

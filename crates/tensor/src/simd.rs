@@ -4,8 +4,10 @@
 //! pays when its *compute* overhead is small relative to the communication
 //! it saves. Profiling the simulator puts four kernels on that critical
 //! path: the FWHT/RHT butterflies, the fused quantize+pack bit-writer, the
-//! top-k threshold scan, and the Gram–Schmidt inner loops (the last at
-//! 39.7–47.4% of PowerSGD training time, §3.3). This module supplies the
+//! top-k threshold scan, and PowerSGD's linear algebra — the row AXPYs of
+//! its `P̂·Qᵀ` products, which carry the round at the ranks the substrate
+//! trains at, and the Gram–Schmidt inner loops (39.7–47.4% of PowerSGD
+//! training time at the paper's r = 64, §3.3). This module supplies the
 //! vector primitives those kernels dispatch to.
 //!
 //! **Bitwise contract.** Every primitive has a `_scalar` reference and an
@@ -114,7 +116,8 @@ pub fn butterfly(lo: &mut [f32], hi: &mut [f32], c: f32) {
 }
 
 // ---------------------------------------------------------------------------
-// Lane-folded dot product (Gram–Schmidt projections and norms)
+// Lane-folded dot product (Gram–Schmidt projections and norms; the shape
+// `matrix::matmul_bt_into` replays a row at a time)
 // ---------------------------------------------------------------------------
 
 /// Folds 8 stride-8 partial sums in a fixed tree, then adds the tail terms
@@ -182,7 +185,8 @@ pub fn dot_folded(a: &[f32], b: &[f32]) -> f32 {
 }
 
 // ---------------------------------------------------------------------------
-// axpy / scale (Gram–Schmidt projection subtraction and normalization)
+// axpy / scale (the terms of `P̂·Qᵀ`; Gram–Schmidt projection subtraction and
+// normalization)
 // ---------------------------------------------------------------------------
 
 /// Scalar reference for [`axpy`]: `y[i] += alpha · x[i]`.

@@ -33,6 +33,11 @@ pub fn squared_norm(v: &[f32]) -> f32 {
     if v.len() <= REDUCE_CHUNK {
         return squared_norm_seq(v);
     }
+    if parallel::max_threads() == 1 {
+        // The same fold over the same partials, without a `Vec` to hold
+        // them: callers on the round's hot path must not allocate.
+        return v.chunks(REDUCE_CHUNK).map(squared_norm_seq).sum();
+    }
     let partials = parallel::map_chunks(v, REDUCE_CHUNK, |_, chunk| squared_norm_seq(chunk));
     partials.into_iter().sum()
 }
@@ -496,6 +501,32 @@ mod tests {
             assert_eq!(got.1.to_bits(), base.1.to_bits(), "threads={threads}");
             assert_eq!(got.2.to_bits(), base.2.to_bits(), "threads={threads}");
             assert_eq!(got.3, base.3, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn one_thread_squared_norm_folds_the_partials_the_fan_out_collects() {
+        for d in [REDUCE_CHUNK + 1, 2 * REDUCE_CHUNK, 3 * REDUCE_CHUNK + 321] {
+            let v: Vec<f32> = (0..d)
+                .map(|i| {
+                    if i % 7 == 0 {
+                        -0.0
+                    } else {
+                        (i as f32 * 0.37).sin() * 3.0
+                    }
+                })
+                .collect();
+            let collected: f32 = parallel::map_chunks(&v, REDUCE_CHUNK, |_, c| squared_norm_seq(c))
+                .into_iter()
+                .sum();
+            for threads in [1usize, 2] {
+                let got = with_threads(threads, || squared_norm(&v));
+                assert_eq!(
+                    got.to_bits(),
+                    collected.to_bits(),
+                    "d={d} threads={threads}"
+                );
+            }
         }
     }
 

@@ -12,6 +12,7 @@
 
 use gradient_utility::core::scheme::CompressionScheme;
 use gradient_utility::core::schemes::baseline::PrecisionBaseline;
+use gradient_utility::core::schemes::powersgd::PowerSgd;
 use gradient_utility::core::schemes::thc::Thc;
 use gradient_utility::ddp::experiments::Task;
 use gradient_utility::ddp::{param_checksum, Trainer, TrainerConfig};
@@ -354,12 +355,16 @@ fn ten_rounds(task: Task, scheme: &str, threads: usize) -> (u64, Vec<u64>) {
             eval_every: 5,
             ..task.trainer_config()
         };
+        let mut model = task.build_model(cfg.seed);
+        let powersgd = |r| Box::new(PowerSgd::new(r, model.matrix_shapes(), cfg.n_workers));
         let mut scheme: Box<dyn CompressionScheme> = match scheme {
             "fp16" => Box::new(PrecisionBaseline::fp16()),
             "thc_sat" => Box::new(Thc::improved(4, &DeviceSpec::a100(), cfg.n_workers)),
+            "powersgd_r1" => powersgd(1),
+            "powersgd_r4" => powersgd(4),
+            "powersgd_r16" => powersgd(16),
             other => panic!("no golden for scheme {other}"),
         };
-        let mut model = task.build_model(cfg.seed);
         let log = Trainer::new(cfg).train(model.as_mut(), scheme.as_mut(), 0.25);
         (
             param_checksum(model.as_ref()),
@@ -370,7 +375,7 @@ fn ten_rounds(task: Task, scheme: &str, threads: usize) -> (u64, Vec<u64>) {
 
 #[test]
 fn ten_trainer_rounds_match_the_pre_rewrite_constants() {
-    let golden: [(Task, &str, u64, [u64; 2]); 4] = [
+    let golden: [(Task, &str, u64, [u64; 2]); 10] = [
         (
             Task::Vgg,
             "fp16",
@@ -394,6 +399,44 @@ fn ten_trainer_rounds_match_the_pre_rewrite_constants() {
             "thc_sat",
             0x3c45_dd26_6583_3b35,
             [0x406f_88cd_3697_3be1, 0x4061_04b8_2d01_e77e],
+        ),
+        // PowerSGD: r = 16 is the rank whose `P̂·Qᵀ` dots run the 8-partial
+        // fold tree.
+        (
+            Task::Vgg,
+            "powersgd_r1",
+            0x7a67_67f1_bf38_d23a,
+            [0x3fc0_0000_0000_0000, 0x3fbe_6666_6666_6666],
+        ),
+        (
+            Task::Vgg,
+            "powersgd_r4",
+            0xf2e6_c5d5_a5b0_0b67,
+            [0x3fbc_cccc_cccc_cccd, 0x3fc8_0000_0000_0000],
+        ),
+        (
+            Task::Vgg,
+            "powersgd_r16",
+            0xeddc_3f4f_9d8c_7d09,
+            [0x3fc0_0000_0000_0000, 0x3fca_6666_6666_6666],
+        ),
+        (
+            Task::Bert,
+            "powersgd_r1",
+            0x2762_0569_d3b2_4f44,
+            [0x4072_b13c_2fa4_d375, 0x4064_1085_5c5c_c4fc],
+        ),
+        (
+            Task::Bert,
+            "powersgd_r4",
+            0xab02_0339_f952_977f,
+            [0x4070_0688_5920_aa56, 0x4061_8ea3_1f14_db9c],
+        ),
+        (
+            Task::Bert,
+            "powersgd_r16",
+            0x6b80_9870_35fd_e9fc,
+            [0x406e_7648_9e0e_2c87, 0x4060_b546_970a_662d],
         ),
     ];
     for (task, scheme, checksum, curve) in golden {
