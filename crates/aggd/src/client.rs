@@ -70,10 +70,8 @@ impl TenantClient {
         };
         encode_hello(&mut client.enc, cfg);
         client.send_enc()?;
-        match client.recv_reply()? {
-            (T_HELLO_OK, _) => Ok(client),
-            (tag, _) => Err(ClientError::Protocol(format!("hello got tag {tag:#x}"))),
-        }
+        client.recv_reply(T_HELLO_OK, "hello", |_| Ok(()))?;
+        Ok(client)
     }
 
     fn send_enc(&mut self) -> Result<(), ClientError> {
@@ -82,40 +80,43 @@ impl TenantClient {
             .map_err(|_| ClientError::Closed)
     }
 
-    /// Reads one reply frame; REJECTs become `Err(Rejected)`, other tags
-    /// return `(tag, payload-after-tag)`.
-    fn recv_reply(&mut self) -> Result<(u8, Vec<u8>), ClientError> {
-        let frame = match self.fs.recv_frame(self.deadline) {
-            Ok(f) => f,
-            Err(RecvFail::Closed) => return Err(ClientError::Closed),
-            Err(RecvFail::TimedOut) => return Err(ClientError::TimedOut),
-            Err(RecvFail::Malformed(d)) => return Err(ClientError::Protocol(d)),
-        };
-        let mut c = Cursor::new(&frame);
-        let tag = c.u8().map_err(ClientError::Protocol)?;
-        if tag == T_REJECT {
-            let r = decode_reject(&mut c).map_err(ClientError::Protocol)?;
-            return Err(ClientError::Rejected(r));
+    /// Reads one reply frame and decodes it where it landed in the
+    /// reassembly buffer: a REJECT becomes `Err(Rejected)`, the tag `want`
+    /// hands the rest of the payload to `body`, and any other tag is a
+    /// protocol error naming the request.
+    fn recv_reply<R>(
+        &mut self,
+        want: u8,
+        what: &str,
+        body: impl FnOnce(&mut Cursor<'_>) -> Result<R, String>,
+    ) -> Result<R, ClientError> {
+        let decoded =
+            self.fs.recv_frame_with(self.deadline, |frame| {
+                let mut c = Cursor::new(frame);
+                match c.u8().map_err(String::from) {
+                    Ok(T_REJECT) => Err(decode_reject(&mut c)
+                        .map_or_else(ClientError::Protocol, ClientError::Rejected)),
+                    Ok(tag) if tag == want => body(&mut c).map_err(ClientError::Protocol),
+                    Ok(tag) => Err(ClientError::Protocol(format!("{what} got tag {tag:#x}"))),
+                    Err(detail) => Err(ClientError::Protocol(detail)),
+                }
+            });
+        match decoded {
+            Ok(reply) => reply,
+            Err(RecvFail::Closed) => Err(ClientError::Closed),
+            Err(RecvFail::TimedOut) => Err(ClientError::TimedOut),
+            Err(RecvFail::Malformed(detail)) => Err(ClientError::Protocol(detail)),
         }
-        Ok((tag, frame[1..].to_vec()))
     }
 
     /// Submits one worker gradient for `round`.
     pub fn submit(&mut self, round: u64, rank: usize, grad: &[f32]) -> Result<(), ClientError> {
         encode_submit(&mut self.enc, round, rank, grad);
         self.send_enc()?;
-        match self.recv_reply()? {
-            (T_SUBMIT_OK, body) => {
-                let got = Cursor::new(&body).u64().map_err(ClientError::Protocol)?;
-                if got != round {
-                    return Err(ClientError::Protocol(format!(
-                        "submit_ok for round {got}, wanted {round}"
-                    )));
-                }
-                Ok(())
-            }
-            (tag, _) => Err(ClientError::Protocol(format!("submit got tag {tag:#x}"))),
-        }
+        self.recv_reply(T_SUBMIT_OK, "submit", |c| match c.u64()? {
+            got if got == round => Ok(()),
+            got => Err(format!("submit_ok for round {got}, wanted {round}")),
+        })
     }
 
     /// Fetches `round`'s folded estimate into `out` (single attempt — a
@@ -123,24 +124,16 @@ impl TenantClient {
     pub fn fetch_into(&mut self, round: u64, out: &mut Vec<f32>) -> Result<(), ClientError> {
         encode_fetch(&mut self.enc, round);
         self.send_enc()?;
-        match self.recv_reply()? {
-            (T_FETCH_OK, body) => {
-                let mut c = Cursor::new(&body);
-                let got = c.u64().map_err(ClientError::Protocol)?;
-                if got != round {
-                    return Err(ClientError::Protocol(format!(
-                        "fetch_ok for round {got}, wanted {round}"
-                    )));
-                }
-                if !c.remaining().is_multiple_of(4) {
-                    return Err(ClientError::Protocol("ragged estimate payload".into()));
-                }
-                let n = c.remaining() / 4;
-                c.f32s_into(n, out).map_err(ClientError::Protocol)?;
-                Ok(())
+        self.recv_reply(T_FETCH_OK, "fetch", |c| {
+            let got = c.u64()?;
+            if got != round {
+                return Err(format!("fetch_ok for round {got}, wanted {round}"));
             }
-            (tag, _) => Err(ClientError::Protocol(format!("fetch got tag {tag:#x}"))),
-        }
+            if !c.remaining().is_multiple_of(4) {
+                return Err("ragged estimate payload".into());
+            }
+            Ok(c.f32s_into(c.remaining() / 4, out)?)
+        })
     }
 
     /// Submits and fetches one round, retrying retryable rejects with the
@@ -187,10 +180,7 @@ impl TenantClient {
     pub fn bye(mut self) -> Result<(), ClientError> {
         encode_bye(&mut self.enc);
         self.send_enc()?;
-        match self.recv_reply()? {
-            (T_BYE_OK, _) => Ok(()),
-            (tag, _) => Err(ClientError::Protocol(format!("bye got tag {tag:#x}"))),
-        }
+        self.recv_reply(T_BYE_OK, "bye", |_| Ok(()))
     }
 
     /// Raw framed access, for tests that violate the protocol on purpose.

@@ -3,9 +3,10 @@
 //!
 //! Threading model (no locks anywhere on the request path):
 //!
-//! * the **accept thread** sniffs the 4-byte magic and hands `GCSA`
-//!   sessions to an I/O thread round-robin; `GET ` connections get the
-//!   Prometheus exposition of the fleet-aggregated per-tenant registries;
+//! * the shared [`Listener`] routes each connection by its 4-byte magic:
+//!   `GCSA` sessions go to an I/O thread round-robin; `GET ` connections
+//!   get the Prometheus exposition of the fleet-aggregated per-tenant
+//!   registries;
 //! * each **I/O thread** owns its sessions outright and never blocks: it
 //!   polls frames with `try_recv_frame`, forwards jobs to shards over
 //!   *bounded* channels (`try_send` full ⇒ typed `QueueFull` reject), and
@@ -25,14 +26,15 @@
 //! retry-after hints, never as unbounded memory or silent drops.
 
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io::{ErrorKind, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use gcs_collectives::tcp::{push_frame, serve_metrics, Listener, HTTP_GET};
 use gcs_collectives::{FramedStream, RecvFail};
 use gcs_metrics::{FleetAggregator, Registry};
 
@@ -140,7 +142,7 @@ struct Stats {
 
 /// A running aggregation daemon. Dropping it shuts every thread down.
 pub struct AggDaemon {
-    addr: SocketAddr,
+    listener: Listener,
     shutdown: Arc<AtomicBool>,
     shards: Vec<SyncSender<ShardJob>>,
     stats: Arc<Stats>,
@@ -148,12 +150,9 @@ pub struct AggDaemon {
 }
 
 impl AggDaemon {
-    /// Binds `127.0.0.1:0` and starts the accept, I/O, and shard threads.
+    /// Binds `127.0.0.1:0` and starts the listener, I/O, and shard threads.
     pub fn spawn(config: AggdConfig) -> std::io::Result<AggDaemon> {
         assert!(config.shards >= 1 && config.io_threads >= 1);
-        let listener = TcpListener::bind(("127.0.0.1", config.bind_port))?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(Stats::default());
         let mut threads = Vec::new();
@@ -188,20 +187,33 @@ impl AggDaemon {
             );
         }
 
-        {
+        let listener = {
+            let (st, shards, next_io) =
+                (Arc::clone(&stats), shard_txs.clone(), AtomicUsize::new(0));
             let stop = Arc::clone(&shutdown);
-            let st = Arc::clone(&stats);
-            let shards = shard_txs.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("aggd-accept".into())
-                    .spawn(move || accept_main(listener, io_txs, shards, stop, st))
-                    .expect("spawn accept"),
-            );
-        }
+            Listener::spawn(
+                "aggd-accept",
+                config.bind_port,
+                stop,
+                move |magic, stream| match magic {
+                    Some(AGGD_MAGIC) => {
+                        st.sessions_total.fetch_add(1, Ordering::Relaxed);
+                        let io = next_io.fetch_add(1, Ordering::Relaxed) % io_txs.len();
+                        let _ = io_txs[io].send(stream);
+                    }
+                    Some(HTTP_GET) => serve_metrics(stream, || {
+                        st.scrapes_total.fetch_add(1, Ordering::Relaxed);
+                        scrape_registry(&shards, &st).to_prometheus()
+                    }),
+                    _ => {
+                        st.malformed_total.fetch_add(1, Ordering::Relaxed);
+                    }
+                },
+            )?
+        };
 
         Ok(AggDaemon {
-            addr,
+            listener,
             shutdown,
             shards: shard_txs,
             stats,
@@ -211,7 +223,7 @@ impl AggDaemon {
 
     /// The address tenants connect (and scrapers `GET /metrics`) to.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
     /// The fleet-aggregated registry: every shard's snapshot (each the
@@ -243,69 +255,8 @@ fn shard_of(key: Key, shards: usize) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Accept thread + scrape path
+// Scrape path
 // ---------------------------------------------------------------------------
-
-fn accept_main(
-    listener: TcpListener,
-    io_txs: Vec<mpsc::Sender<TcpStream>>,
-    shards: Vec<SyncSender<ShardJob>>,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<Stats>,
-) {
-    let mut next_io = 0usize;
-    while !shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-                let mut magic = [0u8; 4];
-                if stream.read_exact(&mut magic).is_err() {
-                    stats.malformed_total.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                if magic == AGGD_MAGIC {
-                    stats.sessions_total.fetch_add(1, Ordering::Relaxed);
-                    let _ = io_txs[next_io % io_txs.len()].send(stream);
-                    next_io += 1;
-                } else if &magic == b"GET " {
-                    stats.scrapes_total.fetch_add(1, Ordering::Relaxed);
-                    let shards = shards.clone();
-                    let stats = Arc::clone(&stats);
-                    // Scrapes are rare; a short-lived thread keeps the
-                    // accept loop responsive while shards snapshot.
-                    let _ = std::thread::Builder::new()
-                        .name("aggd-scrape".into())
-                        .spawn(move || serve_scrape(stream, &shards, &stats));
-                } else {
-                    stats.malformed_total.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-fn serve_scrape(mut stream: TcpStream, shards: &[SyncSender<ShardJob>], stats: &Stats) {
-    // Drain the bounded request head so the client's write never blocks.
-    let mut head = Vec::with_capacity(256);
-    let mut byte = [0u8; 1];
-    while head.len() < 8192 && !head.ends_with(b"\r\n\r\n") {
-        match stream.read(&mut byte) {
-            Ok(1) => head.push(byte[0]),
-            _ => break,
-        }
-    }
-    let body = scrape_registry(shards, stats).to_prometheus();
-    let response = format!(
-        "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-        body.len(),
-        body
-    );
-    let _ = stream.write_all(response.as_bytes());
-}
 
 /// Collects one registry snapshot from every shard and folds them through
 /// the fleet aggregator (each shard is a "fleet member"), then layers the
@@ -524,11 +475,7 @@ impl Session {
     /// Appends one frame (length prefix + payload) built by `build` to the
     /// write buffer.
     fn push_frame(&mut self, build: impl FnOnce(&mut Vec<u8>)) {
-        let len_at = self.outbuf.len();
-        self.outbuf.extend_from_slice(&[0; 4]);
-        build(&mut self.outbuf);
-        let payload = (self.outbuf.len() - len_at - 4) as u32;
-        self.outbuf[len_at..len_at + 4].copy_from_slice(&payload.to_le_bytes());
+        push_frame(&mut self.outbuf, build);
     }
 
     fn push_reject(&mut self, code: RejectCode, retry_after_ms: u32, detail: &'static str) {

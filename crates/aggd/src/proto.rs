@@ -1,9 +1,9 @@
 //! Wire protocol of the aggregation daemon: tenant sessions speak
 //! `u32`-length-prefixed frames (the collectives [`FramedStream`] framing)
 //! whose payloads start with a one-byte tag. A session opens with the
-//! 4-byte magic [`AGGD_MAGIC`] so the daemon's single listener can sniff
-//! framed tenants apart from Prometheus `GET ` scrapes, exactly like the
-//! fleet telemetry plane.
+//! 4-byte magic [`AGGD_MAGIC`], which the daemon's listener routes on — so
+//! framed tenants and Prometheus `GET ` scrapes share one port, exactly
+//! like the fleet telemetry plane.
 //!
 //! Every client request receives exactly one reply frame — an `*_OK` tag or
 //! a typed [`Reject`]. Nothing is ever dropped silently: backpressure is a
@@ -11,6 +11,9 @@
 //! `REJECT` followed by session close.
 //!
 //! [`FramedStream`]: gcs_collectives::FramedStream
+
+pub use gcs_collectives::bytes::Cursor;
+use gcs_collectives::bytes::{put_elems, put_str, put_u64, Prefix};
 
 /// Session magic written immediately after connect, before the first frame.
 pub const AGGD_MAGIC: [u8; 4] = *b"GCSA";
@@ -338,97 +341,6 @@ pub fn splitmix64(mut x: u64) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Encoding primitives
-// ---------------------------------------------------------------------------
-
-/// Appends a little-endian `u64`.
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a length-prefixed UTF-8 string.
-pub fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Appends raw little-endian `f32`s.
-pub fn put_f32s(out: &mut Vec<u8>, data: &[f32]) {
-    out.reserve(data.len() * 4);
-    for &x in data {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-/// Bounds-checked forward reader over one frame payload.
-pub struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    /// Reads from the start of `buf`.
-    pub fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
-    }
-
-    /// Takes `n` raw bytes.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.buf.len() - self.pos < n {
-            return Err(format!(
-                "frame truncated: wanted {n} bytes at offset {}, have {}",
-                self.pos,
-                self.buf.len() - self.pos
-            ));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// One byte.
-    pub fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, String> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    /// Length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, String> {
-        let n = self.u64()? as usize;
-        let b = self.take(n)?;
-        String::from_utf8(b.to_vec()).map_err(|e| format!("bad utf8: {e}"))
-    }
-
-    /// Decodes the remaining bytes as exactly `expect` little-endian `f32`s
-    /// into `out` (cleared first; reuses its capacity).
-    pub fn f32s_into(&mut self, expect: usize, out: &mut Vec<f32>) -> Result<(), String> {
-        let b = self.take(expect * 4)?;
-        if self.pos != self.buf.len() {
-            return Err(format!(
-                "{} trailing bytes after payload",
-                self.buf.len() - self.pos
-            ));
-        }
-        out.clear();
-        out.reserve(expect);
-        for ch in b.chunks_exact(4) {
-            out.push(f32::from_le_bytes(ch.try_into().expect("4 bytes")));
-        }
-        Ok(())
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Message encode/decode
 // ---------------------------------------------------------------------------
 
@@ -487,7 +399,7 @@ pub fn encode_submit(out: &mut Vec<u8>, round: u64, rank: usize, grad: &[f32]) {
     out.push(T_SUBMIT);
     put_u64(out, round);
     put_u64(out, rank as u64);
-    put_f32s(out, grad);
+    put_elems(out, grad);
 }
 
 /// Encodes a FETCH payload into `out` (cleared first).
@@ -519,7 +431,7 @@ pub fn encode_submit_ok(out: &mut Vec<u8>, round: u64) {
 pub fn encode_fetch_ok(out: &mut Vec<u8>, round: u64, estimate: &[f32]) {
     out.push(T_FETCH_OK);
     put_u64(out, round);
-    put_f32s(out, estimate);
+    put_elems(out, estimate);
 }
 
 /// Appends a BYE_OK frame body to `out`.
@@ -532,7 +444,7 @@ pub fn encode_reject(out: &mut Vec<u8>, code: RejectCode, retry_after_ms: u32, d
     out.push(T_REJECT);
     out.push(code as u8);
     put_u64(out, retry_after_ms as u64);
-    put_str(out, detail);
+    put_str(out, Prefix::U64, detail);
 }
 
 /// Decodes a REJECT payload (tag already consumed).
@@ -540,7 +452,7 @@ pub fn decode_reject(c: &mut Cursor<'_>) -> Result<Reject, String> {
     let code_b = c.u8()?;
     let code = RejectCode::from_u8(code_b).ok_or_else(|| format!("bad reject code {code_b}"))?;
     let retry_after_ms = c.u64()? as u32;
-    let detail = c.str()?;
+    let detail = c.str(Prefix::U64)?;
     Ok(Reject {
         code,
         retry_after_ms,

@@ -49,6 +49,10 @@ pub mod transport;
 
 pub use advanced::{double_tree_all_reduce_into, hierarchical_ring_all_reduce_into};
 pub use error::CollectiveError;
+/// The byte layer under every wire format (lives in `gcs-trace`, the crate
+/// at the bottom of the dependency graph); re-exported for crates that
+/// reach it through this one.
+pub use gcs_trace::bytes;
 pub use ops::{
     all_gather, all_gather_into, broadcast, broadcast_into, parameter_server,
     parameter_server_into, reduce_scatter, reduce_scatter_into, ring_all_reduce,

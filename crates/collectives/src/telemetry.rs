@@ -10,12 +10,13 @@
 //!
 //! # Protocol
 //!
-//! A connecting client writes a 4-byte magic. `"GCST"` starts a framed
-//! telemetry session (`u32`-length-prefixed frames, the same
-//! [`FramedStream`] machinery as the mesh); `"GET "` is sniffed as an HTTP
-//! request and answered with a Prometheus text exposition of the merged
-//! fleet registry — `curl http://addr/metrics` works mid-run. Frame
-//! payloads begin with a tag byte:
+//! A connecting client writes a 4-byte magic, which the collector's
+//! [`Listener`] routes on. `"GCST"` starts a framed telemetry session
+//! (`u32`-length-prefixed frames, the same [`FramedStream`] carrier as the
+//! mesh); `"GET "` is an HTTP request, answered with a Prometheus text
+//! exposition of the merged fleet registry — `curl http://addr/metrics`
+//! works mid-run. Frame payloads begin with a tag byte
+//! ([`TelemetryFrame`]):
 //!
 //! | tag | frame | body |
 //! |-----|-------|------|
@@ -49,30 +50,25 @@
 //! to write anything.
 
 use std::collections::BTreeMap;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use gcs_metrics::fleet::{decode_registry, encode_registry, FleetAggregator};
 use gcs_metrics::Registry as MetricsRegistry;
+use gcs_trace::bytes::{put_str, put_u64, Cursor, Prefix};
 use gcs_trace::wire::{decode_trace, encode_trace, merged_chrome_json, OwnedTrace, RankTrace};
 
-use crate::tcp::{FramedStream, RecvFail};
+use crate::tcp::{serve_metrics, FramedStream, Listener, RecvFail, HTTP_GET};
 
-/// Magic written by a telemetry client immediately after connect. Chosen
-/// to differ from HTTP's `"GET "` at the first byte, so one listener
-/// serves both.
+/// Magic written by a telemetry client immediately after connect.
 pub const TELEMETRY_MAGIC: [u8; 4] = *b"GCST";
 
 /// Ping/pong rounds in the connect handshake; minimum-RTT sample wins.
 const CLOCK_SYNC_ROUNDS: usize = 5;
-
-/// How long a blocking collector read waits before re-checking shutdown.
-const POLL_SLICE: Duration = Duration::from_millis(200);
 
 /// Handshake and ship deadlines.
 const IO_DEADLINE: Duration = Duration::from_secs(10);
@@ -86,58 +82,79 @@ const TAG_EVENT: u8 = 0x06;
 const TAG_FLIGHT: u8 = 0x07;
 const TAG_BYE: u8 = 0x08;
 
-// -- tiny frame-body codec ---------------------------------------------------
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// One decoded telemetry frame (layouts in the [module docs](self)).
+#[derive(Debug)]
+pub enum TelemetryFrame {
+    Ping {
+        t0: u64,
+    },
+    Pong {
+        t0: u64,
+        t_c: u64,
+    },
+    Hello {
+        worker_id: u64,
+        offset_ns: i64,
+        err_ns: u64,
+    },
+    Snapshot {
+        rank: u64,
+        epoch: u64,
+        registry: MetricsRegistry,
+    },
+    Trace {
+        rank: u64,
+        trace: OwnedTrace,
+    },
+    Event {
+        rank: u64,
+        kind: String,
+        detail: String,
+    },
+    Flight {
+        rank: u64,
+        jsonl: String,
+    },
+    Bye,
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Body<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Body<'a> {
-    fn new(buf: &'a [u8]) -> Body<'a> {
-        Body { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or("telemetry frame truncated")?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn str(&mut self) -> Result<String, String> {
-        let len = self.u64()? as usize;
-        if len > self.buf.len() - self.pos {
-            return Err("telemetry frame: string length exceeds payload".into());
-        }
-        String::from_utf8(self.take(len)?.to_vec())
-            .map_err(|_| "telemetry frame: non-UTF-8 string".to_string())
-    }
-
-    fn rest(&mut self) -> &'a [u8] {
-        let s = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        s
+impl TelemetryFrame {
+    /// Decodes one frame payload; an empty frame, an unknown tag or a
+    /// truncated body is an error.
+    pub fn decode(frame: &[u8]) -> Result<TelemetryFrame, String> {
+        let mut b = Cursor::new(frame);
+        Ok(match b.u8()? {
+            TAG_PING => TelemetryFrame::Ping { t0: b.u64()? },
+            TAG_PONG => TelemetryFrame::Pong {
+                t0: b.u64()?,
+                t_c: b.u64()?,
+            },
+            TAG_HELLO => TelemetryFrame::Hello {
+                worker_id: b.u64()?,
+                offset_ns: b.u64()? as i64,
+                err_ns: b.u64()?,
+            },
+            TAG_SNAPSHOT => TelemetryFrame::Snapshot {
+                rank: b.u64()?,
+                epoch: b.u64()?,
+                registry: decode_registry(b.rest())?,
+            },
+            TAG_TRACE => TelemetryFrame::Trace {
+                rank: b.u64()?,
+                trace: decode_trace(b.rest())?,
+            },
+            TAG_EVENT => TelemetryFrame::Event {
+                rank: b.u64()?,
+                kind: b.str(Prefix::U64)?,
+                detail: b.str(Prefix::U64)?,
+            },
+            TAG_FLIGHT => TelemetryFrame::Flight {
+                rank: b.u64()?,
+                jsonl: b.str(Prefix::U64)?,
+            },
+            TAG_BYE => TelemetryFrame::Bye,
+            tag => return Err(format!("unknown telemetry tag {tag:#x}")),
+        })
     }
 }
 
@@ -191,65 +208,55 @@ struct CollectorState {
     malformed: u64,
 }
 
-/// The collector: one TCP listener accepting telemetry sessions and HTTP
-/// scrapes, aggregating everything into a [`FleetAggregator`].
+impl CollectorState {
+    fn fleet_registry(&self) -> MetricsRegistry {
+        let mut reg = self.agg.fleet_registry();
+        reg.counter_add("fleet/telemetry/scrapes_total", self.scrapes as f64);
+        reg.counter_add("fleet/telemetry/malformed_total", self.malformed as f64);
+        reg
+    }
+}
+
+/// The collector: one [`Listener`] routing telemetry sessions and HTTP
+/// scrapes, aggregating everything into a [`FleetAggregator`]. Dropping it
+/// stops the listener and, within a poll slice, every session.
 pub struct TelemetryCollector {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    listener: Listener,
     state: Arc<Mutex<CollectorState>>,
-    config: TelemetryConfig,
-    accept: Option<JoinHandle<()>>,
 }
 
 impl TelemetryCollector {
-    /// Binds `127.0.0.1:0` and starts the accept loop.
+    /// Binds `127.0.0.1:0` and starts serving.
     pub fn spawn(config: TelemetryConfig) -> std::io::Result<TelemetryCollector> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let state = Arc::new(Mutex::new(CollectorState::default()));
-        let accept = {
-            let shutdown = Arc::clone(&shutdown);
-            let state = Arc::clone(&state);
-            let config = config.clone();
-            std::thread::spawn(move || {
-                while !shutdown.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let shutdown = Arc::clone(&shutdown);
-                            let state = Arc::clone(&state);
-                            let config = config.clone();
-                            std::thread::spawn(move || {
-                                serve_connection(stream, &state, &shutdown, &config);
-                            });
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                        Err(_) => break,
-                    }
-                }
-            })
+        let listener = {
+            let (state, stop) = (Arc::clone(&state), Arc::clone(&shutdown));
+            Listener::spawn(
+                "gcs-telemetry",
+                0,
+                shutdown,
+                move |magic, stream| match magic {
+                    Some(TELEMETRY_MAGIC) => serve_telemetry(stream, &state, &stop, &config),
+                    Some(HTTP_GET) => serve_metrics(stream, || {
+                        let mut st = lock(&state);
+                        st.scrapes += 1;
+                        st.fleet_registry().to_prometheus()
+                    }),
+                    _ => lock(&state).malformed += 1,
+                },
+            )?
         };
-        Ok(TelemetryCollector {
-            addr,
-            shutdown,
-            state,
-            config,
-            accept: Some(accept),
-        })
+        Ok(TelemetryCollector { listener, state })
     }
 
     /// The address workers connect (and scrapers `GET /metrics`) to.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
     fn state(&self) -> MutexGuard<'_, CollectorState> {
-        self.state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+        lock(&self.state)
     }
 
     /// The merged fleet registry: every member's latest snapshot folded
@@ -257,11 +264,7 @@ impl TelemetryCollector {
     /// [`FleetAggregator::fleet_registry`]) and the collector's own scrape
     /// and malformed-connection counters.
     pub fn fleet_registry(&self) -> MetricsRegistry {
-        let st = self.state();
-        let mut reg = st.agg.fleet_registry();
-        reg.counter_add("fleet/telemetry/scrapes_total", st.scrapes as f64);
-        reg.counter_add("fleet/telemetry/malformed_total", st.malformed as f64);
-        reg
+        self.state().fleet_registry()
     }
 
     /// Prometheus text exposition of [`TelemetryCollector::fleet_registry`]
@@ -322,72 +325,10 @@ impl TelemetryCollector {
     }
 }
 
-impl Drop for TelemetryCollector {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        // Unblock the accept loop promptly (it also polls every 10ms).
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        let _ = &self.config;
-    }
-}
-
 fn lock<'a>(state: &'a Mutex<CollectorState>) -> MutexGuard<'a, CollectorState> {
     state
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Sniffs the 4-byte magic and dispatches to the framed telemetry session
-/// or the HTTP scrape handler.
-fn serve_connection(
-    mut stream: TcpStream,
-    state: &Mutex<CollectorState>,
-    shutdown: &AtomicBool,
-    config: &TelemetryConfig,
-) {
-    let _ = stream.set_read_timeout(Some(IO_DEADLINE));
-    let mut magic = [0u8; 4];
-    if stream.read_exact(&mut magic).is_err() {
-        return; // includes the self-connect that unblocks shutdown
-    }
-    if magic == TELEMETRY_MAGIC {
-        serve_telemetry(stream, state, shutdown, config);
-    } else if &magic == b"GET " {
-        serve_scrape(stream, state);
-    } else {
-        lock(state).malformed += 1;
-    }
-}
-
-/// Answers one HTTP request with the Prometheus exposition. Any `GET` path
-/// gets the metrics body — there is only one resource.
-fn serve_scrape(mut stream: TcpStream, state: &Mutex<CollectorState>) {
-    // Drain the request head (bounded) so the client's write never blocks.
-    let mut head = Vec::with_capacity(512);
-    let mut byte = [0u8; 1];
-    while head.len() < 8192 && !head.ends_with(b"\r\n\r\n") {
-        match stream.read(&mut byte) {
-            Ok(1) => head.push(byte[0]),
-            _ => break,
-        }
-    }
-    let body = {
-        let mut st = lock(state);
-        st.scrapes += 1;
-        let mut reg = st.agg.fleet_registry();
-        reg.counter_add("fleet/telemetry/scrapes_total", st.scrapes as f64);
-        reg.counter_add("fleet/telemetry/malformed_total", st.malformed as f64);
-        reg.to_prometheus()
-    };
-    let response = format!(
-        "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-        body.len(),
-        body
-    );
-    let _ = stream.write_all(response.as_bytes());
 }
 
 /// Runs one worker's framed telemetry session to completion.
@@ -400,27 +341,19 @@ fn serve_telemetry(
     let mut fs = FramedStream::new(stream);
     let mut worker_id: Option<u64> = None;
     let mut rank: u64 = 0;
-    let mut last_frame = Instant::now();
     let clean_bye = loop {
-        match fs.recv_frame(POLL_SLICE) {
-            Ok(frame) => {
-                last_frame = Instant::now();
-                match handle_frame(&frame, &mut fs, state, config, &mut worker_id, &mut rank) {
-                    FrameOutcome::Continue => {}
-                    FrameOutcome::Bye => break true,
-                    FrameOutcome::Malformed => {
-                        lock(state).malformed += 1;
-                        break false;
-                    }
-                }
-            }
-            Err(RecvFail::TimedOut) => {
-                if shutdown.load(Ordering::Relaxed) || last_frame.elapsed() > config.idle_timeout {
-                    break false;
-                }
-            }
-            Err(RecvFail::Closed) => break false,
+        let frame = match fs.recv_frame_until(config.idle_timeout, shutdown) {
+            Ok(frame) => frame,
             Err(RecvFail::Malformed(_)) => {
+                lock(state).malformed += 1;
+                break false;
+            }
+            Err(_) => break false,
+        };
+        match handle_frame(&frame, &mut fs, state, config, &mut worker_id, &mut rank) {
+            FrameOutcome::Continue => {}
+            FrameOutcome::Bye => break true,
+            FrameOutcome::Malformed => {
                 lock(state).malformed += 1;
                 break false;
             }
@@ -469,63 +402,52 @@ fn handle_frame(
     worker_id: &mut Option<u64>,
     rank: &mut u64,
 ) -> FrameOutcome {
-    let Some((&tag, body)) = frame.split_first() else {
+    if !frame.is_empty() {
+        lock(state).agg.note_frame(frame.len() as u64);
+    }
+    let Ok(decoded) = TelemetryFrame::decode(frame) else {
         return FrameOutcome::Malformed;
     };
-    lock(state).agg.note_frame(frame.len() as u64);
-    let mut b = Body::new(body);
-    match tag {
-        TAG_PING => {
-            let Ok(t0) = b.u64() else {
-                return FrameOutcome::Malformed;
-            };
+    // Everything but the handshake needs a HELLO to attribute it to.
+    let id = match (&decoded, *worker_id) {
+        (TelemetryFrame::Ping { .. } | TelemetryFrame::Hello { .. } | TelemetryFrame::Bye, _) => 0,
+        (_, Some(id)) => id,
+        (_, None) => return FrameOutcome::Malformed,
+    };
+    match decoded {
+        TelemetryFrame::Ping { t0 } => {
             let mut pong = vec![TAG_PONG];
             put_u64(&mut pong, t0);
             put_u64(&mut pong, gcs_trace::now_ns());
             if fs.send_frame(&pong).is_err() {
                 return FrameOutcome::Malformed;
             }
-            FrameOutcome::Continue
         }
-        TAG_HELLO => {
-            let (Ok(id), Ok(offset_bits), Ok(err)) = (b.u64(), b.u64(), b.u64()) else {
-                return FrameOutcome::Malformed;
-            };
+        TelemetryFrame::Pong { .. } => return FrameOutcome::Malformed,
+        TelemetryFrame::Hello {
+            worker_id: id,
+            offset_ns,
+            err_ns,
+        } => {
             *worker_id = Some(id);
             let mut st = lock(state);
-            st.agg.on_join(id, offset_bits as i64, err);
+            st.agg.on_join(id, offset_ns, err_ns);
             st.events.push(FleetEvent {
                 worker_id: id,
                 rank: *rank,
                 kind: "join".into(),
-                detail: format!("clock offset {} ns (±{} ns)", offset_bits as i64, err),
+                detail: format!("clock offset {offset_ns} ns (±{err_ns} ns)"),
             });
-            FrameOutcome::Continue
         }
-        TAG_SNAPSHOT => {
-            let (Ok(r), Ok(epoch)) = (b.u64(), b.u64()) else {
-                return FrameOutcome::Malformed;
-            };
-            let Ok(reg) = decode_registry(b.rest()) else {
-                return FrameOutcome::Malformed;
-            };
-            let Some(id) = *worker_id else {
-                return FrameOutcome::Malformed; // snapshot before HELLO
-            };
+        TelemetryFrame::Snapshot {
+            rank: r,
+            epoch,
+            registry,
+        } => {
             *rank = r;
-            lock(state).agg.on_snapshot(id, r, epoch, reg);
-            FrameOutcome::Continue
+            lock(state).agg.on_snapshot(id, r, epoch, registry);
         }
-        TAG_TRACE => {
-            let Ok(r) = b.u64() else {
-                return FrameOutcome::Malformed;
-            };
-            let Ok(trace) = decode_trace(b.rest()) else {
-                return FrameOutcome::Malformed;
-            };
-            let Some(id) = *worker_id else {
-                return FrameOutcome::Malformed;
-            };
+        TelemetryFrame::Trace { rank: r, trace } => {
             *rank = r;
             let mut st = lock(state);
             let entry = st
@@ -535,15 +457,12 @@ fn handle_frame(
             entry.0 = r;
             entry.1.extend(trace);
             entry.1.truncate_oldest(config.max_spans_per_worker);
-            FrameOutcome::Continue
         }
-        TAG_EVENT => {
-            let (Ok(r), Ok(kind), Ok(detail)) = (b.u64(), b.str(), b.str()) else {
-                return FrameOutcome::Malformed;
-            };
-            let Some(id) = *worker_id else {
-                return FrameOutcome::Malformed;
-            };
+        TelemetryFrame::Event {
+            rank: r,
+            kind,
+            detail,
+        } => {
             *rank = r;
             lock(state).events.push(FleetEvent {
                 worker_id: id,
@@ -551,22 +470,14 @@ fn handle_frame(
                 kind,
                 detail,
             });
-            FrameOutcome::Continue
         }
-        TAG_FLIGHT => {
-            let (Ok(r), Ok(jsonl)) = (b.u64(), b.str()) else {
-                return FrameOutcome::Malformed;
-            };
-            let Some(id) = *worker_id else {
-                return FrameOutcome::Malformed;
-            };
+        TelemetryFrame::Flight { rank: r, jsonl } => {
             *rank = r;
             lock(state).flights.insert(id, jsonl);
-            FrameOutcome::Continue
         }
-        TAG_BYE => FrameOutcome::Bye,
-        _ => FrameOutcome::Malformed,
+        TelemetryFrame::Bye => return FrameOutcome::Bye,
     }
+    FrameOutcome::Continue
 }
 
 // -- shipper -----------------------------------------------------------------
@@ -605,12 +516,9 @@ impl TelemetryShipper {
                 Err(_) => return Err("telemetry pong: no response".into()),
             };
             let t1 = gcs_trace::now_ns();
-            let mut b = Body::new(frame.get(1..).unwrap_or(&[]));
-            if frame.first() != Some(&TAG_PONG) {
+            let Ok(TelemetryFrame::Pong { t0: t0_echo, t_c }) = TelemetryFrame::decode(&frame)
+            else {
                 return Err("telemetry pong: unexpected frame".into());
-            }
-            let (Ok(t0_echo), Ok(t_c)) = (b.u64(), b.u64()) else {
-                return Err("telemetry pong: truncated".into());
             };
             if t0_echo != t0 {
                 return Err("telemetry pong: echo mismatch".into());
@@ -652,6 +560,12 @@ impl TelemetryShipper {
         self.clock_err_ns
     }
 
+    fn ship(&mut self, what: &str, frame: &[u8]) -> Result<(), String> {
+        self.fs
+            .send_frame(frame)
+            .map_err(|e| format!("telemetry {what}: {e}"))
+    }
+
     /// Ships a full registry snapshot (the collector replaces, not merges).
     pub fn ship_snapshot(
         &mut self,
@@ -663,9 +577,7 @@ impl TelemetryShipper {
         put_u64(&mut frame, rank);
         put_u64(&mut frame, epoch);
         frame.extend_from_slice(&encode_registry(reg));
-        self.fs
-            .send_frame(&frame)
-            .map_err(|e| format!("telemetry snapshot: {e}"))
+        self.ship("snapshot", &frame)
     }
 
     /// Ships a batch of trace events (no-op for an empty trace).
@@ -676,43 +588,38 @@ impl TelemetryShipper {
         let mut frame = vec![TAG_TRACE];
         put_u64(&mut frame, rank);
         frame.extend_from_slice(&encode_trace(trace));
-        self.fs
-            .send_frame(&frame)
-            .map_err(|e| format!("telemetry trace: {e}"))
+        self.ship("trace", &frame)
     }
 
     /// Ships a fault/membership/lifecycle event.
     pub fn ship_event(&mut self, rank: u64, kind: &str, detail: &str) -> Result<(), String> {
         let mut frame = vec![TAG_EVENT];
         put_u64(&mut frame, rank);
-        put_str(&mut frame, kind);
-        put_str(&mut frame, detail);
-        self.fs
-            .send_frame(&frame)
-            .map_err(|e| format!("telemetry event: {e}"))
+        put_str(&mut frame, Prefix::U64, kind);
+        put_str(&mut frame, Prefix::U64, detail);
+        self.ship("event", &frame)
     }
 
     /// Ships the current flight-recorder JSONL (collector keeps the latest).
     pub fn ship_flight(&mut self, rank: u64, jsonl: &str) -> Result<(), String> {
         let mut frame = vec![TAG_FLIGHT];
         put_u64(&mut frame, rank);
-        put_str(&mut frame, jsonl);
-        self.fs
-            .send_frame(&frame)
-            .map_err(|e| format!("telemetry flight: {e}"))
+        put_str(&mut frame, Prefix::U64, jsonl);
+        self.ship("flight", &frame)
     }
 
     /// Announces a clean departure (the collector records `leave`, not
     /// `death`).
     pub fn bye(&mut self) -> Result<(), String> {
-        self.fs
-            .send_frame(&[TAG_BYE])
-            .map_err(|e| format!("telemetry bye: {e}"))
+        self.ship("bye", &[TAG_BYE])
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::io::Read;
+    use std::time::Instant;
+
     use super::*;
     use gcs_metrics::fleet::{FlightRecorder, ROUND_HIST, WIRE_BYTES_COUNTER};
 

@@ -22,6 +22,7 @@ use std::time::Duration;
 
 use gcs_collectives::error::CollectiveError;
 use gcs_collectives::tcp::{decode_elems, TcpMesh, WireElem};
+use gcs_trace::bytes::{put_elems, put_u64, Cursor};
 
 use crate::links::{Frame, FrameTransport};
 
@@ -48,50 +49,40 @@ impl<'m, T: WireElem> TcpFrameLinks<'m, T> {
 }
 
 fn encode_frame<T: WireElem>(frame: &Frame<T>) -> Vec<u8> {
+    let mut out = Vec::new();
     match frame {
         Frame::Data { seq, payload } => {
-            let mut out = Vec::with_capacity(9 + payload.len() * T::BYTES);
             out.push(TAG_DATA);
-            out.extend_from_slice(&seq.to_le_bytes());
-            for v in payload {
-                v.write_to(&mut out);
-            }
-            out
+            put_u64(&mut out, *seq);
+            put_elems(&mut out, payload);
         }
         Frame::Ack { seq } => {
-            let mut out = Vec::with_capacity(9);
             out.push(TAG_ACK);
-            out.extend_from_slice(&seq.to_le_bytes());
-            out
+            put_u64(&mut out, *seq);
         }
     }
+    out
 }
 
 fn decode_frame<T: WireElem>(bytes: &[u8], peer: usize) -> Result<Frame<T>, CollectiveError> {
     let malformed = |detail: String| CollectiveError::Protocol { peer, detail };
-    if bytes.len() < 9 {
+    let mut c = Cursor::new(bytes);
+    let (Ok(tag), Ok(seq)) = (c.u8(), c.u64()) else {
         return Err(malformed(format!(
             "frame of {} bytes has no header",
             bytes.len()
         )));
-    }
-    let seq = u64::from_le_bytes([
-        bytes[1], bytes[2], bytes[3], bytes[4], bytes[5], bytes[6], bytes[7], bytes[8],
-    ]);
-    match bytes[0] {
+    };
+    match tag {
         TAG_DATA => Ok(Frame::Data {
             seq,
-            payload: decode_elems(&bytes[9..], peer)?,
+            payload: decode_elems(c.rest(), peer)?,
         }),
-        TAG_ACK => {
-            if bytes.len() != 9 {
-                return Err(malformed(format!(
-                    "ack frame carries {} stray bytes",
-                    bytes.len() - 9
-                )));
-            }
-            Ok(Frame::Ack { seq })
-        }
+        TAG_ACK if c.remaining() == 0 => Ok(Frame::Ack { seq }),
+        TAG_ACK => Err(malformed(format!(
+            "ack frame carries {} stray bytes",
+            c.remaining()
+        ))),
         tag => Err(malformed(format!("unknown frame tag {tag}"))),
     }
 }

@@ -32,8 +32,8 @@ use std::path::Path;
 use crate::json::Json;
 use crate::registry::Registry;
 use crate::straggler::StragglerMonitor;
-use crate::wirefmt::{put_f64, put_str, put_u32, put_u64, put_u8, Reader};
 use crate::Histogram;
+use gcs_trace::bytes::{put_f64, put_str, put_u32, put_u64, put_u8, Cursor, Prefix};
 
 /// Version byte leading every encoded registry. Bump on layout change.
 pub const FLEET_WIRE_VERSION: u8 = 1;
@@ -56,25 +56,25 @@ pub fn encode_registry(reg: &Registry) -> Vec<u8> {
     let counters: Vec<(&str, f64)> = reg.counters().collect();
     put_u32(&mut out, counters.len() as u32);
     for (name, v) in counters {
-        put_str(&mut out, name);
+        put_str(&mut out, Prefix::U32, name);
         put_f64(&mut out, v);
     }
     let gauges: Vec<(&str, f64)> = reg.gauges().collect();
     put_u32(&mut out, gauges.len() as u32);
     for (name, v) in gauges {
-        put_str(&mut out, name);
+        put_str(&mut out, Prefix::U32, name);
         put_f64(&mut out, v);
     }
     let hists: Vec<(&str, &Histogram)> = reg.hists().collect();
     put_u32(&mut out, hists.len() as u32);
     for (name, h) in hists {
-        put_str(&mut out, name);
+        put_str(&mut out, Prefix::U32, name);
         h.wire_encode(&mut out);
     }
     let series: Vec<_> = reg.all_series().collect();
     put_u32(&mut out, series.len() as u32);
     for (name, s) in series {
-        put_str(&mut out, name);
+        put_str(&mut out, Prefix::U32, name);
         let points: Vec<(u64, f64)> = s.iter().collect();
         put_u32(&mut out, points.len() as u32);
         for (round, v) in points {
@@ -88,52 +88,34 @@ pub fn encode_registry(reg: &Registry) -> Vec<u8> {
 /// Inverse of [`encode_registry`]. Truncated payloads, unknown versions,
 /// and length prefixes past the buffer end all produce `Err`.
 pub fn decode_registry(bytes: &[u8]) -> Result<Registry, String> {
-    let mut r = Reader::new(bytes);
+    let mut r = Cursor::new(bytes);
     let version = r.u8()?;
     if version != FLEET_WIRE_VERSION {
         return Err(format!("fleet wire: unsupported version {version}"));
     }
     let mut reg = Registry::new();
-    let n_counters = r.u32()? as usize;
-    check_count(n_counters, 12, r.remaining(), "counter")?;
-    for _ in 0..n_counters {
-        let name = r.str()?;
+    // Each count is checked against the smallest encoding of its elements.
+    for _ in 0..r.count(Prefix::U32, 12)? {
+        let name = r.str(Prefix::U32)?;
         reg.counter_add(&name, r.f64()?);
     }
-    let n_gauges = r.u32()? as usize;
-    check_count(n_gauges, 12, r.remaining(), "gauge")?;
-    for _ in 0..n_gauges {
-        let name = r.str()?;
+    for _ in 0..r.count(Prefix::U32, 12)? {
+        let name = r.str(Prefix::U32)?;
         reg.gauge_set(&name, r.f64()?);
     }
-    let n_hists = r.u32()? as usize;
-    check_count(n_hists, 48, r.remaining(), "histogram")?;
-    for _ in 0..n_hists {
-        let name = r.str()?;
+    for _ in 0..r.count(Prefix::U32, 48)? {
+        let name = r.str(Prefix::U32)?;
         let h = Histogram::wire_decode(&mut r)?;
         reg.insert_hist(name, h);
     }
-    let n_series = r.u32()? as usize;
-    check_count(n_series, 8, r.remaining(), "series")?;
-    for _ in 0..n_series {
-        let name = r.str()?;
-        let n_points = r.u32()? as usize;
-        check_count(n_points, 16, r.remaining(), "series point")?;
-        for _ in 0..n_points {
+    for _ in 0..r.count(Prefix::U32, 8)? {
+        let name = r.str(Prefix::U32)?;
+        for _ in 0..r.count(Prefix::U32, 16)? {
             let round = r.u64()?;
             reg.series_push(&name, round, r.f64()?);
         }
     }
     Ok(reg)
-}
-
-/// Rejects a count prefix whose minimum encoding could not fit in the
-/// remaining payload (allocation guard against corrupt frames).
-fn check_count(n: usize, min_bytes: usize, remaining: usize, what: &str) -> Result<(), String> {
-    if n.saturating_mul(min_bytes) > remaining {
-        return Err(format!("fleet wire: {what} count {n} exceeds payload"));
-    }
-    Ok(())
 }
 
 /// One fleet worker as seen by the collector.

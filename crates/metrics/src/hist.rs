@@ -195,7 +195,7 @@ impl Histogram {
     /// `(bucket_index, count)` pairs. The bucket layout is a compile-time
     /// constant ([`SUB_BITS`]), so shipping raw indices is lossless.
     pub(crate) fn wire_encode(&self, out: &mut Vec<u8>) {
-        use crate::wirefmt::{put_f64, put_u32, put_u64};
+        use gcs_trace::bytes::{put_f64, put_u32, put_u64};
         put_u64(out, self.non_positive);
         put_u64(out, self.count);
         put_f64(out, self.sum);
@@ -210,19 +210,15 @@ impl Histogram {
 
     /// Inverse of [`Histogram::wire_encode`]; rejects bucket counts that
     /// could not fit in the remaining payload.
-    pub(crate) fn wire_decode(r: &mut crate::wirefmt::Reader) -> Result<Histogram, String> {
+    pub(crate) fn wire_decode(r: &mut gcs_trace::bytes::Cursor<'_>) -> Result<Histogram, String> {
+        use gcs_trace::bytes::Prefix;
         let non_positive = r.u64()?;
         let count = r.u64()?;
         let sum = r.f64()?;
         let min = r.f64()?;
         let max = r.f64()?;
-        let n_buckets = r.u32()? as usize;
-        // Each bucket occupies 12 bytes; a prefix past the payload is corrupt.
-        if n_buckets.saturating_mul(12) > r.remaining() {
-            return Err(format!(
-                "fleet wire: histogram bucket count {n_buckets} exceeds payload"
-            ));
-        }
+        // Each bucket occupies 12 bytes.
+        let n_buckets = r.count(Prefix::U32, 12)?;
         let mut counts = BTreeMap::new();
         for _ in 0..n_buckets {
             let idx = r.u32()?;

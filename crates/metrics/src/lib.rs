@@ -43,7 +43,6 @@ mod registry;
 mod series;
 mod straggler;
 mod tta;
-mod wirefmt;
 
 pub use fleet::{
     decode_registry, encode_registry, FleetAggregator, FleetMember, FlightEntry, FlightRecorder,

@@ -53,6 +53,7 @@
 //! println!("{}", report.render());
 //! ```
 
+pub mod bytes;
 mod chrome;
 mod report;
 pub mod wire;

@@ -17,6 +17,7 @@
 //! timeline. An 8-process training round therefore renders as eight
 //! aligned swimlane groups in one trace viewer tab.
 
+use crate::bytes::{put_f64, put_str, put_u32, put_u64, Cursor, Prefix};
 use crate::chrome::{escape_into, ns_to_us, push_f64, push_u64, sep};
 use crate::{Phase, Trace};
 
@@ -89,25 +90,6 @@ impl OwnedTrace {
     }
 }
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_name(out: &mut Vec<u8>, name: &str) {
-    let bytes = name.as_bytes();
-    let len = bytes.len().min(u16::MAX as usize);
-    put_u16(out, len as u16);
-    out.extend_from_slice(&bytes[..len]);
-}
-
 /// Serializes a recorded [`Trace`] for shipping. The layout is
 /// `[version][n_spans][span…][n_counters][counter…]`, spans as
 /// `[phase u8][name u16+utf8][start u64][dur u64][round u64][tid u64]`,
@@ -120,7 +102,7 @@ pub fn encode_trace(trace: &Trace) -> Vec<u8> {
     for s in &trace.spans {
         let phase_idx = Phase::ALL.iter().position(|p| *p == s.phase).unwrap_or(0);
         out.push(phase_idx as u8);
-        put_name(&mut out, s.name);
+        put_str(&mut out, Prefix::U16, s.name);
         put_u64(&mut out, s.start_ns);
         put_u64(&mut out, s.dur_ns);
         put_u64(&mut out, s.round);
@@ -128,62 +110,13 @@ pub fn encode_trace(trace: &Trace) -> Vec<u8> {
     }
     put_u32(&mut out, trace.counters.len() as u32);
     for c in &trace.counters {
-        put_name(&mut out, c.name);
-        put_u64(&mut out, c.value.to_bits());
+        put_str(&mut out, Prefix::U16, c.name);
+        put_f64(&mut out, c.value);
         put_u64(&mut out, c.at_ns);
         put_u64(&mut out, c.round);
         put_u64(&mut out, c.tid);
     }
     out
-}
-
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| format!("trace wire: truncated at byte {}", self.pos))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn name(&mut self) -> Result<String, String> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "trace wire: non-UTF-8 name".to_string())
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
 }
 
 /// Minimum encoded bytes per span / counter — used to bound `Vec`
@@ -195,15 +128,12 @@ const MIN_COUNTER_BYTES: usize = 2 + 32;
 /// version, bad phase tag, or length prefix past the buffer end is an
 /// error naming the problem.
 pub fn decode_trace(bytes: &[u8]) -> Result<OwnedTrace, String> {
-    let mut cur = Cur { buf: bytes, pos: 0 };
+    let mut cur = Cursor::new(bytes);
     let version = cur.u8()?;
     if version != TRACE_WIRE_VERSION {
         return Err(format!("trace wire: unsupported version {version}"));
     }
-    let n_spans = cur.u32()? as usize;
-    if n_spans.saturating_mul(MIN_SPAN_BYTES) > cur.remaining() {
-        return Err(format!("trace wire: span count {n_spans} exceeds payload"));
-    }
+    let n_spans = cur.count(Prefix::U32, MIN_SPAN_BYTES)?;
     let mut spans = Vec::with_capacity(n_spans);
     for _ in 0..n_spans {
         let phase_idx = cur.u8()? as usize;
@@ -212,24 +142,19 @@ pub fn decode_trace(bytes: &[u8]) -> Result<OwnedTrace, String> {
             .ok_or_else(|| format!("trace wire: bad phase tag {phase_idx}"))?;
         spans.push(OwnedSpan {
             phase,
-            name: cur.name()?,
+            name: cur.str(Prefix::U16)?,
             start_ns: cur.u64()?,
             dur_ns: cur.u64()?,
             round: cur.u64()?,
             tid: cur.u64()?,
         });
     }
-    let n_counters = cur.u32()? as usize;
-    if n_counters.saturating_mul(MIN_COUNTER_BYTES) > cur.remaining() {
-        return Err(format!(
-            "trace wire: counter count {n_counters} exceeds payload"
-        ));
-    }
+    let n_counters = cur.count(Prefix::U32, MIN_COUNTER_BYTES)?;
     let mut counters = Vec::with_capacity(n_counters);
     for _ in 0..n_counters {
         counters.push(OwnedCounter {
-            name: cur.name()?,
-            value: f64::from_bits(cur.u64()?),
+            name: cur.str(Prefix::U16)?,
+            value: cur.f64()?,
             at_ns: cur.u64()?,
             round: cur.u64()?,
             tid: cur.u64()?,

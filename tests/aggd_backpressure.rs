@@ -6,12 +6,14 @@
 //! is throttled by *its own* bounds (reply window, write buffer, TCP);
 //! other tenants keep completing rounds meanwhile.
 
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use gradient_utility::aggd::proto::{
     decode_reject, encode_submit, Cursor, RejectCode, T_REJECT, T_SUBMIT_OK,
 };
 use gradient_utility::aggd::{AggDaemon, AggdConfig, SchemeSpec, TenantClient, TenantConfig};
+use gradient_utility::collectives::tcp::{FleetWorker, Registry, TcpTimeouts};
 
 const DEADLINE: Duration = Duration::from_secs(20);
 
@@ -273,4 +275,32 @@ fn admission_and_config_mismatch_are_typed() {
         RejectCode::ConfigMismatch,
         "config drift",
     );
+}
+
+/// Connections that never send their magic must not stall anyone else's
+/// connect: the accept thread hands each to a thread of its own and goes
+/// back to accepting. The deadline is the only clock in these tests.
+#[test]
+fn silent_connections_do_not_stall_a_tenant_connect() {
+    let daemon = AggDaemon::spawn(AggdConfig::default()).expect("spawn");
+    let _silent: Vec<TcpStream> = (0..3)
+        .map(|_| TcpStream::connect(daemon.addr()).expect("silent dial"))
+        .collect();
+    let deadline = Duration::from_millis(1500);
+    TenantClient::connect(daemon.addr(), &cfg(31, 1, 1), deadline)
+        .expect("connect behind three silent connections");
+}
+
+/// The rendezvous registry shares the daemon's accept path.
+#[test]
+fn silent_connections_do_not_stall_a_registry_join() {
+    let registry = Registry::spawn(1).expect("registry");
+    let _silent: Vec<TcpStream> = (0..3)
+        .map(|_| TcpStream::connect(registry.addr()).expect("silent dial"))
+        .collect();
+    let timeouts = TcpTimeouts {
+        barrier: Duration::from_millis(1500),
+        ..TcpTimeouts::fast_test()
+    };
+    FleetWorker::join(registry.addr(), timeouts).expect("join behind three silent connections");
 }

@@ -15,6 +15,9 @@
 //!   every healthy tenant's bits stay identical to standalone and the
 //!   daemon keeps serving.
 
+use std::collections::BTreeSet;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 use gradient_utility::aggd::proto::splitmix64;
@@ -298,4 +301,56 @@ fn faults_crashes_and_oversized_frames_stay_isolated() {
     let reg = daemon.registry();
     assert!(reg.counter("aggd/tenant/2:1/faults_total").unwrap_or(0.0) >= 6.0);
     assert_eq!(reg.counter("aggd/tenant/1:1/faults_total"), Some(0.0));
+}
+
+/// Raw HTTP/1.1 scrape of the daemon's port — a real socket client, not a
+/// call into the daemon's own accessors.
+fn http_scrape(addr: std::net::SocketAddr) -> (String, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect scrape");
+    stream
+        .write_all(b"GET /metrics HTTP/1.1\r\nHost: aggd\r\nConnection: close\r\n\r\n")
+        .expect("send scrape request");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read scrape");
+    let (head, body) = response
+        .split_once("\r\n\r\n")
+        .expect("response has header/body split");
+    (head.to_string(), body.to_string())
+}
+
+/// The metric names of a Prometheus text exposition.
+fn metric_names(exposition: &str) -> BTreeSet<&str> {
+    exposition
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| l.split([' ', '{']).next())
+        .collect()
+}
+
+/// The daemon's port answers `GET /metrics` with the same registry
+/// `prometheus()` renders in process, and counts the scrape.
+#[test]
+fn http_scrape_serves_the_daemon_registry() {
+    let daemon = daemon();
+    let cfg = tenant_cfg(7, 0, 32, 1);
+    let mut client = TenantClient::connect(daemon.addr(), &cfg, DEADLINE).expect("connect");
+    let mut out = Vec::new();
+    for round in 0..3u64 {
+        let g = grad(cfg.tenant, round, 0, 32);
+        client.run_round(round, 0, &g, &mut out).expect("round");
+    }
+
+    let (head, body) = http_scrape(daemon.addr());
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    let content_length: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .expect("Content-Length header")
+        .parse()
+        .expect("numeric Content-Length");
+    assert_eq!(content_length, body.len());
+    let names = metric_names(&body);
+    assert!(names.contains("gcs_aggd_sessions_total"), "{body}");
+    assert_eq!(names, metric_names(&daemon.prometheus()));
+    assert_eq!(daemon.registry().counter("aggd/scrapes_total"), Some(1.0));
 }

@@ -116,3 +116,385 @@ proptest! {
         prop_assert!(owned.is_empty());
     }
 }
+
+// ---------------------------------------------------------------------------
+// Golden encodings: every message format on a wire, byte for byte
+// ---------------------------------------------------------------------------
+
+mod golden {
+    use std::io::{Read, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::time::{Duration, Instant};
+
+    use gradient_utility::aggd::proto::{
+        decode_hello, decode_reject, encode_fetch_ok, encode_hello, encode_reject, encode_submit,
+        Cursor, RejectCode,
+    };
+    use gradient_utility::aggd::{SchemeSpec, TenantConfig, TenantFaultSpec};
+    use gradient_utility::collectives::tcp::{
+        decode_elems, encode_elems, FleetWorker, Registry, TcpTimeouts,
+    };
+    use gradient_utility::collectives::{
+        FramedStream, TelemetryCollector, TelemetryConfig, TelemetryShipper, TELEMETRY_MAGIC,
+    };
+    use gradient_utility::faults::{Frame, FrameTransport, TcpFrameLinks};
+    use gradient_utility::metrics::fleet::{decode_registry, encode_registry};
+    use gradient_utility::metrics::Registry as MetricsRegistry;
+    use gradient_utility::trace::wire::{
+        decode_trace, encode_trace, OwnedCounter, OwnedSpan, OwnedTrace,
+    };
+    use gradient_utility::trace::{CounterRecord, Phase, SpanRecord, Trace};
+
+    const DEADLINE: Duration = Duration::from_secs(20);
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// FNV-1a 64 — the pin for messages too long to read as hex.
+    fn fnv64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// `-0.0`, a NaN with a payload, the smallest subnormal.
+    fn odd_floats() -> [f32; 3] {
+        [-0.0, f32::from_bits(0x7fc0_1234), f32::from_bits(1)]
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn span_wire_trace() {
+        let trace = Trace {
+            spans: vec![
+                SpanRecord {
+                    phase: Phase::Compress,
+                    name: "topk_select",
+                    start_ns: 1_000,
+                    dur_ns: 250,
+                    round: 3,
+                    tid: 1,
+                },
+                SpanRecord {
+                    phase: Phase::Network,
+                    name: "ring_all_reduce",
+                    start_ns: 2_000,
+                    dur_ns: 4_000,
+                    round: 3,
+                    tid: 0,
+                },
+            ],
+            counters: vec![CounterRecord {
+                name: "wire_bytes",
+                value: 4096.5,
+                at_ns: 7_000,
+                round: 3,
+                tid: 0,
+            }],
+        };
+        let bytes = encode_trace(&trace);
+        assert_eq!(
+            (bytes.len(), fnv64(&bytes)),
+            (149, 0x66d2b89d510d669a),
+            "{}",
+            hex(&bytes)
+        );
+        let owned = OwnedTrace {
+            spans: trace
+                .spans
+                .iter()
+                .map(|s| OwnedSpan {
+                    phase: s.phase,
+                    name: s.name.to_string(),
+                    start_ns: s.start_ns,
+                    dur_ns: s.dur_ns,
+                    round: s.round,
+                    tid: s.tid,
+                })
+                .collect(),
+            counters: vec![OwnedCounter {
+                name: "wire_bytes".to_string(),
+                value: 4096.5,
+                at_ns: 7_000,
+                round: 3,
+                tid: 0,
+            }],
+        };
+        assert_eq!(decode_trace(&bytes).expect("golden trace decodes"), owned);
+    }
+
+    fn golden_registry() -> MetricsRegistry {
+        let mut reg = MetricsRegistry::new();
+        reg.counter_add("fleet/wire_bytes_total", 8192.0);
+        reg.gauge_set("train/loss", -0.5);
+        reg.observe("fleet/round_ns", 1_000.0);
+        reg.observe("fleet/round_ns", 250_000.0);
+        reg.series_push("train/acc", 0, 0.25);
+        reg.series_push("train/acc", 1, 0.5);
+        reg
+    }
+
+    fn assert_is_golden_registry(reg: &MetricsRegistry) {
+        assert_eq!(reg.counter("fleet/wire_bytes_total"), Some(8192.0));
+        assert_eq!(reg.gauge("train/loss"), Some(-0.5));
+        let h = reg.hist("fleet/round_ns").expect("histogram survives");
+        assert_eq!(
+            (h.count(), h.min(), h.max()),
+            (2, Some(1_000.0), Some(250_000.0))
+        );
+        let points: Vec<(u64, f64)> = reg.series("train/acc").expect("series").iter().collect();
+        assert_eq!(points, vec![(0, 0.25), (1, 0.5)]);
+    }
+
+    const REGISTRY_PIN: (usize, u64) = (208, 0x423d5f8dd34e714f);
+
+    #[test]
+    fn fleet_wire_registry() {
+        let bytes = encode_registry(&golden_registry());
+        assert_eq!(
+            (bytes.len(), fnv64(&bytes)),
+            REGISTRY_PIN,
+            "{}",
+            hex(&bytes)
+        );
+        let back = decode_registry(&bytes).expect("golden registry decodes");
+        assert_is_golden_registry(&back);
+        assert_eq!(encode_registry(&back), bytes);
+    }
+
+    fn golden_tenant() -> TenantConfig {
+        TenantConfig {
+            tenant: 7,
+            model: 9,
+            dim: 128,
+            n_workers: 4,
+            experiment_seed: 0xdead_beef,
+            scheme: SchemeSpec::PowerSgd {
+                rank: 2,
+                rows: 16,
+                cols: 8,
+            },
+            fault: Some(TenantFaultSpec {
+                seed: 3,
+                reject_period: 5,
+                crash_round: 11,
+            }),
+        }
+    }
+
+    #[test]
+    fn aggd_messages() {
+        let mut buf = Vec::new();
+        encode_hello(&mut buf, &golden_tenant());
+        assert_eq!(
+            hex(&buf),
+            concat!(
+                "01",
+                "0700000000000000",
+                "0900000000000000",
+                "8000000000000000",
+                "0400000000000000",
+                "efbeadde00000000",
+                "04",
+                "0200000000000000",
+                "1000000000000000",
+                "0800000000000000",
+                "01",
+                "0300000000000000",
+                "0500000000000000",
+                "0b00000000000000",
+            )
+        );
+        let back = decode_hello(&mut Cursor::new(&buf[1..])).expect("golden hello decodes");
+        assert_eq!(back, golden_tenant());
+
+        encode_submit(&mut buf, 3, 1, &odd_floats());
+        assert_eq!(
+            hex(&buf),
+            "0203000000000000000100000000000000000000803412c07f01000000"
+        );
+        let mut c = Cursor::new(&buf[1..]);
+        assert_eq!((c.u64().unwrap(), c.u64().unwrap()), (3, 1));
+        let mut grad = Vec::new();
+        c.f32s_into(3, &mut grad).expect("golden submit payload");
+        assert_eq!(bits(&grad), bits(&odd_floats()));
+
+        buf.clear();
+        encode_fetch_ok(&mut buf, 3, &odd_floats());
+        assert_eq!(hex(&buf), "830300000000000000000000803412c07f01000000");
+        let mut c = Cursor::new(&buf[1..]);
+        assert_eq!(c.u64().unwrap(), 3);
+        c.f32s_into(3, &mut grad).expect("golden estimate payload");
+        assert_eq!(bits(&grad), bits(&odd_floats()));
+
+        buf.clear();
+        encode_reject(&mut buf, RejectCode::QueueFull, 5, "shard queue full");
+        assert_eq!(
+            hex(&buf),
+            "7f010500000000000000100000000000000073686172642071756575652066756c6c"
+        );
+        let r = decode_reject(&mut Cursor::new(&buf[1..])).expect("golden reject decodes");
+        assert_eq!(
+            (r.code, r.retry_after_ms, r.detail.as_str()),
+            (RejectCode::QueueFull, 5, "shard queue full")
+        );
+    }
+
+    #[test]
+    fn collective_elements() {
+        let f = encode_elems(&odd_floats());
+        assert_eq!(hex(&f), "000000803412c07f01000000");
+        let back: Vec<f32> = decode_elems(&f, 0).expect("golden f32 payload");
+        assert_eq!(bits(&back), bits(&odd_floats()));
+
+        let lanes = [0u32, 1, 0xdead_beef, u32::MAX];
+        let u = encode_elems(&lanes);
+        assert_eq!(hex(&u), "0000000001000000efbeaddeffffffff");
+        let back: Vec<u32> = decode_elems(&u, 0).expect("golden u32 payload");
+        assert_eq!(back, lanes);
+    }
+
+    const EVENT_HEX: &str = concat!(
+        "06",
+        "0200000000000000",
+        "0c00000000000000",
+        "65706f63685f6368616e6765",
+        "0c00000000000000",
+        "65706f63682031202d3e2032",
+    );
+    const SNAPSHOT_PIN: (usize, u64) = (225, 0xc223e41c1d0c9966);
+
+    /// The frames a real [`TelemetryShipper`] puts on a loopback socket after
+    /// its handshake, read by a stand-in collector that only answers pings.
+    #[test]
+    fn telemetry_frames_as_shipped() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let collector = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut magic = [0u8; 4];
+            stream.read_exact(&mut magic).expect("magic");
+            assert_eq!(magic, TELEMETRY_MAGIC);
+            let mut fs = FramedStream::new(stream);
+            let mut shipped = Vec::new();
+            while shipped.len() < 2 {
+                let frame = fs.recv_frame(DEADLINE).expect("shipper frame");
+                match frame[0] {
+                    0x01 => {
+                        let mut pong = vec![0x02];
+                        pong.extend_from_slice(&frame[1..9]);
+                        pong.extend_from_slice(&0u64.to_le_bytes());
+                        fs.send_frame(&pong).expect("pong");
+                    }
+                    0x03 => assert_eq!(frame[1..9], 11u64.to_le_bytes(), "HELLO names the worker"),
+                    _ => shipped.push(frame),
+                }
+            }
+            shipped
+        });
+        let mut shipper = TelemetryShipper::connect(addr, 11).expect("connect");
+        shipper
+            .ship_event(2, "epoch_change", "epoch 1 -> 2")
+            .expect("event");
+        shipper
+            .ship_snapshot(2, 5, &golden_registry())
+            .expect("snapshot");
+        let shipped = collector.join().expect("stand-in collector");
+        assert_eq!(hex(&shipped[0]), EVENT_HEX);
+        assert_eq!(
+            (shipped[1].len(), fnv64(&shipped[1])),
+            SNAPSHOT_PIN,
+            "{}",
+            hex(&shipped[1])
+        );
+        // SNAPSHOT is `[tag][rank][epoch]` in front of the registry encoding.
+        assert_eq!(shipped[1][0], 0x04);
+        assert_eq!(shipped[1][1..9], 2u64.to_le_bytes());
+        assert_eq!(shipped[1][9..17], 5u64.to_le_bytes());
+        assert_eq!(shipped[1][17..], encode_registry(&golden_registry())[..]);
+
+        // The same bytes, fed to the real collector, decode to the same values.
+        let collector = TelemetryCollector::spawn(TelemetryConfig::default()).expect("collector");
+        let mut stream = TcpStream::connect(collector.addr()).expect("dial");
+        stream.write_all(&TELEMETRY_MAGIC).expect("magic");
+        let mut fs = FramedStream::new(stream);
+        let mut hello = vec![0x03];
+        for v in [11u64, 0, 0] {
+            hello.extend_from_slice(&v.to_le_bytes());
+        }
+        fs.send_frame(&hello).expect("hello");
+        fs.send_frame(&shipped[0]).expect("event");
+        fs.send_frame(&shipped[1]).expect("snapshot");
+        let t0 = Instant::now();
+        while collector.aggregator().member(11).map(|m| m.snapshots) != Some(1) {
+            assert!(t0.elapsed() < DEADLINE, "snapshot never applied");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let event = collector
+            .events()
+            .into_iter()
+            .find(|e| e.kind == "epoch_change")
+            .expect("event decoded");
+        assert_eq!((event.worker_id, event.rank), (11, 2));
+        assert_eq!(event.detail, "epoch 1 -> 2");
+        let agg = collector.aggregator();
+        let member = agg.member(11).expect("member");
+        assert_eq!((member.rank, member.epoch), (2, 5));
+        assert_is_golden_registry(&member.registry);
+        assert_eq!(collector.malformed(), 0);
+    }
+
+    /// A `gcs-faults` Data and Ack frame as they cross a two-rank mesh, and
+    /// the same bytes decoded back by the carrier.
+    #[test]
+    fn fault_layer_frames() {
+        const DATA_HEX: &str = "000700000000000000000000803412c07f01000000";
+        const ACK_HEX: &str = "012a00000000000000";
+        let registry = Registry::spawn(2).expect("registry");
+        let addr = registry.addr();
+        let ranks: Vec<_> = (0..2)
+            .map(|_| {
+                std::thread::spawn(move || {
+                    let mut w = FleetWorker::join(addr, TcpTimeouts::fast_test()).expect("join");
+                    let rs = w.next_round(0).expect("round");
+                    let peer = 1 - rs.rank;
+                    if rs.rank == 0 {
+                        let mut links = TcpFrameLinks::<f32>::new(w.mesh_mut());
+                        let data = Frame::Data {
+                            seq: 7,
+                            payload: odd_floats().to_vec(),
+                        };
+                        links.send_frame(peer, data).expect("data");
+                        links.send_frame(peer, Frame::Ack { seq: 42 }).expect("ack");
+                        // The peer echoes the pinned bytes; decode them.
+                        let mut back = links.recv_frames(peer, DEADLINE).expect("echoed data");
+                        back.extend(links.recv_frames(peer, DEADLINE).expect("echoed ack"));
+                        match &back[..] {
+                            [Frame::Data { seq: 7, payload }, Frame::Ack { seq: 42 }] => {
+                                assert_eq!(bits(payload), bits(&odd_floats()));
+                            }
+                            other => panic!("decoded {other:?}"),
+                        }
+                    } else {
+                        let mesh = w.mesh_mut();
+                        let data = mesh.recv_raw(peer).expect("raw data");
+                        let ack = mesh.recv_raw(peer).expect("raw ack");
+                        assert_eq!(hex(&data), DATA_HEX);
+                        assert_eq!(hex(&ack), ACK_HEX);
+                        mesh.send_raw(peer, &data).expect("echo data");
+                        mesh.send_raw(peer, &ack).expect("echo ack");
+                    }
+                    w.leave().expect("leave");
+                })
+            })
+            .collect();
+        for h in ranks {
+            h.join().expect("rank thread");
+        }
+        registry.shutdown();
+    }
+}
