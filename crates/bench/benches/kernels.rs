@@ -7,11 +7,11 @@
 //! `d/C` chunk norms is far cheaper than TopK's over `d` values.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use gcs_collectives::{ring_all_reduce, F32Sum};
+use gcs_collectives::{ring_all_reduce_into, F32Sum, RingScratch, Traffic};
 use gcs_nn::layers::{Conv3x3, Dense, Layer};
 use gcs_tensor::hadamard::{fwht, fwht_iterations};
-use gcs_tensor::matrix::{orthonormalize_columns, Matrix};
-use gcs_tensor::vector::top_k_indices;
+use gcs_tensor::matrix::{matmul_into, orthonormalize_columns_with, GsScratch, Matrix};
+use gcs_tensor::vector::{top_k_indices_into, TopKScratch};
 use rand::{Rng, SeedableRng};
 
 fn data(d: usize, seed: u64) -> Vec<f32> {
@@ -45,14 +45,15 @@ fn bench_selection(c: &mut Criterion) {
     let mut g = c.benchmark_group("selection");
     let d = 1 << 16;
     let v = data(d, 2);
+    let (mut scratch, mut idx) = (TopKScratch::new(), Vec::new());
     g.bench_function("topk_over_d", |b| {
-        b.iter(|| top_k_indices(black_box(&v), d / 100))
+        b.iter(|| top_k_indices_into(black_box(&v), d / 100, &mut scratch, &mut idx))
     });
     // TopKC's equivalent: norms of 64-sized chunks, then top-k over d/64.
     g.bench_function("topkc_chunk_norms_and_select", |b| {
         b.iter(|| {
             let norms: Vec<f32> = v.chunks(64).map(gcs_tensor::vector::squared_norm).collect();
-            top_k_indices(black_box(&norms), norms.len() / 100)
+            top_k_indices_into(black_box(&norms), norms.len() / 100, &mut scratch, &mut idx)
         })
     });
     g.finish();
@@ -63,9 +64,10 @@ fn bench_gram_schmidt(c: &mut Criterion) {
     for r in [4usize, 16, 64] {
         g.bench_with_input(BenchmarkId::new("rows512", r), &r, |b, &r| {
             let m0 = Matrix::from_vec(512, r, data(512 * r, 3));
+            let mut gs = GsScratch::new();
             b.iter(|| {
                 let mut m = m0.clone();
-                orthonormalize_columns(black_box(&mut m));
+                orthonormalize_columns_with(black_box(&mut m), &mut gs);
                 m
             })
         });
@@ -76,9 +78,10 @@ fn bench_gram_schmidt(c: &mut Criterion) {
 fn bench_ring_all_reduce(c: &mut Criterion) {
     c.bench_function("ring_all_reduce_4x65536_f32", |b| {
         let bufs: Vec<Vec<f32>> = (0..4).map(|w| data(1 << 16, w as u64)).collect();
+        let (mut scratch, mut traffic) = (RingScratch::new(), Traffic::default());
         b.iter(|| {
             let mut bb = bufs.clone();
-            ring_all_reduce(black_box(&mut bb), &F32Sum, 4.0);
+            ring_all_reduce_into(black_box(&mut bb), &F32Sum, 4.0, &mut scratch, &mut traffic);
             bb
         })
     });
@@ -110,9 +113,14 @@ fn bench_parallel_runtime(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("par_topk");
     let v = data(d, 8);
+    let (mut scratch, mut idx) = (TopKScratch::new(), Vec::new());
     for &t in &threads {
         g.bench_with_input(BenchmarkId::new("threads", t), &t, |b, &t| {
-            b.iter(|| with_threads(t, || top_k_indices(black_box(&v), d / 100)))
+            b.iter(|| {
+                with_threads(t, || {
+                    top_k_indices_into(black_box(&v), d / 100, &mut scratch, &mut idx)
+                })
+            })
         });
     }
     g.finish();
@@ -120,11 +128,15 @@ fn bench_parallel_runtime(c: &mut Criterion) {
     // PowerSGD's hot shapes: (d/cols x cols) * (cols x rank).
     let mut g = c.benchmark_group("par_matmul");
     let (rows, cols, rank) = (4096usize, 256usize, 8usize);
-    let m = Matrix::from_vec(rows, cols, data(rows * cols, 9));
-    let q = Matrix::from_vec(cols, rank, data(cols * rank, 10));
+    let (m, q) = (data(rows * cols, 9), data(cols * rank, 10));
+    let mut p = vec![0.0f32; rows * rank];
     for &t in &threads {
         g.bench_with_input(BenchmarkId::new("threads", t), &t, |b, &t| {
-            b.iter(|| with_threads(t, || black_box(&m).matmul(black_box(&q))))
+            b.iter(|| {
+                with_threads(t, || {
+                    matmul_into(black_box(&m), rows, cols, black_box(&q), rank, &mut p)
+                })
+            })
         });
     }
     g.finish();

@@ -11,13 +11,14 @@
 //! cannot be expressed through [`ops`]'s reduction interface.
 //!
 //! * [`reduce`] — reduction operators: exact f32 sum, FP16-precision sum
-//!   (NCCL `ncclFloat16` semantics), and the saturating / wrapping / widened
+//!   (NCCL `ncclFloat16` semantics), f32 max, and the saturating / widened
 //!   q-bit integer sums that THC-style quantization needs.
-//! * [`ops`] — the collective algorithms themselves (ring all-reduce as
-//!   reduce-scatter + all-gather, binomial-tree all-reduce, all-gather,
-//!   reduce-scatter, broadcast, parameter-server), implemented generically
-//!   over element type and reduction operator, with exact per-worker
-//!   traffic accounting.
+//! * [`ops`] — the three collectives the schemes run, in memory: the ring
+//!   all-reduce (reduce-scatter + all-gather) over any element type and
+//!   reduction operator, the same walk over bit-packed lanes, and the
+//!   all-gather — each with exact per-worker traffic accounting. (Tree,
+//!   parameter-server and hierarchical shapes exist as `gcs-netsim` time
+//!   models; the parameter server as running code is `gcs-aggd`.)
 //! * [`transport`] — message-passing execution: an mpsc-channel
 //!   [`transport::ThreadedCluster`] runs one thread per worker; integration
 //!   tests assert the threaded ring all-reduce is bit-identical to the
@@ -39,7 +40,6 @@
 //!   [`tcp::TcpLinks`] and [`transport::WorkerLinks`], differential-tested
 //!   bitwise.
 
-pub mod advanced;
 pub mod error;
 pub mod ops;
 pub mod reduce;
@@ -47,25 +47,18 @@ pub mod tcp;
 pub mod telemetry;
 pub mod transport;
 
-pub use advanced::{double_tree_all_reduce_into, hierarchical_ring_all_reduce_into};
 pub use error::CollectiveError;
 /// The byte layer under every wire format (lives in `gcs-trace`, the crate
 /// at the bottom of the dependency graph); re-exported for crates that
 /// reach it through this one.
 pub use gcs_trace::bytes;
 pub use ops::{
-    all_gather, all_gather_into, broadcast, broadcast_into, parameter_server,
-    parameter_server_into, reduce_scatter, reduce_scatter_into, ring_all_reduce,
-    ring_all_reduce_into, ring_all_reduce_packed_into, tree_all_reduce, tree_all_reduce_into,
-    RingScratch, Traffic,
+    all_gather_into, ring_all_reduce_into, ring_all_reduce_packed_into, RingScratch, Traffic,
 };
-pub use reduce::{
-    copy_lanes, reduce_lanes, F16Sum, F32Max, F32Sum, ReduceOp, SaturatingIntSum, WideIntSum,
-    WrappingIntSum,
-};
+pub use reduce::{F16Sum, F32Max, F32Sum, ReduceOp, SaturatingIntSum, WideIntSum};
 pub use tcp::{
-    decode_elems, decode_elems_into, encode_elems, encode_elems_into, FleetWorker, FramedStream,
-    RecvFail, Registry, RoundStart, TcpCluster, TcpLinks, TcpMesh, TcpTimeouts, WireElem,
+    decode_elems, decode_elems_into, encode_elems_into, FleetWorker, FramedStream, RecvFail,
+    Registry, RoundStart, TcpCluster, TcpLinks, TcpMesh, TcpTimeouts, WireElem,
     DEFAULT_TCP_CHUNK_BYTES,
 };
 pub use telemetry::{

@@ -17,9 +17,7 @@
 //!   overflow).
 //! * [`SaturatingIntSum`] — the paper's `Sat(x,y)` operator (§3.2.2):
 //!   clamp to `[−(2^{b−1}−1), 2^{b−1}−1]`, enabling `b = q`.
-//! * [`WrappingIntSum`] — what naive q-bit summation would do; exists so
-//!   tests/ablations can demonstrate the overflow corruption that motivates
-//!   the other two.
+//! * [`F32Max`] — element-wise maximum, for agreeing on quantization scales.
 
 use gcs_tensor::F16;
 
@@ -42,53 +40,6 @@ pub trait ReduceOp<T>: Sync {
             self.reduce(a, x);
         }
     }
-}
-
-/// Disjoint `(dst, src)` lane access into a set of worker buffers — the
-/// split-borrow that lets in-process collective simulations reduce one
-/// worker's segment into another's without cloning either side.
-fn lane_pair<T>(bufs: &mut [Vec<T>], dst: usize, src: usize) -> (&mut Vec<T>, &Vec<T>) {
-    assert_ne!(dst, src, "lane_pair: dst and src must differ");
-    if dst < src {
-        let (lo, hi) = bufs.split_at_mut(src);
-        (&mut lo[dst], &hi[0])
-    } else {
-        let (lo, hi) = bufs.split_at_mut(dst);
-        (&mut hi[0], &lo[src])
-    }
-}
-
-/// Reduces `bufs[src][lo..hi]` into `bufs[dst][lo..hi]` in place.
-///
-/// The in-process collective simulations (double tree, hierarchical ring)
-/// previously staged every such segment through an `a.to_vec()` clone; this
-/// operates directly on the two lanes via a split borrow, so the simulated
-/// data path allocates nothing per hop — the property the `alloc_budget`
-/// suite asserts (ISSUE 9 satellite).
-///
-/// # Panics
-/// Panics if `dst == src` or the range is out of bounds for either lane.
-pub fn reduce_lanes<T>(
-    bufs: &mut [Vec<T>],
-    op: &dyn ReduceOp<T>,
-    dst: usize,
-    src: usize,
-    lo: usize,
-    hi: usize,
-) {
-    let (d, s) = lane_pair(bufs, dst, src);
-    op.reduce_slice(&mut d[lo..hi], &s[lo..hi]);
-}
-
-/// Copies `bufs[src][lo..hi]` over `bufs[dst][lo..hi]` in place — the
-/// broadcast-down counterpart of [`reduce_lanes`], same split-borrow, same
-/// zero-allocation guarantee.
-///
-/// # Panics
-/// Panics if `dst == src` or the range is out of bounds for either lane.
-pub fn copy_lanes<T: Clone>(bufs: &mut [Vec<T>], dst: usize, src: usize, lo: usize, hi: usize) {
-    let (d, s) = lane_pair(bufs, dst, src);
-    d[lo..hi].clone_from_slice(&s[lo..hi]);
 }
 
 /// Exact f32 addition.
@@ -171,34 +122,6 @@ impl ReduceOp<f32> for F32Max {
     }
 }
 
-/// Wrapping (mod `2^b`) addition over `b`-bit signed lanes — included only
-/// to demonstrate overflow corruption.
-#[derive(Clone, Copy, Debug)]
-pub struct WrappingIntSum {
-    b: u32,
-}
-
-impl WrappingIntSum {
-    /// Creates the operator for `b`-bit lanes (`2 <= b <= 31`).
-    ///
-    /// # Panics
-    /// Panics if `b` is out of range.
-    pub fn new(b: u32) -> WrappingIntSum {
-        assert!((2..=31).contains(&b), "WrappingIntSum: b={b} out of range");
-        WrappingIntSum { b }
-    }
-}
-
-impl ReduceOp<i32> for WrappingIntSum {
-    fn reduce(&self, acc: &mut i32, x: &i32) {
-        let mask = (1i64 << self.b) - 1;
-        let sum = ((*acc as i64) + (*x as i64)) & mask;
-        // Sign-extend from b bits.
-        let shift = 64 - self.b;
-        *acc = ((sum << shift) >> shift) as i32;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,40 +174,8 @@ mod tests {
     }
 
     #[test]
-    fn wrapping_sum_wraps() {
-        let op = WrappingIntSum::new(4);
-        let mut acc = 7i32;
-        op.reduce(&mut acc, &5);
-        assert_eq!(acc, -4); // 12 wraps in 4-bit two's complement
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn saturating_rejects_bad_width() {
         SaturatingIntSum::new(1);
-    }
-
-    #[test]
-    fn reduce_lanes_is_in_place_and_direction_agnostic() {
-        let mut bufs = vec![vec![1.0f32, 2.0, 3.0], vec![10.0, 20.0, 30.0]];
-        reduce_lanes(&mut bufs, &F32Sum, 0, 1, 1, 3); // dst < src
-        assert_eq!(bufs[0], vec![1.0, 22.0, 33.0]);
-        assert_eq!(bufs[1], vec![10.0, 20.0, 30.0], "src untouched");
-        reduce_lanes(&mut bufs, &F32Sum, 1, 0, 0, 1); // dst > src
-        assert_eq!(bufs[1], vec![11.0, 20.0, 30.0]);
-    }
-
-    #[test]
-    fn copy_lanes_overwrites_only_the_range() {
-        let mut bufs = vec![vec![1i32, 2, 3], vec![7, 8, 9]];
-        copy_lanes(&mut bufs, 1, 0, 0, 2);
-        assert_eq!(bufs[1], vec![1, 2, 9]);
-    }
-
-    #[test]
-    #[should_panic(expected = "dst and src must differ")]
-    fn lane_helpers_reject_aliased_lanes() {
-        let mut bufs = vec![vec![0.0f32; 2]; 2];
-        reduce_lanes(&mut bufs, &F32Sum, 1, 1, 0, 1);
     }
 }

@@ -18,16 +18,9 @@ use crate::transport::MessageLinks;
 const MESH_MAGIC: [u8; 4] = *b"GCSL";
 const HELLO_BYTES: usize = 16;
 
-/// Encodes a slice of elements into a contiguous little-endian payload.
-pub fn encode_elems<T: WireElem>(data: &[T]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_elems(&mut out, data);
-    out
-}
-
-/// Encodes into a caller-owned buffer (cleared first, capacity reused) —
-/// the zero-allocation counterpart of [`encode_elems`] used by the mesh's
-/// persistent send scratch (ISSUE 9).
+/// Encodes a slice of elements as a contiguous little-endian payload in a
+/// caller-owned buffer (cleared first, capacity reused) — what the mesh's
+/// persistent send scratch runs on.
 pub fn encode_elems_into<T: WireElem>(data: &[T], out: &mut Vec<u8>) {
     out.clear();
     put_elems(out, data);
@@ -49,13 +42,13 @@ fn check_width<T: WireElem>(bytes: &[u8], peer: usize) -> Result<(), CollectiveE
     })
 }
 
-/// Decodes a payload produced by [`encode_elems`].
+/// Decodes a payload produced by [`encode_elems_into`].
 pub fn decode_elems<T: WireElem>(bytes: &[u8], peer: usize) -> Result<Vec<T>, CollectiveError> {
     check_width::<T>(bytes, peer)?;
     Ok(bytes.chunks_exact(T::BYTES).map(T::read_le).collect())
 }
 
-/// Decodes a payload produced by [`encode_elems`] directly into `out` —
+/// Decodes a payload produced by [`encode_elems_into`] directly into `out` —
 /// no owned `Vec` materialized. The payload must hold *exactly*
 /// `out.len()` elements; a width mismatch or element-count mismatch is a
 /// framing bug on `peer`'s side and surfaces as a typed protocol error.
@@ -81,66 +74,8 @@ pub const DEFAULT_TCP_RECV_DEADLINE: Duration = Duration::from_secs(30);
 
 /// Default pipelining chunk (bytes): large messages are streamed through
 /// the collective bodies in pieces of at most this size so reduce compute
-/// overlaps wire transfer. Overridden by `GCS_TCP_CHUNK`.
+/// overlaps wire transfer.
 pub const DEFAULT_TCP_CHUNK_BYTES: usize = 64 * 1024;
-
-/// Parses a positive integer environment knob; unset/garbage → `None`.
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name)
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&v| v > 0)
-}
-
-/// Best-effort `SO_SNDBUF`/`SO_RCVBUF` sizing from the
-/// `GCS_TCP_SNDBUF`/`GCS_TCP_RCVBUF` knobs (values in bytes; the kernel
-/// doubles and clamps them). std's `TcpStream` exposes no setter and the
-/// tree is dependency-free, so on Linux this goes through a direct
-/// `setsockopt(2)` declaration; elsewhere it is a no-op and the kernel
-/// defaults stand.
-fn apply_sock_bufs(stream: &TcpStream, sndbuf: Option<usize>, rcvbuf: Option<usize>) {
-    #[cfg(target_os = "linux")]
-    {
-        use std::os::fd::AsRawFd;
-        const SOL_SOCKET: i32 = 1;
-        const SO_SNDBUF: i32 = 7;
-        const SO_RCVBUF: i32 = 8;
-        extern "C" {
-            fn setsockopt(
-                fd: i32,
-                level: i32,
-                optname: i32,
-                optval: *const core::ffi::c_void,
-                optlen: u32,
-            ) -> i32;
-        }
-        let set = |opt: i32, bytes: usize| {
-            let v = bytes.min(i32::MAX as usize) as i32;
-            // Failure just leaves the kernel default — never fatal.
-            let _ = unsafe {
-                setsockopt(
-                    stream.as_raw_fd(),
-                    SOL_SOCKET,
-                    opt,
-                    (&v as *const i32).cast(),
-                    core::mem::size_of::<i32>() as u32,
-                )
-            };
-        };
-        if let Some(b) = sndbuf {
-            set(SO_SNDBUF, b);
-        }
-        if let Some(b) = rcvbuf {
-            set(SO_RCVBUF, b);
-        }
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        let _ = (stream, sndbuf, rcvbuf);
-    }
-}
 
 /// What a failed frame read from `peer` means to a collective.
 fn recv_error(peer: usize, fail: RecvFail) -> CollectiveError {
@@ -162,9 +97,7 @@ pub struct TcpMesh {
     out: Vec<Option<FramedStream>>,
     inn: Vec<Option<FramedStream>>,
     recv_deadline: Duration,
-    /// Pipelining chunk bound (bytes) advertised to the collective bodies;
-    /// read once from `GCS_TCP_CHUNK` at build (env lookups allocate, so
-    /// they are banned from the steady-state path).
+    /// Pipelining chunk bound (bytes) advertised to the collective bodies.
     chunk_bytes: usize,
     /// Persistent send-side encode scratch: every typed send encodes into
     /// this buffer, so the steady state never touches the heap (ISSUE 9).
@@ -188,10 +121,6 @@ impl TcpMesh {
         assert_eq!(peers.len(), n, "mesh: roster size mismatch");
         assert!(rank < n, "mesh: rank out of range");
         let t0 = Instant::now();
-        // Environment knobs are read once here, never on the data path.
-        let sndbuf = env_usize("GCS_TCP_SNDBUF");
-        let rcvbuf = env_usize("GCS_TCP_RCVBUF");
-        let chunk_bytes = env_usize("GCS_TCP_CHUNK").unwrap_or(DEFAULT_TCP_CHUNK_BYTES);
         let mut out: Vec<Option<FramedStream>> = (0..n).map(|_| None).collect();
         let mut inn: Vec<Option<FramedStream>> = (0..n).map(|_| None).collect();
         let mut hello = Vec::with_capacity(HELLO_BYTES);
@@ -213,7 +142,6 @@ impl TcpMesh {
                     Err(_) => return Err(CollectiveError::PeerLost { peer }),
                 }
             };
-            apply_sock_bufs(&stream, sndbuf, rcvbuf);
             stream
                 .write_all(&hello)
                 .map_err(|_| CollectiveError::PeerLost { peer })?;
@@ -256,7 +184,6 @@ impl TcpMesh {
                         continue;
                     }
                     let _ = s.set_read_timeout(None);
-                    apply_sock_bufs(&s, sndbuf, rcvbuf);
                     inn[from] = Some(FramedStream::new(s));
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
@@ -292,7 +219,7 @@ impl TcpMesh {
             out,
             inn,
             recv_deadline: DEFAULT_TCP_RECV_DEADLINE,
-            chunk_bytes,
+            chunk_bytes: DEFAULT_TCP_CHUNK_BYTES,
             sbuf: Vec::new(),
         })
     }
@@ -312,9 +239,9 @@ impl TcpMesh {
         self.recv_deadline = deadline;
     }
 
-    /// Overrides the pipelining chunk bound. Normally set once from
-    /// `GCS_TCP_CHUNK` at build; tests use this to force tiny chunks
-    /// (chunking-boundary coverage). Every rank must use the same value —
+    /// Overrides the pipelining chunk bound ([`DEFAULT_TCP_CHUNK_BYTES`] at
+    /// build): the test hook that forces tiny chunks (chunking-boundary
+    /// coverage). Every rank must use the same value —
     /// both ends of a link derive the frame count from it.
     pub fn set_chunk_bytes(&mut self, bytes: usize) {
         self.chunk_bytes = bytes.max(1);

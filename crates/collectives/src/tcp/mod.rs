@@ -8,7 +8,7 @@
 //!
 //! * [`WireElem`] — fixed-width little-endian encoding of element types, so
 //!   a reduction over TCP is bitwise-comparable to one over channels. The
-//!   codec is `gcs_trace::bytes`; `encode_elems` & co. add the peer to a
+//!   codec is `gcs_trace::bytes`; `encode_elems_into` & co. add the peer to a
 //!   typed [`CollectiveError`](crate::CollectiveError).
 //! * [`FramedStream`] — length-prefixed frames over a `TcpStream`, with
 //!   bounded blocking reads (a dead or wedged peer surfaces as a typed
@@ -72,8 +72,8 @@ pub use framing::{push_frame, FramedStream, RecvFail};
 pub use gcs_trace::bytes::WireElem;
 pub use listener::{serve_metrics, Listener, HTTP_GET};
 pub use mesh::{
-    decode_elems, decode_elems_into, encode_elems, encode_elems_into, TcpLinks, TcpMesh,
-    DEFAULT_TCP_CHUNK_BYTES, DEFAULT_TCP_RECV_DEADLINE,
+    decode_elems, decode_elems_into, encode_elems_into, TcpLinks, TcpMesh, DEFAULT_TCP_CHUNK_BYTES,
+    DEFAULT_TCP_RECV_DEADLINE,
 };
 pub use registry::{FleetWorker, Registry, RegistryMsg, RoundStart, TcpTimeouts, REGISTRY_MAGIC};
 
@@ -155,7 +155,8 @@ mod tests {
     #[test]
     fn wire_roundtrip_is_exact() {
         let vals = vec![0.0f32, -0.0, 1.5, f32::MIN_POSITIVE, f32::MAX, -1e-37];
-        let enc = encode_elems(&vals);
+        let mut enc = Vec::new();
+        encode_elems_into(&vals, &mut enc);
         let dec: Vec<f32> = decode_elems(&enc, 0).expect("aligned payload");
         for (a, b) in vals.iter().zip(&dec) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -201,7 +202,9 @@ mod tests {
         }
 
         let inputs = bufs(n, 6);
-        let (reference, _) = crate::ops::all_gather(&inputs, 4.0);
+        let mut reference = Vec::new();
+        let mut traffic = crate::ops::Traffic::default();
+        crate::ops::all_gather_into(&inputs, 4.0, &mut reference, &mut traffic);
         let inputs = Arc::new(inputs);
         let results = TcpCluster::run(n, move |rank, links: &mut TcpLinks<'_, f32>| {
             all_gather_worker(links, inputs[rank].clone(), 4.0)

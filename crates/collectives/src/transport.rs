@@ -363,7 +363,7 @@ fn chunk_count(len: usize, chunk: usize) -> usize {
 /// never reorders anything: chunks of a segment are sent, received and
 /// reduced in ascending offset order over a FIFO link, and `reduce_slice`
 /// is elementwise, so the per-element fold order is exactly that of
-/// [`crate::ops::ring_all_reduce`]. Traffic is counted per segment (not per
+/// [`crate::ops::ring_all_reduce_into`]. Traffic is counted per segment (not per
 /// chunk), so `(sent, received)` match the channel transport exactly — the
 /// differential suite's accounting identity.
 pub fn ring_all_reduce_worker_into<T, O, L>(
@@ -386,12 +386,7 @@ where
     if n == 1 || len == 0 {
         return Ok((0, 0));
     }
-    let seg_bounds = |seg: usize| -> (usize, usize) {
-        let base = len / n;
-        let extra = len % n;
-        let start = seg * base + seg.min(extra);
-        (start, start + base + usize::from(seg < extra))
-    };
+    let seg_bounds = |seg: usize| crate::ops::segment_bounds(len, n, seg);
     let next = (i + 1) % n;
     let prev = (i + n - 1) % n;
     let chunk = links.chunk_elems().max(1);
@@ -450,9 +445,8 @@ where
 }
 
 /// Broadcast executed by one worker: the root sends its buffer to every
-/// peer (ascending rank order), everyone else receives from the root.
-/// Result matches [`crate::ops::broadcast`]: every worker returns the
-/// root's buffer.
+/// peer (ascending rank order), everyone else receives from the root:
+/// every worker returns the root's buffer.
 pub fn broadcast_worker<T, L>(
     links: &mut L,
     buf: Vec<T>,
@@ -488,7 +482,7 @@ where
 
 /// All-gather executed by one worker: sends its buffer to every peer and
 /// returns the concatenation of all workers' buffers in rank order —
-/// matching [`crate::ops::all_gather`]'s output exactly.
+/// matching [`crate::ops::all_gather_into`]'s output exactly.
 pub fn all_gather_worker<T, L>(
     links: &mut L,
     buf: Vec<T>,
@@ -592,7 +586,13 @@ mod tests {
                 .map(|w| (0..37).map(|i| ((w * 37 + i) as f32).sin()).collect())
                 .collect();
             let mut reference = bufs.clone();
-            crate::ops::ring_all_reduce(&mut reference, &F32Sum, 4.0);
+            crate::ops::ring_all_reduce_into(
+                &mut reference,
+                &F32Sum,
+                4.0,
+                &mut crate::ops::RingScratch::new(),
+                &mut Traffic::default(),
+            );
             let (threaded, traffic) =
                 threaded_ring_all_reduce(bufs, F32Sum, 4.0).expect("healthy cluster");
             for (t, r) in threaded.iter().zip(&reference) {
@@ -652,7 +652,8 @@ mod tests {
         let inputs: Vec<Vec<f32>> = (0..n)
             .map(|w| (0..5).map(|i| (w * 5 + i) as f32).collect())
             .collect();
-        let (reference, _) = crate::ops::all_gather(&inputs, 4.0);
+        let mut reference = Vec::new();
+        crate::ops::all_gather_into(&inputs, 4.0, &mut reference, &mut Traffic::default());
         let cluster: ThreadedCluster<f32> = ThreadedCluster::new(n);
         let inputs_for_run = inputs.clone();
         let results = cluster.run(move |rank, mut links| {

@@ -1,11 +1,18 @@
 //! Concurrency stress and property tests for the collectives.
 
 use gcs_collectives::{
-    double_tree_all_reduce_into, hierarchical_ring_all_reduce_into, ring_all_reduce,
-    threaded_ring_all_reduce, tree_all_reduce, F16Sum, F32Sum, SaturatingIntSum, Traffic,
+    ring_all_reduce_into, threaded_ring_all_reduce, F16Sum, F32Sum, ReduceOp, RingScratch,
+    SaturatingIntSum, Traffic,
 };
-use gcs_tensor::half::encode_f16;
+use gcs_tensor::half::encode_f16_into;
 use proptest::prelude::*;
+
+/// The sequential reference ring with fresh scratch, returning its traffic.
+fn ring_all_reduce<T: Clone>(bufs: &mut [Vec<T>], op: &dyn ReduceOp<T>, bytes: f64) -> Traffic {
+    let mut traffic = Traffic::default();
+    ring_all_reduce_into(bufs, op, bytes, &mut RingScratch::new(), &mut traffic);
+    traffic
+}
 
 #[test]
 fn threaded_ring_survives_many_concurrent_invocations() {
@@ -48,39 +55,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn all_allreduce_algorithms_agree(
-        n in 2usize..9,
-        data in prop::collection::vec(-100.0f32..100.0, 4..120),
-    ) {
-        let bufs: Vec<Vec<f32>> = (0..n)
-            .map(|w| data.iter().map(|x| x * (w as f32 + 0.5)).collect())
-            .collect();
-        let mut ring = bufs.clone();
-        ring_all_reduce(&mut ring, &F32Sum, 4.0);
-        let mut tree = bufs.clone();
-        tree_all_reduce(&mut tree, &F32Sum, 4.0);
-        let mut dtree = bufs.clone();
-        double_tree_all_reduce_into(&mut dtree, &F32Sum, 4.0, &mut Traffic::default());
-        for (a, b) in ring[0].iter().zip(&tree[0]) {
-            prop_assert!((a - b).abs() < 1e-2 * a.abs().max(1.0));
-        }
-        for (a, b) in ring[0].iter().zip(&dtree[0]) {
-            prop_assert!((a - b).abs() < 1e-2 * a.abs().max(1.0));
-        }
-        // Hierarchical for every divisor group size.
-        for group in 1..=n {
-            if n % group != 0 {
-                continue;
-            }
-            let mut h = bufs.clone();
-            hierarchical_ring_all_reduce_into(&mut h, group, &F32Sum, 4.0, &mut Traffic::default());
-            for (a, b) in ring[0].iter().zip(&h[0]) {
-                prop_assert!((a - b).abs() < 1e-2 * a.abs().max(1.0), "group {group}");
-            }
-        }
-    }
-
-    #[test]
     fn f16_threaded_equals_sequential_for_random_inputs(
         n in 2usize..6,
         data in prop::collection::vec(-100.0f32..100.0, 8..60),
@@ -88,7 +62,9 @@ proptest! {
         let bufs: Vec<Vec<gcs_tensor::F16>> = (0..n)
             .map(|w| {
                 let v: Vec<f32> = data.iter().map(|x| x + w as f32).collect();
-                encode_f16(&v)
+                let mut enc = Vec::new();
+                encode_f16_into(&v, &mut enc);
+                enc
             })
             .collect();
         let mut reference = bufs.clone();

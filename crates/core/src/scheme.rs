@@ -87,23 +87,25 @@ pub trait CompressionScheme {
     /// Short human-readable name, e.g. `"TopKC(b=2, C=64)"`.
     fn name(&self) -> String;
 
-    /// Runs one aggregation round over `grads[worker]` (all equal length).
-    /// Stateful: error-feedback memories, PowerSGD's `Q`, etc. live inside
-    /// the scheme.
-    fn aggregate_round(&mut self, grads: &[Vec<f32>], ctx: &RoundContext) -> AggregationOutcome;
-
-    /// Runs one aggregation round writing into a caller-owned, reusable
-    /// [`AggregationOutcome`] (fields cleared and refilled in place). The
-    /// pooled schemes override this as their primary path — together with
-    /// their internal round scratch it makes the steady state allocation-
-    /// free; the default simply delegates to [`CompressionScheme::aggregate_round`].
+    /// Runs one aggregation round over `grads[worker]` (all equal length),
+    /// writing into a caller-owned, reusable [`AggregationOutcome`]: every
+    /// field is cleared and refilled in place, so a caller that keeps `out`
+    /// across rounds keeps its allocations. Stateful: error-feedback
+    /// memories, PowerSGD's `Q`, etc. live inside the scheme. This is the
+    /// one round a scheme implements.
     fn aggregate_round_into(
         &mut self,
         grads: &[Vec<f32>],
         ctx: &RoundContext,
         out: &mut AggregationOutcome,
-    ) {
-        *out = self.aggregate_round(grads, ctx);
+    );
+
+    /// [`CompressionScheme::aggregate_round_into`] into a fresh outcome, for
+    /// callers that run one round and keep the result.
+    fn aggregate_round(&mut self, grads: &[Vec<f32>], ctx: &RoundContext) -> AggregationOutcome {
+        let mut out = AggregationOutcome::default();
+        self.aggregate_round_into(grads, ctx, &mut out);
+        out
     }
 
     /// Whether the scheme's dominant collective is an all-reduce

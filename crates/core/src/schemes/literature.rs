@@ -12,12 +12,39 @@
 
 use crate::ef::ErrorFeedback;
 use crate::scheme::{AggregationOutcome, CommEvent, CompressionScheme, RoundContext};
-use gcs_collectives::{all_gather, ring_all_reduce, F16Sum};
+use gcs_collectives::{all_gather_into, ring_all_reduce_into, F16Sum, RingScratch};
 use gcs_gpusim::{ops, DeviceSpec};
 use gcs_netsim::Collective;
 use gcs_tensor::half::F16;
 use gcs_tensor::rng::{worker_rng, SharedSeed, Stream};
 use rand::Rng;
+
+/// The round tail the dense all-gather schemes share: gather the workers'
+/// `d`-long payloads, leave their mean (accumulated in worker order) in
+/// `out.mean_estimate`, and report the one collective.
+fn gather_and_average(
+    payloads: &[Vec<f32>],
+    bytes_per_elem: f64,
+    decode_span: &'static str,
+    out: &mut AggregationOutcome,
+) {
+    let (n, d) = (payloads.len(), payloads[0].len());
+    let mut gathered = Vec::new();
+    all_gather_into(payloads, bytes_per_elem, &mut gathered, &mut out.traffic);
+    let _decode_span = gcs_trace::span(gcs_trace::Phase::Decompress, decode_span);
+    let mean = &mut out.mean_estimate;
+    mean.clear();
+    mean.resize(d, 0.0);
+    for chunk in gathered.chunks(d) {
+        gcs_tensor::vector::add_assign(mean, chunk);
+    }
+    gcs_tensor::vector::scale(mean, 1.0 / n as f32);
+    out.comm.clear();
+    out.comm.push(CommEvent {
+        collective: Collective::AllGather,
+        payload_bytes: d as f64 * bytes_per_elem + 4.0,
+    });
+}
 
 /// QSGD stochastic quantization: each worker normalizes by its own L2 norm
 /// and quantizes magnitudes to `2^q − 1` levels with stochastic rounding;
@@ -48,7 +75,12 @@ impl CompressionScheme for Qsgd {
         format!("QSGD(q={})", self.q)
     }
 
-    fn aggregate_round(&mut self, grads: &[Vec<f32>], ctx: &RoundContext) -> AggregationOutcome {
+    fn aggregate_round_into(
+        &mut self,
+        grads: &[Vec<f32>],
+        ctx: &RoundContext,
+        out: &mut AggregationOutcome,
+    ) {
         let _round_timer = gcs_metrics::timer("scheme/qsgd/round_ns");
         let n = grads.len();
         let d = grads[0].len();
@@ -74,22 +106,7 @@ impl CompressionScheme for Qsgd {
         }
         drop(encode_span);
         let bytes_per_elem = (self.q as f64 + 1.0) / 8.0;
-        let (gathered, traffic) = all_gather(&payloads, bytes_per_elem);
-        let _decode_span = gcs_trace::span(gcs_trace::Phase::Decompress, "qsgd_mean");
-        let mut mean = vec![0.0f32; d];
-        for (w, chunk) in gathered.chunks(d).enumerate() {
-            let _ = w;
-            gcs_tensor::vector::add_assign(&mut mean, chunk);
-        }
-        gcs_tensor::vector::scale(&mut mean, 1.0 / n as f32);
-        AggregationOutcome {
-            mean_estimate: mean,
-            comm: vec![CommEvent {
-                collective: Collective::AllGather,
-                payload_bytes: d as f64 * bytes_per_elem + 4.0,
-            }],
-            traffic,
-        }
+        gather_and_average(&payloads, bytes_per_elem, "qsgd_mean", out);
     }
 
     fn all_reduce_compatible(&self) -> bool {
@@ -133,10 +150,14 @@ impl CompressionScheme for TernGrad {
         "TernGrad".to_string()
     }
 
-    fn aggregate_round(&mut self, grads: &[Vec<f32>], ctx: &RoundContext) -> AggregationOutcome {
+    fn aggregate_round_into(
+        &mut self,
+        grads: &[Vec<f32>],
+        ctx: &RoundContext,
+        out: &mut AggregationOutcome,
+    ) {
         let _round_timer = gcs_metrics::timer("scheme/terngrad/round_ns");
         let n = grads.len();
-        let d = grads[0].len();
         let encode_span = gcs_trace::span(gcs_trace::Phase::Compress, "terngrad_ternarize");
         let mut payloads: Vec<Vec<f32>> = Vec::with_capacity(n);
         for (w, g) in grads.iter().enumerate() {
@@ -161,21 +182,7 @@ impl CompressionScheme for TernGrad {
             payloads.push(p);
         }
         drop(encode_span);
-        let (gathered, traffic) = all_gather(&payloads, 2.0 / 8.0);
-        let _decode_span = gcs_trace::span(gcs_trace::Phase::Decompress, "terngrad_mean");
-        let mut mean = vec![0.0f32; d];
-        for chunk in gathered.chunks(d) {
-            gcs_tensor::vector::add_assign(&mut mean, chunk);
-        }
-        gcs_tensor::vector::scale(&mut mean, 1.0 / n as f32);
-        AggregationOutcome {
-            mean_estimate: mean,
-            comm: vec![CommEvent {
-                collective: Collective::AllGather,
-                payload_bytes: d as f64 * 0.25 + 4.0,
-            }],
-            traffic,
-        }
+        gather_and_average(&payloads, 2.0 / 8.0, "terngrad_mean", out);
     }
 
     fn all_reduce_compatible(&self) -> bool {
@@ -222,7 +229,12 @@ impl CompressionScheme for SignSgdEf {
         "signSGD+EF".to_string()
     }
 
-    fn aggregate_round(&mut self, grads: &[Vec<f32>], _ctx: &RoundContext) -> AggregationOutcome {
+    fn aggregate_round_into(
+        &mut self,
+        grads: &[Vec<f32>],
+        _ctx: &RoundContext,
+        out: &mut AggregationOutcome,
+    ) {
         let _round_timer = gcs_metrics::timer("scheme/signsgd_ef/round_ns");
         let n = grads.len();
         let d = grads[0].len();
@@ -236,21 +248,7 @@ impl CompressionScheme for SignSgdEf {
             payloads.push(sent);
         }
         drop(encode_span);
-        let (gathered, traffic) = all_gather(&payloads, 1.0 / 8.0);
-        let _decode_span = gcs_trace::span(gcs_trace::Phase::Decompress, "signsgd_mean");
-        let mut mean = vec![0.0f32; d];
-        for chunk in gathered.chunks(d) {
-            gcs_tensor::vector::add_assign(&mut mean, chunk);
-        }
-        gcs_tensor::vector::scale(&mut mean, 1.0 / n as f32);
-        AggregationOutcome {
-            mean_estimate: mean,
-            comm: vec![CommEvent {
-                collective: Collective::AllGather,
-                payload_bytes: d as f64 / 8.0 + 4.0,
-            }],
-            traffic,
-        }
+        gather_and_average(&payloads, 1.0 / 8.0, "signsgd_mean", out);
     }
 
     fn all_reduce_compatible(&self) -> bool {
@@ -312,7 +310,12 @@ impl CompressionScheme for RandomK {
         format!("RandomK(b={})", self.bits)
     }
 
-    fn aggregate_round(&mut self, grads: &[Vec<f32>], ctx: &RoundContext) -> AggregationOutcome {
+    fn aggregate_round_into(
+        &mut self,
+        grads: &[Vec<f32>],
+        ctx: &RoundContext,
+        out: &mut AggregationOutcome,
+    ) {
         let _round_timer = gcs_metrics::timer("scheme/randomk/round_ns");
         let n = grads.len();
         let d = grads[0].len();
@@ -338,9 +341,17 @@ impl CompressionScheme for RandomK {
             corrected_all.push(corrected);
         }
         drop(encode_span);
-        let traffic = ring_all_reduce(&mut bufs, &F16Sum, 2.0);
+        ring_all_reduce_into(
+            &mut bufs,
+            &F16Sum,
+            2.0,
+            &mut RingScratch::new(),
+            &mut out.traffic,
+        );
         let _decode_span = gcs_trace::span(gcs_trace::Phase::Decompress, "randomk_scatter");
-        let mut mean = vec![0.0f32; d];
+        let mean = &mut out.mean_estimate;
+        mean.clear();
+        mean.resize(d, 0.0);
         for (slot, &i) in selected.iter().enumerate() {
             mean[i] = bufs[0][slot].to_f32() / n as f32;
         }
@@ -351,14 +362,11 @@ impl CompressionScheme for RandomK {
             }
             self.ef.update(w, corrected, &sent);
         }
-        AggregationOutcome {
-            mean_estimate: mean,
-            comm: vec![CommEvent {
-                collective: Collective::RingAllReduce,
-                payload_bytes: k as f64 * 2.0,
-            }],
-            traffic,
-        }
+        out.comm.clear();
+        out.comm.push(CommEvent {
+            collective: Collective::RingAllReduce,
+            payload_bytes: k as f64 * 2.0,
+        });
     }
 
     fn all_reduce_compatible(&self) -> bool {
@@ -429,7 +437,12 @@ impl CompressionScheme for Drive {
         }
     }
 
-    fn aggregate_round(&mut self, grads: &[Vec<f32>], ctx: &RoundContext) -> AggregationOutcome {
+    fn aggregate_round_into(
+        &mut self,
+        grads: &[Vec<f32>],
+        ctx: &RoundContext,
+        out: &mut AggregationOutcome,
+    ) {
         let _round_timer = gcs_metrics::timer("scheme/drive/round_ns");
         use gcs_tensor::hadamard::{padded_len, rht_forward, rht_inverse};
         let n = grads.len();
@@ -452,23 +465,23 @@ impl CompressionScheme for Drive {
             payloads.push(r.iter().map(|&x| scale.copysign(x)).collect());
         }
         drop(encode_span);
-        let (gathered, traffic) = all_gather(&payloads, 1.0 / 8.0);
+        let mut gathered = Vec::new();
+        all_gather_into(&payloads, 1.0 / 8.0, &mut gathered, &mut out.traffic);
         let _decode_span = gcs_trace::span(gcs_trace::Phase::Decompress, "drive_unrotate");
-        let mut sum = vec![0.0f32; padded];
+        let sum = &mut out.mean_estimate;
+        sum.clear();
+        sum.resize(padded, 0.0);
         for chunk in gathered.chunks(padded) {
-            gcs_tensor::vector::add_assign(&mut sum, chunk);
+            gcs_tensor::vector::add_assign(sum, chunk);
         }
-        rht_inverse(&mut sum, iters, seed);
+        rht_inverse(sum, iters, seed);
         sum.truncate(d);
-        gcs_tensor::vector::scale(&mut sum, 1.0 / n as f32);
-        AggregationOutcome {
-            mean_estimate: sum,
-            comm: vec![CommEvent {
-                collective: Collective::AllGather,
-                payload_bytes: padded as f64 / 8.0 + 4.0,
-            }],
-            traffic,
-        }
+        gcs_tensor::vector::scale(sum, 1.0 / n as f32);
+        out.comm.clear();
+        out.comm.push(CommEvent {
+            collective: Collective::AllGather,
+            payload_bytes: padded as f64 / 8.0 + 4.0,
+        });
     }
 
     fn all_reduce_compatible(&self) -> bool {

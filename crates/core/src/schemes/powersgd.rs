@@ -93,14 +93,6 @@ impl PowerSgd {
         }
     }
 
-    /// Creates PowerSGD treating the whole gradient as one near-square
-    /// matrix (how non-layer-aware deployments run it).
-    pub fn square(rank: u32, d: usize, n_workers: usize) -> PowerSgd {
-        let cols = (d as f64).sqrt().ceil() as usize;
-        let rows = d.div_ceil(cols.max(1)).max(1);
-        PowerSgd::new(rank, vec![(rows, cols.max(1))], n_workers)
-    }
-
     /// Disables error feedback (ablation; the paper always runs PowerSGD
     /// with EF, as does the original algorithm).
     pub fn without_ef(mut self) -> PowerSgd {
@@ -141,12 +133,6 @@ impl PowerSgd {
 impl CompressionScheme for PowerSgd {
     fn name(&self) -> String {
         format!("PowerSGD(r={})", self.rank)
-    }
-
-    fn aggregate_round(&mut self, grads: &[Vec<f32>], ctx: &RoundContext) -> AggregationOutcome {
-        let mut out = AggregationOutcome::default();
-        self.aggregate_round_into(grads, ctx, &mut out);
-        out
     }
 
     fn aggregate_round_into(

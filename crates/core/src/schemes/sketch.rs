@@ -17,7 +17,7 @@
 
 use crate::ef::ErrorFeedback;
 use crate::scheme::{AggregationOutcome, CommEvent, CompressionScheme, RoundContext};
-use gcs_collectives::{ring_all_reduce, F32Sum};
+use gcs_collectives::{ring_all_reduce_into, F32Sum, RingScratch};
 use gcs_gpusim::{ops, DeviceSpec};
 use gcs_netsim::Collective;
 use gcs_tensor::rng::{SharedSeed, Stream};
@@ -77,7 +77,12 @@ impl CompressionScheme for SketchScheme {
         )
     }
 
-    fn aggregate_round(&mut self, grads: &[Vec<f32>], ctx: &RoundContext) -> AggregationOutcome {
+    fn aggregate_round_into(
+        &mut self,
+        grads: &[Vec<f32>],
+        ctx: &RoundContext,
+        out: &mut AggregationOutcome,
+    ) {
         let _round_timer = gcs_metrics::timer("scheme/sketch/round_ns");
         let n = grads.len();
         let d = grads[0].len();
@@ -103,7 +108,13 @@ impl CompressionScheme for SketchScheme {
         drop(encode_span);
 
         // Linear aggregation: ring all-reduce over the raw tables.
-        let traffic = ring_all_reduce(&mut tables, &F32Sum, 4.0);
+        ring_all_reduce_into(
+            &mut tables,
+            &F32Sum,
+            4.0,
+            &mut RingScratch::new(),
+            &mut out.traffic,
+        );
         let mut agg = CountSketch::new(self.rows, width, seed);
         agg.table_mut().copy_from_slice(&tables[0]);
 
@@ -113,7 +124,9 @@ impl CompressionScheme for SketchScheme {
         let mut hitters = Vec::with_capacity(k);
         agg.heavy_hitters_into(d, k, &mut self.scratch, &mut hitters);
         let mut vals = Vec::with_capacity(self.rows);
-        let mut mean = vec![0.0f32; d];
+        let mean = &mut out.mean_estimate;
+        mean.clear();
+        mean.resize(d, 0.0);
         for &i in &hitters {
             mean[i] = agg.estimate_with(i, &mut vals) / n as f32;
         }
@@ -131,14 +144,11 @@ impl CompressionScheme for SketchScheme {
             self.ef.update(w, corrected, &sent);
         }
 
-        AggregationOutcome {
-            mean_estimate: mean,
-            comm: vec![CommEvent {
-                collective: Collective::RingAllReduce,
-                payload_bytes: (self.rows * width * 4) as f64,
-            }],
-            traffic,
-        }
+        out.comm.clear();
+        out.comm.push(CommEvent {
+            collective: Collective::RingAllReduce,
+            payload_bytes: (self.rows * width * 4) as f64,
+        });
     }
 
     fn all_reduce_compatible(&self) -> bool {

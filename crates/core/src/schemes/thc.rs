@@ -355,12 +355,6 @@ impl CompressionScheme for Thc {
         }
     }
 
-    fn aggregate_round(&mut self, grads: &[Vec<f32>], ctx: &RoundContext) -> AggregationOutcome {
-        let mut out = AggregationOutcome::default();
-        self.aggregate_round_into(grads, ctx, &mut out);
-        out
-    }
-
     fn aggregate_round_into(
         &mut self,
         grads: &[Vec<f32>],

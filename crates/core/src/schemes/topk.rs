@@ -18,7 +18,7 @@ use gcs_gpusim::{ops, DeviceSpec};
 use gcs_netsim::Collective;
 use gcs_tensor::half::F16;
 use gcs_tensor::pool::WorkerBufs;
-use gcs_tensor::vector::{top_k_indices, top_k_indices_into, TopKScratch};
+use gcs_tensor::vector::{top_k_indices_into, TopKScratch};
 
 /// A sparse payload entry: 32-bit coordinate index + FP16 value (48 bits
 /// total on the wire).
@@ -29,9 +29,6 @@ pub struct SparseEntry {
     /// FP16-rounded value.
     pub value: F16,
 }
-
-/// Wire bytes per sparse entry (4-byte index + 2-byte value).
-pub const SPARSE_ENTRY_BYTES: f64 = 6.0;
 
 /// How TopK encodes coordinate indices on the wire.
 ///
@@ -147,12 +144,6 @@ impl CompressionScheme for TopK {
         format!("TopK(b={})", self.bits)
     }
 
-    fn aggregate_round(&mut self, grads: &[Vec<f32>], ctx: &RoundContext) -> AggregationOutcome {
-        let mut out = AggregationOutcome::default();
-        self.aggregate_round_into(grads, ctx, &mut out);
-        out
-    }
-
     fn aggregate_round_into(
         &mut self,
         grads: &[Vec<f32>],
@@ -185,13 +176,9 @@ impl CompressionScheme for TopK {
             gcs_tensor::parallel::for_each_chunk_mut(&mut scratch.selects[..n], 1, |w, slot| {
                 let ws = &mut slot[0];
                 let corrected = &corrected_all[w];
-                match encoding {
-                    IndexEncoding::Absolute32 => {
-                        top_k_indices_into(corrected, k, &mut ws.topk, &mut ws.idx);
-                    }
-                    IndexEncoding::Delta16 => {
-                        ws.idx = TopK::delta_pad(top_k_indices(corrected, k));
-                    }
+                top_k_indices_into(corrected, k, &mut ws.topk, &mut ws.idx);
+                if encoding == IndexEncoding::Delta16 {
+                    ws.idx = TopK::delta_pad(std::mem::take(&mut ws.idx));
                 }
             });
             let selects = &scratch.selects;

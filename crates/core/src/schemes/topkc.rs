@@ -108,11 +108,6 @@ impl TopKC {
     pub fn j_prime_for(&self, d: usize) -> usize {
         (self.j_for(d) * self.chunk).min(d)
     }
-
-    /// Chunk size `C`.
-    pub fn chunk_size(&self) -> usize {
-        self.chunk
-    }
 }
 
 impl CompressionScheme for TopKC {
@@ -122,12 +117,6 @@ impl CompressionScheme for TopKC {
         } else {
             format!("TopKC(b={}, C={})", self.bits, self.chunk)
         }
-    }
-
-    fn aggregate_round(&mut self, grads: &[Vec<f32>], ctx: &RoundContext) -> AggregationOutcome {
-        let mut out = AggregationOutcome::default();
-        self.aggregate_round_into(grads, ctx, &mut out);
-        out
     }
 
     fn aggregate_round_into(

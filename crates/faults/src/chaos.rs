@@ -17,7 +17,7 @@ use gcs_collectives::tcp::{FleetWorker, Registry, TcpTimeouts};
 use gcs_collectives::transport::{
     all_gather_worker, broadcast_worker, ring_all_reduce_worker_into, MessageLinks, ThreadedCluster,
 };
-use gcs_collectives::{all_gather, broadcast, ring_all_reduce};
+use gcs_collectives::{all_gather_into, ring_all_reduce_into, RingScratch, Traffic};
 
 use crate::links::{FaultStats, FaultyLinks, Frame};
 use crate::plan::FaultPlan;
@@ -65,16 +65,14 @@ pub fn reference(op: ChaosOp, inputs: &[Vec<f32>]) -> Vec<Vec<f32>> {
     match op {
         ChaosOp::Ring => {
             let mut bufs = inputs.to_vec();
-            ring_all_reduce(&mut bufs, &F32Sum, 4.0);
+            let (scratch, traffic) = (&mut RingScratch::new(), &mut Traffic::default());
+            ring_all_reduce_into(&mut bufs, &F32Sum, 4.0, scratch, traffic);
             bufs
         }
-        ChaosOp::Broadcast { root } => {
-            let mut bufs = inputs.to_vec();
-            broadcast(&mut bufs, root, 4.0);
-            bufs
-        }
+        ChaosOp::Broadcast { root } => vec![inputs[root].clone(); inputs.len()],
         ChaosOp::AllGather => {
-            let (out, _) = all_gather(inputs, 4.0);
+            let mut out = Vec::new();
+            all_gather_into(inputs, 4.0, &mut out, &mut Traffic::default());
             vec![out; inputs.len()]
         }
     }

@@ -27,6 +27,10 @@ pub struct SelfAttention {
     cached_v: Vec<f32>,
     cached_attn: Vec<f32>,
     cached_ctx: Vec<f32>,
+    // Backward's per-sample scratch (`5·seq·dim` and `2·seq²`), sized on
+    // first use and zeroed for each sample.
+    per_token: Vec<f32>,
+    per_pair: Vec<f32>,
 }
 
 /// `out[t] = W x[t]` for every token (`x`: `[seq × d]`, `w`: `[d × d]`).
@@ -73,6 +77,8 @@ impl SelfAttention {
             cached_v: Vec::new(),
             cached_attn: Vec::new(),
             cached_ctx: Vec::new(),
+            per_token: Vec::new(),
+            per_pair: Vec::new(),
         }
     }
 }
@@ -159,9 +165,8 @@ impl Layer for SelfAttention {
         let (dwq, rest) = grads.split_at_mut(d * d);
         let (dwk, rest) = rest.split_at_mut(d * d);
         let (dwv, dwo) = rest.split_at_mut(d * d);
-        // Per-sample scratch, zeroed for each sample.
-        let mut per_token = vec![0.0f32; 5 * sample];
-        let mut per_pair = vec![0.0f32; 2 * s * s];
+        self.per_token.resize(5 * sample, 0.0);
+        self.per_pair.resize(2 * s * s, 0.0);
         for (b, (x, dy)) in input
             .chunks_exact(sample)
             .zip(grad_out.chunks_exact(sample))
@@ -175,13 +180,13 @@ impl Layer for SelfAttention {
             );
             let ctx = &self.cached_ctx[at.clone()];
             let attn = &self.cached_attn[b * s * s..(b + 1) * s * s];
-            per_token.fill(0.0);
-            per_pair.fill(0.0);
-            let (dctx, rest) = per_token.split_at_mut(sample);
+            self.per_token.fill(0.0);
+            self.per_pair.fill(0.0);
+            let (dctx, rest) = self.per_token.split_at_mut(sample);
             let (dv, rest) = rest.split_at_mut(sample);
             let (dq, rest) = rest.split_at_mut(sample);
             let (dk, dx) = rest.split_at_mut(sample);
-            let (da, dlogits) = per_pair.split_at_mut(s * s);
+            let (da, dlogits) = self.per_pair.split_at_mut(s * s);
 
             // Through Wo.
             project_backward(wo, ctx, dy, dctx, dwo, d);

@@ -626,22 +626,6 @@ impl PackedIntVec {
             fold_lane_range(LaneAdd::Wrapping, q, aw, 0, n, bw);
         });
     }
-
-    /// Re-packs this vector into wider `new_q`-bit lanes (values preserved).
-    ///
-    /// This is THC's "simple adaptation": quantize at `q` bits but
-    /// communicate at `b = new_q > q` bits so aggregation cannot overflow.
-    ///
-    /// # Panics
-    /// Panics if `new_q < q`.
-    pub fn widen(&self, new_q: u32) -> PackedIntVec {
-        assert!(new_q >= self.q, "widen: {} -> {new_q} would narrow", self.q);
-        let mut out = PackedIntVec::zeros(new_q, self.len);
-        for i in 0..self.len {
-            out.set(i, self.get(i));
-        }
-        out
-    }
 }
 
 /// Streams lanes into a [`PackedIntVec`]'s words in lane order: lanes
@@ -968,18 +952,6 @@ mod tests {
         let mut s = a.clone();
         s.add_saturating(&b);
         assert_eq!(s.get(0), 1);
-    }
-
-    #[test]
-    fn widen_preserves_values_and_grows_size() {
-        let a = PackedIntVec::from_signed(4, &[-8, 7, 0, -1]);
-        let w = a.widen(8);
-        assert_eq!(w.to_signed_vec(), vec![-8, 7, 0, -1]);
-        assert_eq!(w.size_bits(), 32);
-        // Wider lanes no longer saturate at the same sums.
-        let mut s = w.clone();
-        s.add_saturating(&w);
-        assert_eq!(s.to_signed_vec(), vec![-16, 14, 0, -2]);
     }
 
     #[test]

@@ -202,36 +202,15 @@ pub fn round_trip_f16(values: &mut [f32]) {
     }
 }
 
-/// Rounds every element of a slice through TF32 in place.
-pub fn round_trip_tf32(values: &mut [f32]) {
-    for v in values.iter_mut() {
-        *v = tf32_round(*v);
-    }
-}
-
-/// Encodes a slice of f32 into binary16 bit patterns.
-pub fn encode_f16(values: &[f32]) -> Vec<F16> {
-    let mut out = Vec::new();
-    encode_f16_into(values, &mut out);
-    out
-}
-
-/// [`encode_f16`] into a caller-owned buffer (cleared first; capacity
-/// reused).
+/// Encodes a slice of f32 into binary16 bit patterns in a caller-owned
+/// buffer (cleared first; capacity reused).
 pub fn encode_f16_into(values: &[f32], out: &mut Vec<F16>) {
     out.clear();
     out.extend(values.iter().map(|&v| F16::from_f32(v)));
 }
 
-/// Decodes binary16 bit patterns into f32.
-pub fn decode_f16(values: &[F16]) -> Vec<f32> {
-    let mut out = Vec::new();
-    decode_f16_into(values, &mut out);
-    out
-}
-
-/// [`decode_f16`] into a caller-owned buffer (cleared first; capacity
-/// reused).
+/// Decodes binary16 bit patterns into f32 in a caller-owned buffer (cleared
+/// first; capacity reused).
 pub fn decode_f16_into(values: &[F16], out: &mut Vec<f32>) {
     out.clear();
     out.extend(values.iter().map(|v| v.to_f32()));
@@ -407,7 +386,9 @@ mod tests {
         for (orig, rt) in [0.1f32, -3.7, 1234.5].iter().zip(&v) {
             assert!((orig - rt).abs() / orig.abs() < 1e-3);
         }
-        let enc = encode_f16(&v);
-        assert_eq!(decode_f16(&enc), v);
+        let (mut enc, mut dec) = (Vec::new(), Vec::new());
+        encode_f16_into(&v, &mut enc);
+        decode_f16_into(&enc, &mut dec);
+        assert_eq!(dec, v);
     }
 }

@@ -18,8 +18,9 @@
 //!   detected) for the four hottest kernels, each bitwise-identical to its
 //!   scalar reference; the scalar path runs on non-x86 targets and when
 //!   feature detection fails.
-//! * [`matrix`] — a small row-major dense [`matrix::Matrix`] with matmul and the
-//!   modified Gram–Schmidt orthogonalization that PowerSGD depends on.
+//! * [`matrix`] — a small row-major dense [`matrix::Matrix`], the three
+//!   slice matmuls and the modified Gram–Schmidt orthogonalization that
+//!   PowerSGD depends on.
 //! * [`hadamard`] — the (randomized) fast Walsh–Hadamard transform, both the
 //!   full `O(d log d)` rotation and the *partial rotation* of the paper
 //!   (§3.2.2): blockwise transforms sized to fit GPU shared memory.
@@ -33,9 +34,9 @@
 //! * [`parallel`] — a deterministic fork-join runtime (`GCS_THREADS`) the hot
 //!   kernels fan out on: fixed chunk boundaries and ordered combines keep
 //!   every parallel kernel bitwise-identical to its sequential reference.
-//! * [`pool`] — size-classed reusable workspace buffers ([`pool::Workspace`],
-//!   [`pool::WorkerBufs`]) behind the zero-allocation steady-state invariant:
-//!   after warm-up, one aggregation round performs no heap allocation.
+//! * [`pool`] — [`pool::WorkerBufs`], the persistent per-worker buffers
+//!   behind the zero-allocation steady-state invariant: after warm-up, one
+//!   aggregation round performs no heap allocation.
 //!
 //! Everything here is deterministic given seeds and plain Rust — including
 //! the multi-threaded paths, which are scheduled so that thread count never

@@ -28,9 +28,6 @@ use crate::simd::LANES;
 /// of these kernels' work. Below this the spawn cost dominates.
 const MATMUL_PAR_MIN: usize = 1 << 20;
 
-/// Minimum element count before `transpose` fans out.
-const TRANSPOSE_PAR_MIN: usize = 1 << 16;
-
 /// A dense row-major `f32` matrix.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Matrix {
@@ -78,85 +75,11 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its backing storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element accessor.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {
         debug_assert!(r < self.rows && c < self.cols);
         self.data[r * self.cols + c]
-    }
-
-    /// Element mutator.
-    #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: f32) {
-        debug_assert!(r < self.rows && c < self.cols);
-        self.data[r * self.cols + c] = v;
-    }
-
-    /// Borrow row `r` as a slice.
-    pub fn row(&self, r: usize) -> &[f32] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Mutably borrow row `r`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// `self * other` — returns an `m×p` product.
-    ///
-    /// Bitwise-identical for any thread count (see [`matmul_into`]).
-    ///
-    /// # Panics
-    /// Panics if inner dimensions disagree.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul: {}x{} * {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        matmul_into(
-            &self.data,
-            self.rows,
-            self.cols,
-            &other.data,
-            other.cols,
-            &mut out.data,
-        );
-        out
-    }
-
-    /// Returns the transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        let n = self.rows * self.cols;
-        if self.rows > 0 && n >= TRANSPOSE_PAR_MIN && parallel::max_threads() > 1 {
-            // One output row (= input column) per chunk; pure writes, so
-            // parallelism cannot affect the result.
-            let rows = self.rows;
-            parallel::for_each_chunk_mut(&mut out.data, rows, |c, orow| {
-                for (r, o) in orow.iter_mut().enumerate() {
-                    *o = self.get(r, c);
-                }
-            });
-        } else {
-            for r in 0..self.rows {
-                for c in 0..self.cols {
-                    out.set(c, r, self.get(r, c));
-                }
-            }
-        }
-        out
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        crate::vector::norm(&self.data)
     }
 }
 
@@ -465,12 +388,9 @@ impl GsScratch {
 /// replaced with a deterministic unit basis vector orthogonal to nothing in
 /// particular — matching the "add epsilon" fallback of practical
 /// implementations and keeping downstream matmuls finite.
-pub fn orthonormalize_columns(m: &mut Matrix) {
-    orthonormalize_columns_with(m, &mut GsScratch::new());
-}
-
-/// [`orthonormalize_columns`] with caller-owned scratch — the
-/// zero-allocation steady-state entry point for PowerSGD's per-round call.
+///
+/// `scratch` is caller-owned: no heap allocation once it has reached its
+/// high-water mark.
 pub fn orthonormalize_columns_with(m: &mut Matrix, scratch: &mut GsScratch) {
     let (rows, cols) = (m.rows, m.cols);
     orthonormalize_columns_slice(&mut m.data, rows, cols, scratch);
@@ -591,24 +511,27 @@ mod tests {
     fn matmul_known() {
         let a = Matrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
         let b = Matrix::from_vec(3, 2, vec![7., 8., 9., 10., 11., 12.]);
-        let c = a.matmul(&b);
-        assert_eq!(c.data(), &[58., 64., 139., 154.]);
+        let mut c = [0.0f32; 4];
+        matmul_into(a.data(), 2, 3, b.data(), 2, &mut c);
+        assert_eq!(c, [58., 64., 139., 154.]);
     }
 
     #[test]
     fn transpose_matmul_matches_explicit_transpose() {
         let a = Matrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
         let b = Matrix::from_vec(3, 2, vec![7., 8., 9., 10., 11., 12.]);
-        let mut via_helper = Matrix::zeros(2, 2);
-        transpose_matmul_into(a.data(), 3, 2, b.data(), 2, via_helper.data_mut());
-        let via_transpose = a.transpose().matmul(&b);
+        let mut via_helper = [0.0f32; 4];
+        transpose_matmul_into(a.data(), 3, 2, b.data(), 2, &mut via_helper);
+        let a_t = [1., 3., 5., 2., 4., 6.];
+        let mut via_transpose = [0.0f32; 4];
+        matmul_into(&a_t, 2, 3, b.data(), 2, &mut via_transpose);
         assert_eq!(via_helper, via_transpose);
     }
 
     #[test]
     fn gram_schmidt_produces_orthonormal_columns() {
         let mut m = Matrix::from_vec(4, 3, vec![1., 1., 0., 1., 0., 1., 0., 1., 1., 1., 1., 1.]);
-        orthonormalize_columns(&mut m);
+        orthonormalize_columns_with(&mut m, &mut GsScratch::new());
         for c1 in 0..3 {
             for c2 in 0..3 {
                 let mut d = 0.0;
@@ -625,7 +548,7 @@ mod tests {
     fn gram_schmidt_preserves_column_span_direction() {
         // First column only gets normalized.
         let mut m = Matrix::from_vec(2, 1, vec![3.0, 4.0]);
-        orthonormalize_columns(&mut m);
+        orthonormalize_columns_with(&mut m, &mut GsScratch::new());
         assert!(approx_eq(m.get(0, 0), 0.6) && approx_eq(m.get(1, 0), 0.8));
     }
 
@@ -633,7 +556,7 @@ mod tests {
     fn gram_schmidt_degenerate_column_recovers() {
         // Second column is a multiple of the first.
         let mut m = Matrix::from_vec(2, 2, vec![1., 2., 1., 2.]);
-        orthonormalize_columns(&mut m);
+        orthonormalize_columns_with(&mut m, &mut GsScratch::new());
         for v in m.data() {
             assert!(v.is_finite());
         }
@@ -657,12 +580,16 @@ mod tests {
         // PowerSGD-ish shapes: M (m×n) * Q (n×r), four times MATMUL_PAR_MIN.
         let a = random_matrix(512, 128, 0x11);
         let b = random_matrix(128, 64, 0x22);
-        let reference = crate::parallel::with_threads(1, || a.matmul(&b));
+        let product = |threads: usize| {
+            let mut out = vec![0.0f32; 512 * 64];
+            crate::parallel::with_threads(threads, || {
+                matmul_into(a.data(), 512, 128, b.data(), 64, &mut out)
+            });
+            out
+        };
+        let reference = product(1);
         for threads in [2, 3, 8] {
-            let got = crate::parallel::with_threads(threads, || a.matmul(&b));
-            assert_eq!(got.rows(), reference.rows());
-            assert_eq!(got.cols(), reference.cols());
-            for (x, y) in got.data().iter().zip(reference.data()) {
+            for (x, y) in product(threads).iter().zip(&reference) {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }
@@ -686,18 +613,6 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn parallel_transpose_matches_sequential() {
-        let a = random_matrix(300, 250, 0x55);
-        let reference = crate::parallel::with_threads(1, || a.transpose());
-        for threads in [2, 5] {
-            let got = crate::parallel::with_threads(threads, || a.transpose());
-            assert_eq!(got, reference);
-        }
-        // And transposing twice round-trips.
-        assert_eq!(reference.transpose(), a);
     }
 
     #[test]

@@ -21,9 +21,6 @@ const REDUCE_CHUNK: usize = 1 << 15;
 /// partition-invariant, so the constant only tunes scheduling granularity.
 const ELEMWISE_CHUNK: usize = 1 << 15;
 
-/// Fixed chunk length for chunked top-k selection.
-const TOPK_CHUNK: usize = 1 << 16;
-
 fn squared_norm_seq(v: &[f32]) -> f32 {
     v.iter().map(|x| x * x).sum()
 }
@@ -102,21 +99,6 @@ pub fn add_assign(a: &mut [f32], b: &[f32]) {
     });
 }
 
-/// Element-wise subtraction of `b` from `a`.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn sub_assign(a: &mut [f32], b: &[f32]) {
-    assert_eq!(a.len(), b.len(), "sub_assign: length mismatch");
-    parallel::for_each_chunk_mut(a, ELEMWISE_CHUNK, |i, chunk| {
-        let lo = i * ELEMWISE_CHUNK;
-        let hi = lo + chunk.len();
-        for (x, y) in chunk.iter_mut().zip(&b[lo..hi]) {
-            *x -= y;
-        }
-    });
-}
-
 /// Returns the element-wise mean of `n` equal-length vectors.
 ///
 /// Per output element the vectors are accumulated in their given order and
@@ -181,14 +163,6 @@ pub fn min_max(v: &[f32]) -> (f32, f32) {
         })
 }
 
-/// Total order used by top-k selection: larger |value| first, ties broken by
-/// lower index first. `total_cmp` (not `partial_cmp`) makes the order — and
-/// therefore the selected set — unique, which is what lets the chunked
-/// parallel selection return the exact sequential answer.
-fn magnitude_order(v: &[f32], a: usize, b: usize) -> std::cmp::Ordering {
-    v[b].abs().total_cmp(&v[a].abs()).then(a.cmp(&b))
-}
-
 /// Reusable scratch for [`top_k_indices_into`]: hot loops (per-worker TopK
 /// compression, per-round chunk scoring) call selection thousands of times,
 /// and reusing the index/key buffers avoids `O(d)` allocations each call.
@@ -196,7 +170,6 @@ fn magnitude_order(v: &[f32], a: usize, b: usize) -> std::cmp::Ordering {
 pub struct TopKScratch {
     idx: Vec<usize>,
     keys: Vec<u32>,
-    sel: Vec<u32>,
 }
 
 impl TopKScratch {
@@ -206,89 +179,49 @@ impl TopKScratch {
     }
 }
 
-/// Indices of the `k` elements of `v` with the largest absolute value, in
-/// descending order of |value| (ties broken by lower index first).
+/// Indices of the `k` elements of `v` with the largest absolute value,
+/// written to `out` (cleared first) in descending order of |value|, ties
+/// broken by lower index first. The order is total — larger
+/// `|v[i]|.total_cmp`, then lower `i` — so the selected list is unique.
 ///
-/// This is the local TopK selection of sparsification schemes (§3.1.1). The
-/// implementation is a partial selection via `select_nth_unstable_by`
-/// (average O(d)), followed by a sort of the selected `k` — matching the
-/// asymptotics of GPU radix-select implementations. Inputs longer than one
-/// selection chunk are processed as fixed chunks (select top-k per chunk in
-/// parallel, then merge); the comparator is a total order, so the chunked
-/// result is identical to the flat one bit-for-bit.
-pub fn top_k_indices(v: &[f32], k: usize) -> Vec<usize> {
-    let mut out = Vec::with_capacity(k.min(v.len()));
-    top_k_indices_into(v, k, &mut TopKScratch::new(), &mut out);
-    out
-}
-
-/// [`top_k_indices`] writing into a caller-owned `out` (cleared first):
-/// the zero-allocation steady-state entry point. For inputs within one
-/// selection chunk (the common per-worker case), neither `scratch` nor
-/// `out` reallocate once grown to their high-water mark; inputs beyond
-/// `TOPK_CHUNK` fall back to the allocating chunked merge.
+/// This is the local TopK selection of sparsification schemes (§3.1.1), one
+/// threshold scan at every length. Magnitudes are materialized as `u32` sort
+/// keys (`|v[i]|.to_bits()` — unsigned key order is exactly `total_cmp` of
+/// absolute values once the sign bit is cleared, NaN above infinity), the
+/// k-th largest key `T` is found by integer partial selection (average
+/// O(d), the asymptotics of GPU radix-select), and a SIMD scan
+/// ([`crate::simd::collect_indices_above`]) collects every `key > T` in
+/// ascending index order. Keys *equal* to `T` fill the remaining slots by
+/// ascending index, and the final `k` are sorted `(key desc, index asc)`.
+/// The key fill fans out over fixed chunks; nothing in the result depends
+/// on the thread count. Neither `scratch` nor `out` reallocate once grown
+/// to their high-water mark.
 pub fn top_k_indices_into(v: &[f32], k: usize, scratch: &mut TopKScratch, out: &mut Vec<usize>) {
     out.clear();
-    let k = k.min(v.len());
+    let n = v.len();
+    let k = k.min(n);
     if k == 0 {
         return;
     }
-    if k == v.len() {
-        // Selecting everything is just a sort of all indices — skip the
-        // partial-selection pass entirely.
-        out.extend(0..v.len());
-        out.sort_unstable_by(|&a, &b| magnitude_order(v, a, b));
-        return;
-    }
-    if v.len() <= TOPK_CHUNK {
-        top_k_flat_into(v, k, 0, scratch, out);
-        return;
-    }
-    out.extend(top_k_chunked(v, k));
-}
-
-/// Flat selection over `v` with indices offset by `base`, reusing
-/// `scratch.idx`. Requires `0 < k < v.len()`.
-fn top_k_flat(v: &[f32], k: usize, base: usize, scratch: &mut TopKScratch) -> Vec<usize> {
-    let mut out = Vec::with_capacity(k);
-    top_k_flat_into(v, k, base, scratch, &mut out);
-    out
-}
-
-/// Threshold-scan flat selection. Magnitudes are materialized as `u32` sort
-/// keys (`|v[i]|.to_bits()` — unsigned key order is exactly `total_cmp` of
-/// absolute values once the sign bit is cleared, NaN above infinity), the
-/// k-th largest key `T` is found by integer partial selection, and a SIMD
-/// scan ([`crate::simd::collect_indices_above`]) collects every `key > T`
-/// in ascending index order. Keys *equal* to `T` fill the remaining slots
-/// by ascending index — the same tie-break as [`magnitude_order`] — and the
-/// final `k` are sorted `(key desc, index asc)`. Each step preserves the
-/// comparator path's unique total order, so the output is bitwise-identical
-/// to the previous `select_nth_unstable_by` implementation.
-fn top_k_flat_into(
-    v: &[f32],
-    k: usize,
-    base: usize,
-    scratch: &mut TopKScratch,
-    out: &mut Vec<usize>,
-) {
-    let n = v.len();
-    debug_assert!(k > 0 && k < n);
     let keys = &mut scratch.keys;
     keys.clear();
     keys.resize(n, 0);
-    crate::simd::abs_keys_into(v, keys);
-
-    // Integer partial selection on a key copy: ascending position n-k holds
-    // the k-th largest key.
-    let sel = &mut scratch.sel;
-    sel.clear();
-    sel.extend_from_slice(keys);
-    let (_, &mut threshold, _) = sel.select_nth_unstable(n - k);
+    let fill = |keys: &mut [u32]| {
+        parallel::for_each_chunk_mut(keys, ELEMWISE_CHUNK, |i, chunk| {
+            let lo = i * ELEMWISE_CHUNK;
+            crate::simd::abs_keys_into(&v[lo..lo + chunk.len()], chunk);
+        });
+    };
+    fill(keys);
+    // Integer partial selection: ascending position n-k holds the k-th
+    // largest key. It permutes the keys, so they are filled a second time
+    // for the scan — one more cheap pass instead of a second d-long buffer.
+    let (_, &mut threshold, _) = keys.select_nth_unstable(n - k);
+    fill(keys);
 
     let idx = &mut scratch.idx;
     idx.clear();
-    crate::simd::collect_indices_above(keys, threshold, base, idx);
+    crate::simd::collect_indices_above(keys, threshold, 0, idx);
     debug_assert!(idx.len() < k, "more than k-1 keys above the k-th largest");
     // Fill the remaining slots with threshold ties, lowest index first.
     let mut need = k - idx.len();
@@ -297,64 +230,12 @@ fn top_k_flat_into(
             break;
         }
         if key == threshold {
-            idx.push(base + i);
+            idx.push(i);
             need -= 1;
         }
     }
-    idx.sort_unstable_by(|&a, &b| keys[b - base].cmp(&keys[a - base]).then(a.cmp(&b)));
+    idx.sort_unstable_by(|&a, &b| keys[b].cmp(&keys[a]).then(a.cmp(&b)));
     out.extend_from_slice(idx);
-}
-
-/// Fixed-chunk selection: top-`min(k, chunk)` per chunk (parallel), then an
-/// ordered merge of the per-chunk sorted lists. The chunk boundaries depend
-/// only on `v.len()`, and the total order makes the global top-k unique, so
-/// the output equals the flat selection exactly.
-fn top_k_chunked(v: &[f32], k: usize) -> Vec<usize> {
-    let lists: Vec<Vec<usize>> = parallel::map_chunks(v, TOPK_CHUNK, |i, chunk| {
-        let base = i * TOPK_CHUNK;
-        let kc = k.min(chunk.len());
-        let mut scratch = TopKScratch::new();
-        if kc == chunk.len() {
-            let mut idx: Vec<usize> = (base..base + chunk.len()).collect();
-            idx.sort_unstable_by(|&a, &b| {
-                chunk[b - base]
-                    .abs()
-                    .total_cmp(&chunk[a - base].abs())
-                    .then(a.cmp(&b))
-            });
-            idx
-        } else {
-            top_k_flat(chunk, kc, base, &mut scratch)
-        }
-    });
-    // k-way merge by repeatedly taking the best list head. Lists are sorted
-    // by the total order, so this enumerates the global top-k in order.
-    let mut cursors = vec![0usize; lists.len()];
-    let mut out = Vec::with_capacity(k);
-    for _ in 0..k {
-        let mut best: Option<usize> = None;
-        for (l, list) in lists.iter().enumerate() {
-            if cursors[l] >= list.len() {
-                continue;
-            }
-            let cand = list[cursors[l]];
-            best = match best {
-                None => Some(l),
-                Some(b) => {
-                    let cur = lists[b][cursors[b]];
-                    if magnitude_order(v, cand, cur) == std::cmp::Ordering::Less {
-                        Some(l)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
-        }
-        let b = best.expect("top_k merge ran out of candidates");
-        out.push(lists[b][cursors[b]]);
-        cursors[b] += 1;
-    }
-    out
 }
 
 /// The vector-normalized mean squared error between an estimate and the true
@@ -435,19 +316,25 @@ mod tests {
         assert_eq!(min_max(&[7.0]), (7.0, 7.0));
     }
 
+    fn top_k(v: &[f32], k: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        top_k_indices_into(v, k, &mut TopKScratch::new(), &mut out);
+        out
+    }
+
     #[test]
     fn top_k_selects_largest_magnitudes() {
         let v = [0.1, -5.0, 3.0, -0.2, 4.0];
-        assert_eq!(top_k_indices(&v, 2), vec![1, 4]);
-        assert_eq!(top_k_indices(&v, 0), Vec::<usize>::new());
+        assert_eq!(top_k(&v, 2), vec![1, 4]);
+        assert_eq!(top_k(&v, 0), Vec::<usize>::new());
         // k >= len returns everything sorted by magnitude.
-        assert_eq!(top_k_indices(&v, 10), vec![1, 4, 2, 3, 0]);
+        assert_eq!(top_k(&v, 10), vec![1, 4, 2, 3, 0]);
     }
 
     #[test]
     fn top_k_tie_break_is_stable_by_index() {
         let v = [1.0, -1.0, 1.0];
-        assert_eq!(top_k_indices(&v, 2), vec![0, 1]);
+        assert_eq!(top_k(&v, 2), vec![0, 1]);
     }
 
     #[test]
@@ -458,30 +345,7 @@ mod tests {
         let b = [1.0f32, 0.0, -3.0];
         for (v, k) in [(&a[..], 3), (&b[..], 2), (&a[..], 5)] {
             top_k_indices_into(v, k, &mut scratch, &mut out);
-            assert_eq!(out, top_k_indices(v, k));
-        }
-    }
-
-    #[test]
-    fn chunked_top_k_matches_flat_selection() {
-        // Deterministic pseudo-random input long enough to span many chunks.
-        let d = TOPK_CHUNK * 3 + 1234;
-        let v: Vec<f32> = (0..d)
-            .map(|i| {
-                let x = crate::rng::splitmix64(i as u64 ^ 0xabcd);
-                ((x >> 40) as f32 / (1u64 << 24) as f32) - 0.5
-            })
-            .collect();
-        for k in [1usize, 17, 1000, TOPK_CHUNK + 5] {
-            let chunked = top_k_chunked(&v, k);
-            let mut flat = top_k_flat(&v, k, 0, &mut TopKScratch::new());
-            assert_eq!(chunked, flat, "k={k}");
-            // And thread count must not change a single index.
-            for threads in [2usize, 5] {
-                let par = with_threads(threads, || top_k_chunked(&v, k));
-                flat = top_k_flat(&v, k, 0, &mut TopKScratch::new());
-                assert_eq!(par, flat, "k={k} threads={threads}");
-            }
+            assert_eq!(out, top_k(v, k));
         }
     }
 

@@ -3,9 +3,9 @@
 use gcs_tensor::bitpack::PackedIntVec;
 use gcs_tensor::hadamard::{fwht, fwht_iterations, rht_forward, rht_inverse};
 use gcs_tensor::half::{tf32_round, F16};
-use gcs_tensor::matrix::{orthonormalize_columns, Matrix};
+use gcs_tensor::matrix::{orthonormalize_columns_with, GsScratch, Matrix};
 use gcs_tensor::rng::{invert_permutation, shared_permutation, SharedSeed};
-use gcs_tensor::vector::{dot, squared_norm, top_k_indices, vnmse};
+use gcs_tensor::vector::{dot, squared_norm, top_k_indices_into, vnmse, TopKScratch};
 use proptest::prelude::*;
 
 fn finite_f32() -> impl Strategy<Value = f32> {
@@ -148,10 +148,9 @@ proptest! {
     fn widening_then_adding_never_saturates_for_two_workers(
         values in prop::collection::vec(-7i32..=7, 1..40),
     ) {
-        // q=4 payloads widened to b=8 can absorb any 2-worker sum exactly.
-        let p = PackedIntVec::from_signed(4, &values);
-        let mut wide = p.widen(8);
-        wide.add_saturating(&p.widen(8));
+        // q=4 payloads carried in b=8 lanes absorb any 2-worker sum exactly.
+        let mut wide = PackedIntVec::from_signed(8, &values);
+        wide.add_saturating(&PackedIntVec::from_signed(8, &values));
         let expect: Vec<i32> = values.iter().map(|v| v * 2).collect();
         prop_assert_eq!(wide.to_signed_vec(), expect);
     }
@@ -162,7 +161,8 @@ proptest! {
         k in 0usize..60,
     ) {
         let k = k.min(values.len());
-        let idx = top_k_indices(&values, k);
+        let mut idx = Vec::new();
+        top_k_indices_into(&values, k, &mut TopKScratch::new(), &mut idx);
         prop_assert_eq!(idx.len(), k);
         // Every selected magnitude >= every unselected magnitude.
         let selected: std::collections::HashSet<usize> = idx.iter().copied().collect();
@@ -185,7 +185,7 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let data: Vec<f32> = (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let mut m = Matrix::from_vec(rows, cols, data);
-        orthonormalize_columns(&mut m);
+        orthonormalize_columns_with(&mut m, &mut GsScratch::new());
         for c1 in 0..cols {
             for c2 in 0..cols {
                 let mut d = 0.0f32;
@@ -278,9 +278,14 @@ proptest! {
         let d = (1usize << 16) + 4099; // uneven tail chunk
         let v = salted_vec(d, salt);
         let k = d / 100;
-        let seq = gcs_tensor::parallel::with_threads(1, || top_k_indices(&v, k));
-        let par = gcs_tensor::parallel::with_threads(threads, || top_k_indices(&v, k));
-        prop_assert_eq!(seq, par);
+        let select = |threads: usize| {
+            let mut out = Vec::new();
+            gcs_tensor::parallel::with_threads(threads, || {
+                top_k_indices_into(&v, k, &mut TopKScratch::new(), &mut out)
+            });
+            out
+        };
+        prop_assert_eq!(select(1), select(threads));
     }
 
     #[test]
@@ -330,4 +335,101 @@ proptest! {
         prop_assert_eq!(seq_vals, par_vals);
         prop_assert_eq!(seq_packed.words(), par_packed.words());
     }
+}
+
+/// The order top-k selects by: larger |value| first (`total_cmp`, so NaN
+/// sorts above infinity and the order is total), ties by lower index.
+fn magnitude_order(v: &[f32], a: usize, b: usize) -> std::cmp::Ordering {
+    v[b].abs().total_cmp(&v[a].abs()).then(a.cmp(&b))
+}
+
+/// Oracle for `top_k_indices_into`: the chunked path it took past 2^16
+/// elements before it had one path, with each chunk's selection written as
+/// its definition (sort the chunk's indices by [`magnitude_order`], keep
+/// `k`). `sorted_chunks` is that sort, done once per input.
+fn sorted_chunks(v: &[f32]) -> Vec<Vec<usize>> {
+    const CHUNK: usize = 1 << 16;
+    v.chunks(CHUNK)
+        .enumerate()
+        .map(|(i, chunk)| {
+            let mut idx: Vec<usize> = (i * CHUNK..i * CHUNK + chunk.len()).collect();
+            idx.sort_unstable_by(|&a, &b| magnitude_order(v, a, b));
+            idx
+        })
+        .collect()
+}
+
+/// The k-way merge of the per-chunk lists (each cut to `k`), best head first.
+fn top_k_chunked(v: &[f32], lists: &[Vec<usize>], k: usize) -> Vec<usize> {
+    let k = k.min(v.len());
+    let lists: Vec<&[usize]> = lists.iter().map(|l| &l[..k.min(l.len())]).collect();
+    let mut cursors = vec![0usize; lists.len()];
+    let mut out = Vec::with_capacity(k);
+    for _ in 0..k {
+        let best = (0..lists.len())
+            .filter(|&l| cursors[l] < lists[l].len())
+            .min_by(|&a, &b| magnitude_order(v, lists[a][cursors[a]], lists[b][cursors[b]]))
+            .expect("top_k merge ran out of candidates");
+        out.push(lists[best][cursors[best]]);
+        cursors[best] += 1;
+    }
+    out
+}
+
+/// [`salted_vec`] with what a selection must not trip over: runs of equal
+/// magnitudes with mixed signs, ±0.0, infinities and NaNs of both signs.
+fn adversarial_vec(len: usize, salt: u64) -> Vec<f32> {
+    let mut v = salted_vec(len, salt);
+    let specials = [
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        -f32::NAN,
+    ];
+    let start = (salt as usize) % len;
+    for (j, x) in v.iter_mut().enumerate().skip(start).take(len / 3 + 1) {
+        // A run of few distinct magnitudes: ties decide most of the order.
+        *x = ((j % 5) as f32 * 0.125).copysign(*x);
+    }
+    for (j, &s) in specials.iter().cycle().take(24).enumerate() {
+        let at = (salt.rotate_left(j as u32) as usize).wrapping_add(j * 7919) % len;
+        v[at] = s;
+    }
+    v
+}
+
+/// `top_k_indices_into` against the oracle for every `k` shape, at 1, 2 and
+/// 4 threads through one reused scratch and output.
+fn check_top_k_against_oracle(len: usize, salt: u64, scratch: &mut TopKScratch) {
+    let v = adversarial_vec(len, salt);
+    let lists = sorted_chunks(&v);
+    let mut out = Vec::new();
+    for k in [0, 1, 17, len / 100, len / 24, len - 1, len, len + 5] {
+        let expect = top_k_chunked(&v, &lists, k);
+        for threads in [1usize, 2, 4] {
+            gcs_tensor::parallel::with_threads(threads, || {
+                top_k_indices_into(&v, k, scratch, &mut out)
+            });
+            assert_eq!(out, expect, "len={len} k={k} threads={threads}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    #[test]
+    fn top_k_matches_the_chunked_path_it_replaced(salt in any::<u64>()) {
+        let mut scratch = TopKScratch::new();
+        for len in [1usize, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 1234] {
+            check_top_k_against_oracle(len, salt, &mut scratch);
+        }
+    }
+}
+
+#[test]
+fn top_k_matches_the_chunked_path_it_replaced_at_the_benchmark_length() {
+    check_top_k_against_oracle(1 << 20, 0x5eed, &mut TopKScratch::new());
 }

@@ -15,9 +15,7 @@
 use gcs_alloc::{counting_enabled, measure, CountingAlloc};
 use gradient_utility::collectives::tcp::{FleetWorker, Registry, TcpTimeouts};
 use gradient_utility::collectives::{
-    all_gather_into, broadcast_into, double_tree_all_reduce_into,
-    hierarchical_ring_all_reduce_into, parameter_server_into, reduce_scatter_into,
-    ring_all_reduce_into, ring_all_reduce_worker_into, tree_all_reduce_into, F32Sum, RingScratch,
+    all_gather_into, ring_all_reduce_into, ring_all_reduce_worker_into, F32Sum, RingScratch,
     Traffic,
 };
 use gradient_utility::core::scheme::{AggregationOutcome, CompressionScheme, RoundContext};
@@ -28,7 +26,7 @@ use gradient_utility::core::schemes::topk::TopK;
 use gradient_utility::core::schemes::topkc::TopKC;
 use gradient_utility::core::schemes::topkc_q::TopKCQ;
 use gradient_utility::gpusim::DeviceSpec;
-use gradient_utility::nn::{Adam, BertMini, Model, Sgd, VggMini};
+use gradient_utility::nn::{Adam, BertMini, Model, Sgd, TransformerMini, VggMini};
 use gradient_utility::tensor::bitpack::PackedIntVec;
 use gradient_utility::tensor::hadamard::RotationMode;
 use gradient_utility::tensor::parallel::with_threads;
@@ -83,90 +81,15 @@ fn ring_all_reduce_steady_state_is_allocation_free() {
 }
 
 #[test]
-fn tree_all_reduce_steady_state_is_allocation_free() {
+fn all_gather_steady_state_is_allocation_free() {
     with_threads(1, || {
         let src = grads(N, D);
-        let mut bufs = src.clone();
-        let mut traffic = Traffic::default();
-        let events = steady_events(|| {
-            for (b, s) in bufs.iter_mut().zip(&src) {
-                b.clear();
-                b.extend_from_slice(s);
-            }
-            tree_all_reduce_into(&mut bufs, &F32Sum, 4.0, &mut traffic);
-        });
-        assert_eq!(
-            events, 0,
-            "tree_all_reduce must not allocate at steady state"
-        );
-    });
-}
-
-#[test]
-fn reduce_scatter_and_all_gather_steady_state_are_allocation_free() {
-    with_threads(1, || {
-        let src = grads(N, D);
-        let mut segs = Vec::new();
         let mut gathered = Vec::new();
         let mut traffic = Traffic::default();
         let events = steady_events(|| {
-            reduce_scatter_into(&src, &F32Sum, 4.0, &mut segs, &mut traffic);
-            all_gather_into(&segs, 4.0, &mut gathered, &mut traffic);
+            all_gather_into(&src, 4.0, &mut gathered, &mut traffic);
         });
-        assert_eq!(events, 0, "reduce_scatter + all_gather must not allocate");
-    });
-}
-
-#[test]
-fn broadcast_and_parameter_server_steady_state_are_allocation_free() {
-    with_threads(1, || {
-        let src = grads(N, D);
-        let mut bufs = src.clone();
-        let mut acc = Vec::new();
-        let mut traffic = Traffic::default();
-        let events = steady_events(|| {
-            for (b, s) in bufs.iter_mut().zip(&src) {
-                b.clear();
-                b.extend_from_slice(s);
-            }
-            broadcast_into(&mut bufs, 1, 4.0, &mut traffic);
-            parameter_server_into(&src, &F32Sum, 4.0, &mut acc, &mut traffic);
-        });
-        assert_eq!(events, 0, "broadcast + parameter_server must not allocate");
-    });
-}
-
-#[test]
-fn advanced_collectives_steady_state_are_allocation_free() {
-    // The double-tree and hierarchical-ring simulations used to stage every
-    // segment hop through a `to_vec()` clone; `reduce_lanes`/`copy_lanes`
-    // operate in place via split borrows (ISSUE 9 satellite).
-    with_threads(1, || {
-        let src = grads(N, D);
-        let mut bufs = src.clone();
-        let mut traffic = Traffic::default();
-        let events = steady_events(|| {
-            for (b, s) in bufs.iter_mut().zip(&src) {
-                b.clear();
-                b.extend_from_slice(s);
-            }
-            double_tree_all_reduce_into(&mut bufs, &F32Sum, 4.0, &mut traffic);
-        });
-        assert_eq!(
-            events, 0,
-            "double_tree_all_reduce must not allocate at steady state"
-        );
-        let events = steady_events(|| {
-            for (b, s) in bufs.iter_mut().zip(&src) {
-                b.clear();
-                b.extend_from_slice(s);
-            }
-            hierarchical_ring_all_reduce_into(&mut bufs, 2, &F32Sum, 4.0, &mut traffic);
-        });
-        assert_eq!(
-            events, 0,
-            "hierarchical_ring_all_reduce must not allocate at steady state"
-        );
+        assert_eq!(events, 0, "all_gather must not allocate at steady state");
     });
 }
 
@@ -309,9 +232,12 @@ fn topkc_q_round_steady_state_is_allocation_free() {
 #[test]
 fn topk_round_steady_state_is_allocation_free() {
     with_threads(1, || {
-        let mut s = TopK::with_bits(2.0, N, true);
-        let events = scheme_steady_events(&mut s, N, 4096);
-        assert_eq!(events, 0, "TopK round must not allocate at steady state");
+        // 2^20 is the length `agg_large` runs: past every chunk constant.
+        for d in [4096, 1 << 20] {
+            let mut s = TopK::with_bits(2.0, N, true);
+            let events = scheme_steady_events(&mut s, N, d);
+            assert_eq!(events, 0, "TopK round at d={d} must not allocate");
+        }
     });
 }
 
@@ -358,7 +284,7 @@ fn aggd_tenant_round_steady_state_is_allocation_free() {
     // (copy out of the ring). The clock is injected, so a fixed `Instant`
     // makes the round latency 0 and the histogram records into its
     // non-positive counter — no bucket insertion. Pinned for every pooled
-    // family; QSGD has no pooled override and allocates by design.
+    // family; QSGD builds fresh payloads each round and allocates by design.
     use gradient_utility::aggd::{
         FetchVerdict, SchemeSpec, SubmitVerdict, TenantConfig, TenantState,
     };
@@ -449,12 +375,12 @@ fn forward_backward_and_evaluate_steady_state_are_allocation_free() {
     // writes its output into, one chunk-sized buffer the model owns, and
     // evaluation streams the held-out batch through that same buffer — so
     // once the training batch has sized it, neither a gradient computation
-    // nor an evaluation touches the heap. (`TransformerMini` is exempt:
-    // attention keeps per-call scratch of its own.)
+    // nor an evaluation touches the heap.
     with_threads(1, || {
-        let models: [(Box<dyn Model>, usize); 2] = [
+        let models: [(Box<dyn Model>, usize); 3] = [
             (Box::new(VggMini::new(7)), 8),
             (Box::new(BertMini::new(7)), 4),
+            (Box::new(TransformerMini::new(7)), 4),
         ];
         for (mut model, batch_size) in models {
             let batch = model.train_batch(batch_size, 0, 0);

@@ -1,14 +1,21 @@
-//! Cross-crate integration: the threaded (crossbeam) collectives, the
+//! Cross-crate integration: the threaded (mpsc-channel) collectives, the
 //! sequential reference collectives, and the network timing layer must
 //! agree with each other.
 
 use gradient_utility::collectives::{
-    all_gather, parameter_server, reduce_scatter, ring_all_reduce, threaded_ring_all_reduce,
-    tree_all_reduce, F16Sum, F32Sum, SaturatingIntSum,
+    all_gather_into, ring_all_reduce_into, threaded_ring_all_reduce, F16Sum, F32Sum, ReduceOp,
+    RingScratch, SaturatingIntSum, Traffic,
 };
 use gradient_utility::netsim::flowsim::{ring_all_reduce_phases, Network};
 use gradient_utility::netsim::{ClusterSpec, Collective};
-use gradient_utility::tensor::half::{decode_f16, encode_f16};
+use gradient_utility::tensor::half::{encode_f16_into, F16};
+
+/// The sequential reference ring with fresh scratch, returning its traffic.
+fn ring_all_reduce<T: Clone>(bufs: &mut [Vec<T>], op: &dyn ReduceOp<T>, bytes: f64) -> Traffic {
+    let mut traffic = Traffic::default();
+    ring_all_reduce_into(bufs, op, bytes, &mut RingScratch::new(), &mut traffic);
+    traffic
+}
 
 fn grads(n: usize, len: usize) -> Vec<Vec<f32>> {
     (0..n)
@@ -36,12 +43,20 @@ fn threaded_ring_is_bit_identical_for_non_associative_f16() {
     // FP16 summation is order-sensitive; the threaded path must follow the
     // exact same order as the reference.
     for n in [2usize, 4, 7] {
-        let bufs: Vec<_> = grads(n, 64).iter().map(|g| encode_f16(g)).collect();
+        let bufs: Vec<Vec<F16>> = grads(n, 64)
+            .iter()
+            .map(|g| {
+                let mut enc = Vec::new();
+                encode_f16_into(g, &mut enc);
+                enc
+            })
+            .collect();
         let mut seq = bufs.clone();
         ring_all_reduce(&mut seq, &F16Sum, 2.0);
         let (thr, _) = threaded_ring_all_reduce(bufs, F16Sum, 2.0).expect("healthy cluster");
+        let decode = |v: &[F16]| v.iter().map(|h| h.to_f32()).collect::<Vec<f32>>();
         for (a, b) in thr.iter().zip(&seq) {
-            assert_eq!(decode_f16(a), decode_f16(b), "n={n}");
+            assert_eq!(decode(a), decode(b), "n={n}");
         }
     }
 }
@@ -54,33 +69,6 @@ fn threaded_ring_matches_for_saturating_lanes() {
     ring_all_reduce(&mut seq, &op, 0.5);
     let (thr, _) = threaded_ring_all_reduce(bufs, op, 0.5).expect("healthy cluster");
     assert_eq!(thr, seq);
-}
-
-#[test]
-fn all_collectives_compute_the_same_sum() {
-    let bufs = grads(5, 47);
-    let mut expect = [0.0f32; 47];
-    for b in &bufs {
-        for (e, x) in expect.iter_mut().zip(b) {
-            *e += x;
-        }
-    }
-    let mut ring = bufs.clone();
-    ring_all_reduce(&mut ring, &F32Sum, 4.0);
-    let mut tree = bufs.clone();
-    tree_all_reduce(&mut tree, &F32Sum, 4.0);
-    let (ps, _) = parameter_server(&bufs, &F32Sum, 4.0);
-    let (segs, _) = reduce_scatter(&bufs, &F32Sum, 4.0);
-    let rs: Vec<f32> = segs.concat();
-    for i in 0..47 {
-        for got in [ring[0][i], tree[0][i], ps[i], rs[i]] {
-            assert!(
-                (got - expect[i]).abs() < 1e-4,
-                "coord {i}: {got} vs {}",
-                expect[i]
-            );
-        }
-    }
 }
 
 #[test]
@@ -117,7 +105,9 @@ fn measured_ring_traffic_matches_the_timing_models_wire_bytes() {
 fn all_gather_total_traffic_scales_quadratically() {
     let per = |n: usize| {
         let inputs: Vec<Vec<f32>> = grads(n, 100);
-        all_gather(&inputs, 4.0).1.total()
+        let mut traffic = Traffic::default();
+        all_gather_into(&inputs, 4.0, &mut Vec::new(), &mut traffic);
+        traffic.total()
     };
     let t4 = per(4);
     let t8 = per(8);

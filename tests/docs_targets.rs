@@ -1,8 +1,11 @@
 //! Docs and CI name only cargo targets that exist: every `--bench`,
 //! `--example`, `--test` or `--bin <name>` in the files below must resolve to
 //! a source file, so deleting or renaming a target without updating the
-//! commands that cite it fails here.
+//! commands that cite it fails here. Likewise every `GCS_*` environment
+//! variable they name must be one some code reads, and every one the crates
+//! read must be in README's table.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 const DOCS: [&str; 5] = [
@@ -61,4 +64,66 @@ fn every_cited_cargo_target_exists() {
     assert!(cited >= 30, "only {cited} references found: broken scan");
     let dangling = dangling.join("\n");
     assert!(dangling.is_empty(), "no such target:\n{dangling}");
+}
+
+/// Every `GCS_*` name in `text`.
+fn gcs_names(text: &str) -> BTreeSet<String> {
+    let is_name = |c: char| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_';
+    text.match_indices("GCS_")
+        .map(|(at, _)| text[at..].chars().take_while(|&c| is_name(c)).collect())
+        .collect()
+}
+
+/// Adds every `GCS_*` name an `env::var("…")` or `env::var_os("…")` call
+/// reads in the `.rs` files under `dir` (build output skipped).
+fn env_reads(dir: &Path, out: &mut BTreeSet<String>) {
+    for entry in std::fs::read_dir(dir).expect("source directory is readable") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            if path.file_name().is_some_and(|name| name != "target") {
+                env_reads(&path, out);
+            }
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            let text = std::fs::read_to_string(&path).expect("source file is readable");
+            for (at, call) in text.match_indices("env::var") {
+                let rest = text[at + call.len()..].trim_start_matches("_os");
+                let Some(arg) = rest.strip_prefix('(') else {
+                    continue;
+                };
+                if let Some(name) = arg.trim_start().strip_prefix('"') {
+                    out.extend(gcs_names(name.split('"').next().unwrap_or("")));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn every_cited_environment_variable_is_read_and_every_read_one_is_documented() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut read = BTreeSet::new();
+    for dir in ["crates", "src", "examples", "tests", "benchmarks/e2e"] {
+        env_reads(&root.join(dir), &mut read);
+    }
+    let mut unread = Vec::new();
+    for doc in DOCS {
+        let text = std::fs::read_to_string(root.join(doc)).expect(doc);
+        for name in gcs_names(&text).difference(&read) {
+            unread.push(format!("{doc}: {name}"));
+        }
+    }
+    let unread = unread.join("\n");
+    assert!(unread.is_empty(), "no code reads:\n{unread}");
+
+    let mut in_crates = BTreeSet::new();
+    env_reads(&root.join("crates"), &mut in_crates);
+    assert!(!in_crates.is_empty(), "no reads found: broken scan");
+    let readme = std::fs::read_to_string(root.join("README.md")).expect("README.md");
+    let table: String = readme.lines().filter(|l| l.starts_with('|')).collect();
+    let documented = gcs_names(&table);
+    let undocumented: Vec<_> = in_crates.difference(&documented).collect();
+    assert!(
+        undocumented.is_empty(),
+        "read under crates/ but in no README table: {undocumented:?}"
+    );
 }

@@ -1,6 +1,8 @@
 //! Property-based tests across the full stack.
 
-use gradient_utility::collectives::{ring_all_reduce, F32Sum, SaturatingIntSum};
+use gradient_utility::collectives::{
+    ring_all_reduce_into, F32Sum, RingScratch, SaturatingIntSum, Traffic,
+};
 use gradient_utility::core::scheme::{CompressionScheme, RoundContext};
 use gradient_utility::core::schemes::baseline::PrecisionBaseline;
 use gradient_utility::core::schemes::thc::{Thc, ThcAggregation};
@@ -59,7 +61,8 @@ proptest! {
     #[test]
     fn ring_all_reduce_agrees_with_direct_sum(grads in worker_grads()) {
         let mut bufs = grads.clone();
-        ring_all_reduce(&mut bufs, &F32Sum, 4.0);
+        let (scratch, traffic) = (&mut RingScratch::new(), &mut Traffic::default());
+        ring_all_reduce_into(&mut bufs, &F32Sum, 4.0, scratch, traffic);
         let mut expect = vec![0.0f32; grads[0].len()];
         for g in &grads {
             for (e, x) in expect.iter_mut().zip(g) {
@@ -78,7 +81,8 @@ proptest! {
         lanes in prop::collection::vec(prop::collection::vec(-7i32..=7, 16), 2..6),
     ) {
         let mut bufs = lanes.clone();
-        ring_all_reduce(&mut bufs, &SaturatingIntSum::new(4), 0.5);
+        let (scratch, traffic) = (&mut RingScratch::new(), &mut Traffic::default());
+        ring_all_reduce_into(&mut bufs, &SaturatingIntSum::new(4), 0.5, scratch, traffic);
         for b in &bufs {
             for &v in b {
                 prop_assert!(v.abs() <= 7);

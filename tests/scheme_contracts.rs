@@ -1,7 +1,9 @@
 //! Contract tests every compression scheme must satisfy, run across the
 //! whole scheme zoo (baselines, case-study schemes, literature schemes).
 
-use gradient_utility::core::scheme::{CompressionScheme, RoundContext};
+use gradient_utility::core::scheme::{
+    AggregationOutcome, CommEvent, CompressionScheme, RoundContext,
+};
 use gradient_utility::core::schemes::baseline::PrecisionBaseline;
 use gradient_utility::core::schemes::literature::{Drive, Qsgd, RandomK, SignSgdEf, TernGrad};
 use gradient_utility::core::schemes::powersgd::PowerSgd;
@@ -207,5 +209,92 @@ fn identical_worker_gradients_are_recovered_by_every_lossy_scheme() {
             "{}: averaged estimate lost the signal entirely (vNMSE {err})",
             s.name()
         );
+    }
+}
+
+/// Rounds the round-seam contracts below run on one instance (state such as
+/// EF memories and PowerSGD's warm start carries from one to the next).
+const ROUNDS: u64 = 3;
+
+#[test]
+fn provided_round_equals_the_borrowing_round_into_a_reused_outcome() {
+    let g = grads(21);
+    for (mut owned, mut borrowed) in zoo().into_iter().zip(zoo()) {
+        let mut out = AggregationOutcome::default();
+        for round in 0..ROUNDS {
+            let ctx = RoundContext::new(17, round);
+            let fresh = owned.aggregate_round(&g, &ctx);
+            borrowed.aggregate_round_into(&g, &ctx, &mut out);
+            let name = owned.name();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&fresh.mean_estimate),
+                bits(&out.mean_estimate),
+                "{name} round {round}: estimate"
+            );
+            assert_eq!(fresh.traffic, out.traffic, "{name} round {round}: traffic");
+            let events = |o: &AggregationOutcome| {
+                o.comm
+                    .iter()
+                    .map(|e| (e.collective, e.payload_bytes.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(events(&fresh), events(&out), "{name} round {round}: comm");
+        }
+    }
+}
+
+#[test]
+fn a_reused_outcome_keeps_its_estimate_allocation_across_rounds() {
+    let g = grads(22);
+    let mut moved = Vec::new();
+    for mut s in zoo() {
+        let mut out = AggregationOutcome::default();
+        s.aggregate_round_into(&g, &RoundContext::new(18, 0), &mut out);
+        let first = (out.mean_estimate.as_ptr(), out.mean_estimate.capacity());
+        for round in 1..ROUNDS {
+            s.aggregate_round_into(&g, &RoundContext::new(18, round), &mut out);
+            let now = (out.mean_estimate.as_ptr(), out.mean_estimate.capacity());
+            if now != first {
+                moved.push(format!("{} (round {round})", s.name()));
+                break;
+            }
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "schemes that replaced the caller's mean_estimate buffer: {moved:?}"
+    );
+}
+
+#[test]
+fn a_round_reports_the_collectives_its_nominal_form_names() {
+    // A power of two no smaller than THC's partial-rotation block (2^13 on
+    // the A100 preset), so no scheme pads: wherever the nominal payload is a
+    // function of `d`, the measured one must equal it exactly.
+    const POW2: usize = 1 << 13;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+    let g: Vec<Vec<f32>> = (0..N)
+        .map(|_| (0..POW2).map(|_| rng.gen_range(-0.5f32..0.5)).collect())
+        .collect();
+    for mut s in zoo() {
+        let nominal = s.comm_events(POW2 as u64);
+        for round in 0..ROUNDS {
+            let out = s.aggregate_round(&g, &RoundContext::new(19, round));
+            let name = s.name();
+            let kinds = |c: &[CommEvent]| c.iter().map(|e| e.collective).collect::<Vec<_>>();
+            assert_eq!(kinds(&out.comm), kinds(&nominal), "{name}: collectives");
+            let measured: Vec<f64> = out.comm.iter().map(|e| e.payload_bytes).collect();
+            let mut expect: Vec<f64> = nominal.iter().map(|e| e.payload_bytes).collect();
+            if name.starts_with("PowerSGD") {
+                // PowerSGD's nominal shape is configured, not derived from
+                // `d`: the P and Q rings carry the configured factors, and
+                // the coordinates the shapes do not cover ride uncompressed
+                // (4 bytes each) on the second ring.
+                let covered = 16 * 16;
+                expect[1] += ((POW2 - covered) * 4) as f64;
+            }
+            assert_eq!(measured, expect, "{name} round {round}: payload bytes");
+        }
     }
 }

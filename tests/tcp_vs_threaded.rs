@@ -113,46 +113,52 @@ proptest! {
     }
 }
 
-/// Pipelined-chunking differential (ISSUE 9): forcing tiny chunks on every
+/// Pipelined-chunking differential (ISSUE 9): forcing small chunks on every
 /// worker's mesh — so each ring segment crosses several frame boundaries —
 /// must change neither the bitwise result nor the per-worker traffic
 /// accounting relative to the threaded reference, which never chunks.
 #[test]
 fn chunked_tcp_ring_matches_threaded_reference_bitwise_with_identical_traffic() {
-    const LEN: usize = 53; // deliberately not chunk- or n-aligned
-    for n in [2usize, 3, 4] {
-        let bufs = inputs(n, LEN, 99 + n as u64);
-        let expect = run_threaded(Op::Ring, bufs.clone(), 1);
-        let registry = Registry::spawn(n).expect("registry");
-        let addr = registry.addr();
-        let bufs = std::sync::Arc::new(bufs);
-        let handles: Vec<_> = (0..n)
-            .map(|_| {
-                let bufs = std::sync::Arc::clone(&bufs);
-                std::thread::spawn(move || {
-                    let mut w = FleetWorker::join(addr, TcpTimeouts::fast_test()).expect("join");
-                    let rs = w.next_round(0).expect("round");
-                    // 8 bytes = two f32 lanes per frame; every rank must use
-                    // the same value (frame counts are derived, not signaled).
-                    w.mesh_mut().set_chunk_bytes(8);
-                    let mut links = w.links::<f32>();
-                    let out = run_op(Op::Ring, &mut links, bufs[rs.rank].clone());
-                    w.leave().expect("leave");
-                    (rs.rank, out)
+    // (chunk bytes, payload length): two f32 lanes per frame, then 256 —
+    // lengths deliberately not chunk- or n-aligned, and long enough that
+    // every segment at n = 4 still spans several chunks.
+    for (chunk_bytes, len) in [(8usize, 53usize), (1024, 2053)] {
+        for n in [2usize, 3, 4] {
+            let bufs = inputs(n, len, 99 + n as u64);
+            let expect = run_threaded(Op::Ring, bufs.clone(), 1);
+            let registry = Registry::spawn(n).expect("registry");
+            let addr = registry.addr();
+            let bufs = std::sync::Arc::new(bufs);
+            let handles: Vec<_> = (0..n)
+                .map(|_| {
+                    let bufs = std::sync::Arc::clone(&bufs);
+                    std::thread::spawn(move || {
+                        let mut w =
+                            FleetWorker::join(addr, TcpTimeouts::fast_test()).expect("join");
+                        let rs = w.next_round(0).expect("round");
+                        // Every rank must use the same value (frame counts
+                        // are derived, not signaled).
+                        w.mesh_mut().set_chunk_bytes(chunk_bytes);
+                        let mut links = w.links::<f32>();
+                        let out = run_op(Op::Ring, &mut links, bufs[rs.rank].clone());
+                        w.leave().expect("leave");
+                        (rs.rank, out)
+                    })
                 })
-            })
-            .collect();
-        let mut results: Vec<_> = handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread"))
-            .collect();
-        registry.shutdown();
-        results.sort_by_key(|(rank, _)| *rank);
-        for (rank, out) in results {
-            assert_eq!(
-                out, expect[rank],
-                "n={n} rank={rank}: chunked TCP ring diverged from threaded reference"
-            );
+                .collect();
+            let mut results: Vec<_> = handles
+                .into_iter()
+                .map(|h| h.join().expect("worker thread"))
+                .collect();
+            registry.shutdown();
+            results.sort_by_key(|(rank, _)| *rank);
+            for (rank, out) in results {
+                assert_eq!(
+                    out, expect[rank],
+                    "chunk={chunk_bytes} n={n} rank={rank}: chunked TCP ring diverged from \
+                     threaded reference"
+                );
+            }
         }
     }
 }

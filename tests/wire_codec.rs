@@ -1,17 +1,24 @@
 //! Property tests for the TCP wire codec (ISSUE 9 satellite).
 //!
-//! The zero-copy data path rests on `encode_elems`/`decode_elems_into`
+//! The zero-copy data path rests on `encode_elems_into`/`decode_elems_into`
 //! being an exact inverse pair: every f32 bit pattern (NaN payloads
-//! included) must round-trip unchanged, the borrowing encoder must produce
-//! byte-identical output to the allocating one, and any payload that is
+//! included) must round-trip unchanged, the encoder must produce the same
+//! bytes into a fresh buffer and a stale one, and any payload that is
 //! not exactly `out.len()` elements wide must surface as a *typed*
 //! protocol error — never a short read, a panic, or silent truncation.
 
 use gradient_utility::collectives::tcp::{
-    decode_elems, decode_elems_into, encode_elems, encode_elems_into,
+    decode_elems, decode_elems_into, encode_elems_into, WireElem,
 };
 use gradient_utility::collectives::CollectiveError;
 use proptest::prelude::*;
+
+/// `encode_elems_into` on a fresh buffer.
+fn encode_elems<T: WireElem>(elems: &[T]) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_elems_into(elems, &mut out);
+    out
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -27,8 +34,8 @@ proptest! {
         let bytes = encode_elems(&elems);
         prop_assert_eq!(bytes.len(), elems.len() * 4);
 
-        // The borrowing encoder must agree byte-for-byte, including when
-        // its buffer carries stale capacity from a previous (larger) use.
+        // The encoder must agree byte-for-byte when its buffer carries
+        // stale contents and capacity from a previous (larger) use.
         let mut reused = vec![0xAAu8; 256];
         encode_elems_into(&elems, &mut reused);
         prop_assert_eq!(&bytes, &reused);
@@ -126,14 +133,13 @@ mod golden {
     use std::net::{TcpListener, TcpStream};
     use std::time::{Duration, Instant};
 
+    use super::encode_elems;
     use gradient_utility::aggd::proto::{
         decode_hello, decode_reject, encode_fetch_ok, encode_hello, encode_reject, encode_submit,
         Cursor, RejectCode,
     };
     use gradient_utility::aggd::{SchemeSpec, TenantConfig, TenantFaultSpec};
-    use gradient_utility::collectives::tcp::{
-        decode_elems, encode_elems, FleetWorker, Registry, TcpTimeouts,
-    };
+    use gradient_utility::collectives::tcp::{decode_elems, FleetWorker, Registry, TcpTimeouts};
     use gradient_utility::collectives::{
         FramedStream, TelemetryCollector, TelemetryConfig, TelemetryShipper, TELEMETRY_MAGIC,
     };
