@@ -1,7 +1,7 @@
 //! Long-running aggregation daemon.
 //!
 //! ```text
-//! gcs_aggd [--port P] [--shards N] [--io-threads N] [--max-tenants N]
+//! gcs_aggd [--port P] [--shards N] [--max-tenants N] [--max-dim N]
 //! ```
 //!
 //! Prints the bound address on stdout, then serves until killed. Tenants
@@ -22,13 +22,10 @@ fn main() {
         match a.as_str() {
             "--port" => cfg.bind_port = val("--port") as u16,
             "--shards" => cfg.shards = val("--shards").max(1),
-            "--io-threads" => cfg.io_threads = val("--io-threads").max(1),
             "--max-tenants" => cfg.max_tenants = val("--max-tenants").max(1),
             "--max-dim" => cfg.max_dim = val("--max-dim").max(1),
             "--help" | "-h" => {
-                println!(
-                    "usage: gcs_aggd [--port P] [--shards N] [--io-threads N] [--max-tenants N] [--max-dim N]"
-                );
+                println!("usage: gcs_aggd [--port P] [--shards N] [--max-tenants N] [--max-dim N]");
                 return;
             }
             other => die(&format!("unknown flag {other}")),

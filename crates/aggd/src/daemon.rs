@@ -1,34 +1,45 @@
-//! The aggregation daemon: one listener, a pool of non-blocking session
-//! I/O threads, and shard worker threads that exclusively own tenant state.
+//! The aggregation daemon: one listener, two blocking threads per session,
+//! and shard worker threads that exclusively own tenant state.
 //!
-//! Threading model (no locks anywhere on the request path):
+//! Threading model (no locks anywhere on the request path, and nothing
+//! sleeps on it — every thread blocks on the one thing it waits for):
 //!
-//! * the shared [`Listener`] routes each connection by its 4-byte magic:
-//!   `GCSA` sessions go to an I/O thread round-robin; `GET ` connections
-//!   get the Prometheus exposition of the fleet-aggregated per-tenant
-//!   registries;
-//! * each **I/O thread** owns its sessions outright and never blocks: it
-//!   polls frames with `try_recv_frame`, forwards jobs to shards over
-//!   *bounded* channels (`try_send` full ⇒ typed `QueueFull` reject), and
-//!   drains reply queues into a bounded per-session write buffer flushed
-//!   with non-blocking writes — a slow consumer throttles only itself
-//!   (reads from its socket stop while its write buffer is full);
+//! * the shared [`Listener`] routes each connection by its 4-byte magic,
+//!   on the connection's own thread: `GET ` gets the Prometheus exposition
+//!   of the fleet-aggregated per-tenant registries; a `GCSA` session keeps
+//!   the thread as its **reader**;
+//! * the **reader** blocks in a frame read, decodes the request, and
+//!   forwards a job to the owning shard over its *bounded* channel
+//!   (`try_send` full ⇒ typed `QueueFull` reject). Before each read it takes
+//!   one slot of the session's `max_inflight`-deep window, so a tenant with
+//!   that many unanswered requests stops only its own reads;
+//! * the session's **writer** blocks on the session's reply channel,
+//!   batches whatever replies are ready into one buffer, writes it with a
+//!   blocking write, and frees one window slot per reply written — a
+//!   client that does not read fills its socket, blocks its writer, and so
+//!   throttles only itself. Replies the reader makes itself (bad frames,
+//!   admission, `QueueFull`, `BYE_OK`) ride the same channel and are held
+//!   until the shard replies before them are written, so every request is
+//!   answered exactly once, in order, and a closing reject is written
+//!   before the socket closes;
 //! * each **shard thread** owns a disjoint set of `(tenant, model)` states
 //!   keyed by hash, so round folding needs no synchronization at all —
 //!   single-owner message passing is the "lock-free folding" discipline,
-//!   and gradient buffers ride the job/reply messages so the warm path
-//!   recycles them instead of allocating.
+//!   and gradient buffers ride the job/reply messages (and back from the
+//!   writer to the reader) so the warm path recycles them instead of
+//!   allocating.
 //!
 //! Every queue in the pipeline is bounded: shard job queues by
-//! [`AggdConfig::shard_queue`], per-session replies by
-//! [`AggdConfig::max_inflight`], write buffers by the reply bound times the
-//! frame size. Overload therefore surfaces as typed `REJECT`s with
-//! retry-after hints, never as unbounded memory or silent drops.
+//! [`AggdConfig::shard_queue`], a session's replies and its write buffer by
+//! [`AggdConfig::max_inflight`]. Overload therefore surfaces as typed
+//! `REJECT`s with retry-after hints, never as unbounded memory or silent
+//! drops. Blocking reads, reply waits and writes wake every `STOP_SLICE`
+//! to notice a shutdown.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -49,8 +60,6 @@ use crate::state::{FetchVerdict, SubmitVerdict, TenantState, NOT_READY_RETRY_MS}
 pub struct AggdConfig {
     /// Shard worker threads (tenant states are hash-partitioned over them).
     pub shards: usize,
-    /// Session I/O threads.
-    pub io_threads: usize,
     /// Most `(tenant, model)` states admitted daemon-wide.
     pub max_tenants: usize,
     /// Largest gradient dimension a HELLO may declare.
@@ -70,7 +79,6 @@ impl Default for AggdConfig {
     fn default() -> AggdConfig {
         AggdConfig {
             shards: 2,
-            io_threads: 2,
             max_tenants: 4096,
             max_dim: 1 << 16,
             shard_queue: 256,
@@ -84,9 +92,19 @@ impl Default for AggdConfig {
 type Key = (u64, u64);
 type ReplyTx = mpsc::Sender<Reply>;
 
-/// Shard → session messages. Gradient buffers travel back inside replies
-/// so sessions recycle them.
+/// How long a session's blocking read, reply wait or write lasts before it
+/// re-checks the shutdown flag.
+const STOP_SLICE: Duration = Duration::from_millis(200);
+
+/// Shard (or reader) → session writer messages. Gradient buffers travel
+/// back inside replies so sessions recycle them.
 enum Reply {
+    /// A reply the session's reader makes itself (`None` answers a BYE),
+    /// written after the session's first `after` shard replies.
+    Local {
+        after: u64,
+        reject: Option<(RejectCode, u32, &'static str)>,
+    },
     HelloOk {
         shard: usize,
     },
@@ -150,9 +168,9 @@ pub struct AggDaemon {
 }
 
 impl AggDaemon {
-    /// Binds `127.0.0.1:0` and starts the listener, I/O, and shard threads.
+    /// Binds `127.0.0.1:0` and starts the listener and shard threads.
     pub fn spawn(config: AggdConfig) -> std::io::Result<AggDaemon> {
-        assert!(config.shards >= 1 && config.io_threads >= 1);
+        assert!(config.shards >= 1 && config.max_inflight >= 1);
         let shutdown = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(Stats::default());
         let mut threads = Vec::new();
@@ -171,35 +189,17 @@ impl AggDaemon {
             );
         }
 
-        let mut io_txs = Vec::new();
-        for idx in 0..config.io_threads {
-            let (tx, rx) = mpsc::channel::<TcpStream>();
-            io_txs.push(tx);
-            let cfg = config.clone();
-            let stop = Arc::clone(&shutdown);
-            let st = Arc::clone(&stats);
-            let shards = shard_txs.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("aggd-io-{idx}"))
-                    .spawn(move || io_main(rx, shards, cfg, stop, st))
-                    .expect("spawn io"),
-            );
-        }
-
         let listener = {
-            let (st, shards, next_io) =
-                (Arc::clone(&stats), shard_txs.clone(), AtomicUsize::new(0));
+            let (st, shards, cfg) = (Arc::clone(&stats), shard_txs.clone(), config.clone());
             let stop = Arc::clone(&shutdown);
             Listener::spawn(
                 "aggd-accept",
                 config.bind_port,
-                stop,
+                Arc::clone(&shutdown),
                 move |magic, stream| match magic {
                     Some(AGGD_MAGIC) => {
                         st.sessions_total.fetch_add(1, Ordering::Relaxed);
-                        let io = next_io.fetch_add(1, Ordering::Relaxed) % io_txs.len();
-                        let _ = io_txs[io].send(stream);
+                        serve_session(stream, &shards, &cfg, &stop, &st);
                     }
                     Some(HTTP_GET) => serve_metrics(stream, || {
                         st.scrapes_total.fetch_add(1, Ordering::Relaxed);
@@ -266,17 +266,10 @@ fn scrape_registry(shards: &[SyncSender<ShardJob>], stats: &Stats) -> Registry {
     for (idx, shard) in shards.iter().enumerate() {
         let (tx, rx) = mpsc::channel();
         agg.on_join(idx as u64, 0, 0);
-        // The job queue is bounded; retry briefly rather than block forever.
-        let mut job = ShardJob::Snapshot { reply: tx };
-        for _ in 0..200 {
-            match shard.try_send(job) {
-                Ok(()) => break,
-                Err(TrySendError::Full(j)) => {
-                    job = j;
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(TrySendError::Disconnected(_)) => return Registry::new(),
-            }
+        // Waits for room in the bounded job queue; fails only once the
+        // shard has exited.
+        if shard.send(ShardJob::Snapshot { reply: tx }).is_err() {
+            return Registry::new();
         }
         if let Ok(reg) = rx.recv_timeout(Duration::from_secs(2)) {
             agg.on_snapshot(idx as u64, idx as u64, 0, reg);
@@ -423,374 +416,293 @@ fn shard_main(idx: usize, rx: Receiver<ShardJob>, cfg: AggdConfig, shutdown: Arc
 }
 
 // ---------------------------------------------------------------------------
-// Session I/O threads
+// Sessions
 // ---------------------------------------------------------------------------
 
-/// One tenant connection, owned by exactly one I/O thread.
+/// The reader's side of one tenant connection.
 struct Session {
     fs: FramedStream,
-    /// Second handle to the same socket for non-blocking writes (the
-    /// `FramedStream` side is only used for reads).
-    wh: TcpStream,
     key: Option<Key>,
-    shard: usize,
     dim: usize,
     reply_tx: ReplyTx,
-    reply_rx: Receiver<Reply>,
-    inflight: usize,
-    /// Recycled gradient/estimate buffers (bounded by `max_inflight`).
-    spare: Vec<Vec<f32>>,
-    outbuf: Vec<u8>,
-    written: usize,
-    /// Close once the write buffer drains.
-    closing: bool,
-    dead: bool,
+    /// Gradient/estimate buffers returned by the writer (and refused jobs).
+    spare_tx: SyncSender<Vec<f32>>,
+    spare_rx: Receiver<Vec<f32>>,
+    /// Jobs the shard has accepted; orders the reader's own replies.
+    forwarded: u64,
 }
 
 impl Session {
-    fn new(stream: TcpStream) -> std::io::Result<Session> {
-        let wh = stream.try_clone()?;
-        let (reply_tx, reply_rx) = mpsc::channel();
-        Ok(Session {
-            fs: FramedStream::new(stream),
-            wh,
-            key: None,
-            shard: 0,
-            dim: 0,
-            reply_tx,
-            reply_rx,
-            inflight: 0,
-            spare: Vec::new(),
-            outbuf: Vec::new(),
-            written: 0,
-            closing: false,
-            dead: false,
-        })
-    }
-
     fn take_buf(&mut self) -> Vec<f32> {
-        self.spare.pop().unwrap_or_default()
+        self.spare_rx.try_recv().unwrap_or_default()
     }
 
-    /// Appends one frame (length prefix + payload) built by `build` to the
-    /// write buffer.
-    fn push_frame(&mut self, build: impl FnOnce(&mut Vec<u8>)) {
-        push_frame(&mut self.outbuf, build);
+    fn reply(&mut self, reject: Option<(RejectCode, u32, &'static str)>) {
+        let after = self.forwarded;
+        let _ = self.reply_tx.send(Reply::Local { after, reject });
     }
 
-    fn push_reject(&mut self, code: RejectCode, retry_after_ms: u32, detail: &'static str) {
-        self.push_frame(|out| encode_reject(out, code, retry_after_ms, detail));
+    /// Answers a protocol violation with `BadFrame`; the session then
+    /// closes. Returns false, the reader's "stop reading".
+    fn close(&mut self, detail: &'static str) -> bool {
+        self.reply(Some((RejectCode::BadFrame, 0, detail)));
+        false
     }
 
-    /// Non-blocking flush of the write buffer. Returns true if bytes moved.
-    fn flush(&mut self) -> bool {
-        if self.written == self.outbuf.len() {
-            self.outbuf.clear();
-            self.written = 0;
-            if self.closing {
-                self.dead = true;
-            }
-            return false;
-        }
-        let _ = self.wh.set_nonblocking(true);
-        let mut moved = false;
-        while self.written < self.outbuf.len() {
-            match self.wh.write(&self.outbuf[self.written..]) {
-                Ok(0) => {
-                    self.dead = true;
-                    break;
+    /// Forwards a job over the bounded shard queue; a full queue becomes a
+    /// typed `QueueFull` reject with a retry hint (the shard is draining).
+    /// Returns false once the shard has exited.
+    fn forward(&mut self, shard: &SyncSender<ShardJob>, job: ShardJob) -> bool {
+        match shard.try_send(job) {
+            Ok(()) => self.forwarded += 1,
+            Err(TrySendError::Full(job)) => {
+                // Recycle any gradient buffer riding the refused job.
+                if let ShardJob::Submit { buf, .. } | ShardJob::Fetch { out: buf, .. } = job {
+                    let _ = self.spare_tx.try_send(buf);
                 }
-                Ok(k) => {
-                    self.written += k;
-                    moved = true;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    break;
-                }
+                self.reply(Some((RejectCode::QueueFull, 5, "shard queue full")));
             }
+            Err(TrySendError::Disconnected(_)) => return false,
         }
-        if self.written == self.outbuf.len() {
-            self.outbuf.clear();
-            self.written = 0;
-            if self.closing {
-                self.dead = true;
-            }
-        }
-        moved
+        true
     }
 }
 
-fn io_main(
-    new_rx: Receiver<TcpStream>,
-    shards: Vec<SyncSender<ShardJob>>,
-    cfg: AggdConfig,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<Stats>,
-) {
-    let mut sessions: Vec<Session> = Vec::new();
-    // A session may buffer one reply frame per in-flight request; cap the
-    // write buffer so a slow consumer's memory is bounded by construction.
-    let out_cap = |dim: usize| (cfg.max_inflight + 1) * (4 * dim.max(8) + 64);
-    loop {
-        while let Ok(stream) = new_rx.try_recv() {
-            if let Ok(s) = Session::new(stream) {
-                sessions.push(s);
-            }
-        }
-        let mut worked = false;
-        for s in &mut sessions {
-            let cap = out_cap(s.dim);
-            worked |= pump(s, &shards, &cfg, &stats, cap);
-        }
-        sessions.retain(|s| !s.dead);
-        if shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        if !worked {
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
-}
-
-/// One poll pass over one session. Returns true if any work happened.
-fn pump(
-    s: &mut Session,
+/// Serves one `GCSA` session on the connection's own thread (the reader)
+/// plus one writer thread, until the peer leaves, a protocol violation or
+/// crash plan closes it, or the daemon shuts down.
+fn serve_session(
+    stream: TcpStream,
     shards: &[SyncSender<ShardJob>],
     cfg: &AggdConfig,
-    stats: &Stats,
-    out_cap: usize,
-) -> bool {
-    let mut worked = false;
-    // 1. Drain shard replies into the write buffer while there is room.
-    while s.inflight > 0 && s.outbuf.len() < out_cap {
-        match s.reply_rx.try_recv() {
-            Ok(reply) => {
-                s.inflight -= 1;
-                worked = true;
-                match reply {
-                    Reply::HelloOk { shard } => {
-                        s.shard = shard;
-                        s.push_frame(|out| encode_hello_ok(out, shard));
-                    }
-                    Reply::SubmitOk { round, buf } => {
-                        s.spare.push(buf);
-                        s.push_frame(|out| encode_submit_ok(out, round));
-                    }
-                    Reply::FetchOk { round, data } => {
-                        s.push_frame(|out| encode_fetch_ok(out, round, &data));
-                        s.spare.push(data);
-                    }
-                    Reply::Rejected {
-                        code,
-                        retry_after_ms,
-                        buf,
-                    } => {
-                        if let Some(b) = buf {
-                            s.spare.push(b);
-                        }
-                        stats.rejects_total.fetch_add(1, Ordering::Relaxed);
-                        s.push_reject(code, retry_after_ms, code.as_str());
-                    }
-                    Reply::Close => {
-                        s.closing = true;
-                    }
-                }
+    stop: &Arc<AtomicBool>,
+    stats: &Arc<Stats>,
+) {
+    let Ok(wh) = stream.try_clone() else {
+        return;
+    };
+    let (reply_tx, reply_rx) = mpsc::channel();
+    // The window: one slot per unanswered request.
+    let (slot_tx, slot_rx) = mpsc::sync_channel(cfg.max_inflight);
+    let (spare_tx, spare_rx) = mpsc::sync_channel(cfg.max_inflight);
+    let writer = {
+        let (spare_tx, stop, stats) = (spare_tx.clone(), Arc::clone(stop), Arc::clone(stats));
+        std::thread::Builder::new()
+            .name("aggd-writer".into())
+            .spawn(move || write_replies(wh, reply_rx, slot_rx, spare_tx, &stop, &stats))
+    };
+    let Ok(writer) = writer else {
+        return;
+    };
+    let mut s = Session {
+        fs: FramedStream::new(stream),
+        key: None,
+        dim: 0,
+        reply_tx,
+        spare_tx,
+        spare_rx,
+        forwarded: 0,
+    };
+    while slot_tx.send(()).is_ok() {
+        let open = match s.fs.recv_frame_until(Duration::MAX, stop) {
+            Ok(frame) => handle_frame(&mut s, shards, cfg, &frame),
+            Err(RecvFail::Malformed(_)) => {
+                stats.malformed_total.fetch_add(1, Ordering::Relaxed);
+                s.close("malformed frame")
             }
-            Err(_) => break,
+            // Closed, or shutdown.
+            Err(_) => false,
+        };
+        if !open {
+            break;
         }
     }
-    // 2. Flush pending output.
-    worked |= s.flush();
-    if s.dead || s.closing {
-        return worked;
-    }
-    // 3. Read new frames only while this session is under its own bounds —
-    //    a stuffed write buffer or full in-flight window stops *its* reads
-    //    (TCP backpressure to that tenant), never anyone else's.
-    if s.outbuf.len() >= out_cap {
-        return worked;
-    }
-    if s.inflight >= cfg.max_inflight {
-        // The window is reply-bounded; nudge the client with a typed busy
-        // signal instead of silently stalling would double-count replies,
-        // so just stop reading: in-flight replies will drain first.
-        return worked;
-    }
-    match s.fs.try_recv_frame() {
-        Ok(Some(frame)) => {
-            worked = true;
-            handle_frame(s, shards, cfg, stats, &frame);
-        }
-        Ok(None) => {}
-        Err(RecvFail::Closed) | Err(RecvFail::TimedOut) => {
-            s.dead = true;
-        }
-        Err(RecvFail::Malformed(_)) => {
-            stats.malformed_total.fetch_add(1, Ordering::Relaxed);
-            s.push_reject(RejectCode::BadFrame, 0, "malformed frame");
-            s.closing = true;
-        }
-    }
-    worked
+    // The writer closes the socket once every reply is written.
+    drop(s);
+    let _ = writer.join();
 }
 
+/// Decodes one request and forwards it to its shard, or answers it on the
+/// spot. Returns false when the session closes after this frame's reply.
 fn handle_frame(
     s: &mut Session,
     shards: &[SyncSender<ShardJob>],
     cfg: &AggdConfig,
-    stats: &Stats,
     frame: &[u8],
-) {
+) -> bool {
     // Oversized frames are rejected before any decode: the bound is the
     // declared dim's submit payload, not the transport's 1 GiB ceiling.
-    let frame_cap = 4 * cfg.max_dim + 128;
-    if frame.len() > frame_cap {
-        stats.rejects_total.fetch_add(1, Ordering::Relaxed);
-        s.push_reject(RejectCode::BadFrame, 0, "frame exceeds session bound");
-        s.closing = true;
-        return;
+    if frame.len() > 4 * cfg.max_dim + 128 {
+        return s.close("frame exceeds session bound");
     }
     let mut c = Cursor::new(frame);
-    let tag = match c.u8() {
-        Ok(t) => t,
-        Err(_) => {
-            s.push_reject(RejectCode::BadFrame, 0, "empty frame");
-            s.closing = true;
-            return;
-        }
-    };
-    match tag {
-        T_HELLO => {
-            let tcfg = match decode_hello(&mut c) {
-                Ok(t) => t,
-                Err(_) => {
-                    stats.rejects_total.fetch_add(1, Ordering::Relaxed);
-                    s.push_reject(RejectCode::BadFrame, 0, "bad hello");
-                    s.closing = true;
-                    return;
-                }
+    let reply = s.reply_tx.clone();
+    match c.u8() {
+        Ok(T_HELLO) => {
+            let Ok(tcfg) = decode_hello(&mut c) else {
+                return s.close("bad hello");
             };
             if tcfg.dim > cfg.max_dim {
-                stats.rejects_total.fetch_add(1, Ordering::Relaxed);
-                s.push_reject(RejectCode::AdmissionDenied, 0, "dim exceeds daemon cap");
-                return;
+                s.reply(Some((
+                    RejectCode::AdmissionDenied,
+                    0,
+                    "dim exceeds daemon cap",
+                )));
+                return true;
             }
-            if let Some(k) = s.key {
-                if k != tcfg.key() {
-                    stats.rejects_total.fetch_add(1, Ordering::Relaxed);
-                    s.push_reject(RejectCode::BadFrame, 0, "session already bound");
-                    return;
-                }
+            if s.key.is_some_and(|k| k != tcfg.key()) {
+                s.reply(Some((RejectCode::BadFrame, 0, "session already bound")));
+                return true;
             }
             s.key = Some(tcfg.key());
             s.dim = tcfg.dim;
-            let shard = shard_of(tcfg.key(), shards.len());
-            let reply = s.reply_tx.clone();
-            forward(
-                s,
-                stats,
-                &shards[shard],
-                ShardJob::Hello { cfg: tcfg, reply },
-            );
+            let shard = &shards[shard_of(tcfg.key(), shards.len())];
+            s.forward(shard, ShardJob::Hello { cfg: tcfg, reply })
         }
-        T_SUBMIT => {
+        Ok(T_SUBMIT) => {
             let Some(key) = s.key else {
-                s.push_reject(RejectCode::BadFrame, 0, "submit before hello");
-                s.closing = true;
-                return;
+                return s.close("submit before hello");
             };
-            let (round, rank) = match (c.u64(), c.u64()) {
-                (Ok(r), Ok(k)) => (r, k as usize),
-                _ => {
-                    s.push_reject(RejectCode::BadFrame, 0, "bad submit header");
-                    s.closing = true;
-                    return;
-                }
+            let (Ok(round), Ok(rank)) = (c.u64(), c.u64()) else {
+                return s.close("bad submit header");
             };
             let mut buf = s.take_buf();
             if c.remaining() != 4 * s.dim || c.f32s_into(s.dim, &mut buf).is_err() {
-                s.spare.push(buf);
-                stats.rejects_total.fetch_add(1, Ordering::Relaxed);
-                s.push_reject(RejectCode::BadFrame, 0, "payload size mismatch");
-                s.closing = true;
-                return;
+                return s.close("payload size mismatch");
             }
-            let shard = shard_of(key, shards.len());
-            let reply = s.reply_tx.clone();
-            forward(
-                s,
-                stats,
-                &shards[shard],
-                ShardJob::Submit {
-                    key,
-                    round,
-                    rank,
-                    buf,
-                    reply,
-                },
-            );
-        }
-        T_FETCH => {
-            let Some(key) = s.key else {
-                s.push_reject(RejectCode::BadFrame, 0, "fetch before hello");
-                s.closing = true;
-                return;
+            let job = ShardJob::Submit {
+                key,
+                round,
+                rank: rank as usize,
+                buf,
+                reply,
             };
-            let round = match c.u64() {
-                Ok(r) => r,
-                Err(_) => {
-                    s.push_reject(RejectCode::BadFrame, 0, "bad fetch header");
-                    s.closing = true;
-                    return;
-                }
+            s.forward(&shards[shard_of(key, shards.len())], job)
+        }
+        Ok(T_FETCH) => {
+            let Some(key) = s.key else {
+                return s.close("fetch before hello");
+            };
+            let Ok(round) = c.u64() else {
+                return s.close("bad fetch header");
             };
             let out = s.take_buf();
-            let shard = shard_of(key, shards.len());
-            let reply = s.reply_tx.clone();
-            forward(
-                s,
-                stats,
-                &shards[shard],
-                ShardJob::Fetch {
-                    key,
-                    round,
-                    out,
-                    reply,
-                },
-            );
+            let job = ShardJob::Fetch {
+                key,
+                round,
+                out,
+                reply,
+            };
+            s.forward(&shards[shard_of(key, shards.len())], job)
         }
-        T_BYE => {
-            s.push_frame(encode_bye_ok);
-            s.closing = true;
+        Ok(T_BYE) => {
+            s.reply(None);
+            false
         }
-        _ => {
-            stats.rejects_total.fetch_add(1, Ordering::Relaxed);
-            s.push_reject(RejectCode::BadFrame, 0, "unknown tag");
-            s.closing = true;
+        Ok(_) => s.close("unknown tag"),
+        Err(_) => s.close("empty frame"),
+    }
+}
+
+/// A session's writer: blocks on the reply channel, encodes every reply
+/// that is ready into one buffer, writes it, and frees one window slot per
+/// reply written. The reader's own replies are held until `answered` shard
+/// replies reach their `after`. Ends when every reply sender is gone (the
+/// reader left and the shard answered), on a crash plan's `Close`, on a
+/// dead socket, or on shutdown — and with it the window, which releases a
+/// reader parked on a slot.
+fn write_replies(
+    mut wh: TcpStream,
+    replies: Receiver<Reply>,
+    slots: Receiver<()>,
+    spare: SyncSender<Vec<f32>>,
+    stop: &AtomicBool,
+    stats: &Stats,
+) {
+    let _ = wh.set_write_timeout(Some(STOP_SLICE));
+    let (mut out, mut held) = (Vec::new(), VecDeque::new());
+    let mut answered = 0u64;
+    let recycle = |buf: Vec<f32>| {
+        let _ = spare.try_send(buf);
+    };
+    let reject = |out: &mut Vec<u8>, code: RejectCode, retry_after_ms: u32, detail: &str| {
+        stats.rejects_total.fetch_add(1, Ordering::Relaxed);
+        push_frame(out, |o| encode_reject(o, code, retry_after_ms, detail));
+    };
+    loop {
+        let mut next = match replies.recv_timeout(STOP_SLICE) {
+            Ok(reply) => Some(reply),
+            Err(mpsc::RecvTimeoutError::Timeout) if !stop.load(Ordering::Relaxed) => continue,
+            Err(_) => return,
+        };
+        out.clear();
+        let mut written = 0;
+        while let Some(reply) = next.take().or_else(|| replies.try_recv().ok()) {
+            let from_shard = !matches!(reply, Reply::Local { .. });
+            match reply {
+                Reply::Local { after, reject } => held.push_back((after, reject)),
+                Reply::HelloOk { shard } => push_frame(&mut out, |o| encode_hello_ok(o, shard)),
+                Reply::SubmitOk { round, buf } => {
+                    recycle(buf);
+                    push_frame(&mut out, |o| encode_submit_ok(o, round));
+                }
+                Reply::FetchOk { round, data } => {
+                    push_frame(&mut out, |o| encode_fetch_ok(o, round, &data));
+                    recycle(data);
+                }
+                Reply::Rejected {
+                    code,
+                    retry_after_ms,
+                    buf,
+                } => {
+                    if let Some(buf) = buf {
+                        recycle(buf);
+                    }
+                    reject(&mut out, code, retry_after_ms, code.as_str());
+                }
+                Reply::Close => {
+                    // Wakes the reader's blocking read.
+                    let _ = wh.shutdown(Shutdown::Both);
+                    return;
+                }
+            }
+            answered += u64::from(from_shard);
+            written += usize::from(from_shard);
+            while let Some(&(_, local)) = held.front().filter(|(after, _)| *after <= answered) {
+                held.pop_front();
+                written += 1;
+                match local {
+                    Some((code, retry_after_ms, detail)) => {
+                        reject(&mut out, code, retry_after_ms, detail)
+                    }
+                    None => push_frame(&mut out, encode_bye_ok),
+                }
+            }
+        }
+        if !write_until(&mut wh, &out, stop) {
+            return;
+        }
+        for _ in 0..written {
+            let _ = slots.try_recv();
         }
     }
 }
 
-/// Forwards a job over the bounded shard queue; a full queue becomes a
-/// typed `QueueFull` reject with a retry hint (the shard is draining).
-fn forward(s: &mut Session, stats: &Stats, shard: &SyncSender<ShardJob>, job: ShardJob) {
-    match shard.try_send(job) {
-        Ok(()) => s.inflight += 1,
-        Err(TrySendError::Full(job)) => {
-            // Recycle any gradient buffer riding the refused job.
-            match job {
-                ShardJob::Submit { buf, .. } => s.spare.push(buf),
-                ShardJob::Fetch { out, .. } => s.spare.push(out),
-                _ => {}
+/// Writes all of `out`, waking every `STOP_SLICE` while the peer is not
+/// reading to notice a shutdown. False once the session cannot go on.
+fn write_until(wh: &mut TcpStream, mut out: &[u8], stop: &AtomicBool) -> bool {
+    while !out.is_empty() {
+        match wh.write(out) {
+            Ok(0) => return false,
+            Ok(k) => out = &out[k..],
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if stop.load(Ordering::Relaxed) {
+                    return false;
+                }
             }
-            stats.rejects_total.fetch_add(1, Ordering::Relaxed);
-            s.push_reject(RejectCode::QueueFull, 5, "shard queue full");
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            s.dead = true;
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => return false,
         }
     }
+    true
 }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Polling granularity of bounded accept and dial loops.
+/// Polling granularity of the mesh's bounded accept and dial loops.
 pub(super) const POLL_SLEEP: Duration = Duration::from_millis(1);
 /// How long a fresh connection has to produce its magic.
 const MAGIC_DEADLINE: Duration = Duration::from_secs(2);
@@ -44,13 +44,18 @@ impl Listener {
     ) -> std::io::Result<Listener> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let (route, stop) = (Arc::new(route), Arc::clone(&shutdown));
         let accept = std::thread::Builder::new()
             .name(name.to_string())
             .spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
+                loop {
+                    // Blocks until a client connects; `Drop` connects once
+                    // itself to wake it after setting `stop`.
+                    let accepted = listener.accept();
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    match accepted {
                         Ok((mut stream, _)) => {
                             let route = Arc::clone(&route);
                             // A spawn failure drops this connection only.
@@ -60,9 +65,6 @@ impl Listener {
                                 let magic = stream.read_exact(&mut magic).ok().map(|()| magic);
                                 route(magic, stream);
                             });
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            std::thread::sleep(POLL_SLEEP)
                         }
                         Err(e) if e.kind() == ErrorKind::Interrupted => {}
                         Err(_) => break,
@@ -85,8 +87,12 @@ impl Listener {
 impl Drop for Listener {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
+        // One connection of our own wakes the blocking accept; should even
+        // that fail, leave the thread rather than hang the owner.
         if let Some(h) = self.accept.take() {
-            let _ = h.join();
+            if TcpStream::connect(self.addr).is_ok() {
+                let _ = h.join();
+            }
         }
     }
 }

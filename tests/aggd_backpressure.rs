@@ -2,18 +2,22 @@
 //!
 //! The daemon's overload contract: every queue is bounded, every refusal
 //! is a typed REJECT with a retry hint, and nothing is ever dropped
-//! silently or deadlocks — one reply per request, always. A slow consumer
-//! is throttled by *its own* bounds (reply window, write buffer, TCP);
-//! other tenants keep completing rounds meanwhile.
+//! silently or deadlocks — one reply per request, in order, always. A slow
+//! consumer is throttled by *its own* bounds (reply window, TCP); other
+//! tenants keep completing rounds meanwhile, and a shutdown reaches every
+//! session however it is stuck.
 
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use gradient_utility::aggd::proto::{
-    decode_reject, encode_submit, Cursor, RejectCode, T_REJECT, T_SUBMIT_OK,
+    decode_reject, encode_fetch, encode_hello, encode_submit, Cursor, RejectCode, AGGD_MAGIC,
+    T_HELLO_OK, T_REJECT, T_SUBMIT_OK,
 };
 use gradient_utility::aggd::{AggDaemon, AggdConfig, SchemeSpec, TenantClient, TenantConfig};
 use gradient_utility::collectives::tcp::{FleetWorker, Registry, TcpTimeouts};
+use gradient_utility::collectives::{FramedStream, RecvFail};
 
 const DEADLINE: Duration = Duration::from_secs(20);
 
@@ -97,7 +101,6 @@ fn window_overrun_is_typed_and_every_frame_answered() {
 fn shard_queue_full_is_typed_queue_full() {
     let daemon = AggDaemon::spawn(AggdConfig {
         shards: 1,
-        io_threads: 1,
         shard_queue: 2,
         // Any submit for model 99 stalls the (only) shard 300 ms.
         stall_ms_on_model: Some((99, 300)),
@@ -303,4 +306,128 @@ fn silent_connections_do_not_stall_a_registry_join() {
         ..TcpTimeouts::fast_test()
     };
     FleetWorker::join(registry.addr(), timeouts).expect("join behind three silent connections");
+}
+
+/// Reads frames until the daemon's side of `fs` is closed, within
+/// `deadline`; returns how many arrived first. Closed is the socket's EOF,
+/// which comes only once the session's reader and writer have both let go
+/// of it.
+fn frames_until_eof(fs: &mut FramedStream, deadline: Duration) -> usize {
+    let t0 = Instant::now();
+    let mut frames = 0;
+    loop {
+        let left = deadline.saturating_sub(t0.elapsed());
+        match fs.recv_frame(left) {
+            Ok(_) => frames += 1,
+            Err(RecvFail::Closed) => return frames,
+            Err(e) => panic!("wanted EOF within {deadline:?}, got {e:?} after {frames} frames"),
+        }
+    }
+}
+
+/// A session that closes on a protocol violation answers everything it
+/// read before it, in order, then the `BadFrame`, then closes. The shard
+/// is slowed so its replies are still pending when the reader meets the
+/// bad frame: the reject must wait for them.
+#[test]
+fn closing_reject_follows_every_earlier_reply_then_eof() {
+    let daemon = AggDaemon::spawn(AggdConfig {
+        shards: 1,
+        stall_ms_on_model: Some((5, 2)),
+        ..AggdConfig::default()
+    })
+    .expect("spawn");
+    let mut client =
+        TenantClient::connect(daemon.addr(), &cfg(41, 5, 1), DEADLINE).expect("connect");
+    let grad = vec![0.75f32; 32];
+    let pipelined = 6u64;
+    let mut enc = Vec::new();
+    for round in 0..pipelined {
+        encode_submit(&mut enc, round, 0, &grad);
+        client
+            .raw_stream()
+            .send_frame(&enc)
+            .expect("pipeline submit");
+    }
+    // A SUBMIT whose payload is one element short.
+    encode_submit(&mut enc, pipelined, 0, &grad[1..]);
+    client
+        .raw_stream()
+        .send_frame(&enc)
+        .expect("send bad frame");
+
+    for round in 0..pipelined {
+        let reply = drain_replies(&mut client, 1);
+        assert_eq!(reply, (vec![round], vec![]), "reply {round} out of order");
+    }
+    let last = drain_replies(&mut client, 1);
+    assert_eq!(last, (vec![], vec![(RejectCode::BadFrame, 0)]));
+    assert_eq!(frames_until_eof(client.raw_stream(), DEADLINE), 0);
+}
+
+/// Dropping the daemon closes an idle session: its reader and writer both
+/// notice the shutdown and let go of the socket.
+#[test]
+fn shutdown_closes_an_idle_session() {
+    let daemon = AggDaemon::spawn(AggdConfig::default()).expect("spawn");
+    let mut idle = TenantClient::connect(daemon.addr(), &cfg(51, 1, 1), DEADLINE).expect("connect");
+    drop(daemon);
+    assert_eq!(
+        frames_until_eof(idle.raw_stream(), Duration::from_secs(5)),
+        0
+    );
+}
+
+/// Dropping the daemon also closes a session stuck every way at once: its
+/// client pipelined far more max-dim FETCHes than the socket buffers hold
+/// and never reads, so the writer is blocked in a write, the reader is
+/// parked on a window slot, and the client's own sends back up. The client
+/// drains what was buffered and then sees EOF.
+#[test]
+fn shutdown_closes_a_session_stuffed_with_unread_replies() {
+    let config = AggdConfig::default();
+    let dim = config.max_dim;
+    let daemon = AggDaemon::spawn(config).expect("spawn");
+    let mut tcfg = cfg(61, 1, 1);
+    tcfg.dim = dim;
+
+    // A raw session, so the test owns the socket's write timeout.
+    let mut raw = TcpStream::connect(daemon.addr()).expect("dial");
+    raw.write_all(&AGGD_MAGIC).expect("magic");
+    let mut fs = FramedStream::new(raw.try_clone().expect("clone"));
+    let mut enc = Vec::new();
+    encode_hello(&mut enc, &tcfg);
+    fs.send_frame(&enc).expect("hello");
+    assert_eq!(fs.recv_frame(DEADLINE).expect("hello reply")[0], T_HELLO_OK);
+    let grad = vec![0.5f32; dim];
+    encode_submit(&mut enc, 0, 0, &grad);
+    fs.send_frame(&enc).expect("submit");
+    assert_eq!(
+        fs.recv_frame(DEADLINE).expect("submit reply")[0],
+        T_SUBMIT_OK
+    );
+
+    // 64 FETCH replies of 256 KiB each: four times what loopback buffers
+    // and the writer's window hold.
+    encode_fetch(&mut enc, 0);
+    for _ in 0..64 {
+        fs.send_frame(&enc).expect("pipeline fetch");
+    }
+    // The session's reader must stop reading: more max-dim SUBMITs go out
+    // until the client's own send stalls.
+    raw.set_write_timeout(Some(Duration::from_millis(300)))
+        .expect("write timeout");
+    encode_submit(&mut enc, 1, 0, &grad);
+    let stalled = (0..400).any(|_| fs.send_frame(&enc).is_err());
+    assert!(
+        stalled,
+        "a session that never reads its replies kept reading requests"
+    );
+
+    drop(daemon);
+    let frames = frames_until_eof(&mut fs, Duration::from_secs(10));
+    assert!(
+        frames < 64,
+        "the stuffed session ran to completion instead of closing"
+    );
 }

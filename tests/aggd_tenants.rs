@@ -33,7 +33,6 @@ const DEADLINE: Duration = Duration::from_secs(20);
 fn daemon() -> AggDaemon {
     AggDaemon::spawn(AggdConfig {
         shards: 2,
-        io_threads: 2,
         ..AggdConfig::default()
     })
     .expect("daemon spawn")
