@@ -7,11 +7,12 @@ use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use gcs_trace::bytes::{get_elems, put_elems, put_u32, put_u64, Cursor, WireElem};
+use gcs_trace::bytes::{get_elems, put_u32, put_u64, Cursor, WireElem};
 
 use super::framing::{FramedStream, RecvFail};
 use super::listener::POLL_SLEEP;
 use crate::error::CollectiveError;
+use crate::reduce::ReduceOp;
 use crate::transport::MessageLinks;
 
 /// Magic opening every mesh link's `(magic, epoch, from)` hello.
@@ -19,11 +20,14 @@ const MESH_MAGIC: [u8; 4] = *b"GCSL";
 const HELLO_BYTES: usize = 16;
 
 /// Encodes a slice of elements as a contiguous little-endian payload in a
-/// caller-owned buffer (cleared first, capacity reused) — what the mesh's
-/// persistent send scratch runs on.
+/// caller-owned buffer (resized to the payload, capacity reused) — what the
+/// mesh's persistent send scratch runs on. Every byte is overwritten, so a
+/// buffer already the payload's length is never zero-filled first.
 pub fn encode_elems_into<T: WireElem>(data: &[T], out: &mut Vec<u8>) {
-    out.clear();
-    put_elems(out, data);
+    out.resize(data.len() * T::BYTES, 0);
+    for (chunk, v) in out.chunks_exact_mut(T::BYTES).zip(data) {
+        v.write_le(chunk);
+    }
 }
 
 /// A length that is not a multiple of the element width is a framing bug
@@ -48,6 +52,20 @@ pub fn decode_elems<T: WireElem>(bytes: &[u8], peer: usize) -> Result<Vec<T>, Co
     Ok(bytes.chunks_exact(T::BYTES).map(T::read_le).collect())
 }
 
+/// A payload that is not exactly `len` elements is a framing bug on
+/// `peer`'s side.
+fn check_elems<T: WireElem>(bytes: &[u8], len: usize, peer: usize) -> Result<(), CollectiveError> {
+    check_width::<T>(bytes, peer)?;
+    let elems = bytes.len() / T::BYTES;
+    if elems != len {
+        return Err(CollectiveError::Protocol {
+            peer,
+            detail: format!("expected {len} elements, peer sent {elems}"),
+        });
+    }
+    Ok(())
+}
+
 /// Decodes a payload produced by [`encode_elems_into`] directly into `out` —
 /// no owned `Vec` materialized. The payload must hold *exactly*
 /// `out.len()` elements; a width mismatch or element-count mismatch is a
@@ -57,16 +75,18 @@ pub fn decode_elems_into<T: WireElem>(
     out: &mut [T],
     peer: usize,
 ) -> Result<(), CollectiveError> {
-    check_width::<T>(bytes, peer)?;
-    let elems = bytes.len() / T::BYTES;
-    if elems != out.len() {
-        return Err(CollectiveError::Protocol {
-            peer,
-            detail: format!("expected {} elements, peer sent {elems}", out.len()),
-        });
-    }
+    check_elems::<T>(bytes, out.len(), peer)?;
     get_elems(bytes, out);
     Ok(())
+}
+
+/// Folds a payload of `acc.len()` encoded elements into `acc` with `op`,
+/// one `op.reduce` per element in ascending order — `reduce_slice` over the
+/// decoded payload, bit for bit, without staging the decode anywhere.
+fn fold_elems<T: WireElem, O: ReduceOp<T>>(bytes: &[u8], acc: &mut [T], op: &O) {
+    for (a, chunk) in acc.iter_mut().zip(bytes.chunks_exact(T::BYTES)) {
+        op.reduce(a, &T::read_le(chunk));
+    }
 }
 
 /// Default bound on blocking mesh receives.
@@ -213,7 +233,7 @@ impl TcpMesh {
         let _ = listener.set_nonblocking(false);
         accept_result?;
 
-        Ok(TcpMesh {
+        let mut mesh = TcpMesh {
             rank,
             n,
             out,
@@ -221,7 +241,17 @@ impl TcpMesh {
             recv_deadline: DEFAULT_TCP_RECV_DEADLINE,
             chunk_bytes: DEFAULT_TCP_CHUNK_BYTES,
             sbuf: Vec::new(),
-        })
+        };
+        mesh.reserve_in_links();
+        Ok(mesh)
+    }
+
+    /// Sizes every in-link's reassembly buffer for chunk-bounded frames, so
+    /// a peer running ahead never grows one during a round.
+    fn reserve_in_links(&mut self) {
+        for link in self.inn.iter_mut().flatten() {
+            link.reserve_frames(self.chunk_bytes);
+        }
     }
 
     /// This worker's rank in the current epoch.
@@ -245,6 +275,7 @@ impl TcpMesh {
     /// both ends of a link derive the frame count from it.
     pub fn set_chunk_bytes(&mut self, bytes: usize) {
         self.chunk_bytes = bytes.max(1);
+        self.reserve_in_links();
     }
 
     /// Typed send: encodes `data` into the mesh's persistent scratch and
@@ -272,9 +303,20 @@ impl TcpMesh {
         peer: usize,
         out: &mut [T],
     ) -> Result<(), CollectiveError> {
+        self.recv_payload(peer, |payload| decode_elems_into(payload, out, peer))
+    }
+
+    /// Blocks up to the mesh's receive deadline for one frame from `peer`
+    /// and hands its payload to `consume` where it lies in the link's
+    /// reassembly buffer.
+    fn recv_payload<R>(
+        &mut self,
+        peer: usize,
+        consume: impl FnOnce(&[u8]) -> Result<R, CollectiveError>,
+    ) -> Result<R, CollectiveError> {
         let deadline = self.recv_deadline;
         self.in_link(peer)
-            .recv_frame_with(deadline, |payload| decode_elems_into(payload, out, peer))
+            .recv_frame_with(deadline, consume)
             .unwrap_or_else(|fail| Err(recv_error(peer, fail)))
     }
 
@@ -381,6 +423,26 @@ impl<T: WireElem> MessageLinks<T> for TcpLinks<'_, T> {
         T: Clone,
     {
         self.mesh.recv_elems_into(peer, out)
+    }
+
+    /// Folds the frame payload into `acc` where it lies in the reassembly
+    /// buffer: each received byte is read once, by the fold. `scratch` is
+    /// not touched.
+    fn recv_reduce<O: ReduceOp<T>>(
+        &mut self,
+        peer: usize,
+        acc: &mut [T],
+        op: &O,
+        _scratch: &mut [T],
+    ) -> Result<(), CollectiveError>
+    where
+        T: Clone,
+    {
+        self.mesh.recv_payload(peer, |payload| {
+            check_elems::<T>(payload, acc.len(), peer)?;
+            fold_elems(payload, acc, op);
+            Ok(())
+        })
     }
 
     fn chunk_elems(&self) -> usize {

@@ -389,6 +389,107 @@ mod tests {
     }
 
     #[test]
+    fn frames_from_a_peer_far_ahead_arrive_intact_in_order() {
+        // The sender queues 300 frames before the reader starts, so reads
+        // return many frames at once and split others anywhere: consuming
+        // advances over whole frames, and a partial one moves to the front
+        // of the buffer only when a read needs the room.
+        let (a, b) = stream_pair();
+        let mut tx = FramedStream::new(a);
+        let mut rx = FramedStream::new(b);
+        rx.reserve_frames(2048);
+        let sizes = |i: usize| (i * 37) % 2049;
+        let writer = std::thread::spawn(move || {
+            for i in 0..300 {
+                let payload: Vec<u8> = (0..sizes(i)).map(|j| (i + j) as u8).collect();
+                tx.send_frame(&payload).expect("send");
+            }
+            tx
+        });
+        std::thread::sleep(Duration::from_millis(50));
+        for i in 0..300 {
+            let got = if i % 3 == 0 {
+                rx.recv_frame(Duration::from_secs(5)).expect("recv")
+            } else {
+                loop {
+                    match rx.try_recv_frame().expect("poll") {
+                        Some(frame) => break frame,
+                        None => std::thread::yield_now(),
+                    }
+                }
+            };
+            let want: Vec<u8> = (0..sizes(i)).map(|j| (i + j) as u8).collect();
+            assert_eq!(got, want, "frame {i}");
+        }
+        drop(writer.join().expect("writer"));
+        assert!(matches!(
+            rx.recv_frame(Duration::from_secs(5)),
+            Err(RecvFail::Closed)
+        ));
+    }
+
+    #[test]
+    fn cached_read_timeout_never_stretches_a_deadline() {
+        let (mut raw, b) = stream_pair();
+        let mut rx = FramedStream::new(b);
+        // A long deadline, answered: the socket now carries a ~5 s timeout.
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            raw.write_all(&[1, 0, 0, 0, 9]).expect("frame");
+            raw
+        });
+        assert_eq!(
+            rx.recv_frame(Duration::from_secs(5)).expect("answered"),
+            [9]
+        );
+        let _raw = sender.join().expect("sender");
+        // A short deadline on the now silent peer must not inherit it.
+        let t0 = std::time::Instant::now();
+        assert!(matches!(
+            rx.recv_frame(Duration::from_millis(50)),
+            Err(RecvFail::TimedOut)
+        ));
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_millis(150),
+            "50 ms deadline took {took:?}"
+        );
+    }
+
+    #[test]
+    fn recv_frame_until_sees_stop_within_one_poll_slice() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let (mut raw, b) = stream_pair();
+        let mut rx = FramedStream::new(b);
+        let stop = Arc::new(AtomicBool::new(false));
+        raw.write_all(&[0, 0, 0, 0]).expect("empty frame");
+        assert_eq!(
+            rx.recv_frame_until(Duration::MAX, &stop).expect("frame"),
+            Vec::<u8>::new()
+        );
+        let setter = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(50));
+                stop.store(true, Ordering::Relaxed);
+            })
+        };
+        let t0 = std::time::Instant::now();
+        assert!(matches!(
+            rx.recv_frame_until(Duration::MAX, &stop),
+            Err(RecvFail::TimedOut)
+        ));
+        let took = t0.elapsed();
+        setter.join().expect("setter");
+        // Set at 50 ms, seen at the end of the 200 ms poll slice it was set
+        // in, with 100 ms to spare.
+        assert!(
+            took < Duration::from_millis(50 + 200 + 100),
+            "stop seen after {took:?}"
+        );
+    }
+
+    #[test]
     fn oversized_frame_length_is_malformed_not_an_allocation() {
         let (mut raw, b) = stream_pair();
         let mut rx = FramedStream::new(b);

@@ -89,6 +89,28 @@ pub trait MessageLinks<T> {
         out.clone_from_slice(&data);
         Ok(())
     }
+    /// Fused receive-and-fold: blocks for one message from `peer` of
+    /// exactly `acc.len()` elements (a mismatch is a
+    /// [`CollectiveError::Protocol`], as for [`MessageLinks::recv_into`])
+    /// and folds it into `acc` with `op`, element by element in ascending
+    /// order. The default stages the message in `scratch` (as long as
+    /// `acc`) and calls `op.reduce_slice`, so channel and fault transports
+    /// keep their exact path; byte-oriented transports override it to fold
+    /// straight from the received bytes, leaving `scratch` untouched.
+    fn recv_reduce<O: ReduceOp<T>>(
+        &mut self,
+        peer: usize,
+        acc: &mut [T],
+        op: &O,
+        scratch: &mut [T],
+    ) -> Result<(), CollectiveError>
+    where
+        T: Clone,
+    {
+        self.recv_into(peer, scratch)?;
+        op.reduce_slice(acc, scratch);
+        Ok(())
+    }
     /// Preferred elements-per-message for pipelined segment streaming.
     /// Worker bodies split larger transfers into messages of at most this
     /// many elements, posting the next message's send while the previous
@@ -345,27 +367,30 @@ fn chunk_count(len: usize, chunk: usize) -> usize {
 }
 
 /// Ring all-reduce executed by one worker over message-passing links:
-/// reduces `buf` in place, staging incoming reduce-scatter segments in the
-/// caller-owned `scratch` (sized once to the largest segment; no heap
-/// traffic at steady state when `scratch` is reused across rounds), and
-/// returns this worker's traffic counts `(bytes_sent, bytes_received)` or
-/// the first [`CollectiveError`] the transport surfaced.
+/// reduces `buf` in place and returns this worker's traffic counts
+/// `(bytes_sent, bytes_received)` or the first [`CollectiveError`] the
+/// transport surfaced. `scratch` is the caller-owned staging space of the
+/// default [`MessageLinks::recv_reduce`] (sized once to the largest
+/// segment; no heap traffic at steady state when it is reused across
+/// rounds).
 ///
-/// Segments stream through the borrow-based [`MessageLinks::send_slice`] /
-/// [`MessageLinks::recv_into`] entry points in chunks of at most
-/// [`MessageLinks::chunk_elems`] elements, with chunk `c`'s send posted
-/// before chunk `c`'s receive is drained and each received chunk reduced
-/// (or, in the all-gather phase, decoded straight into its final position
-/// in `buf`) before the next chunk is awaited — the pipelining that lets
-/// reduce compute overlap wire transfer on a socket transport.
+/// Segments stream through the borrow-based [`MessageLinks::send_slice`]
+/// entry point in chunks of at most [`MessageLinks::chunk_elems`]
+/// elements, with chunk `c`'s send posted before chunk `c`'s receive is
+/// drained — the pipelining that lets reduce compute overlap wire transfer
+/// on a socket transport. A reduce-scatter chunk is received and folded
+/// into `buf` in one step ([`MessageLinks::recv_reduce`]: over TCP, straight
+/// from the bytes in the link's reassembly buffer); an all-gather chunk is
+/// decoded straight into its final position in `buf`
+/// ([`MessageLinks::recv_into`]).
 ///
 /// Bitwise identity with the unchunked algorithm holds because chunking
 /// never reorders anything: chunks of a segment are sent, received and
-/// reduced in ascending offset order over a FIFO link, and `reduce_slice`
-/// is elementwise, so the per-element fold order is exactly that of
-/// [`crate::ops::ring_all_reduce_into`]. Traffic is counted per segment (not per
-/// chunk), so `(sent, received)` match the channel transport exactly — the
-/// differential suite's accounting identity.
+/// reduced in ascending offset order over a FIFO link, and the fold is
+/// elementwise in ascending order, so the per-element fold order is exactly
+/// that of [`crate::ops::ring_all_reduce_into`]. Traffic is counted per
+/// segment (not per chunk), so `(sent, received)` match the channel
+/// transport exactly — the differential suite's accounting identity.
 pub fn ring_all_reduce_worker_into<T, O, L>(
     links: &mut L,
     buf: &mut [T],
@@ -390,8 +415,9 @@ where
     let next = (i + 1) % n;
     let prev = (i + n - 1) % n;
     let chunk = links.chunk_elems().max(1);
-    // Size the staging buffer to the largest segment once; recv_into
-    // overwrites every element it covers, so stale contents are harmless.
+    // Size the staging buffer to the largest segment once; the default
+    // recv_reduce overwrites every element it stages, so stale contents are
+    // harmless.
     let max_seg = len / n + usize::from(!len.is_multiple_of(n));
     if scratch.len() < max_seg {
         scratch.resize(max_seg, buf[0].clone());
@@ -412,8 +438,7 @@ where
             if c < recv_chunks {
                 let o0 = c * chunk;
                 let o1 = (rhi - rlo).min(o0.saturating_add(chunk));
-                links.recv_into(prev, &mut scratch[o0..o1])?;
-                op.reduce_slice(&mut buf[rlo + o0..rlo + o1], &scratch[o0..o1]);
+                links.recv_reduce(prev, &mut buf[rlo + o0..rlo + o1], op, &mut scratch[o0..o1])?;
             }
         }
         sent += ((shi - slo) as f64 * bytes_per_elem).ceil() as u64;

@@ -8,7 +8,13 @@
 //! * a count or length prefix inflated to its maximum is refused *before*
 //!   it can size an allocation.
 //!
-//! One generator per format; the three checks are shared.
+//! One generator per format; the three checks are shared. The length
+//! prefix of the framed carrier under all of them is held to the third
+//! rule on a live socket.
+
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
+use std::time::{Duration, Instant};
 
 use gcs_alloc::{counting_enabled, measure, CountingAlloc};
 use gradient_utility::aggd::proto::{
@@ -19,6 +25,7 @@ use gradient_utility::aggd::proto::{
 use gradient_utility::aggd::{SchemeSpec, TenantConfig, TenantFaultSpec};
 use gradient_utility::collectives::tcp::RegistryMsg;
 use gradient_utility::collectives::telemetry::TelemetryFrame;
+use gradient_utility::collectives::{FramedStream, RecvFail};
 use gradient_utility::metrics::fleet::{decode_registry, encode_registry};
 use gradient_utility::metrics::Registry;
 use gradient_utility::trace::bytes::{put_str, put_u64, Prefix};
@@ -386,6 +393,63 @@ proptest! {
 /// A name long enough that every fixture outweighs an error message.
 const LONG: &str =
     "a/metric/name/long/enough/that/one/element/outweighs/any/error/message/the/refusal/formats";
+
+/// The framed carrier's own length prefix: a header claiming the largest
+/// legal frame, one byte, then silence times out having grown the
+/// reassembly buffer by at most one read window (64 KiB + header) beyond
+/// the bytes that arrived — and a frame left incomplete still completes.
+#[test]
+fn frame_length_prefix_buys_no_memory() {
+    const WINDOW: u64 = 64 * 1024 + 4;
+    assert!(counting_enabled(), "CountingAlloc is not installed");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let connect = || {
+        let raw = TcpStream::connect(listener.local_addr().expect("addr")).expect("dial");
+        (raw, FramedStream::new(listener.accept().expect("accept").0))
+    };
+    // A `recv_frame` on a peer gone silent mid-frame: `TimedOut` within its
+    // deadline; returns the bytes it allocated.
+    let stalled = |rx: &mut FramedStream| {
+        let deadline = Duration::from_millis(100);
+        let t0 = Instant::now();
+        let (result, stats) = measure(|| rx.recv_frame(deadline).map(drop));
+        let took = t0.elapsed();
+        assert!(matches!(result, Err(RecvFail::TimedOut)), "{result:?}");
+        assert!(took < deadline + Duration::from_millis(50), "took {took:?}");
+        stats.bytes
+    };
+
+    // The largest legal claim, one byte, then silence.
+    let (mut raw, mut rx) = connect();
+    raw.write_all(&(1u32 << 30).to_le_bytes()).expect("header");
+    raw.write_all(&[7]).expect("one byte");
+    let bytes = stalled(&mut rx);
+    assert!(
+        bytes <= WINDOW + 5,
+        "a 1 GiB claim allocated {bytes} bytes for 5 received"
+    );
+
+    // A 256 KiB claim left partial costs the same, and once the rest
+    // arrives the frame is delivered intact.
+    let (mut raw, mut rx) = connect();
+    let payload: Vec<u8> = (0..256 * 1024).map(|i| (i % 253) as u8).collect();
+    raw.write_all(&(payload.len() as u32).to_le_bytes())
+        .expect("header");
+    raw.write_all(&payload[..1000]).expect("partial payload");
+    let bytes = stalled(&mut rx);
+    assert!(
+        bytes <= WINDOW + 1004,
+        "a 256 KiB claim allocated {bytes} bytes for 1004 received"
+    );
+    let rest = payload[1000..].to_vec();
+    let writer = std::thread::spawn(move || raw.write_all(&rest).expect("rest of payload"));
+    assert_eq!(
+        rx.recv_frame(Duration::from_secs(5))
+            .expect("completed frame"),
+        payload
+    );
+    writer.join().expect("writer");
+}
 
 #[test]
 fn inflated_prefixes_are_refused_before_they_size_an_allocation() {

@@ -22,7 +22,7 @@ use gradient_utility::collectives::tcp::{FleetWorker, Registry, TcpCluster, TcpT
 use gradient_utility::collectives::transport::{
     all_gather_worker, broadcast_worker, ring_all_reduce_worker_into, MessageLinks, ThreadedCluster,
 };
-use gradient_utility::collectives::F32Sum;
+use gradient_utility::collectives::{CollectiveError, F32Sum};
 use proptest::prelude::*;
 
 #[derive(Clone, Copy, Debug)]
@@ -113,6 +113,40 @@ proptest! {
     }
 }
 
+/// The ring over a socket mesh whose every rank uses `chunk_bytes` frames
+/// (`None`: the default), one result per rank in rank order.
+fn run_tcp_ring(bufs: Vec<Vec<f32>>, chunk_bytes: Option<usize>) -> Vec<WorkerOut> {
+    let n = bufs.len();
+    let registry = Registry::spawn(n).expect("registry");
+    let addr = registry.addr();
+    let bufs = std::sync::Arc::new(bufs);
+    let handles: Vec<_> = (0..n)
+        .map(|_| {
+            let bufs = std::sync::Arc::clone(&bufs);
+            std::thread::spawn(move || {
+                let mut w = FleetWorker::join(addr, TcpTimeouts::fast_test()).expect("join");
+                let rs = w.next_round(0).expect("round");
+                // Every rank must use the same value (frame counts are
+                // derived, not signaled).
+                if let Some(bytes) = chunk_bytes {
+                    w.mesh_mut().set_chunk_bytes(bytes);
+                }
+                let mut links = w.links::<f32>();
+                let out = run_op(Op::Ring, &mut links, bufs[rs.rank].clone());
+                w.leave().expect("leave");
+                (rs.rank, out)
+            })
+        })
+        .collect();
+    let mut results: Vec<_> = handles
+        .into_iter()
+        .map(|h| h.join().expect("worker thread"))
+        .collect();
+    registry.shutdown();
+    results.sort_by_key(|(rank, _)| *rank);
+    results.into_iter().map(|(_, out)| out).collect()
+}
+
 /// Pipelined-chunking differential (ISSUE 9): forcing small chunks on every
 /// worker's mesh — so each ring segment crosses several frame boundaries —
 /// must change neither the bitwise result nor the per-worker traffic
@@ -126,33 +160,8 @@ fn chunked_tcp_ring_matches_threaded_reference_bitwise_with_identical_traffic() 
         for n in [2usize, 3, 4] {
             let bufs = inputs(n, len, 99 + n as u64);
             let expect = run_threaded(Op::Ring, bufs.clone(), 1);
-            let registry = Registry::spawn(n).expect("registry");
-            let addr = registry.addr();
-            let bufs = std::sync::Arc::new(bufs);
-            let handles: Vec<_> = (0..n)
-                .map(|_| {
-                    let bufs = std::sync::Arc::clone(&bufs);
-                    std::thread::spawn(move || {
-                        let mut w =
-                            FleetWorker::join(addr, TcpTimeouts::fast_test()).expect("join");
-                        let rs = w.next_round(0).expect("round");
-                        // Every rank must use the same value (frame counts
-                        // are derived, not signaled).
-                        w.mesh_mut().set_chunk_bytes(chunk_bytes);
-                        let mut links = w.links::<f32>();
-                        let out = run_op(Op::Ring, &mut links, bufs[rs.rank].clone());
-                        w.leave().expect("leave");
-                        (rs.rank, out)
-                    })
-                })
-                .collect();
-            let mut results: Vec<_> = handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread"))
-                .collect();
-            registry.shutdown();
-            results.sort_by_key(|(rank, _)| *rank);
-            for (rank, out) in results {
+            let results = run_tcp_ring(bufs, Some(chunk_bytes));
+            for (rank, out) in results.into_iter().enumerate() {
                 assert_eq!(
                     out, expect[rank],
                     "chunk={chunk_bytes} n={n} rank={rank}: chunked TCP ring diverged from \
@@ -160,6 +169,88 @@ fn chunked_tcp_ring_matches_threaded_reference_bitwise_with_identical_traffic() 
                 );
             }
         }
+    }
+}
+
+/// Inputs whose fold must come through bit for bit: NaNs with distinct
+/// payloads — quiet, signaling and negative, one rank per position so no
+/// two NaNs meet in a sum — signed zeros, and subnormals of both signs.
+fn awkward_inputs(n: usize, len: usize) -> Vec<Vec<f32>> {
+    (0..n)
+        .map(|w| {
+            (0..len)
+                .map(|i| {
+                    let tag = i as u32;
+                    if i % 11 == w {
+                        return f32::from_bits(match i % 3 {
+                            0 => 0x7fc0_0000 | tag,
+                            1 => 0x7f80_0001 + tag,
+                            _ => 0xffc0_0000 | tag,
+                        });
+                    }
+                    match (i * 7 + w * 3) % 5 {
+                        0 => -0.0,
+                        1 => 0.0,
+                        2 => f32::from_bits(1 + tag * 13 + w as u32),
+                        3 => -f32::from_bits(0x0040_0000 + tag),
+                        _ => ((i + w) as f32).sin(),
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// `recv_reduce`'s TCP override (the fold straight from the wire bytes)
+/// against its default (`recv_into` + `reduce_slice`, which the channel
+/// transport runs): bit for bit, NaN payloads included, at 8-byte chunks
+/// and at the default chunk with segments longer than one chunk.
+#[test]
+fn fused_receive_fold_matches_threaded_twin_bit_for_bit() {
+    let bits = |out: &[WorkerOut]| -> Vec<(Vec<u32>, u64, u64)> {
+        out.iter()
+            .map(|(buf, s, r)| (buf.iter().map(|x| x.to_bits()).collect(), *s, *r))
+            .collect()
+    };
+    for (chunk_bytes, len) in [(Some(8usize), 41usize), (None, 40_000)] {
+        for n in [2usize, 3] {
+            let bufs = awkward_inputs(n, len);
+            let expect = run_threaded(Op::Ring, bufs.clone(), 1);
+            assert!(expect[0].0.iter().any(|x| x.is_nan()), "inputs carry NaNs");
+            let got = run_tcp_ring(bufs, chunk_bytes);
+            assert_eq!(
+                bits(&got),
+                bits(&expect),
+                "chunk={chunk_bytes:?} n={n}: fused fold diverged from the threaded twin"
+            );
+        }
+    }
+}
+
+/// A message of the wrong length is a typed protocol error for
+/// `recv_reduce`, on the default path and the TCP override alike.
+#[test]
+fn recv_reduce_length_mismatch_is_protocol_error_on_both_transports() {
+    fn body<L: MessageLinks<f32>>(rank: usize, links: &mut L) -> Option<CollectiveError> {
+        if rank == 0 {
+            links.send_slice(1, &[1.0, 2.0]).expect("send_slice");
+            return None;
+        }
+        let (mut acc, mut scratch) = ([0.0f32; 3], [0.0f32; 3]);
+        Some(
+            links
+                .recv_reduce(0, &mut acc, &F32Sum, &mut scratch)
+                .expect_err("length mismatch"),
+        )
+    }
+    let threaded = ThreadedCluster::<f32>::new(2).run(|rank, mut links| body(rank, &mut links));
+    let tcp = TcpCluster::run(2, |rank, links: &mut _| body(rank, links));
+    for (transport, results) in [("threaded", threaded), ("tcp", tcp)] {
+        assert!(
+            matches!(results[1], Some(CollectiveError::Protocol { peer: 0, .. })),
+            "{transport}: {:?}",
+            results[1]
+        );
     }
 }
 
