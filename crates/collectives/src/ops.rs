@@ -58,11 +58,6 @@ impl Traffic {
         self.received[to] += bytes;
     }
 
-    /// The heaviest single worker's sent bytes (the bandwidth bottleneck).
-    pub fn max_sent(&self) -> u64 {
-        self.sent.iter().copied().max().unwrap_or(0)
-    }
-
     /// Total bytes crossing the network.
     pub fn total(&self) -> u64 {
         self.sent.iter().sum()
@@ -165,7 +160,7 @@ pub fn ring_all_reduce_into<T: Clone>(
 }
 
 /// Ring all-reduce over bit-packed integer lanes: the same walk as
-/// [`ring_all_reduce_into`] — segments are [`segment_bounds`] **in lanes**,
+/// [`ring_all_reduce_into`] — segments are `segment_bounds` **in lanes**,
 /// so the lane → segment map, and with it the order a non-associative `Sat`
 /// is applied in, is exactly that of an `i32`-lane ring — but each hop
 /// stages the words covering its lane segment and folds them a word at a
@@ -529,7 +524,6 @@ mod tests {
         assert_eq!(a.received, vec![5, 10]);
         assert_eq!(a.steps, 3);
         assert_eq!(a.total(), 15);
-        assert_eq!(a.max_sent(), 10);
     }
 
     #[test]

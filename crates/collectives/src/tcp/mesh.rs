@@ -376,7 +376,7 @@ impl TcpMesh {
 
 /// [`MessageLinks`] over a [`TcpMesh`]: the adapter that lets
 /// `ring_all_reduce_worker_into` & friends run over sockets unchanged. Borrows
-/// the mesh so elastic callers ([`FleetWorker`]) can keep the mesh across
+/// the mesh so elastic callers ([`FleetWorker`](super::FleetWorker)) can keep the mesh across
 /// rounds and hand out fresh typed views.
 pub struct TcpLinks<'m, T: WireElem> {
     pub(super) mesh: &'m mut TcpMesh,

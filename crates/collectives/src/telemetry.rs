@@ -2,9 +2,9 @@
 //! shipping, the live Prometheus scrape endpoint, and collector-side crash
 //! detection.
 //!
-//! One [`TelemetryCollector`] runs next to the rendezvous [`Registry`]
-//! (usually in the same process); every fleet worker holds a
-//! [`TelemetryShipper`]. The wire is a second, independent TCP connection
+//! One [`TelemetryCollector`] runs next to the rendezvous
+//! [`Registry`](crate::tcp::Registry) (usually in the same process); every
+//! fleet worker holds a [`TelemetryShipper`]. The wire is a second, independent TCP connection
 //! per worker — telemetry never rides the collective mesh, so a slow
 //! scrape cannot stall an all-reduce.
 //!
@@ -494,7 +494,7 @@ pub struct TelemetryShipper {
 }
 
 impl TelemetryShipper {
-    /// Connects, estimates the clock offset over [`CLOCK_SYNC_ROUNDS`]
+    /// Connects, estimates the clock offset over `CLOCK_SYNC_ROUNDS`
     /// ping/pongs (minimum-RTT sample wins), and announces `worker_id`.
     pub fn connect(addr: SocketAddr, worker_id: u64) -> Result<TelemetryShipper, String> {
         let mut stream = TcpStream::connect_timeout(&addr, IO_DEADLINE)

@@ -251,7 +251,8 @@ pub fn compare(a: &TtaCurve, b: &TtaCurve, targets: &[f64]) -> Comparison {
 
 /// Early stopping via Prechelt's GL (generalization loss) criterion \[39\]:
 /// stop when the validation loss exceeds the best seen so far by more than
-/// `alpha` percent for `patience` consecutive evaluations.
+/// `alpha` percent for `patience` consecutive evaluations. A non-finite
+/// metric (divergence) counts as a violation and never becomes the best.
 ///
 /// Metrics with [`Direction::HigherIsBetter`] are internally negated.
 #[derive(Clone, Debug)]
@@ -297,22 +298,27 @@ impl EarlyStopping {
             Direction::HigherIsBetter => -metric,
         };
         self.seen += 1;
-        let best = self.best.get_or_insert(loss);
-        if loss < *best {
-            *best = loss;
-            self.strikes = 0;
-            return false;
-        }
-        // Scale-invariant GL: relative regression from the best loss, in
-        // percent. For positive `best` this is exactly Prechelt's
-        // `100·(loss/best − 1)`; normalizing by |best| extends it to the
-        // negated-metric (and zero-crossing) cases.
-        let gl = if *best != 0.0 {
-            100.0 * (loss - *best) / best.abs()
-        } else {
-            100.0 * (loss - *best)
+        // A non-finite metric is divergence: it never becomes the best and
+        // always counts as a GL violation.
+        let violation = !loss.is_finite() || {
+            let best = self.best.get_or_insert(loss);
+            if loss < *best {
+                *best = loss;
+                self.strikes = 0;
+                return false;
+            }
+            // Scale-invariant GL: relative regression from the best loss, in
+            // percent. For positive `best` this is exactly Prechelt's
+            // `100·(loss/best − 1)`; normalizing by |best| extends it to the
+            // negated-metric (and zero-crossing) cases.
+            let gl = if *best != 0.0 {
+                100.0 * (loss - *best) / best.abs()
+            } else {
+                100.0 * (loss - *best)
+            };
+            gl > self.alpha
         };
-        if gl > self.alpha {
+        if violation {
             self.strikes += 1;
         } else {
             self.strikes = 0;
@@ -495,6 +501,32 @@ mod tests {
         assert!(!es.observe(0.5));
         assert!(!es.observe(0.8));
         assert!(es.observe(0.5)); // loss 0.5 vs best 0.2: way past 5%
+    }
+
+    #[test]
+    fn early_stopping_never_takes_a_non_finite_best() {
+        let mut es = EarlyStopping::new(5.0, 2, 0, Direction::LowerIsBetter);
+        assert!(!es.observe(f64::NAN)); // strike 1, no best
+        assert!(!es.observe(1.0)); // first finite best: strikes reset
+        assert_eq!(es.best_loss(), Some(1.0));
+        let stop = (0..10).position(|_| es.observe(100.0));
+        assert_eq!(stop, Some(1), "two GL violations must stop");
+        assert_eq!(es.best_loss(), Some(1.0));
+    }
+
+    #[test]
+    fn early_stopping_stops_on_non_finite_metrics() {
+        let mut es = EarlyStopping::new(5.0, 2, 0, Direction::LowerIsBetter);
+        assert!(!es.observe(1.0));
+        let stop = (0..10).position(|_| es.observe(f64::NAN));
+        assert_eq!(stop, Some(1), "each NaN is a GL violation");
+        let mut es = EarlyStopping::new(5.0, 1, 0, Direction::HigherIsBetter);
+        assert!(!es.observe(0.5));
+        assert!(
+            es.observe(f64::INFINITY),
+            "an infinite accuracy is divergence"
+        );
+        assert_eq!(es.best_loss(), Some(-0.5));
     }
 
     #[test]

@@ -401,40 +401,20 @@ impl CompressionScheme for RandomK {
 /// `b ≈ 1` bit/coordinate. Per-worker scales make payloads non-summable, so
 /// aggregation is all-gather (each worker's reconstruction is averaged) —
 /// another data point for the paper's compatibility column. The rotation
-/// machinery is shared with THC, which is why the paper suggests its
-/// partial-rotation trick "may generalize … e.g. for \[52, 55\]" — and the
-/// `rotation` knob here accepts exactly that.
-#[derive(Clone, Debug)]
-pub struct Drive {
-    rotation: gcs_tensor::hadamard::RotationMode,
-}
+/// is always full: the original algorithm.
+#[derive(Clone, Debug, Default)]
+pub struct Drive;
 
 impl Drive {
-    /// Creates DRIVE with a full rotation (the original algorithm).
+    /// Creates DRIVE.
     pub fn new() -> Drive {
-        Drive {
-            rotation: gcs_tensor::hadamard::RotationMode::Full,
-        }
-    }
-
-    /// Uses a partial rotation (the paper's §3.2.2 generalization note).
-    pub fn with_rotation(rotation: gcs_tensor::hadamard::RotationMode) -> Drive {
-        Drive { rotation }
-    }
-}
-
-impl Default for Drive {
-    fn default() -> Drive {
-        Drive::new()
+        Drive
     }
 }
 
 impl CompressionScheme for Drive {
     fn name(&self) -> String {
-        match self.rotation {
-            gcs_tensor::hadamard::RotationMode::Full => "DRIVE".to_string(),
-            _ => "DRIVE(partial)".to_string(),
-        }
+        "DRIVE".to_string()
     }
 
     fn aggregate_round_into(
@@ -444,11 +424,11 @@ impl CompressionScheme for Drive {
         out: &mut AggregationOutcome,
     ) {
         let _round_timer = gcs_metrics::timer("scheme/drive/round_ns");
-        use gcs_tensor::hadamard::{padded_len, rht_forward, rht_inverse};
+        use gcs_tensor::hadamard::{padded_len, rht_forward, rht_inverse, RotationMode};
         let n = grads.len();
         let d = grads[0].len();
         let padded = padded_len(d.max(1));
-        let iters = self.rotation.iterations(padded);
+        let iters = RotationMode::Full.iterations(padded);
         let seed = SharedSeed::derive(ctx.experiment_seed, ctx.round, Stream::RhtSigns);
 
         // Each worker's payload: sign vector (as ±1 f32 lanes on the wire
@@ -502,9 +482,9 @@ impl CompressionScheme for Drive {
     }
 
     fn compute_seconds(&self, d: u64, device: &DeviceSpec) -> f64 {
-        use gcs_tensor::hadamard::padded_len;
+        use gcs_tensor::hadamard::{padded_len, RotationMode};
         let padded = padded_len(d.max(1) as usize);
-        let iters = self.rotation.iterations(padded);
+        let iters = RotationMode::Full.iterations(padded);
         2.0 * ops::fwht(padded as u64, iters, device).seconds(device)
             + ops::elementwise(padded as u64, 8.0, 2.0).seconds(device)
     }
@@ -607,22 +587,6 @@ mod tests {
         let b = s.nominal_bits_per_coord(256);
         assert!(b > 1.0 && b < 1.4, "b = {b}");
         assert!(!s.all_reduce_compatible());
-    }
-
-    #[test]
-    fn drive_rotation_improves_one_bit_quality() {
-        // DRIVE without rotation degenerates on spiky vectors; the RHT is
-        // what makes sign+scale a reasonable code.
-        let mut g = grads(2, 512);
-        for gw in &mut g {
-            gw[13] = 40.0;
-        }
-        let exact = mean(&g);
-        let mut with_rot = Drive::new();
-        let mut no_rot = Drive::with_rotation(gcs_tensor::hadamard::RotationMode::None);
-        let e_rot = vnmse(&with_rot.aggregate_round(&g, &ctx(0)).mean_estimate, &exact);
-        let e_none = vnmse(&no_rot.aggregate_round(&g, &ctx(0)).mean_estimate, &exact);
-        assert!(e_rot < e_none, "rot {e_rot} vs none {e_none}");
     }
 
     #[test]

@@ -204,8 +204,9 @@ mod tests {
         let m = model();
         let grads = m.generate(2, SharedSeed::new(5));
         assert_ne!(grads[0], grads[1]);
-        let corr = gcs_tensor::vector::dot(&grads[0], &grads[1])
-            / (gcs_tensor::vector::norm(&grads[0]) * gcs_tensor::vector::norm(&grads[1]));
+        let dot: f32 = grads[0].iter().zip(&grads[1]).map(|(a, b)| a * b).sum();
+        let corr =
+            dot / (gcs_tensor::vector::norm(&grads[0]) * gcs_tensor::vector::norm(&grads[1]));
         assert!(corr > 0.8, "workers should be highly correlated: {corr}");
     }
 }

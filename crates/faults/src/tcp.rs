@@ -1,10 +1,9 @@
 //! TCP carrier for the fault layer: [`Frame`]s over a real socket mesh.
 //!
-//! [`FaultyLinks`](crate::FaultyLinks) is generic over
-//! [`FrameTransport`](crate::links::FrameTransport); this module supplies
-//! the socket implementation so the *same* ack-and-resend protocol — and
-//! the same chaos suite — runs over `gcs-collectives`' [`TcpMesh`] instead
-//! of in-process channels. Injected faults stay deterministic (the plan is
+//! [`FaultyLinks`](crate::FaultyLinks) is generic over [`FrameTransport`];
+//! this module supplies the socket implementation so the *same*
+//! ack-and-resend protocol — and the same chaos suite — runs over
+//! `gcs-collectives`' [`TcpMesh`] instead of in-process channels. Injected faults stay deterministic (the plan is
 //! a pure function of `(seed, src, dst, seq, attempt)`); only the carrier
 //! underneath changes.
 //!

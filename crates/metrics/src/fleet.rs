@@ -31,7 +31,6 @@ use std::path::Path;
 
 use crate::json::Json;
 use crate::registry::Registry;
-use crate::straggler::StragglerMonitor;
 use crate::Histogram;
 use gcs_trace::bytes::{put_f64, put_str, put_u32, put_u64, put_u8, Cursor, Prefix};
 
@@ -255,22 +254,21 @@ impl FleetAggregator {
         (self.frames, self.bytes)
     }
 
-    /// A [`StragglerMonitor`] fed with each live rank's mean round latency
-    /// (from its [`ROUND_HIST`] histogram).
-    pub fn straggler_monitor(&self) -> StragglerMonitor {
-        let mut mon = StragglerMonitor::new();
+    /// Max/mean skew of the live ranks' mean round latencies (from each
+    /// rank's [`ROUND_HIST`]); 1.0 when balanced. `None` until a live rank
+    /// has shipped a finite round timing, or when every mean is zero.
+    pub fn straggler_skew(&self) -> Option<f64> {
+        let mut ranks: BTreeMap<u64, Histogram> = BTreeMap::new();
         for m in self.members.values().filter(|m| m.alive) {
             if let Some(mean) = m.registry.hist(ROUND_HIST).and_then(|h| h.mean()) {
-                mon.record_worker(m.rank, mean);
+                ranks.entry(m.rank).or_default().record(mean);
             }
         }
-        mon
-    }
-
-    /// Max/mean skew of per-rank round latencies; `None` until at least
-    /// one live rank has shipped round timings.
-    pub fn straggler_skew(&self) -> Option<f64> {
-        self.straggler_monitor().report().span_skew
+        let means: Vec<f64> = ranks.values().filter_map(|h| h.mean()).collect();
+        let max = means.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        // No means: 0/0 is NaN, which fails `> 0` like an all-zero fleet.
+        let mean = means.iter().sum::<f64>() / means.len() as f64;
+        (mean > 0.0).then(|| max / mean)
     }
 
     /// Renders the merged fleet registry: every member's metrics folded
@@ -600,6 +598,39 @@ mod tests {
         agg.on_death(2);
         let skew_after = agg.straggler_skew().unwrap();
         assert!((skew_after - 1.0).abs() < 1e-9, "{skew_after}");
+    }
+
+    #[test]
+    fn straggler_skew_is_none_when_every_mean_is_zero() {
+        let mut agg = FleetAggregator::new();
+        for id in 0..3 {
+            let mut reg = Registry::new();
+            reg.observe(ROUND_HIST, 0.0);
+            agg.on_join(id, 0, 0);
+            agg.on_snapshot(id, id, 1, reg);
+        }
+        assert_eq!(agg.straggler_skew(), None);
+    }
+
+    #[test]
+    fn straggler_skew_ignores_a_rank_that_saw_only_nan() {
+        let mut agg = FleetAggregator::new();
+        let mut nan = Registry::new();
+        nan.observe(ROUND_HIST, f64::NAN);
+        nan.observe(ROUND_HIST, f64::NAN);
+        agg.on_join(1, 0, 0);
+        agg.on_snapshot(1, 0, 1, nan);
+        assert_eq!(agg.straggler_skew(), None);
+        let mut fast = Registry::new();
+        fast.observe(ROUND_HIST, 1000.0);
+        let mut slow = Registry::new();
+        slow.observe(ROUND_HIST, 3000.0);
+        agg.on_join(2, 0, 0);
+        agg.on_snapshot(2, 1, 1, fast);
+        agg.on_join(3, 0, 0);
+        agg.on_snapshot(3, 2, 1, slow);
+        // Ranks 1 and 2 only: max/mean = 3000 / 2000.
+        assert_eq!(agg.straggler_skew(), Some(1.5));
     }
 
     #[test]

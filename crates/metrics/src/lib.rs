@@ -2,11 +2,11 @@
 //!
 //! Where `gcs-trace` records *raw events* (spans, counter samples) for post
 //! hoc analysis, this crate maintains *aggregated live state*: monotonic
-//! counters, gauges, log-bucketed quantile histograms ([`Histogram`]),
-//! per-round time series ([`TimeSeries`]), and the two monitors the paper's
-//! evaluation methodology calls for — [`TtaMonitor`] (time-to-accuracy,
-//! rolling averages, utility vs FP16, divergence early warning) and
-//! [`StragglerMonitor`] (per-worker skew, per-collective tail latencies).
+//! counters, gauges, log-bucketed quantile histograms ([`Histogram`]) and
+//! per-round time series ([`TimeSeries`]), plus the fleet-wide aggregation
+//! in [`fleet`], whose one derived skew gauge is
+//! [`FleetAggregator::straggler_skew`]. Time-to-accuracy, utility against
+//! FP16 and early stopping are defined once, in `gcs_core::metrics`.
 //! [`Registry::to_prometheus`] serializes the state in the Prometheus text
 //! format; [`Json`] is the dependency-free value type machine-readable
 //! reports are built from.
@@ -41,8 +41,6 @@ mod hist;
 mod json;
 mod registry;
 mod series;
-mod straggler;
-mod tta;
 
 pub use fleet::{
     decode_registry, encode_registry, FleetAggregator, FleetMember, FlightEntry, FlightRecorder,
@@ -52,8 +50,6 @@ pub use hist::{Histogram, REL_ERROR, SUB_BITS};
 pub use json::Json;
 pub use registry::Registry;
 pub use series::{TimeSeries, DEFAULT_CAPACITY};
-pub use straggler::{OpTail, StragglerMonitor, StragglerReport, WorkerStat};
-pub use tta::{TtaMonitor, EVAL_METRIC_SERIES, EVAL_TIME_SERIES};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -194,18 +190,6 @@ pub fn clear() {
     {
         *hub() = Registry::new();
     }
-}
-
-/// Folds a raw trace into the global hub (regardless of [`enabled`]), so
-/// span-level evidence and live metrics land in one registry. No-op without
-/// the `capture` feature.
-pub fn ingest_trace(trace: &gcs_trace::Trace) {
-    #[cfg(feature = "capture")]
-    {
-        hub().ingest_trace(trace);
-    }
-    #[cfg(not(feature = "capture"))]
-    let _ = trace;
 }
 
 /// Runs `f` with recording enabled and returns its result plus everything

@@ -1,6 +1,5 @@
 //! The metric registry: named counters, gauges, histograms, and time series,
-//! plus the bridge that turns a raw [`gcs_trace::Trace`] into aggregated
-//! telemetry and the Prometheus exporter.
+//! plus the Prometheus exporter.
 //!
 //! Naming convention (slash-separated, lowercase): `collective/<op>/...`,
 //! `scheme/<family>/...`, `train/...`, `flowsim/...`, `throughput/...`.
@@ -152,42 +151,6 @@ impl Registry {
         self.hists.insert(name, h);
     }
 
-    /// Bridges a raw trace into aggregated telemetry:
-    ///
-    /// - every span becomes a sample in histogram `span/<phase>/<name>_ns`
-    ///   and adds to counter `span/<phase>/total_ns`;
-    /// - every counter sample is observed into histogram `counter/<name>`,
-    ///   and per-name [`gcs_trace::Trace::counter_stats`] range statistics
-    ///   land in gauges `counter/<name>/{min,max,mean}` plus counter
-    ///   `counter/<name>/sum`.
-    pub fn ingest_trace(&mut self, trace: &gcs_trace::Trace) {
-        for s in &trace.spans {
-            let key = format!("span/{}/{}_ns", s.phase.as_str(), s.name);
-            self.observe(&key, s.dur_ns as f64);
-            self.counter_add(
-                &format!("span/{}/total_ns", s.phase.as_str()),
-                s.dur_ns as f64,
-            );
-        }
-        let mut names: Vec<&str> = trace.counters.iter().map(|c| c.name).collect();
-        names.sort_unstable();
-        names.dedup();
-        for name in names {
-            if let Some(stats) = trace.counter_stats(name) {
-                self.gauge_set(&format!("counter/{name}/min"), stats.min);
-                self.gauge_set(&format!("counter/{name}/max"), stats.max);
-                self.gauge_set(&format!("counter/{name}/mean"), stats.mean);
-                self.counter_add(
-                    &format!("counter/{name}/sum"),
-                    stats.mean * stats.count as f64,
-                );
-            }
-        }
-        for c in &trace.counters {
-            self.observe(&format!("counter/{}", c.name), c.value);
-        }
-    }
-
     /// Prometheus text exposition format (0.0.4). Histograms are exported as
     /// `summary` metrics with p50/p90/p99 quantile labels plus `_sum` and
     /// `_count`; time series contribute their latest value as a gauge with a
@@ -326,29 +289,6 @@ mod tests {
         assert_eq!(a.gauge("g"), Some(7.0));
         assert_eq!(a.hist("h").unwrap().count(), 1);
         assert_eq!(a.series("s").unwrap().latest(), Some((3, 9.0)));
-    }
-
-    #[test]
-    fn ingest_trace_builds_span_histograms_and_counter_stats() {
-        gcs_trace::clear();
-        let trace = gcs_trace::with_recording(|| {
-            let _s = gcs_trace::span(gcs_trace::Phase::Compress, "encode");
-            gcs_trace::counter("bits", 4.0);
-            gcs_trace::counter("bits", 8.0);
-        });
-        let mut r = Registry::new();
-        r.ingest_trace(&trace);
-        if trace.spans.is_empty() {
-            // capture feature disabled: nothing to assert beyond no panic.
-            return;
-        }
-        assert_eq!(r.hist("span/compress/encode_ns").unwrap().count(), 1);
-        assert!(r.counter("span/compress/total_ns").unwrap() >= 0.0);
-        assert_eq!(r.gauge("counter/bits/min"), Some(4.0));
-        assert_eq!(r.gauge("counter/bits/max"), Some(8.0));
-        assert_eq!(r.gauge("counter/bits/mean"), Some(6.0));
-        assert_eq!(r.counter("counter/bits/sum"), Some(12.0));
-        assert_eq!(r.hist("counter/bits").unwrap().count(), 2);
     }
 
     #[test]

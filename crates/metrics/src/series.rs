@@ -1,11 +1,10 @@
 //! Per-round time series with bounded memory.
 //!
 //! The paper's evaluation objects are *curves over training rounds* — loss,
-//! task metric, bits/coordinate, vNMSE — not point summaries. A
-//! [`TimeSeries`] keeps the most recent `capacity` `(round, value)` points
-//! in a ring buffer, so telemetry from an arbitrarily long run (the
-//! million-round regime the roadmap aims at) stays bounded while the recent
-//! trajectory — what the TTA and divergence monitors consume — is always
+//! bits/coordinate, vNMSE — not point summaries. A [`TimeSeries`] keeps the
+//! most recent `capacity` `(round, value)` points in a ring buffer, so
+//! telemetry from an arbitrarily long run (the million-round regime the
+//! roadmap aims at) stays bounded while the recent trajectory is always
 //! available. Evicted points are counted, never silently lost.
 
 use std::collections::VecDeque;

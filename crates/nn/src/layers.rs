@@ -130,7 +130,7 @@ impl Dense {
 impl Layer for Dense {
     /// `y[o] = b[o] + Σ_i w[o][i]·x[i]`, every dot a strict left-to-right
     /// sum seeded as `Iterator::sum` seeds it. A single such sum is bound
-    /// by the latency of its add chain, so [`Dense::ROWS`] rows advance
+    /// by the latency of its add chain, so `Dense::ROWS` rows advance
     /// together: independent chains, each in its own unchanged order.
     fn forward(&mut self, input: &[f32], output: &mut [f32], params: &[f32]) {
         let (ind, outd) = (self.in_dim, self.out_dim);

@@ -20,7 +20,7 @@
 //! bytes the traffic accounting claims.
 //!
 //! Lane widths that divide 64 (2, 4, 8, 16, 32) never straddle a word, and
-//! their adds run **a word at a time** ([`Swar`]): sixteen 4-bit `Sat`s in
+//! their adds run **a word at a time** (`Swar`): sixteen 4-bit `Sat`s in
 //! ~25 word operations instead of sixteen extract/clamp/insert round trips.
 //! Other widths keep the per-lane loop — same results, lane for lane.
 //!
@@ -368,14 +368,6 @@ impl PackedIntVec {
         }
     }
 
-    /// Builds a packed vector by running the fused quantize+pack kernel
-    /// ([`PackedIntVec::pack_with`]) over `len` lanes.
-    pub fn from_fn(q: u32, len: usize, quantize: impl FnMut(usize) -> i32) -> PackedIntVec {
-        let mut v = PackedIntVec::zeros(q, len);
-        v.pack_with(quantize);
-        v
-    }
-
     /// Number of lanes.
     pub fn len(&self) -> usize {
         self.len
@@ -407,16 +399,6 @@ impl PackedIntVec {
         } else {
             (1i32 << (self.q - 1)) - 1
         }
-    }
-
-    /// Exact payload size in bits (what goes on the wire).
-    pub fn size_bits(&self) -> u64 {
-        (self.len as u64) * (self.q as u64)
-    }
-
-    /// Payload size in bytes, rounded up.
-    pub fn size_bytes(&self) -> u64 {
-        self.size_bits().div_ceil(8)
     }
 
     /// The raw packed words — the exact wire representation. Exposed so
@@ -746,7 +728,8 @@ mod tests {
                 let value = |i: usize| (lo + (i as i64 * 7919) % (span + 1)) as i32;
                 let vals: Vec<i32> = (0..len).map(value).collect();
                 let reference = PackedIntVec::from_signed(q, &vals);
-                let fused = PackedIntVec::from_fn(q, len, value);
+                let mut fused = PackedIntVec::zeros(q, len);
+                fused.pack_with(value);
                 assert_eq!(fused.words(), reference.words(), "q={q} len={len}");
                 assert_eq!(fused.len(), reference.len());
             }
@@ -765,7 +748,8 @@ mod tests {
         };
         let vals: Vec<i32> = (0..200).map(|_| step()).collect();
         let mut state2 = 1u64;
-        let fused = PackedIntVec::from_fn(q, 200, move |_| {
+        let mut fused = PackedIntVec::zeros(q, 200);
+        fused.pack_with(move |_| {
             state2 = state2.wrapping_mul(6364136223846793005).wrapping_add(1);
             ((state2 >> 33) % 63) as i32 - 31
         });
@@ -807,16 +791,6 @@ mod tests {
         assert_eq!(v.get(9), -64);
         assert_eq!(v.get(8), 63);
         assert_eq!(v.get(10), -1);
-    }
-
-    #[test]
-    fn size_accounting() {
-        let v = PackedIntVec::zeros(4, 1000);
-        assert_eq!(v.size_bits(), 4000);
-        assert_eq!(v.size_bytes(), 500);
-        let v = PackedIntVec::zeros(3, 5);
-        assert_eq!(v.size_bits(), 15);
-        assert_eq!(v.size_bytes(), 2);
     }
 
     #[test]

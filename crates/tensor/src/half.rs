@@ -1,17 +1,11 @@
-//! Software reduced-precision floating-point formats.
+//! Software IEEE-754 half precision.
 //!
 //! The paper's central evaluation point is that **FP16 is the baseline to
 //! beat**: communicating gradients in IEEE-754 binary16 halves traffic with
 //! negligible accuracy loss (§2.2, Table 2). To model that faithfully without
 //! hardware support we implement the conversions in software, bit-exactly,
 //! with round-to-nearest-even — the same rounding NVIDIA tensor cores use.
-//!
-//! Three formats are provided:
-//!
-//! * [`F16`] — IEEE-754 binary16 (1 sign, 5 exponent, 10 mantissa bits).
-//! * [`Bf16`] — bfloat16 (1 sign, 8 exponent, 7 mantissa bits).
-//! * [`tf32_round`] — NVIDIA TF32: an f32 whose mantissa is truncated to
-//!   10 bits (19-bit total precision); used to model TF32 *training* math.
+//! [`F16`] is binary16: 1 sign, 5 exponent and 10 mantissa bits.
 
 /// IEEE-754 binary16 stored as its raw bit pattern.
 ///
@@ -20,10 +14,6 @@
 /// higher precision but *stores and communicates* in 16 bits.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct F16(pub u16);
-
-/// bfloat16 stored as its raw bit pattern (top 16 bits of an f32).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct Bf16(pub u16);
 
 impl F16 {
     /// Positive infinity.
@@ -65,45 +55,6 @@ impl F16 {
     pub fn add_f16(self, other: F16) -> F16 {
         F16::from_f32(self.to_f32() + other.to_f32())
     }
-}
-
-impl Bf16 {
-    /// Converts an `f32` to bfloat16 with round-to-nearest-even.
-    pub fn from_f32(value: f32) -> Bf16 {
-        let bits = value.to_bits();
-        if value.is_nan() {
-            // Quiet NaN with a truncation-proof payload bit.
-            return Bf16(((bits >> 16) as u16) | 0x0040);
-        }
-        // Round to nearest even on the 16 discarded bits: adding
-        // 0x7fff + lsb carries into bit 16 exactly when the remainder is
-        // above halfway, or exactly halfway with an odd kept LSB.
-        let lsb = (bits >> 16) & 1;
-        let rounded = bits.wrapping_add(0x0000_7fff + lsb);
-        Bf16((rounded >> 16) as u16)
-    }
-
-    /// Converts back to `f32` exactly.
-    pub fn to_f32(self) -> f32 {
-        f32::from_bits((self.0 as u32) << 16)
-    }
-}
-
-/// Rounds an `f32` to NVIDIA TF32 precision (10 mantissa bits), using
-/// round-to-nearest-even. The exponent range is unchanged (8 bits), so no
-/// overflow handling is needed beyond what f32 already does.
-///
-/// TF32 is what A100 tensor cores use for FP32-typed matmuls by default; the
-/// paper's Table 2 distinguishes TF32 vs FP32 *training* precision.
-pub fn tf32_round(value: f32) -> f32 {
-    if value.is_nan() || value.is_infinite() {
-        return value;
-    }
-    let bits = value.to_bits();
-    // Keep 10 mantissa bits out of 23: round away the low 13.
-    let lsb = (bits >> 13) & 1;
-    let rounded = bits.wrapping_add(0x0fff + lsb);
-    f32::from_bits(rounded & !0x1fff)
 }
 
 /// Converts an f32 bit pattern to binary16 bits with round-to-nearest-even.
@@ -294,80 +245,6 @@ mod tests {
             assert!(rel <= 2.0f32.powi(-11), "x={x} rel={rel}");
             x *= 1.37;
         }
-    }
-
-    #[test]
-    fn bf16_round_trip() {
-        assert_eq!(Bf16::from_f32(1.0).to_f32(), 1.0);
-        assert_eq!(Bf16::from_f32(-0.5).to_f32(), -0.5);
-        // bf16 has f32's range: no overflow at 1e38.
-        assert!((Bf16::from_f32(1e38).to_f32() - 1e38).abs() / 1e38 < 0.01);
-        assert!(Bf16::from_f32(f32::NAN).to_f32().is_nan());
-    }
-
-    /// Reference bf16 conversion: explicit compare-based round-to-nearest-
-    /// even on the 16 discarded bits, written independently of the add-trick
-    /// used by `Bf16::from_f32`.
-    fn bf16_reference(value: f32) -> u16 {
-        let bits = value.to_bits();
-        if value.is_nan() {
-            return ((bits >> 16) as u16) | 0x0040;
-        }
-        let kept = (bits >> 16) as u16;
-        let rem = bits & 0xffff;
-        let halfway = 0x8000;
-        if rem > halfway || (rem == halfway && (kept & 1) == 1) {
-            kept.wrapping_add(1)
-        } else {
-            kept
-        }
-    }
-
-    #[test]
-    fn bf16_rne_matches_reference_exhaustively() {
-        // Every upper-half bit pattern, with remainders just below halfway,
-        // exactly halfway (where RNE ties break on the kept LSB's parity),
-        // and just above halfway. This covers both LSB parities for every
-        // exponent, including the carry into the exponent field.
-        for upper in 0..=u16::MAX {
-            for rem in [0x0000u32, 0x7fff, 0x8000, 0x8001, 0xffff] {
-                let bits = ((upper as u32) << 16) | rem;
-                let v = f32::from_bits(bits);
-                if v.is_nan() {
-                    continue; // payload handling tested separately
-                }
-                let got = Bf16::from_f32(v).0;
-                let want = bf16_reference(v);
-                assert_eq!(
-                    got, want,
-                    "bits {bits:#010x}: got {got:#06x}, want {want:#06x}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn bf16_tie_breaks_to_even() {
-        // Even kept mantissa (LSB 0) + exact halfway remainder: stays.
-        let even = f32::from_bits(0x3f80_8000); // 1.0 + 2^-8, kept LSB 0
-        assert_eq!(Bf16::from_f32(even).0, 0x3f80);
-        // Odd kept mantissa (LSB 1) + exact halfway remainder: rounds up.
-        let odd = f32::from_bits(0x3f81_8000);
-        assert_eq!(Bf16::from_f32(odd).0, 0x3f82);
-        // Carry propagates into the exponent: mantissa all-ones, halfway up.
-        let carry = f32::from_bits(0x3fff_8000);
-        assert_eq!(Bf16::from_f32(carry).0, 0x4000);
-    }
-
-    #[test]
-    fn tf32_mantissa_truncation() {
-        // TF32 keeps 10 mantissa bits, so 1 + 2^-10 is representable...
-        let x = 1.0 + 2.0f32.powi(-10);
-        assert_eq!(tf32_round(x), x);
-        // ...but 1 + 2^-12 rounds back to 1.
-        assert_eq!(tf32_round(1.0 + 2.0f32.powi(-12)), 1.0);
-        assert_eq!(tf32_round(f32::INFINITY), f32::INFINITY);
-        assert!(tf32_round(f32::NAN).is_nan());
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! This crate provides everything the compression schemes and the neural-network
 //! substrate need that would normally come from a GPU math library:
 //!
-//! * [`half`] — software IEEE-754 binary16 ([`half::F16`]), bfloat16
-//!   ([`half::Bf16`]) and NVIDIA TF32 rounding, with round-to-nearest-even
-//!   semantics. Gradient *communication* precision is modelled bit-exactly.
-//! * [`vector`] — flat `f32` vector kernels (norms, dot, axpy, reductions).
+//! * [`half`] — software IEEE-754 binary16 ([`half::F16`]) with
+//!   round-to-nearest-even semantics. Gradient *communication* precision is
+//!   modelled bit-exactly.
+//! * [`vector`] — flat `f32` vector kernels (norms, scale, reductions,
+//!   top-k).
 //! * [`arena`] — [`arena::ParamArena`]: one contiguous `Box<[f32]>` +
 //!   layer-offset table per model replica, so a full model gradient is a
 //!   single slice and replica sync is one `copy_from_slice`; and
@@ -54,7 +55,7 @@ pub mod simd;
 pub mod sketch;
 pub mod vector;
 
-pub use crate::half::{Bf16, F16};
+pub use crate::half::F16;
 pub use arena::{ActivationArena, ParamArena};
 pub use bitpack::PackedIntVec;
 pub use matrix::Matrix;

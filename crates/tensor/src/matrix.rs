@@ -254,7 +254,7 @@ fn transpose_matmul_passes<const K: usize>(
 /// [`matmul_into`]: `+0.0`, then `a[k][i]·b[k][c]` for `k` ascending.
 ///
 /// `k` is the outer loop, so `A` streams row-major while the output block
-/// stays in cache; each pass adds [`BLOCK`] rows' terms to an element as one
+/// stays in cache; each pass adds `BLOCK` rows' terms to an element as one
 /// chain in `k` order, which is the order the element's sum has anyway.
 ///
 /// # Panics
@@ -484,21 +484,6 @@ fn orthonormalize_contig_once(buf: &mut [f32], rows: usize, cols: usize) {
     }
 }
 
-/// Reshapes a flat gradient of length `len` into the most square matrix
-/// possible: rows = ceil(len / cols) with `cols = ceil(sqrt(len))`, padding
-/// with zeros. PowerSGD applies this to non-matrix parameters.
-pub fn reshape_to_matrix(grad: &[f32]) -> Matrix {
-    let len = grad.len();
-    if len == 0 {
-        return Matrix::zeros(0, 0);
-    }
-    let cols = (len as f64).sqrt().ceil() as usize;
-    let rows = len.div_ceil(cols);
-    let mut data = vec![0.0f32; rows * cols];
-    data[..len].copy_from_slice(grad);
-    Matrix::from_vec(rows, cols, data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -613,15 +598,5 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn reshape_pads_with_zeros() {
-        let m = reshape_to_matrix(&[1., 2., 3., 4., 5.]);
-        assert!(m.rows() * m.cols() >= 5);
-        assert_eq!(&m.data()[..5], &[1., 2., 3., 4., 5.]);
-        assert!(m.data()[5..].iter().all(|&x| x == 0.0));
-        let empty = reshape_to_matrix(&[]);
-        assert_eq!((empty.rows(), empty.cols()), (0, 0));
     }
 }

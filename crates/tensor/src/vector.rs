@@ -1,8 +1,8 @@
 //! Flat `f32` vector kernels.
 //!
 //! These are the primitive operations the compression schemes are built from:
-//! norms (chunk scoring in TopKC), dot products, scaled accumulation (error
-//! feedback), and top-k index selection. Above per-kernel element thresholds
+//! norms (chunk scoring in TopKC), scaling, element-wise sums, and top-k
+//! index selection. Above per-kernel element thresholds
 //! they fan out on [`crate::parallel`]; every reduction uses *fixed* chunk
 //! boundaries with an ordered fold, and top-k selection uses a total order,
 //! so each kernel's output is bitwise-identical whether it ran on 1 thread or
@@ -12,12 +12,12 @@
 
 use crate::parallel;
 
-/// Fixed chunk length for deterministic reductions (norms, dot, vnmse).
+/// Fixed chunk length for deterministic reductions (norms, vnmse).
 /// Reductions over longer inputs accumulate per-chunk partials that are
 /// folded in chunk order, independent of thread count.
 const REDUCE_CHUNK: usize = 1 << 15;
 
-/// Chunk length for element-wise kernels (axpy, scale, add/sub). These are
+/// Chunk length for element-wise kernels (scale, add/sub). These are
 /// partition-invariant, so the constant only tunes scheduling granularity.
 const ELEMWISE_CHUNK: usize = 1 << 15;
 
@@ -42,39 +42,6 @@ pub fn squared_norm(v: &[f32]) -> f32 {
 /// Returns the L2 norm of `v`.
 pub fn norm(v: &[f32]) -> f32 {
     squared_norm(v).sqrt()
-}
-
-fn dot_seq(a: &[f32], b: &[f32]) -> f32 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// Returns the dot product of two equal-length slices.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    if a.len() <= REDUCE_CHUNK {
-        return dot_seq(a, b);
-    }
-    let partials = parallel::map_chunks(a, REDUCE_CHUNK, |i, chunk| {
-        let lo = i * REDUCE_CHUNK;
-        dot_seq(chunk, &b[lo..lo + chunk.len()])
-    });
-    partials.into_iter().sum()
-}
-
-/// `y += alpha * x` (the BLAS `axpy`).
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    parallel::for_each_chunk_mut(y, ELEMWISE_CHUNK, |i, chunk| {
-        let lo = i * ELEMWISE_CHUNK;
-        let hi = lo + chunk.len();
-        crate::simd::axpy(alpha, &x[lo..hi], chunk);
-    });
 }
 
 /// Scales `v` in place by `alpha`.
@@ -287,17 +254,16 @@ mod tests {
     use crate::parallel::with_threads;
 
     #[test]
-    fn norms_and_dot() {
+    fn norms() {
         let v = [3.0, 4.0];
         assert_eq!(squared_norm(&v), 25.0);
         assert_eq!(norm(&v), 5.0);
-        assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
     }
 
     #[test]
     fn axpy_and_scale() {
         let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[3.0, 4.0], &mut y);
+        crate::simd::axpy(2.0, &[3.0, 4.0], &mut y);
         assert_eq!(y, vec![7.0, 9.0]);
         scale(&mut y, 0.5);
         assert_eq!(y, vec![3.5, 4.5]);
@@ -354,17 +320,12 @@ mod tests {
         let d = REDUCE_CHUNK * 2 + 321;
         let v: Vec<f32> = (0..d).map(|i| ((i as f32) * 0.37).sin()).collect();
         let w: Vec<f32> = (0..d).map(|i| ((i as f32) * 0.11).cos()).collect();
-        let base = with_threads(1, || {
-            (squared_norm(&v), dot(&v, &w), vnmse(&v, &w), min_max(&v))
-        });
+        let base = with_threads(1, || (squared_norm(&v), vnmse(&v, &w), min_max(&v)));
         for threads in [2usize, 3, 8] {
-            let got = with_threads(threads, || {
-                (squared_norm(&v), dot(&v, &w), vnmse(&v, &w), min_max(&v))
-            });
+            let got = with_threads(threads, || (squared_norm(&v), vnmse(&v, &w), min_max(&v)));
             assert_eq!(got.0.to_bits(), base.0.to_bits(), "threads={threads}");
             assert_eq!(got.1.to_bits(), base.1.to_bits(), "threads={threads}");
-            assert_eq!(got.2.to_bits(), base.2.to_bits(), "threads={threads}");
-            assert_eq!(got.3, base.3, "threads={threads}");
+            assert_eq!(got.2, base.2, "threads={threads}");
         }
     }
 

@@ -77,7 +77,7 @@ pub enum Phase {
     /// orthogonalization, error-feedback bookkeeping).
     Compress,
     /// Reduction arithmetic that is part of a scheme's aggregation logic
-    /// rather than a wire-level collective (kept distinct from [`Network`]
+    /// rather than a wire-level collective (kept distinct from [`Phase::Network`]
     /// so compression-side folding never inflates the network share).
     Reduce,
     /// Wire-level collective communication and transports (all-reduce,

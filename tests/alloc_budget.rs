@@ -145,7 +145,7 @@ fn tcp_ring_steady_state_is_allocation_free() {
 fn fused_quantize_pack_steady_state_is_allocation_free() {
     with_threads(1, || {
         let len = 1000;
-        let mut packed = PackedIntVec::from_fn(5, len, |_| 0);
+        let mut packed = PackedIntVec::zeros(5, len);
         let mut round = 0i32;
         let events = steady_events(|| {
             round += 1;
