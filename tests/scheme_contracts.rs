@@ -298,3 +298,139 @@ fn a_round_reports_the_collectives_its_nominal_form_names() {
         }
     }
 }
+
+/// FNV-1a 64 over `bytes`, continuing from `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Folds one round's outcome into `h`: every estimate bit pattern, the
+/// per-worker traffic, the step count, and each collective with its payload
+/// bit pattern.
+fn fold_outcome(mut h: u64, out: &AggregationOutcome) -> u64 {
+    for x in &out.mean_estimate {
+        h = fnv1a(h, &x.to_bits().to_le_bytes());
+    }
+    for &b in out.traffic.sent.iter().chain(&out.traffic.received) {
+        h = fnv1a(h, &b.to_le_bytes());
+    }
+    h = fnv1a(h, &out.traffic.steps.to_le_bytes());
+    for e in &out.comm {
+        h = fnv1a(h, &(e.collective as u64).to_le_bytes());
+        h = fnv1a(h, &e.payload_bytes.to_bits().to_le_bytes());
+    }
+    h
+}
+
+/// Dimensions of the zoo golden: a small vector, THC's partial-rotation
+/// block, and an odd size every padding path sees.
+const GOLDEN_DIMS: [usize; 3] = [512, 8192, 70001];
+
+/// One FNV-1a-64 per (zoo entry, dimension in [`GOLDEN_DIMS`]) over
+/// [`ROUNDS`] rounds of `RoundContext::new(7, r)` on one instance. Any
+/// change to a scheme's arithmetic, traffic or collectives moves its row.
+const ZOO_GOLDEN: &[(&str, [u64; 3])] = &[
+    (
+        "Baseline FP32",
+        [0x5df19db873b977b7, 0xbd89a688d825eaa5, 0xe5a5bfda71e82131],
+    ),
+    (
+        "Baseline FP16",
+        [0x94f9a863126f2d7b, 0x8e3874b711961abf, 0x23577cfbafe6056b],
+    ),
+    (
+        "TopK(b=4)",
+        [0x702dc11865f3f8c8, 0x485480e88c901a87, 0xc373c6e7d29e742e],
+    ),
+    (
+        "TopKC(b=4, C=16)",
+        [0x5d20cc847f874461, 0x47d16807f23be5ef, 0xcb7760755db56387],
+    ),
+    (
+        "TopKC-Perm(b=4, C=16)",
+        [0x0ba3f9e3cafa4640, 0xdf964ea11ab10db6, 0xce2c63324a343868],
+    ),
+    (
+        "THC-Sat(q=4, full-rot)",
+        [0xa862cb0d99b6592d, 0xbe58e508819fbd70, 0x58042e628dcc4510],
+    ),
+    (
+        "THC-Sat(q=4, partial-rot)",
+        [0x4729aff001950972, 0xbe58e508819fbd70, 0xe0e41f10d7a6218d],
+    ),
+    (
+        "THC-Wide(q=4, b=8, full-rot)",
+        [0x06fb738e8c72d174, 0x0913df39c48524c8, 0x2d704c4db7f073eb],
+    ),
+    (
+        "THC-Wide(q=6, b=10, no-rot)",
+        [0xf644804e7141cdd2, 0x95edff769528356f, 0xd96d2f3455c04f19],
+    ),
+    (
+        "PowerSGD(r=3)",
+        [0xaaf86c7c26c47635, 0x91fb9af9fea67b60, 0xf09f28ce1ace1c40],
+    ),
+    (
+        "QSGD(q=4)",
+        [0x4486a85dc02e21eb, 0x4bee79f89da9294a, 0x89c0bacb08e776ef],
+    ),
+    (
+        "TernGrad",
+        [0x61f5ca3c4f126945, 0x42199e9311c5ff09, 0x1e06af6b8bfe9557],
+    ),
+    (
+        "signSGD+EF",
+        [0xa5d757bf9a64eec2, 0x55cde251e0c37991, 0x5d71207924147bfc],
+    ),
+    (
+        "RandomK(b=4)",
+        [0x03df5bfce204fa1f, 0x71063584bf987102, 0xd6c690c357ea1fbf],
+    ),
+    (
+        "DRIVE",
+        [0x235fae26ea084760, 0xd44fa018ab0d0d82, 0xd2a0eac4760066dc],
+    ),
+    (
+        "Sketch(r=3, b~8.0)",
+        [0xbd7ff342db59de52, 0x5ff1b6e4586e2091, 0x1808bb52d05f698a],
+    ),
+    (
+        "TopKC-Q(b=4, C=16, q=4)",
+        [0x5f4be96abef5a5f9, 0x8cf067b7ced18ec5, 0x2afb99f31e9e4232],
+    ),
+    (
+        "TopK(b=4)",
+        [0x40086feb7b2424af, 0x265ed35a5b69cc82, 0xf53285a90b99c4e0],
+    ),
+];
+
+#[test]
+fn every_scheme_reproduces_its_golden_hash() {
+    let mut got: Vec<(String, [u64; 3])> = zoo().iter().map(|s| (s.name(), [0; 3])).collect();
+    for (slot, &d) in GOLDEN_DIMS.iter().enumerate() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(d as u64);
+        let g: Vec<Vec<f32>> = (0..N)
+            .map(|_| (0..d).map(|_| rng.gen_range(-0.5f32..0.5)).collect())
+            .collect();
+        for (mut s, (_, row)) in zoo().into_iter().zip(&mut got) {
+            let mut h = 0xcbf2_9ce4_8422_2325;
+            for r in 0..ROUNDS {
+                h = fold_outcome(h, &s.aggregate_round(&g, &RoundContext::new(7, r)));
+            }
+            row[slot] = h;
+        }
+    }
+    let table: String = got
+        .iter()
+        .map(|(name, [a, b, c])| format!("    (\"{name}\", [{a:#018x}, {b:#018x}, {c:#018x}]),\n"))
+        .collect();
+    let want: Vec<(String, [u64; 3])> = ZOO_GOLDEN
+        .iter()
+        .map(|&(name, row)| (name.to_string(), row))
+        .collect();
+    assert!(got == want, "zoo hashes moved; computed table:\n{table}");
+}
