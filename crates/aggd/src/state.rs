@@ -98,6 +98,10 @@ struct MetricNames {
     round_ns: String,
     rounds: String,
     wire_bytes: String,
+    /// Shard-side rejects only: the ones `submit` and `fetch` return (fault
+    /// plan, bad frame, evicted or out-of-window round, duplicate rank).
+    /// Session-layer rejects (queue full, inflight cap) count only in the
+    /// daemon-wide `aggd/rejects_total`.
     rejects: String,
     faults: String,
     queue_depth: String,
@@ -180,12 +184,6 @@ impl TenantState {
     /// This tenant's metric registry (merged into the shard snapshot).
     pub fn registry(&self) -> &Registry {
         &self.reg
-    }
-
-    /// Counts a reject that the session layer issued on this tenant's
-    /// behalf (queue-full, inflight cap) so per-tenant totals stay honest.
-    pub fn note_reject(&mut self) {
-        self.reg.counter_add(&self.names.rejects, 1.0);
     }
 
     /// One worker's gradient for `round`. `now` is injected by the caller

@@ -11,7 +11,7 @@
 //! | sparsification | [`schemes::topk::TopK`] (all-gather) | [`schemes::topkc::TopKC`] — chunk-norm consensus, all-reduce compatible (§3.1) |
 //! | quantization | [`schemes::thc::Thc`] widened b>q | THC + partial rotation + saturation (§3.2) |
 //! | low-rank | [`schemes::powersgd::PowerSgd`] | rank study + orthogonalization profiling (§3.3) |
-//! | literature | [`schemes::literature`]: QSGD, TernGrad, signSGD+EF, RandomK | Table 1 context |
+//! | literature | [`schemes::literature`]: QSGD (`gcs-aggd` tenants), RandomK (`utility_report`) | Table 1 context |
 //!
 //! Every scheme implements [`scheme::CompressionScheme`]: given all workers'
 //! gradients it runs one *distributed* aggregation round through

@@ -1,14 +1,14 @@
 //! Literature-baseline compressors referenced by the paper's survey
-//! (Table 1 context): QSGD \[13\], TernGrad \[63\], signSGD with error feedback
-//! \[18, 29\], and RandomK \[51\].
+//! (Table 1 context): QSGD \[13\] and RandomK \[51\].
 //!
-//! These serve three purposes: (1) the ablation benches compare the case
-//! study's schemes against the broader design space; (2) RandomK
-//! demonstrates that *shared randomness* is an alternative route to
-//! all-reduce compatibility (every worker picks the same coordinates, no
-//! consensus round needed — but without locality-seeking selection its
-//! error is far worse than TopKC's at equal budget); (3) QSGD/TernGrad show
-//! per-worker-scale quantization, which forces all-gather.
+//! Each has one runner outside the tests: (1) QSGD is the per-worker-scale
+//! quantizer `gcs-aggd` tenants run (`SchemeSpec::Qsgd`, and the loadgen's
+//! scheme mix) — its per-worker norms make payloads non-summable, which
+//! forces all-gather; (2) RandomK is the `utility_report` example's
+//! counterpoint — *shared randomness* is an alternative route to all-reduce
+//! compatibility (every worker picks the same coordinates, no consensus
+//! round needed), with a fine compression ratio and throughput but, blind
+//! to gradient content, far worse error than TopKC's at equal budget.
 
 use crate::ef::ErrorFeedback;
 use crate::scheme::{AggregationOutcome, CommEvent, CompressionScheme, RoundContext};
@@ -19,9 +19,9 @@ use gcs_tensor::half::F16;
 use gcs_tensor::rng::{worker_rng, SharedSeed, Stream};
 use rand::Rng;
 
-/// The round tail the dense all-gather schemes share: gather the workers'
-/// `d`-long payloads, leave their mean (accumulated in worker order) in
-/// `out.mean_estimate`, and report the one collective.
+/// QSGD's round tail: gather the workers' `d`-long payloads, leave their
+/// mean (accumulated in worker order) in `out.mean_estimate`, and report
+/// the one collective.
 fn gather_and_average(
     payloads: &[Vec<f32>],
     bytes_per_elem: f64,
@@ -130,149 +130,6 @@ impl CompressionScheme for Qsgd {
     }
 
     fn reset(&mut self) {}
-}
-
-/// TernGrad: values in {−1, 0, +1} scaled by the per-worker max magnitude.
-#[derive(Clone, Debug)]
-pub struct TernGrad {
-    n_workers: usize,
-}
-
-impl TernGrad {
-    /// Creates TernGrad.
-    pub fn new(n_workers: usize) -> TernGrad {
-        TernGrad { n_workers }
-    }
-}
-
-impl CompressionScheme for TernGrad {
-    fn name(&self) -> String {
-        "TernGrad".to_string()
-    }
-
-    fn aggregate_round_into(
-        &mut self,
-        grads: &[Vec<f32>],
-        ctx: &RoundContext,
-        out: &mut AggregationOutcome,
-    ) {
-        let _round_timer = gcs_metrics::timer("scheme/terngrad/round_ns");
-        let n = grads.len();
-        let encode_span = gcs_trace::span(gcs_trace::Phase::Compress, "terngrad_ternarize");
-        let mut payloads: Vec<Vec<f32>> = Vec::with_capacity(n);
-        for (w, g) in grads.iter().enumerate() {
-            let (lo, hi) = gcs_tensor::vector::min_max(g);
-            let s = lo.abs().max(hi.abs());
-            let mut rng = worker_rng(ctx.experiment_seed ^ 0x7e4, w, ctx.round);
-            let p: Vec<f32> = g
-                .iter()
-                .map(|&x| {
-                    if s == 0.0 {
-                        0.0
-                    } else {
-                        let keep = rng.gen::<f32>() < x.abs() / s;
-                        if keep {
-                            s.copysign(x)
-                        } else {
-                            0.0
-                        }
-                    }
-                })
-                .collect();
-            payloads.push(p);
-        }
-        drop(encode_span);
-        gather_and_average(&payloads, 2.0 / 8.0, "terngrad_mean", out);
-    }
-
-    fn all_reduce_compatible(&self) -> bool {
-        false
-    }
-
-    fn nominal_bits_per_coord(&self, _d: u64) -> f64 {
-        2.0
-    }
-
-    fn comm_events(&self, d: u64) -> Vec<CommEvent> {
-        vec![CommEvent {
-            collective: Collective::AllGather,
-            payload_bytes: d as f64 * 0.25 + 4.0,
-        }]
-    }
-
-    fn compute_seconds(&self, d: u64, device: &DeviceSpec) -> f64 {
-        ops::quantize(d, 2).seconds(device)
-            + self.n_workers as f64 * ops::dequantize(d, 2).seconds(device)
-    }
-
-    fn reset(&mut self) {}
-}
-
-/// signSGD with error feedback (EF-SIGNSGD \[29\]): transmit
-/// `(‖c‖₁/d) · sign(c)` — one bit per coordinate plus a scalar.
-#[derive(Clone, Debug)]
-pub struct SignSgdEf {
-    ef: ErrorFeedback,
-}
-
-impl SignSgdEf {
-    /// Creates EF-signSGD.
-    pub fn new(n_workers: usize) -> SignSgdEf {
-        SignSgdEf {
-            ef: ErrorFeedback::new(n_workers, true),
-        }
-    }
-}
-
-impl CompressionScheme for SignSgdEf {
-    fn name(&self) -> String {
-        "signSGD+EF".to_string()
-    }
-
-    fn aggregate_round_into(
-        &mut self,
-        grads: &[Vec<f32>],
-        _ctx: &RoundContext,
-        out: &mut AggregationOutcome,
-    ) {
-        let _round_timer = gcs_metrics::timer("scheme/signsgd_ef/round_ns");
-        let n = grads.len();
-        let d = grads[0].len();
-        let encode_span = gcs_trace::span(gcs_trace::Phase::Compress, "signsgd_sign");
-        let mut payloads: Vec<Vec<f32>> = Vec::with_capacity(n);
-        for (w, g) in grads.iter().enumerate() {
-            let corrected = self.ef.corrected(w, g);
-            let scale = corrected.iter().map(|x| x.abs()).sum::<f32>() / d.max(1) as f32;
-            let sent: Vec<f32> = corrected.iter().map(|&x| scale.copysign(x)).collect();
-            self.ef.update(w, &corrected, &sent);
-            payloads.push(sent);
-        }
-        drop(encode_span);
-        gather_and_average(&payloads, 1.0 / 8.0, "signsgd_mean", out);
-    }
-
-    fn all_reduce_compatible(&self) -> bool {
-        false
-    }
-
-    fn nominal_bits_per_coord(&self, _d: u64) -> f64 {
-        1.0
-    }
-
-    fn comm_events(&self, d: u64) -> Vec<CommEvent> {
-        vec![CommEvent {
-            collective: Collective::AllGather,
-            payload_bytes: d as f64 / 8.0 + 4.0,
-        }]
-    }
-
-    fn compute_seconds(&self, d: u64, device: &DeviceSpec) -> f64 {
-        ops::elementwise(d, 8.0, 2.0).seconds(device)
-    }
-
-    fn reset(&mut self) {
-        self.ef.reset();
-    }
 }
 
 /// RandomK sparsification with **shared** coordinate selection: every
@@ -394,104 +251,6 @@ impl CompressionScheme for RandomK {
     }
 }
 
-/// DRIVE \[55\]: one-bit distributed mean estimation — rotate with a shared
-/// RHT, transmit the **sign** of every rotated coordinate plus one optimal
-/// scale `S = ‖Rg‖² / ‖Rg‖₁`, reconstruct `S·sign`, inverse-rotate.
-///
-/// `b ≈ 1` bit/coordinate. Per-worker scales make payloads non-summable, so
-/// aggregation is all-gather (each worker's reconstruction is averaged) —
-/// another data point for the paper's compatibility column. The rotation
-/// is always full: the original algorithm.
-#[derive(Clone, Debug, Default)]
-pub struct Drive;
-
-impl Drive {
-    /// Creates DRIVE.
-    pub fn new() -> Drive {
-        Drive
-    }
-}
-
-impl CompressionScheme for Drive {
-    fn name(&self) -> String {
-        "DRIVE".to_string()
-    }
-
-    fn aggregate_round_into(
-        &mut self,
-        grads: &[Vec<f32>],
-        ctx: &RoundContext,
-        out: &mut AggregationOutcome,
-    ) {
-        let _round_timer = gcs_metrics::timer("scheme/drive/round_ns");
-        use gcs_tensor::hadamard::{padded_len, rht_forward, rht_inverse, RotationMode};
-        let n = grads.len();
-        let d = grads[0].len();
-        let padded = padded_len(d.max(1));
-        let iters = RotationMode::Full.iterations(padded);
-        let seed = SharedSeed::derive(ctx.experiment_seed, ctx.round, Stream::RhtSigns);
-
-        // Each worker's payload: sign vector (as ±1 f32 lanes on the wire
-        // at 1 bit each) scaled by its own optimal S.
-        let encode_span = gcs_trace::span(gcs_trace::Phase::Compress, "drive_rotate_sign");
-        let mut payloads: Vec<Vec<f32>> = Vec::with_capacity(n);
-        for g in grads {
-            let mut r = g.clone();
-            r.resize(padded, 0.0);
-            rht_forward(&mut r, iters, seed);
-            let l2: f32 = gcs_tensor::vector::squared_norm(&r);
-            let l1: f32 = r.iter().map(|x| x.abs()).sum();
-            let scale = if l1 > 0.0 { l2 / l1 } else { 0.0 };
-            payloads.push(r.iter().map(|&x| scale.copysign(x)).collect());
-        }
-        drop(encode_span);
-        let mut gathered = Vec::new();
-        all_gather_into(&payloads, 1.0 / 8.0, &mut gathered, &mut out.traffic);
-        let _decode_span = gcs_trace::span(gcs_trace::Phase::Decompress, "drive_unrotate");
-        let sum = &mut out.mean_estimate;
-        sum.clear();
-        sum.resize(padded, 0.0);
-        for chunk in gathered.chunks(padded) {
-            gcs_tensor::vector::add_assign(sum, chunk);
-        }
-        rht_inverse(sum, iters, seed);
-        sum.truncate(d);
-        gcs_tensor::vector::scale(sum, 1.0 / n as f32);
-        out.comm.clear();
-        out.comm.push(CommEvent {
-            collective: Collective::AllGather,
-            payload_bytes: padded as f64 / 8.0 + 4.0,
-        });
-    }
-
-    fn all_reduce_compatible(&self) -> bool {
-        false
-    }
-
-    fn nominal_bits_per_coord(&self, d: u64) -> f64 {
-        use gcs_tensor::hadamard::padded_len;
-        (padded_len(d.max(1) as usize) as f64 + 32.0) / d as f64
-    }
-
-    fn comm_events(&self, d: u64) -> Vec<CommEvent> {
-        use gcs_tensor::hadamard::padded_len;
-        vec![CommEvent {
-            collective: Collective::AllGather,
-            payload_bytes: padded_len(d.max(1) as usize) as f64 / 8.0 + 4.0,
-        }]
-    }
-
-    fn compute_seconds(&self, d: u64, device: &DeviceSpec) -> f64 {
-        use gcs_tensor::hadamard::{padded_len, RotationMode};
-        let padded = padded_len(d.max(1) as usize);
-        let iters = RotationMode::Full.iterations(padded);
-        2.0 * ops::fwht(padded as u64, iters, device).seconds(device)
-            + ops::elementwise(padded as u64, 8.0, 2.0).seconds(device)
-    }
-
-    fn reset(&mut self) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,33 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn terngrad_produces_ternary_scaled_values() {
-        let g = grads(1, 64);
-        let mut s = TernGrad::new(1);
-        let out = s.aggregate_round(&g, &ctx(0));
-        let scale = g[0].iter().fold(0.0f32, |a, &x| a.max(x.abs()));
-        for &v in &out.mean_estimate {
-            let ok = v == 0.0 || (v.abs() - scale).abs() < 1e-5;
-            assert!(ok, "value {v} not in ternary set of scale {scale}");
-        }
-    }
-
-    #[test]
-    fn signsgd_error_feedback_converges_on_average() {
-        let g = vec![vec![0.3f32, -0.8, 0.05, 0.5]];
-        let mut s = SignSgdEf::new(1);
-        let mut cum = vec![0.0f32; 4];
-        let rounds = 200;
-        for r in 0..rounds {
-            let out = s.aggregate_round(&g, &ctx(r));
-            gcs_tensor::vector::add_assign(&mut cum, &out.mean_estimate);
-        }
-        gcs_tensor::vector::scale(&mut cum, 1.0 / rounds as f32);
-        let err = vnmse(&cum, &g[0]);
-        assert!(err < 0.01, "EF-averaged signSGD error = {err}");
-    }
-
-    #[test]
     fn randomk_is_allreduce_compatible_and_consistent() {
         let g = grads(3, 100);
         let mut s = RandomK::with_bits(4.0, 3);
@@ -573,20 +305,6 @@ mod tests {
         // Exactly K coordinates non-zero (with overwhelming probability).
         let nnz = out.mean_estimate.iter().filter(|&&x| x != 0.0).count();
         assert_eq!(nnz, s.k_for(100));
-    }
-
-    #[test]
-    fn drive_one_bit_estimate_correlates_with_truth() {
-        let g = grads(4, 256);
-        let exact = mean(&g);
-        let mut s = Drive::new();
-        let out = s.aggregate_round(&g, &ctx(0));
-        let err = vnmse(&out.mean_estimate, &exact);
-        // One bit per coordinate: coarse but far better than nothing.
-        assert!(err < 0.8, "DRIVE vNMSE = {err}");
-        let b = s.nominal_bits_per_coord(256);
-        assert!(b > 1.0 && b < 1.4, "b = {b}");
-        assert!(!s.all_reduce_compatible());
     }
 
     #[test]

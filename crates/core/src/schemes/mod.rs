@@ -1,5 +1,6 @@
-//! The compression schemes of the case study (§3) plus literature
-//! baselines.
+//! The compression schemes of the case study (§3) plus two literature
+//! baselines: QSGD, which `gcs-aggd` tenants run, and RandomK, which the
+//! `utility_report` example runs.
 //!
 //! | module | scheme | family | aggregation |
 //! |---|---|---|---|
@@ -9,22 +10,19 @@
 //! | [`thc`] | THC \[34\] + **saturation/partial rotation** (§3.2.2) | quantization | ring all-reduce |
 //! | [`powersgd`] | PowerSGD \[57\] | low-rank | ring all-reduce |
 //! | [`topkc_q`] | **TopKC-Q** (extension, §3.1.2's generalization note) | sparsification + quantization | ring all-reduce |
-//! | [`sketch`] | FetchSGD-style linear sketching (extension) | sketching | ring all-reduce |
-//! | [`literature`] | QSGD, TernGrad, signSGD+EF, RandomK, DRIVE | various | various |
+//! | [`literature`] | QSGD, RandomK | quantization, sparsification | all-gather, ring all-reduce |
 
 pub mod baseline;
 pub mod literature;
 pub mod powersgd;
-pub mod sketch;
 pub mod thc;
 pub mod topk;
 pub mod topkc;
 pub mod topkc_q;
 
 pub use baseline::{CommPrecision, PrecisionBaseline};
-pub use literature::{Drive, Qsgd, RandomK, SignSgdEf, TernGrad};
+pub use literature::{Qsgd, RandomK};
 pub use powersgd::PowerSgd;
-pub use sketch::SketchScheme;
 pub use thc::{Thc, ThcAggregation};
 pub use topk::TopK;
 pub use topkc::TopKC;

@@ -141,7 +141,10 @@ impl TopK {
 
 impl CompressionScheme for TopK {
     fn name(&self) -> String {
-        format!("TopK(b={})", self.bits)
+        match self.encoding {
+            IndexEncoding::Absolute32 => format!("TopK(b={})", self.bits),
+            IndexEncoding::Delta16 => format!("TopK-Delta16(b={})", self.bits),
+        }
     }
 
     fn aggregate_round_into(

@@ -90,11 +90,6 @@ impl KernelCost {
     }
 }
 
-/// Sums the execution time of a sequence of kernels (no overlap).
-pub fn total_seconds(kernels: &[KernelCost], device: &DeviceSpec) -> f64 {
-    kernels.iter().map(|k| k.seconds(device)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

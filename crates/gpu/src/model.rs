@@ -57,11 +57,6 @@ impl ModelProfile {
         }
     }
 
-    /// Sum of `rows` over all layer matrices (drives Gram–Schmidt cost).
-    pub fn total_rows(&self) -> u64 {
-        self.layer_shapes.iter().map(|s| s.0).sum()
-    }
-
     /// Total `(rows + cols) · r` values PowerSGD communicates per round at
     /// rank `r` (the P and Q factors).
     pub fn powersgd_values(&self, r: u32) -> u64 {

@@ -426,11 +426,14 @@ mod tests {
         // shrinking max-min — the whole point of RHT for quantization.
         let mut v = vec![0.01f32; 1024];
         v[17] = 100.0;
-        let (lo, hi) = crate::vector::min_max(&v);
-        let range_before = hi - lo;
+        let range = |v: &[f32]| {
+            let lo = v.iter().copied().fold(f32::INFINITY, f32::min);
+            let hi = v.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            hi - lo
+        };
+        let range_before = range(&v);
         rht_forward(&mut v, 10, SharedSeed::new(3));
-        let (lo, hi) = crate::vector::min_max(&v);
-        let range_after = hi - lo;
+        let range_after = range(&v);
         assert!(
             range_after < range_before / 4.0,
             "range {range_before} -> {range_after}"

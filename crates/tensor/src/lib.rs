@@ -27,8 +27,6 @@
 //!   (§3.2.2): blockwise transforms sized to fit GPU shared memory.
 //! * [`bitpack`] — `q`-bit packed integer vectors with wrapping and
 //!   *saturating* lane arithmetic, the wire format of THC-style quantization.
-//! * [`sketch`] — linear count-sketches (the all-reduce-compatible
-//!   structure behind FetchSGD-style compression).
 //! * [`rng`] — deterministic seeding utilities, including the shared-randomness
 //!   streams that all workers must agree on (RHT sign diagonals, stochastic
 //!   rounding).
@@ -52,7 +50,6 @@ pub mod parallel;
 pub mod pool;
 pub mod rng;
 pub mod simd;
-pub mod sketch;
 pub mod vector;
 
 pub use crate::half::F16;

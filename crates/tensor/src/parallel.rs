@@ -146,30 +146,6 @@ where
     per_thread.into_iter().flatten().collect()
 }
 
-/// [`map_tasks`] without results, for tasks that write through captured
-/// state (e.g. interior mutability or pre-split buffers).
-pub fn for_each_task<F>(n_tasks: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let threads = max_threads().min(n_tasks);
-    if threads <= 1 {
-        (0..n_tasks).for_each(f);
-        return;
-    }
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let range = split_range(n_tasks, threads, t);
-            let f = &f;
-            s.spawn(move || {
-                enter_region();
-                range.for_each(f);
-                exit_region();
-            });
-        }
-    });
-}
-
 /// Applies `f(chunk_index, chunk)` to fixed `chunk_len`-sized chunks of
 /// `data` (the last chunk may be short). Chunk boundaries are a function of
 /// `data.len()` and `chunk_len` only — never of the thread count.

@@ -97,39 +97,6 @@ pub fn mean(vectors: &[Vec<f32>]) -> Vec<f32> {
     out
 }
 
-fn min_max_seq(v: &[f32]) -> (f32, f32) {
-    let mut min = f32::INFINITY;
-    let mut max = f32::NEG_INFINITY;
-    for &x in v {
-        if x < min {
-            min = x;
-        }
-        if x > max {
-            max = x;
-        }
-    }
-    (min, max)
-}
-
-/// Returns the maximum and minimum of a slice as `(min, max)`.
-///
-/// Returns `(0.0, 0.0)` for an empty slice (the quantizers treat an empty
-/// range as "all values identical", which degenerates gracefully).
-pub fn min_max(v: &[f32]) -> (f32, f32) {
-    if v.is_empty() {
-        return (0.0, 0.0);
-    }
-    if v.len() <= REDUCE_CHUNK {
-        return min_max_seq(v);
-    }
-    let partials = parallel::map_chunks(v, REDUCE_CHUNK, |_, chunk| min_max_seq(chunk));
-    partials
-        .into_iter()
-        .fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), (mn, mx)| {
-            (if mn < lo { mn } else { lo }, if mx > hi { mx } else { hi })
-        })
-}
-
 /// Reusable scratch for [`top_k_indices_into`]: hot loops (per-worker TopK
 /// compression, per-round chunk scoring) call selection thousands of times,
 /// and reusing the index/key buffers avoids `O(d)` allocations each call.
@@ -275,13 +242,6 @@ mod tests {
         assert_eq!(m, vec![2.0, 4.0]);
     }
 
-    #[test]
-    fn min_max_basics() {
-        assert_eq!(min_max(&[2.0, -5.0, 3.0]), (-5.0, 3.0));
-        assert_eq!(min_max(&[]), (0.0, 0.0));
-        assert_eq!(min_max(&[7.0]), (7.0, 7.0));
-    }
-
     fn top_k(v: &[f32], k: usize) -> Vec<usize> {
         let mut out = Vec::new();
         top_k_indices_into(v, k, &mut TopKScratch::new(), &mut out);
@@ -320,12 +280,11 @@ mod tests {
         let d = REDUCE_CHUNK * 2 + 321;
         let v: Vec<f32> = (0..d).map(|i| ((i as f32) * 0.37).sin()).collect();
         let w: Vec<f32> = (0..d).map(|i| ((i as f32) * 0.11).cos()).collect();
-        let base = with_threads(1, || (squared_norm(&v), vnmse(&v, &w), min_max(&v)));
+        let base = with_threads(1, || (squared_norm(&v), vnmse(&v, &w)));
         for threads in [2usize, 3, 8] {
-            let got = with_threads(threads, || (squared_norm(&v), vnmse(&v, &w), min_max(&v)));
+            let got = with_threads(threads, || (squared_norm(&v), vnmse(&v, &w)));
             assert_eq!(got.0.to_bits(), base.0.to_bits(), "threads={threads}");
             assert_eq!(got.1.to_bits(), base.1.to_bits(), "threads={threads}");
-            assert_eq!(got.2, base.2, "threads={threads}");
         }
     }
 

@@ -1,7 +1,9 @@
 //! Docs and CI name only cargo targets that exist: every `--bench`,
 //! `--example`, `--test` or `--bin <name>` in the files below must resolve to
 //! a source file, so deleting or renaming a target without updating the
-//! commands that cite it fails here. Likewise every `GCS_*` environment
+//! commands that cite it fails here. The other direction holds too: every
+//! example is a row of README's example table and every bench target is
+//! named in EXPERIMENTS.md or README.md. Likewise every `GCS_*` environment
 //! variable they name must be one some code reads, and every one the crates
 //! read must be in README's table.
 
@@ -64,6 +66,65 @@ fn every_cited_cargo_target_exists() {
     assert!(cited >= 30, "only {cited} references found: broken scan");
     let dangling = dangling.join("\n");
     assert!(dangling.is_empty(), "no such target:\n{dangling}");
+}
+
+/// Whether `name` occurs in `text` as a whole identifier.
+fn names_word(text: &str, name: &str) -> bool {
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    text.match_indices(name).any(|(at, _)| {
+        let before = text[..at].chars().next_back();
+        let after = text[at + name.len()..].chars().next();
+        !before.is_some_and(is_ident) && !after.is_some_and(is_ident)
+    })
+}
+
+#[test]
+fn every_example_and_bench_target_is_cited() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |doc: &str| std::fs::read_to_string(root.join(doc)).expect(doc);
+    let (readme, experiments) = (read("README.md"), read("EXPERIMENTS.md"));
+    let mut uncited = Vec::new();
+
+    let rows: Vec<&str> = readme
+        .lines()
+        .skip_while(|l| !l.starts_with("| example |"))
+        .take_while(|l| l.starts_with('|'))
+        .collect();
+    assert!(rows.len() > 2, "README has no example table");
+    let examples = std::fs::read_dir(root.join("examples")).expect("examples/ is readable");
+    for entry in examples {
+        let path = entry.expect("examples/ entry").path();
+        let Some(name) = path.file_stem().and_then(|s| s.to_str()) else {
+            continue;
+        };
+        let row = format!("| `{name}` |");
+        if path.extension().is_some_and(|e| e == "rs") && !rows.iter().any(|r| r.starts_with(&row))
+        {
+            uncited.push(format!("example {name}: no row in README's example table"));
+        }
+    }
+
+    let manifest = read("crates/bench/Cargo.toml");
+    let mut benches = 0;
+    for block in manifest.split("[[bench]]").skip(1) {
+        let name = block
+            .lines()
+            .find_map(|l| l.trim().strip_prefix("name = \""))
+            .and_then(|rest| rest.split('"').next())
+            .expect("every [[bench]] has a name");
+        benches += 1;
+        if !names_word(&experiments, name) && !names_word(&readme, name) {
+            uncited.push(format!(
+                "bench {name}: named in neither EXPERIMENTS.md nor README.md"
+            ));
+        }
+    }
+    assert!(
+        benches >= 10,
+        "only {benches} [[bench]] targets found: broken scan"
+    );
+    let uncited = uncited.join("\n");
+    assert!(uncited.is_empty(), "targets no document cites:\n{uncited}");
 }
 
 /// Every `GCS_*` name in `text`.
