@@ -209,10 +209,19 @@ mod tests {
 
     // The hub is global state shared by every test in this binary, so each
     // test runs the full scenario inside `with_capture` and asserts on the
-    // returned registry.
+    // returned registry, holding `serial()` so that no other test's
+    // `clear`/`take` lands between its probes.
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        SERIAL
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn probes_are_inert_until_enabled() {
+        let _hub = serial();
         clear();
         counter_add("c", 1.0);
         observe("h", 1.0);
@@ -224,6 +233,7 @@ mod tests {
 
     #[test]
     fn with_capture_records_all_probe_kinds() {
+        let _hub = serial();
         let ((), reg) = with_capture(|| {
             counter_add("collective/ring/wire_bytes", 100.0);
             counter_add("collective/ring/wire_bytes", 50.0);
@@ -247,6 +257,7 @@ mod tests {
 
     #[test]
     fn series_push_tags_the_current_round() {
+        let _hub = serial();
         let ((), reg) = with_capture(|| {
             gcs_trace::set_round(7);
             series_push("train/vnmse", 0.5);
@@ -263,6 +274,7 @@ mod tests {
 
     #[test]
     fn take_drains_and_disables() {
+        let _hub = serial();
         let ((), first) = with_capture(|| counter_add("x", 1.0));
         assert!(!enabled());
         counter_add("x", 1.0); // disabled: ignored
@@ -275,6 +287,7 @@ mod tests {
 
     #[test]
     fn disabled_timer_reads_no_clock() {
+        let _hub = serial();
         clear();
         let t = timer("never");
         assert!(t.armed.is_none());
