@@ -15,6 +15,7 @@ use std::time::Instant;
 use gcs_bench::{expect, header, measured_only};
 use gcs_collectives::telemetry::{TelemetryCollector, TelemetryConfig, TelemetryShipper};
 use gcs_metrics::fleet::{FlightRecorder, ROUND_HIST, WIRE_BYTES_COUNTER};
+use gcs_metrics::Registry;
 use gcs_nn::{Model, Sgd, VggMini};
 use std::hint::black_box;
 
@@ -59,12 +60,11 @@ fn main() {
     let collector = TelemetryCollector::spawn(TelemetryConfig::default()).expect("collector");
     let mut shipper = TelemetryShipper::connect(collector.addr(), 1).expect("shipper");
 
-    gcs_metrics::enable();
+    let mut snapshot = Registry::new();
     for r in 0..32 {
-        gcs_metrics::observe(ROUND_HIST, 1.0e6 + r as f64 * 1.0e4);
-        gcs_metrics::counter_add(WIRE_BYTES_COUNTER, 4096.0);
+        snapshot.observe(ROUND_HIST, 1.0e6 + r as f64 * 1.0e4);
+        snapshot.counter_add(WIRE_BYTES_COUNTER, 4096.0);
     }
-    let snapshot = gcs_metrics::take();
 
     let trace = gcs_trace::with_recording(|| {
         for _ in 0..8 {

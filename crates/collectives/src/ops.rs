@@ -208,7 +208,6 @@ fn ring_walk<B, W>(
     copy: impl Fn(&mut B, usize, usize, &[W]),
 ) {
     let _span = gcs_trace::span(gcs_trace::Phase::Network, "ring_all_reduce");
-    let _timer = gcs_metrics::timer("collective/ring_all_reduce/latency_ns");
     let n = bufs.len();
     traffic.reset(n);
     if n == 1 || len == 0 {
@@ -248,14 +247,6 @@ fn ring_walk<B, W>(
         }
     }
     gcs_trace::counter("wire_bytes", traffic.total() as f64);
-    gcs_metrics::counter_add(
-        "collective/ring_all_reduce/wire_bytes_total",
-        traffic.total() as f64,
-    );
-    gcs_metrics::observe(
-        "collective/ring_all_reduce/wire_bytes",
-        traffic.total() as f64,
-    );
 }
 
 /// All-gather: `out` becomes each worker's concatenated view
@@ -273,7 +264,6 @@ pub fn all_gather_into<T: Clone>(
     traffic: &mut Traffic,
 ) {
     let _span = gcs_trace::span(gcs_trace::Phase::Network, "all_gather");
-    let _timer = gcs_metrics::timer("collective/all_gather/latency_ns");
     let n = inputs.len();
     assert!(n > 0, "all_gather: no workers");
     traffic.reset(n);
@@ -289,11 +279,6 @@ pub fn all_gather_into<T: Clone>(
     }
     traffic.steps = (n - 1) as u32;
     gcs_trace::counter("wire_bytes", traffic.total() as f64);
-    gcs_metrics::counter_add(
-        "collective/all_gather/wire_bytes_total",
-        traffic.total() as f64,
-    );
-    gcs_metrics::observe("collective/all_gather/wire_bytes", traffic.total() as f64);
 }
 
 #[cfg(test)]

@@ -339,12 +339,9 @@ impl TcpMesh {
     /// Sends one raw frame to `peer`. A write failure means the peer's
     /// process is gone (or its socket reset): [`CollectiveError::PeerLost`].
     pub fn send_raw(&mut self, peer: usize, payload: &[u8]) -> Result<(), CollectiveError> {
-        let wire = 4 + payload.len();
         self.out_link(peer)
             .send_frame(payload)
-            .map_err(|_| CollectiveError::PeerLost { peer })?;
-        gcs_metrics::counter_add("transport/tcp/wire_bytes_total", wire as f64);
-        Ok(())
+            .map_err(|_| CollectiveError::PeerLost { peer })
     }
 
     /// Receives one raw frame from `peer`, blocking up to `deadline`.

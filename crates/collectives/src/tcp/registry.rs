@@ -289,7 +289,6 @@ impl Registry {
                     reply: None,
                 },
             );
-            gcs_metrics::counter_add("transport/tcp/joins_total", 1.0);
             cvar.notify_all();
             id
         };
@@ -508,16 +507,13 @@ impl FleetWorker {
             let addrs = addrs.map_err(|e| fail(format!("bad roster addr: {e}")))?;
             let rebuilt = epoch != self.last_epoch || self.mesh.is_none();
             if rebuilt {
-                let reconnect = self.mesh.take().is_some();
+                self.mesh = None;
                 let deadline = self.timeouts.mesh_build;
                 match TcpMesh::connect(&self.listener, rank, n, epoch, &addrs, deadline) {
                     Ok(mut mesh) => {
                         mesh.set_recv_deadline(self.timeouts.recv);
                         self.mesh = Some(mesh);
                         self.last_epoch = epoch;
-                        if reconnect {
-                            gcs_metrics::counter_add("transport/tcp/reconnects_total", 1.0);
-                        }
                     }
                     Err(e) => {
                         // A roster member vanished mid-build; re-barrier.

@@ -561,7 +561,6 @@ where
     O: ReduceOp<T> + Send + Sync + Clone + 'static,
 {
     let _span = gcs_trace::span(gcs_trace::Phase::Network, "threaded_ring_all_reduce");
-    let _timer = gcs_metrics::timer("collective/threaded_ring_all_reduce/latency_ns");
     let n = bufs.len();
     let cluster: ThreadedCluster<T> = ThreadedCluster::new(n);
     let bufs = Arc::new(Mutex::new(
@@ -588,14 +587,6 @@ where
         out.push(buf);
     }
     gcs_trace::counter("wire_bytes", traffic.total() as f64);
-    gcs_metrics::counter_add(
-        "collective/threaded_ring_all_reduce/wire_bytes_total",
-        traffic.total() as f64,
-    );
-    gcs_metrics::observe(
-        "collective/threaded_ring_all_reduce/wire_bytes",
-        traffic.total() as f64,
-    );
     Ok((out, traffic))
 }
 

@@ -89,7 +89,6 @@ impl CompressionScheme for PrecisionBaseline {
         _ctx: &RoundContext,
         out: &mut AggregationOutcome,
     ) {
-        let _round_timer = gcs_metrics::timer("scheme/fp16_baseline/round_ns");
         let n = grads.len();
         let d = grads[0].len();
         let scratch = &mut self.scratch;

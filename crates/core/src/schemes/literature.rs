@@ -81,7 +81,6 @@ impl CompressionScheme for Qsgd {
         ctx: &RoundContext,
         out: &mut AggregationOutcome,
     ) {
-        let _round_timer = gcs_metrics::timer("scheme/qsgd/round_ns");
         let n = grads.len();
         let d = grads[0].len();
         let s = self.levels();
@@ -173,7 +172,6 @@ impl CompressionScheme for RandomK {
         ctx: &RoundContext,
         out: &mut AggregationOutcome,
     ) {
-        let _round_timer = gcs_metrics::timer("scheme/randomk/round_ns");
         let n = grads.len();
         let d = grads[0].len();
         let k = self.k_for(d);

@@ -141,7 +141,6 @@ impl CompressionScheme for PowerSgd {
         ctx: &RoundContext,
         out: &mut AggregationOutcome,
     ) {
-        let _round_timer = gcs_metrics::timer("scheme/powersgd/round_ns");
         let n = grads.len();
         let d = grads[0].len();
         let covered: usize = self.shapes.iter().map(|&(r, c)| r * c).sum();

@@ -361,7 +361,6 @@ impl CompressionScheme for Thc {
         ctx: &RoundContext,
         out: &mut AggregationOutcome,
     ) {
-        let _round_timer = gcs_metrics::timer("scheme/thc/round_ns");
         let n = grads.len();
         let d = grads[0].len();
         self.assert_sum_fits(n);

@@ -153,7 +153,6 @@ impl CompressionScheme for TopK {
         _ctx: &RoundContext,
         out: &mut AggregationOutcome,
     ) {
-        let _round_timer = gcs_metrics::timer("scheme/topk/round_ns");
         let n = grads.len();
         let d = grads[0].len();
         let k = self.k_for(d);

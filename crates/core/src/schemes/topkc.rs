@@ -125,7 +125,6 @@ impl CompressionScheme for TopKC {
         ctx: &RoundContext,
         out: &mut AggregationOutcome,
     ) {
-        let _round_timer = gcs_metrics::timer("scheme/topkc/round_ns");
         let n = grads.len();
         let d = grads[0].len();
         let chunks = d.div_ceil(self.chunk);

@@ -107,7 +107,6 @@ impl CompressionScheme for TopKCQ {
         ctx: &RoundContext,
         out: &mut AggregationOutcome,
     ) {
-        let _round_timer = gcs_metrics::timer("scheme/topkc_q/round_ns");
         let n = grads.len();
         let d = grads[0].len();
         let chunk = self.chunk;

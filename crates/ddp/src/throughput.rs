@@ -74,10 +74,7 @@ impl ThroughputModel {
         }
     }
 
-    /// Step breakdown for a compression scheme on a model profile. Each
-    /// component lands in a `throughput/step_*_s` telemetry histogram, so a
-    /// sweep over schemes/models leaves its modelled step-time distribution
-    /// in the registry.
+    /// Step breakdown for a compression scheme on a model profile.
     pub fn step(
         &self,
         scheme: &dyn CompressionScheme,
@@ -85,7 +82,7 @@ impl ThroughputModel {
         train: Precision,
     ) -> StepBreakdown {
         let d = model.params;
-        let breakdown = StepBreakdown {
+        StepBreakdown {
             compute: model.compute_seconds(train),
             compression: scheme.compute_seconds(d, &self.device),
             communication: scheme
@@ -93,12 +90,7 @@ impl ThroughputModel {
                 .iter()
                 .map(|e| e.seconds(&self.cluster))
                 .sum(),
-        };
-        gcs_metrics::observe("throughput/step_compute_s", breakdown.compute);
-        gcs_metrics::observe("throughput/step_compression_s", breakdown.compression);
-        gcs_metrics::observe("throughput/step_communication_s", breakdown.communication);
-        gcs_metrics::observe("throughput/step_total_s", breakdown.total());
-        breakdown
+        }
     }
 
     /// Rounds/second for a scheme (Table 5/8/9 cells).
@@ -225,22 +217,6 @@ mod tests {
         assert!(s.compute > 0.0 && s.compression > 0.0 && s.communication > 0.0);
         assert!((s.total() - (s.compute + s.compression + s.communication)).abs() < 1e-12);
         assert!(s.compression_fraction() > 0.0 && s.compression_fraction() < 1.0);
-    }
-
-    #[test]
-    fn step_breakdown_is_observed_into_histograms() {
-        let tm = ThroughputModel::paper_testbed();
-        let m = model();
-        let (s, reg) = gcs_metrics::with_capture(|| {
-            tm.step(&TopK::with_bits(2.0, 4, true), &m, Precision::Tf32)
-        });
-        if !gcs_metrics::is_captured() {
-            return;
-        }
-        let total = reg.hist("throughput/step_total_s").unwrap();
-        assert!(total.count() >= 1);
-        assert!((total.max().unwrap() - s.total()).abs() <= s.total() * 1e-12);
-        assert!(reg.hist("throughput/step_communication_s").is_some());
     }
 
     #[test]

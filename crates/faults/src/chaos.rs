@@ -95,8 +95,7 @@ fn run_op<L: MessageLinks<f32>>(
 }
 
 /// Runs `op` over a threaded cluster whose every link is wrapped in
-/// [`FaultyLinks`] under `plan`/`policy`, merges per-worker stats, and
-/// exports the `faults/*` counters to `gcs-metrics`.
+/// [`FaultyLinks`] under `plan`/`policy` and merges per-worker stats.
 pub fn run_chaos(
     op: ChaosOp,
     inputs: Vec<Vec<f32>>,
@@ -120,7 +119,6 @@ pub fn run_chaos(
         stats.merge(&s);
         results.push(r);
     }
-    export_metrics(&stats, results.iter().filter(|r| r.is_err()).count());
     ChaosOutcome { results, stats }
 }
 
@@ -183,20 +181,7 @@ pub fn run_chaos_tcp(
         stats.merge(&s);
         results.push(r);
     }
-    export_metrics(&stats, results.iter().filter(|r| r.is_err()).count());
     ChaosOutcome { results, stats }
-}
-
-/// Publishes `faults/*` counters and recovery-latency samples for one run.
-pub fn export_metrics(stats: &FaultStats, aborted_workers: usize) {
-    gcs_metrics::counter_add("faults/injected_total", stats.injected() as f64);
-    gcs_metrics::counter_add("faults/retried_total", stats.retries as f64);
-    gcs_metrics::counter_add("faults/recovered_total", stats.recovered_frames as f64);
-    gcs_metrics::counter_add("faults/aborted_total", aborted_workers as f64);
-    gcs_metrics::counter_add("faults/crashed_total", stats.crashes as f64);
-    for &ns in &stats.recovery_latency_ns {
-        gcs_metrics::observe("faults/recovery_latency_ns", ns as f64);
-    }
 }
 
 /// Deterministic per-worker input buffers for chaos runs.

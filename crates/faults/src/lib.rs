@@ -23,7 +23,7 @@
 //!   worker bodies run over healthy or faulty fabric.
 //! * [`chaos`] — the differential harness: run a real collective over
 //!   [`FaultyLinks`] and compare bitwise against the sequential reference;
-//!   exports `faults/*` counters and recovery-latency histograms.
+//!   the outcome carries the run's merged [`FaultStats`].
 //! * [`tcp`] — the socket carrier: [`FaultyLinks`] is generic over
 //!   [`FrameTransport`], and [`TcpFrameLinks`] implements it over
 //!   `gcs-collectives`' `TcpMesh`, so the same chaos suite reruns over real

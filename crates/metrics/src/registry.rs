@@ -1,8 +1,8 @@
 //! The metric registry: named counters, gauges, histograms, and time series,
 //! plus the Prometheus exporter.
 //!
-//! Naming convention (slash-separated, lowercase): `collective/<op>/...`,
-//! `scheme/<family>/...`, `train/...`, `flowsim/...`, `throughput/...`.
+//! Naming convention (slash-separated, lowercase): `fleet/...` for the fleet
+//! worker and aggregator, `aggd/...` for the aggregation daemon.
 //! Exporters sanitize names for their target format; the registry itself
 //! accepts any string.
 

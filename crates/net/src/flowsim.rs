@@ -356,15 +356,6 @@ impl Network {
                 }
             }
         }
-        let n_aborted = aborted.iter().filter(|&&a| a).count();
-        if n_aborted > 0 {
-            gcs_metrics::counter_add("faults/flow_aborted_total", n_aborted as f64);
-        }
-        for (i, &t) in completion.iter().enumerate() {
-            if !aborted[i] {
-                gcs_metrics::observe("flowsim/fct_s", t);
-            }
-        }
         FlowReport {
             makespan: completion.iter().copied().fold(0.0, f64::max),
             completion,
@@ -579,22 +570,6 @@ mod tests {
     }
 
     #[test]
-    fn simulate_captures_flow_completion_metrics() {
-        let net = Network::homogeneous(3, 10.0 * GB);
-        let flows = ps_push_flows(2, 10.0 * GB);
-        let ((), reg) = gcs_metrics::with_capture(|| {
-            net.simulate(&flows);
-        });
-        if !gcs_metrics::is_captured() {
-            return;
-        }
-        let h = reg.hist("flowsim/fct_s").unwrap();
-        assert_eq!(h.count(), 2);
-        // Both flows share the receiver ingress: each completes at 2 s.
-        assert!((h.max().unwrap() - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn zero_byte_flows_complete_immediately() {
         let net = Network::homogeneous(2, GB);
         let r = net.simulate(&[Flow {
@@ -652,7 +627,7 @@ mod tests {
                 bytes: 10.0 * GB,
             },
         ];
-        let (r, reg) = gcs_metrics::with_capture(|| net.simulate(&flows));
+        let r = net.simulate(&flows);
         // The healthy flow still completes; the dead-sender flow aborts at 0.
         assert!(!r.aborted[0]);
         assert!((r.completion[0] - 1.0).abs() < 1e-6, "{r:?}");
@@ -662,9 +637,6 @@ mod tests {
             "stranded flow aborts once nothing else can change: {r:?}"
         );
         assert!(r.makespan.is_finite());
-        if gcs_metrics::is_captured() {
-            assert_eq!(reg.counter("faults/flow_aborted_total"), Some(1.0));
-        }
     }
 
     #[test]

@@ -30,9 +30,7 @@
 //! Recording is **off by default**. Every probe starts with one relaxed
 //! atomic load; until [`enable`] is called, [`span`] returns an inert guard
 //! and [`counter`] returns immediately — the `trace_overhead` bench in
-//! `gcs-bench` pins this at well under 2% of an aggregation round. Building
-//! with `--no-default-features` (no `capture` feature) compiles every probe
-//! down to nothing for the truly paranoid.
+//! `gcs-bench` pins this at well under 2% of an aggregation round.
 //!
 //! ## Usage
 //!
@@ -48,8 +46,7 @@
 //!     counter("wire_bytes", 4096.0);
 //! });
 //! let report = trace.report();
-//! let expected = if gcs_trace::is_captured() { 1 } else { 0 };
-//! assert_eq!(report.op_calls("gram_schmidt"), expected);
+//! assert_eq!(report.op_calls("gram_schmidt"), 1);
 //! println!("{}", report.render());
 //! ```
 
@@ -187,55 +184,10 @@ impl Trace {
             .map(|c| c.value)
             .sum()
     }
-
-    /// Range statistics over all samples of counter `name`; `None` when the
-    /// counter was never recorded (so callers can distinguish "no samples"
-    /// from "samples summing to zero", which [`Trace::counter_sum`] cannot).
-    /// This is what the `gcs-metrics` histogram bridge consumes.
-    pub fn counter_stats(&self, name: &str) -> Option<CounterStats> {
-        let mut stats: Option<CounterStats> = None;
-        for c in self.counters.iter().filter(|c| c.name == name) {
-            match stats.as_mut() {
-                None => {
-                    stats = Some(CounterStats {
-                        min: c.value,
-                        max: c.value,
-                        mean: c.value,
-                        count: 1,
-                    });
-                }
-                Some(s) => {
-                    s.min = s.min.min(c.value);
-                    s.max = s.max.max(c.value);
-                    // `mean` temporarily accumulates the sum; finalized below.
-                    s.mean += c.value;
-                    s.count += 1;
-                }
-            }
-        }
-        if let Some(s) = stats.as_mut() {
-            s.mean /= s.count as f64;
-        }
-        stats
-    }
-}
-
-/// Range statistics of one counter over a [`Trace`]
-/// (see [`Trace::counter_stats`]).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CounterStats {
-    /// Smallest sample.
-    pub min: f64,
-    /// Largest sample.
-    pub max: f64,
-    /// Arithmetic mean of all samples.
-    pub mean: f64,
-    /// Number of samples.
-    pub count: u64,
 }
 
 // ---------------------------------------------------------------------------
-// Recorder internals (compiled only with the `capture` feature).
+// Recorder internals.
 // ---------------------------------------------------------------------------
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -252,14 +204,13 @@ fn origin() -> Instant {
 }
 
 /// Nanoseconds elapsed since this process's monotonic origin — the exact
-/// timebase of recorded span timestamps. Available with or without the
-/// `capture` feature, so transports can run clock-alignment handshakes
-/// (ping/pong offset estimation) against the same clock spans use.
+/// timebase of recorded span timestamps. Readable while recording is off,
+/// so transports can run clock-alignment handshakes (ping/pong offset
+/// estimation) against the same clock spans use.
 pub fn now_ns() -> u64 {
     Instant::now().duration_since(origin()).as_nanos() as u64
 }
 
-#[cfg(feature = "capture")]
 mod recorder {
     use super::*;
     use std::cell::RefCell;
@@ -326,25 +277,17 @@ mod recorder {
     }
 }
 
-/// True when the `capture` feature is compiled in at all.
-pub const fn is_captured() -> bool {
-    cfg!(feature = "capture")
-}
-
 /// Whether recording is currently on. One relaxed atomic load — the entire
 /// cost of a probe while tracing is disabled.
 #[inline]
 pub fn enabled() -> bool {
-    cfg!(feature = "capture") && ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Turns recording on (also pins the monotonic origin).
 pub fn enable() {
-    #[cfg(feature = "capture")]
-    {
-        origin();
-        ENABLED.store(true, Ordering::Relaxed);
-    }
+    origin();
+    ENABLED.store(true, Ordering::Relaxed);
 }
 
 /// Turns recording off. Already-buffered events are kept until [`take`].
@@ -356,8 +299,8 @@ pub fn disable() {
 /// threads: the fork-join workers of a round inherit it automatically.
 ///
 /// The store is unconditional (one relaxed atomic store, once per round) so
-/// that layers recording through other sinks — `gcs-metrics` time series —
-/// can read [`current_round`] even when span recording is off.
+/// that other readers — `gcs_metrics::FlightRecorder::record_event` — can
+/// read [`current_round`] even when span recording is off.
 #[inline]
 pub fn set_round(round: u64) {
     ROUND.store(round, Ordering::Relaxed);
@@ -399,32 +342,25 @@ impl Drop for Span {
         let Some((phase, name, start)) = self.live.take() else {
             return;
         };
-        #[cfg(feature = "capture")]
-        {
-            let dur_ns = start.elapsed().as_nanos() as u64;
-            let rec = SpanRecord {
+        let dur_ns = start.elapsed().as_nanos() as u64;
+        let start_ns = recorder::elapsed_ns(start);
+        let round = ROUND.load(Ordering::Relaxed);
+        recorder::with_local(|b| {
+            b.spans.push(SpanRecord {
                 phase,
                 name,
-                start_ns: recorder::elapsed_ns(start),
+                start_ns,
                 dur_ns,
-                round: ROUND.load(Ordering::Relaxed),
-                tid: 0, // patched below from the local buffer
-            };
-            recorder::with_local(|b| {
-                let mut rec = rec;
-                rec.tid = b.tid;
-                b.spans.push(rec);
+                round,
+                tid: b.tid,
             });
-        }
-        #[cfg(not(feature = "capture"))]
-        let _ = (phase, name, start);
+        });
     }
 }
 
 /// Records one sample of counter `name`. No-op while disabled.
 #[inline]
 pub fn counter(name: &'static str, value: f64) {
-    #[cfg(feature = "capture")]
     if enabled() {
         let at_ns = recorder::elapsed_ns(Instant::now());
         let round = ROUND.load(Ordering::Relaxed);
@@ -438,14 +374,11 @@ pub fn counter(name: &'static str, value: f64) {
             });
         });
     }
-    #[cfg(not(feature = "capture"))]
-    let _ = (name, value);
 }
 
 /// Flushes the calling thread's buffer into the global sink. [`take`] calls
 /// this for the current thread; worker threads flush automatically on exit.
 pub fn flush_thread() {
-    #[cfg(feature = "capture")]
     recorder::with_local(|b| b.flush());
 }
 
@@ -458,17 +391,12 @@ pub fn flush_thread() {
 /// thread-local destructors run — so scoped workers flush inside their
 /// closure (the fork-join runtime calls [`flush_thread`] at worker exit).
 pub fn take() -> Trace {
-    #[cfg(feature = "capture")]
-    {
-        flush_thread();
-        let mut sink = recorder::SINK.lock().unwrap_or_else(|e| e.into_inner());
-        Trace {
-            spans: std::mem::take(&mut sink.spans),
-            counters: std::mem::take(&mut sink.counters),
-        }
+    flush_thread();
+    let mut sink = recorder::SINK.lock().unwrap_or_else(|e| e.into_inner());
+    Trace {
+        spans: std::mem::take(&mut sink.spans),
+        counters: std::mem::take(&mut sink.counters),
     }
-    #[cfg(not(feature = "capture"))]
-    Trace::default()
 }
 
 /// Discards everything recorded so far.
@@ -498,7 +426,6 @@ mod tests {
         TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    #[cfg(feature = "capture")]
     fn spin(iters: u64) -> u64 {
         let mut acc = 0u64;
         for i in 0..iters {
@@ -521,22 +448,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "capture"))]
-    fn without_capture_recording_is_compiled_out() {
-        let _g = exclusive();
-        let t = with_recording(|| {
-            set_round(3);
-            let _s = span(Phase::Compress, "quantize");
-            counter("wire_bytes", 256.0);
-        });
-        assert!(!is_captured());
-        assert!(!enabled(), "enable() must be inert without capture");
-        assert!(t.spans.is_empty());
-        assert!(t.counters.is_empty());
-    }
-
-    #[test]
-    #[cfg(feature = "capture")]
     fn spans_and_counters_round_trip() {
         let _g = exclusive();
         let t = with_recording(|| {
@@ -558,7 +469,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "capture")]
     fn worker_thread_spans_are_collected_on_join() {
         let _g = exclusive();
         let t = with_recording(|| {
@@ -595,7 +505,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "capture")]
     fn spans_nest_without_double_drop() {
         let _g = exclusive();
         let t = with_recording(|| {
@@ -614,7 +523,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "capture")]
     fn durations_are_monotonic_and_plausible() {
         let _g = exclusive();
         let t = with_recording(|| {
@@ -644,48 +552,6 @@ mod tests {
                 "eval"
             ]
         );
-    }
-
-    #[test]
-    fn counter_stats_aggregates_min_max_mean() {
-        let t = Trace {
-            spans: Vec::new(),
-            counters: [3.0, -1.0, 4.0, 2.0]
-                .iter()
-                .map(|&value| CounterRecord {
-                    name: "wire_bytes",
-                    value,
-                    at_ns: 0,
-                    round: 0,
-                    tid: 0,
-                })
-                .collect(),
-        };
-        let s = t.counter_stats("wire_bytes").unwrap();
-        assert_eq!(s.min, -1.0);
-        assert_eq!(s.max, 4.0);
-        assert_eq!(s.mean, 2.0);
-        assert_eq!(s.count, 4);
-    }
-
-    #[test]
-    fn counter_stats_unknown_counter_is_none() {
-        let t = Trace::default();
-        assert!(t.counter_stats("never_recorded").is_none());
-        // A single sample is its own min/max/mean.
-        let t = Trace {
-            spans: Vec::new(),
-            counters: vec![CounterRecord {
-                name: "one",
-                value: 7.5,
-                at_ns: 0,
-                round: 2,
-                tid: 0,
-            }],
-        };
-        let s = t.counter_stats("one").unwrap();
-        assert_eq!((s.min, s.max, s.mean, s.count), (7.5, 7.5, 7.5, 1));
-        assert!(t.counter_stats("two").is_none());
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! new `(rank, n)`.
 //!
 //! With `--telemetry <addr>` the worker additionally joins the fleet
-//! telemetry plane: trace and metrics capture are enabled, each round's
-//! spans and a full registry snapshot are shipped to the
+//! telemetry plane: trace recording is enabled, each round's spans and the
+//! worker's metrics registry are shipped to the
 //! `TelemetryCollector` at `addr`, and a bounded flight recorder is both
 //! shipped and (with `--flight <path>`) persisted locally every round —
 //! so a SIGKILL leaves a post-mortem JSONL on disk *and* at the collector.
@@ -41,6 +41,7 @@ use gcs_collectives::tcp::{FleetWorker, TcpTimeouts};
 use gcs_collectives::telemetry::TelemetryShipper;
 use gcs_ddp::fleet::{fleet_round, param_checksum, sync_params};
 use gcs_metrics::fleet::{FlightRecorder, ROUND_HIST, WIRE_BYTES_COUNTER};
+use gcs_metrics::Registry;
 use gcs_nn::{Sgd, VggMini};
 
 struct Config {
@@ -112,11 +113,12 @@ fn parse_args() -> Result<Config, String> {
 }
 
 /// The worker's telemetry half: optional shipper, always-on flight
-/// recorder, optional local flight persistence. Every operation degrades
-/// silently — telemetry must never fail training.
+/// recorder and metrics registry, optional local flight persistence. Every
+/// operation degrades silently — telemetry must never fail training.
 struct Telemetry {
     shipper: Option<TelemetryShipper>,
     flight: FlightRecorder,
+    metrics: Registry,
     flight_path: Option<PathBuf>,
     errored: bool,
 }
@@ -134,11 +136,11 @@ impl Telemetry {
                 });
         if shipper.is_some() || cfg.flight.is_some() {
             gcs_trace::enable();
-            gcs_metrics::enable();
         }
         Telemetry {
             shipper,
             flight: FlightRecorder::new(),
+            metrics: Registry::new(),
             flight_path: cfg.flight.clone(),
             errored: false,
         }
@@ -165,17 +167,16 @@ impl Telemetry {
     }
 
     /// End-of-round shipping: drain the trace into the flight recorder,
-    /// ship spans + a full registry snapshot + the flight JSONL, and
+    /// ship spans + the metrics registry + the flight JSONL, and
     /// rewrite the local flight file (tmp+rename, SIGKILL-safe).
     fn ship_round(&mut self, rank: u64, epoch: u64) {
         let trace = gcs_trace::take();
         gcs_trace::enable(); // take() disables; re-arm for the next round
         self.flight.record_trace(&trace);
         if let Some(s) = self.shipper.as_mut() {
-            let snapshot = gcs_metrics::snapshot();
             let shipped = s
                 .ship_trace(rank, &trace)
-                .and_then(|()| s.ship_snapshot(rank, epoch, &snapshot))
+                .and_then(|()| s.ship_snapshot(rank, epoch, &self.metrics))
                 .and_then(|()| s.ship_flight(rank, &self.flight.to_jsonl()));
             if let Err(e) = shipped {
                 self.drop_shipper(e);
@@ -225,7 +226,8 @@ fn run(cfg: &Config) -> Result<(), gcs_collectives::error::CollectiveError> {
         // what keeps healthy runs bitwise-equal to the threaded reference.
         let epoch_changed = last_epoch.map_or(rs.epoch > 1, |e| e != rs.epoch);
         if epoch_changed {
-            gcs_metrics::counter_add("fleet/membership/churn_total", 1.0);
+            tele.metrics
+                .counter_add("fleet/membership/churn_total", 1.0);
             tele.event(
                 rs.rank as u64,
                 "epoch_change",
@@ -246,14 +248,15 @@ fn run(cfg: &Config) -> Result<(), gcs_collectives::error::CollectiveError> {
             epochs_seen += 1;
         }
         last_epoch = Some(rs.epoch);
-        gcs_metrics::gauge_set("fleet/epoch", rs.epoch as f64);
+        tele.metrics.gauge_set("fleet/epoch", rs.epoch as f64);
 
         let mut links = worker.links::<f32>();
         let t0 = Instant::now();
         match fleet_round(&mut model, &mut opt, &mut links, cfg.batch, round) {
             Ok(out) => {
-                gcs_metrics::observe(ROUND_HIST, t0.elapsed().as_nanos() as f64);
-                gcs_metrics::counter_add(
+                tele.metrics
+                    .observe(ROUND_HIST, t0.elapsed().as_nanos() as f64);
+                tele.metrics.counter_add(
                     WIRE_BYTES_COUNTER,
                     (out.bytes_sent + out.bytes_received) as f64,
                 );

@@ -1,12 +1,8 @@
-//! Degraded-training suite (ISSUE 5 satellite 2): an injected worker crash
-//! mid-run must not end training — the engine renormalizes the ring over
-//! the survivors, keeps optimizing, and lands within tolerance of a run
-//! that had the surviving worker count from the start. The `faults/*`
-//! counters must match the injected plan exactly.
-//!
-//! Kept to a single fault-emitting test: the metrics hub is process-global,
-//! so exact-count assertions and concurrent fault-emitting siblings don't
-//! mix.
+//! Degraded training: an injected worker crash mid-run must not end
+//! training — the engine renormalizes the ring over the survivors, keeps
+//! optimizing, and lands within tolerance of a run that had the surviving
+//! worker count from the start. The run's `fault_events` must match the
+//! injected plan exactly.
 
 use gradient_utility::ddp::{FaultEvent, Trainer, TrainerConfig};
 use gradient_utility::faults::TrainFaultPlan;
@@ -32,8 +28,8 @@ fn run(cfg: TrainerConfig) -> gradient_utility::ddp::TrainLog {
     Trainer::new(cfg).train(&mut model, &mut scheme, 0.5)
 }
 
-/// The whole satellite in one serialized scenario: counters exact, training
-/// continues, final metric within tolerance of the (n−1)-worker clean run.
+/// One crash: fault events exact, training continues, final metric within
+/// tolerance of the (n−1)-worker clean run.
 #[test]
 fn crash_mid_run_degrades_gracefully() {
     let crash_round = 20u64;
@@ -41,10 +37,10 @@ fn crash_mid_run_degrades_gracefully() {
     let plan = TrainFaultPlan::crash_at(crash_round, crashed_worker);
 
     let faulty_cfg = TrainerConfig {
-        faults: Some(plan.clone()),
+        faults: Some(plan),
         ..base_config(3)
     };
-    let (faulty, reg) = gcs_metrics::with_capture(|| run(faulty_cfg));
+    let faulty = run(faulty_cfg);
 
     // Training continued over the survivors for the full budget.
     assert_eq!(faulty.rounds, 120, "crash must not end the run");
@@ -58,16 +54,6 @@ fn crash_mid_run_degrades_gracefully() {
         }]
     );
     assert!(faulty.final_metric.is_finite());
-
-    // The faults/* counters match the plan exactly — every injected crash
-    // accounted, every one recovered, nothing aborted.
-    if gcs_metrics::is_captured() {
-        let c = |name: &str| reg.counter(name).unwrap_or(0.0);
-        assert_eq!(c("faults/worker_crash_total"), plan.len() as f64);
-        assert_eq!(c("faults/injected_total"), plan.len() as f64);
-        assert_eq!(c("faults/recovered_total"), plan.len() as f64);
-        assert_eq!(c("faults/train_aborted_total"), 0.0);
-    }
 
     // Graceful degradation, quantified: the degraded run converges, and its
     // final metric is within tolerance of a clean run that had the

@@ -319,34 +319,17 @@ fn eight_rank_fleet_scrapes_merges_and_survives_a_sigkill() {
     let _ = std::fs::remove_dir_all(&flight_dir);
 }
 
-/// Metrics registries produced by a chaotic run — worker crashes,
-/// dropped/dup'd frames, partial series — must feed the fleet aggregator
+/// Partial registries — members that died before ever snapshotting, or
+/// shipped a registry without round data — must feed the fleet aggregator
 /// without panicking, answering `None`/zero.
 #[test]
 fn chaotic_partial_registries_never_panic_the_monitors() {
-    use gcs_faults::{canned_inputs, run_chaos, ChaosOp, FaultPlan, RetryPolicy};
     use gcs_metrics::FleetAggregator;
 
-    // A degraded fabric with a mid-collective crash: some workers abort.
-    gcs_metrics::enable();
-    let outcome = run_chaos(
-        ChaosOp::Ring,
-        canned_inputs(4, 64),
-        FaultPlan::degraded(7, 0.05, 0.05, 0.05).with_crash(2, 3),
-        RetryPolicy::fast_test(),
-    );
-    assert!(
-        outcome.aborted_workers() > 0,
-        "crash plan should abort someone"
-    );
-    let chaotic = gcs_metrics::take();
-
-    // FleetAggregator over members that died before ever snapshotting, or
-    // shipped registries with no fleet/round_ns histogram.
     let mut agg = FleetAggregator::new();
     agg.on_join(1, 0, 0);
     agg.on_join(2, -5_000, 100);
-    agg.on_snapshot(2, 0, 1, chaotic.clone());
+    agg.on_snapshot(2, 0, 1, gcs_metrics::Registry::new());
     assert!(agg.on_death(1), "live member death must register");
     assert_eq!(agg.straggler_skew(), None, "no round hists → no skew");
     let reg = agg.fleet_registry();
