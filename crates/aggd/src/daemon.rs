@@ -6,7 +6,7 @@
 //!
 //! * the shared [`Listener`] routes each connection by its 4-byte magic,
 //!   on the connection's own thread: `GET ` gets the Prometheus exposition
-//!   of the fleet-aggregated per-tenant registries; a `GCSA` session keeps
+//!   of the merged per-tenant registries; a `GCSA` session keeps
 //!   the thread as its **reader**;
 //! * the **reader** blocks in a frame read, decodes the request, and
 //!   forwards a job to the owning shard over its *bounded* channel
@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 
 use gcs_collectives::tcp::{push_frame, serve_metrics, Listener, HTTP_GET};
 use gcs_collectives::{FramedStream, RecvFail};
-use gcs_metrics::{FleetAggregator, Registry};
+use gcs_metrics::Registry;
 
 use crate::proto::{
     decode_hello, encode_bye_ok, encode_fetch_ok, encode_hello_ok, encode_reject, encode_submit_ok,
@@ -226,9 +226,8 @@ impl AggDaemon {
         self.listener.addr()
     }
 
-    /// The fleet-aggregated registry: every shard's snapshot (each the
-    /// merge of its tenants' registries) folded through the PR 8
-    /// [`FleetAggregator`], plus daemon-level session counters.
+    /// The merged registry: every shard's snapshot (each the merge of its
+    /// tenants' registries), plus daemon-level session counters.
     pub fn registry(&self) -> Registry {
         scrape_registry(&self.shards, &self.stats)
     }
@@ -258,24 +257,21 @@ fn shard_of(key: Key, shards: usize) -> usize {
 // Scrape path
 // ---------------------------------------------------------------------------
 
-/// Collects one registry snapshot from every shard and folds them through
-/// the fleet aggregator (each shard is a "fleet member"), then layers the
-/// daemon's own counters on top.
+/// Collects one registry snapshot from every shard and merges them in shard
+/// order, then layers the daemon's own counters on top.
 fn scrape_registry(shards: &[SyncSender<ShardJob>], stats: &Stats) -> Registry {
-    let mut agg = FleetAggregator::new();
-    for (idx, shard) in shards.iter().enumerate() {
+    let mut reg = Registry::new();
+    for shard in shards {
         let (tx, rx) = mpsc::channel();
-        agg.on_join(idx as u64, 0, 0);
         // Waits for room in the bounded job queue; fails only once the
         // shard has exited.
         if shard.send(ShardJob::Snapshot { reply: tx }).is_err() {
             return Registry::new();
         }
-        if let Ok(reg) = rx.recv_timeout(Duration::from_secs(2)) {
-            agg.on_snapshot(idx as u64, idx as u64, 0, reg);
+        if let Ok(shard_reg) = rx.recv_timeout(Duration::from_secs(2)) {
+            reg.merge(&shard_reg);
         }
     }
-    let mut reg = agg.fleet_registry();
     reg.counter_add(
         "aggd/sessions_total",
         stats.sessions_total.load(Ordering::Relaxed) as f64,

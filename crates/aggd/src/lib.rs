@@ -15,8 +15,8 @@
 //!   through the pooled `aggregate_round_into` seam (bitwise identical to a
 //!   standalone run, steady-state allocation-free);
 //! * [`daemon`] — the sharded daemon: admission control, bounded queues
-//!   everywhere, per-tenant metric registries aggregated through the fleet
-//!   plane and served on the Prometheus scrape path;
+//!   everywhere, per-tenant metric registries merged and served on the
+//!   Prometheus scrape path;
 //! * [`client`] — the synchronous tenant client;
 //! * [`loadgen`] — the open-loop load generator and capacity sweep behind
 //!   the `gcs_loadgen` binary.

@@ -66,11 +66,6 @@ pub fn print_tta_summary(curves: &[TtaCurve], targets: &[f64], metric_name: &str
     }
 }
 
-/// Formats rounds/second with two decimals.
-pub fn fmt_rps(v: f64) -> String {
-    format!("{v:.2}")
-}
-
 /// Writes a set of curves to `target/experiment-results/<name>.csv`
 /// (header `label,time_s,metric`) so figures can be re-plotted without
 /// re-running training. Errors are reported but non-fatal — benches must
@@ -106,6 +101,5 @@ mod tests {
         print_curves_csv(&[c.clone()]);
         print_tta_summary(&[c.clone()], &[0.4, 0.9], "accuracy");
         write_curves_csv("smoke_test", &[c]);
-        assert_eq!(fmt_rps(1.234), "1.23");
     }
 }

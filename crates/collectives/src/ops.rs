@@ -34,15 +34,6 @@ pub struct Traffic {
 }
 
 impl Traffic {
-    #[cfg(test)]
-    fn new(n: usize) -> Traffic {
-        Traffic {
-            sent: vec![0; n],
-            received: vec![0; n],
-            steps: 0,
-        }
-    }
-
     /// Resets to `n` workers with zeroed counters, reusing the existing
     /// allocations when capacity suffices (no heap traffic at steady state).
     pub fn reset(&mut self, n: usize) {
@@ -285,6 +276,16 @@ pub fn all_gather_into<T: Clone>(
 mod tests {
     use super::*;
     use crate::reduce::{F32Sum, SaturatingIntSum};
+
+    impl Traffic {
+        fn new(n: usize) -> Traffic {
+            Traffic {
+                sent: vec![0; n],
+                received: vec![0; n],
+                steps: 0,
+            }
+        }
+    }
 
     fn worker_bufs(n: usize, len: usize) -> Vec<Vec<f32>> {
         (0..n)

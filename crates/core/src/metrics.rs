@@ -144,51 +144,6 @@ impl TtaCurve {
         }
         out
     }
-
-    /// Parses a curve from [`TtaCurve::to_csv`] output (all lines must
-    /// share one label).
-    ///
-    /// # Errors
-    /// Returns a description of the first malformed line — including lines
-    /// whose time does not strictly increase, which would otherwise violate
-    /// the curve's monotonicity invariant.
-    pub fn from_csv(csv: &str, direction: Direction) -> Result<TtaCurve, String> {
-        let mut curve: Option<TtaCurve> = None;
-        for (lineno, line) in csv.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut parts = line.splitn(3, ',');
-            let label = parts
-                .next()
-                .ok_or_else(|| format!("line {lineno}: empty"))?;
-            let t: f64 = parts
-                .next()
-                .ok_or_else(|| format!("line {lineno}: missing time"))?
-                .trim()
-                .parse()
-                .map_err(|e| format!("line {lineno}: bad time: {e}"))?;
-            let m: f64 = parts
-                .next()
-                .ok_or_else(|| format!("line {lineno}: missing metric"))?
-                .trim()
-                .parse()
-                .map_err(|e| format!("line {lineno}: bad metric: {e}"))?;
-            let c = curve.get_or_insert_with(|| TtaCurve::new(label, direction));
-            if c.label != label {
-                return Err(format!("line {lineno}: label changed mid-file"));
-            }
-            if let Some(&(prev, _)) = c.points.last() {
-                if t <= prev {
-                    return Err(format!(
-                        "line {lineno}: time {t} does not increase (previous {prev})"
-                    ));
-                }
-            }
-            c.push(t, m);
-        }
-        curve.ok_or_else(|| "empty csv".to_string())
-    }
 }
 
 /// The utility of `scheme` relative to `baseline` at a given `target`:
@@ -413,30 +368,11 @@ mod tests {
     }
 
     #[test]
-    fn csv_round_trip() {
+    fn to_csv_writes_one_label_time_metric_line_per_point() {
         let mut c = TtaCurve::new("scheme-x", Direction::LowerIsBetter);
         c.push(1.5, 30.0);
         c.push(3.0, 12.25);
-        let csv = c.to_csv();
-        let back = TtaCurve::from_csv(&csv, Direction::LowerIsBetter).unwrap();
-        assert_eq!(back.label, "scheme-x");
-        assert_eq!(back.points, c.points);
-        assert!(TtaCurve::from_csv("", Direction::LowerIsBetter).is_err());
-        assert!(TtaCurve::from_csv("a,1,nope", Direction::LowerIsBetter).is_err());
-    }
-
-    /// Regression: a CSV whose time column does not strictly increase used
-    /// to panic inside `push` (violating the documented error contract);
-    /// `from_csv` must return a malformed-line error instead.
-    #[test]
-    fn from_csv_rejects_non_increasing_time_as_error() {
-        let err =
-            TtaCurve::from_csv("x,2.0,0.5\nx,2.0,0.6\n", Direction::HigherIsBetter).unwrap_err();
-        assert!(err.contains("line 1"), "error should cite the line: {err}");
-        assert!(err.contains("does not increase"), "got: {err}");
-        let err =
-            TtaCurve::from_csv("x,3.0,0.5\nx,1.0,0.6\n", Direction::HigherIsBetter).unwrap_err();
-        assert!(err.contains("does not increase"), "got: {err}");
+        assert_eq!(c.to_csv(), "scheme-x,1.5,30\nscheme-x,3,12.25\n");
     }
 
     /// Regression: `utility` divided by a baseline TTA of 0 when the

@@ -102,19 +102,6 @@ impl GradientModel {
             })
             .collect()
     }
-
-    /// The exact fraction of signal energy contained in the top `f`
-    /// fraction of blocks — the theoretical capture ceiling for a
-    /// block-aligned sparsifier.
-    pub fn block_energy_fraction(&self, f: f64) -> f64 {
-        let blocks = self.d.div_ceil(self.block);
-        let take = ((blocks as f64 * f).round() as usize).min(blocks);
-        let total: f64 = (0..blocks)
-            .map(|r| ((r + 1) as f64).powf(-self.zipf_a))
-            .sum();
-        let top: f64 = (0..take).map(|r| ((r + 1) as f64).powf(-self.zipf_a)).sum();
-        top / total
-    }
 }
 
 /// Standard normal via Box-Muller (two uniforms).
@@ -187,16 +174,6 @@ mod tests {
             v_perm > 1.5 * v_plain,
             "permuted {v_perm} vs plain {v_plain}"
         );
-    }
-
-    #[test]
-    fn energy_fraction_is_monotone_and_normalized() {
-        let m = model();
-        assert!(m.block_energy_fraction(0.0) < 1e-9);
-        assert!((m.block_energy_fraction(1.0) - 1.0).abs() < 1e-9);
-        assert!(m.block_energy_fraction(0.01) < m.block_energy_fraction(0.1));
-        // Heavy tail: 1% of blocks hold a large share of the energy.
-        assert!(m.block_energy_fraction(0.01) > 0.5);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use gcs_core::metrics::{Direction, EarlyStopping, TtaCurve};
 use gcs_core::scheme::{AggregationOutcome, CompressionScheme, RoundContext};
 use gcs_faults::TrainFaultPlan;
-use gcs_nn::{Adam, LrSchedule, Model, Sgd};
+use gcs_nn::{Model, Sgd};
 use gcs_tensor::vector::vnmse;
 
 /// Configuration of one training run.
@@ -47,59 +47,10 @@ pub struct TrainerConfig {
     /// Measure vNMSE on every k-th round (0 disables); measuring requires
     /// an extra exact reduction, so sampling keeps runs fast.
     pub vnmse_every: u64,
-    /// Which optimizer consumes the aggregated gradient.
-    pub optimizer: OptimizerKind,
-    /// Learning-rate schedule applied on top of `lr`.
-    pub lr_schedule: LrSchedule,
     /// Injected worker crashes (`None`/empty = healthy run). On a crash the
     /// trainer renormalizes the ring over the survivors and keeps training;
     /// see [`TrainLog::fault_events`].
     pub faults: Option<TrainFaultPlan>,
-}
-
-/// Optimizer selection for a training run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OptimizerKind {
-    /// SGD with momentum (the paper's VGG-style setting).
-    Sgd,
-    /// AdamW (the practical choice for transformer LMs).
-    Adam,
-}
-
-/// Internal: unified optimizer dispatch.
-enum AnyOptimizer {
-    Sgd(Sgd),
-    Adam(Adam),
-}
-
-impl AnyOptimizer {
-    fn new(cfg: &TrainerConfig) -> AnyOptimizer {
-        match cfg.optimizer {
-            OptimizerKind::Sgd => {
-                AnyOptimizer::Sgd(Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay))
-            }
-            OptimizerKind::Adam => AnyOptimizer::Adam(Adam::new(cfg.lr, cfg.weight_decay)),
-        }
-    }
-
-    /// Takes one scheduled-LR step in place on the model's flat parameter
-    /// slice — no delta vector, no allocation in steady state.
-    fn step_into(&mut self, params: &mut [f32], grad: &[f32], lr_factor: f32) {
-        match self {
-            AnyOptimizer::Sgd(o) => {
-                let base = o.lr;
-                o.lr = base * lr_factor;
-                o.step_into(params, grad);
-                o.lr = base;
-            }
-            AnyOptimizer::Adam(o) => {
-                let base = o.lr;
-                o.lr = base * lr_factor;
-                o.step_into(params, grad);
-                o.lr = base;
-            }
-        }
-    }
 }
 
 impl Default for TrainerConfig {
@@ -115,8 +66,6 @@ impl Default for TrainerConfig {
             weight_decay: 0.0,
             early_stopping: None,
             vnmse_every: 10,
-            optimizer: OptimizerKind::Sgd,
-            lr_schedule: LrSchedule::Constant,
             faults: None,
         }
     }
@@ -275,7 +224,7 @@ impl Trainer {
             Direction::LowerIsBetter
         };
         let mut curve = TtaCurve::new(scheme.name(), direction);
-        let mut opt = AnyOptimizer::new(cfg);
+        let mut opt = Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay);
         let mut stopper = cfg.early_stopping.map(|(alpha, patience, min_evals)| {
             EarlyStopping::new(alpha, patience, min_evals, direction)
         });
@@ -355,15 +304,11 @@ impl Trainer {
                 gcs_trace::counter("vnmse", sample);
             }
 
-            // 3. Optimizer step on the aggregate (scheduled LR), in place
-            //    on the model's flat parameter arena.
+            // 3. Optimizer step on the aggregate, in place on the model's
+            //    flat parameter arena.
             {
                 let _s = gcs_trace::span(gcs_trace::Phase::Optimizer, "optimizer_step");
-                opt.step_into(
-                    model.params_flat_mut(),
-                    &outcome.mean_estimate,
-                    cfg.lr_schedule.factor(round),
-                );
+                opt.step_into(model.params_flat_mut(), &outcome.mean_estimate);
             }
             rounds_done = round + 1;
 
@@ -571,29 +516,6 @@ mod tests {
         assert!(
             log.rounds < 2000 || !log.early_stopped,
             "either it stopped early or it used the budget"
-        );
-    }
-
-    #[test]
-    fn adam_with_cosine_schedule_trains_the_lm() {
-        let mut model = BertMini::new(2);
-        let mut scheme = PrecisionBaseline::fp32();
-        let cfg = TrainerConfig {
-            optimizer: OptimizerKind::Adam,
-            lr: 0.003,
-            lr_schedule: gcs_nn::LrSchedule::WarmupCosine {
-                warmup: 10,
-                total: 150,
-                floor: 0.1,
-            },
-            ..quick_config()
-        };
-        let log = Trainer::new(cfg).train(&mut model, &mut scheme, 0.5);
-        let first = log.curve.first_metric().expect("run recorded evals");
-        assert!(
-            log.final_metric < first,
-            "Adam run did not improve: {first} -> {}",
-            log.final_metric
         );
     }
 

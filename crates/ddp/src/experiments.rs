@@ -58,8 +58,6 @@ impl Task {
                 weight_decay: 0.0,
                 early_stopping: None,
                 vnmse_every: 10,
-                optimizer: crate::engine::OptimizerKind::Sgd,
-                lr_schedule: gcs_nn::LrSchedule::Constant,
                 faults: None,
             },
             Task::Vgg => TrainerConfig {
@@ -73,8 +71,6 @@ impl Task {
                 weight_decay: 1e-4,
                 early_stopping: None,
                 vnmse_every: 30,
-                optimizer: crate::engine::OptimizerKind::Sgd,
-                lr_schedule: gcs_nn::LrSchedule::Constant,
                 faults: None,
             },
         }

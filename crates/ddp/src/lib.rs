@@ -28,7 +28,7 @@ pub mod fleet;
 pub mod throughput;
 
 pub use bucketing::{bucket_ranges, PipelineModel};
-pub use engine::{FaultEvent, OptimizerKind, TrainLog, Trainer, TrainerConfig};
+pub use engine::{FaultEvent, TrainLog, Trainer, TrainerConfig};
 pub use experiments::{ExperimentPlan, Task};
 pub use fleet::{fleet_round, param_checksum, sync_params, FleetRoundOutcome};
 pub use throughput::{StepBreakdown, ThroughputModel};

@@ -32,10 +32,10 @@ use std::path::Path;
 use crate::json::Json;
 use crate::registry::Registry;
 use crate::Histogram;
-use gcs_trace::bytes::{put_f64, put_str, put_u32, put_u64, put_u8, Cursor, Prefix};
+use gcs_trace::bytes::{put_f64, put_str, put_u32, put_u8, Cursor, Prefix, WireError};
 
 /// Version byte leading every encoded registry. Bump on layout change.
-pub const FLEET_WIRE_VERSION: u8 = 1;
+pub const FLEET_WIRE_VERSION: u8 = 2;
 
 /// Histogram every fleet worker records its per-round wall time into; the
 /// aggregator derives per-rank round-latency gauges and straggler skew
@@ -47,7 +47,7 @@ pub const ROUND_HIST: &str = "fleet/round_ns";
 pub const WIRE_BYTES_COUNTER: &str = "fleet/wire_bytes_total";
 
 /// Serializes a full [`Registry`] for shipping: version byte, then the
-/// four metric sections (counters, gauges, histograms, series), each
+/// three metric sections (counters, gauges, histograms), each
 /// length-prefixed, all little-endian.
 pub fn encode_registry(reg: &Registry) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
@@ -70,22 +70,12 @@ pub fn encode_registry(reg: &Registry) -> Vec<u8> {
         put_str(&mut out, Prefix::U32, name);
         h.wire_encode(&mut out);
     }
-    let series: Vec<_> = reg.all_series().collect();
-    put_u32(&mut out, series.len() as u32);
-    for (name, s) in series {
-        put_str(&mut out, Prefix::U32, name);
-        let points: Vec<(u64, f64)> = s.iter().collect();
-        put_u32(&mut out, points.len() as u32);
-        for (round, v) in points {
-            put_u64(&mut out, round);
-            put_f64(&mut out, v);
-        }
-    }
     out
 }
 
 /// Inverse of [`encode_registry`]. Truncated payloads, unknown versions,
-/// and length prefixes past the buffer end all produce `Err`.
+/// length prefixes past the buffer end and bytes left after the last
+/// section all produce `Err`.
 pub fn decode_registry(bytes: &[u8]) -> Result<Registry, String> {
     let mut r = Cursor::new(bytes);
     let version = r.u8()?;
@@ -107,14 +97,10 @@ pub fn decode_registry(bytes: &[u8]) -> Result<Registry, String> {
         let h = Histogram::wire_decode(&mut r)?;
         reg.insert_hist(name, h);
     }
-    for _ in 0..r.count(Prefix::U32, 8)? {
-        let name = r.str(Prefix::U32)?;
-        for _ in 0..r.count(Prefix::U32, 16)? {
-            let round = r.u64()?;
-            reg.series_push(&name, round, r.f64()?);
-        }
+    match r.remaining() {
+        0 => Ok(reg),
+        extra => Err(WireError::Trailing { extra }.into()),
     }
-    Ok(reg)
 }
 
 /// One fleet worker as seen by the collector.
@@ -490,8 +476,6 @@ mod tests {
         for i in 1..=100 {
             r.observe(ROUND_HIST, 1000.0 * i as f64);
         }
-        r.series_push("train/vnmse", 0, 0.5);
-        r.series_push("train/vnmse", 1, 0.4);
         r
     }
 
@@ -506,10 +490,6 @@ mod tests {
         assert_eq!(h.min(), Some(1000.0));
         assert_eq!(h.max(), Some(100_000.0));
         assert_eq!(h.p50(), reg.hist(ROUND_HIST).unwrap().p50());
-        assert_eq!(
-            decoded.series("train/vnmse").unwrap().to_vec(),
-            vec![(0, 0.5), (1, 0.4)]
-        );
     }
 
     #[test]

@@ -160,11 +160,6 @@ impl Histogram {
         self.quantile(0.50)
     }
 
-    /// 90th percentile.
-    pub fn p90(&self) -> Option<f64> {
-        self.quantile(0.90)
-    }
-
     /// 99th percentile.
     pub fn p99(&self) -> Option<f64> {
         self.quantile(0.99)

@@ -2,11 +2,10 @@
 //!
 //! Where `gcs-trace` records *raw events* (spans, counter samples) for post
 //! hoc analysis, this crate maintains *aggregated live state*: monotonic
-//! counters, gauges, log-bucketed quantile histograms ([`Histogram`]) and
-//! per-round time series ([`TimeSeries`]), plus the fleet-wide aggregation
-//! in [`fleet`], whose one derived skew gauge is
-//! [`FleetAggregator::straggler_skew`]. Time-to-accuracy, utility against
-//! FP16 and early stopping are defined once, in `gcs_core::metrics`.
+//! counters, gauges and log-bucketed quantile histograms ([`Histogram`]),
+//! plus the fleet-wide aggregation in [`fleet`], whose one derived skew
+//! gauge is [`FleetAggregator::straggler_skew`]. Time-to-accuracy, utility
+//! against FP16 and early stopping are defined once, in `gcs_core::metrics`.
 //! [`Registry::to_prometheus`] serializes the state in the Prometheus text
 //! format; [`Json`] is the dependency-free value type machine-readable
 //! reports are built from.
@@ -25,7 +24,6 @@ pub mod fleet;
 mod hist;
 mod json;
 mod registry;
-mod series;
 
 pub use fleet::{
     decode_registry, encode_registry, FleetAggregator, FleetMember, FlightEntry, FlightRecorder,
@@ -34,4 +32,3 @@ pub use fleet::{
 pub use hist::{Histogram, REL_ERROR, SUB_BITS};
 pub use json::Json;
 pub use registry::Registry;
-pub use series::{TimeSeries, DEFAULT_CAPACITY};

@@ -1,5 +1,5 @@
-//! The metric registry: named counters, gauges, histograms, and time series,
-//! plus the Prometheus exporter.
+//! The metric registry: named counters, gauges and histograms, plus the
+//! Prometheus exporter.
 //!
 //! Naming convention (slash-separated, lowercase): `fleet/...` for the fleet
 //! worker and aggregator, `aggd/...` for the aggregation daemon.
@@ -9,7 +9,6 @@
 use std::collections::BTreeMap;
 
 use crate::hist::Histogram;
-use crate::series::TimeSeries;
 
 /// A snapshot-able collection of named metrics.
 ///
@@ -20,7 +19,6 @@ pub struct Registry {
     counters: BTreeMap<String, f64>,
     gauges: BTreeMap<String, f64>,
     hists: BTreeMap<String, Histogram>,
-    series: BTreeMap<String, TimeSeries>,
 }
 
 impl Registry {
@@ -30,7 +28,6 @@ impl Registry {
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
             hists: BTreeMap::new(),
-            series: BTreeMap::new(),
         }
     }
 
@@ -63,17 +60,6 @@ impl Registry {
         }
     }
 
-    /// Appends `(round, v)` to time series `name`.
-    pub fn series_push(&mut self, name: &str, round: u64, v: f64) {
-        if let Some(s) = self.series.get_mut(name) {
-            s.push(round, v);
-        } else {
-            let mut s = TimeSeries::default();
-            s.push(round, v);
-            self.series.insert(name.to_string(), s);
-        }
-    }
-
     /// Counter value, `None` if never incremented.
     pub fn counter(&self, name: &str) -> Option<f64> {
         self.counters.get(name).copied()
@@ -87,11 +73,6 @@ impl Registry {
     /// Histogram by name.
     pub fn hist(&self, name: &str) -> Option<&Histogram> {
         self.hists.get(name)
-    }
-
-    /// Time series by name.
-    pub fn series(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.get(name)
     }
 
     /// All counters, sorted by name.
@@ -109,21 +90,13 @@ impl Registry {
         self.hists.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// All time series, sorted by name.
-    pub fn all_series(&self) -> impl Iterator<Item = (&str, &TimeSeries)> {
-        self.series.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.hists.is_empty()
-            && self.series.is_empty()
+        self.counters.is_empty() && self.gauges.is_empty() && self.hists.is_empty()
     }
 
     /// Folds `other` into `self`: counters add, gauges take `other`'s value,
-    /// histograms merge, series points append in `other`'s order.
+    /// histograms merge.
     pub fn merge(&mut self, other: &Registry) {
         for (k, &v) in &other.counters {
             self.counter_add(k, v);
@@ -138,11 +111,6 @@ impl Registry {
                 self.hists.insert(k.clone(), h.clone());
             }
         }
-        for (k, s) in &other.series {
-            for (round, v) in s.iter() {
-                self.series_push(k, round, v);
-            }
-        }
     }
 
     /// Installs a fully-built histogram under `name`, replacing any existing
@@ -153,13 +121,12 @@ impl Registry {
 
     /// Prometheus text exposition format (0.0.4). Histograms are exported as
     /// `summary` metrics with p50/p90/p99 quantile labels plus `_sum` and
-    /// `_count`; time series contribute their latest value as a gauge with a
-    /// `_latest` suffix.
+    /// `_count`.
     pub fn to_prometheus(&self) -> String {
         // Sanitization can collide distinct registry names (`a/b` and `a-b`
         // both become `gcs_a_b`); the exposition format allows repeated
         // sample lines but at most one `# TYPE` per metric name, so TYPE
-        // lines are deduplicated across all four sections.
+        // lines are deduplicated across all three sections.
         let mut typed = std::collections::BTreeSet::new();
         let mut type_line = |out: &mut String, m: &str, kind: &str| {
             if typed.insert(m.to_string()) {
@@ -188,17 +155,6 @@ impl Registry {
             out.push_str(&format!("{m}_sum {}\n", prom_value(h.sum())));
             out.push_str(&format!("{m}_count {}\n", h.count()));
         }
-        for (name, s) in &self.series {
-            if let Some((round, v)) = s.latest() {
-                let m = prom_name(name);
-                let label = prom_label_value(&round.to_string());
-                type_line(&mut out, &format!("{m}_latest"), "gauge");
-                out.push_str(&format!(
-                    "{m}_latest{{round=\"{label}\"}} {}\n",
-                    prom_value(v)
-                ));
-            }
-        }
         out
     }
 }
@@ -214,21 +170,6 @@ fn prom_name(name: &str) -> String {
             out.push(ch);
         } else {
             out.push('_');
-        }
-    }
-    out
-}
-
-/// Escapes a label value per the exposition format: backslash, double
-/// quote, and newline must be backslash-escaped inside `label="..."`.
-fn prom_label_value(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for ch in v.chars() {
-        match ch {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
         }
     }
     out
@@ -265,14 +206,11 @@ mod tests {
     }
 
     #[test]
-    fn observe_and_series_create_on_first_use() {
+    fn observe_creates_on_first_use() {
         let mut r = Registry::new();
         r.observe("lat", 1.0);
         r.observe("lat", 3.0);
-        r.series_push("loss", 0, 2.0);
-        r.series_push("loss", 1, 1.0);
         assert_eq!(r.hist("lat").unwrap().count(), 2);
-        assert_eq!(r.series("loss").unwrap().latest(), Some((1, 1.0)));
     }
 
     #[test]
@@ -283,12 +221,10 @@ mod tests {
         b.counter_add("c", 2.0);
         b.gauge_set("g", 7.0);
         b.observe("h", 5.0);
-        b.series_push("s", 3, 9.0);
         a.merge(&b);
         assert_eq!(a.counter("c"), Some(3.0));
         assert_eq!(a.gauge("g"), Some(7.0));
         assert_eq!(a.hist("h").unwrap().count(), 1);
-        assert_eq!(a.series("s").unwrap().latest(), Some((3, 9.0)));
     }
 
     #[test]
@@ -299,7 +235,6 @@ mod tests {
         for i in 1..=100 {
             r.observe("collective/ring/latency_ns", i as f64);
         }
-        r.series_push("train/vnmse", 0, 0.1);
         let text = r.to_prometheus();
         assert!(text.contains("# TYPE gcs_collective_ring_wire_bytes counter"));
         assert!(text.contains("gcs_collective_ring_wire_bytes 1024"));
@@ -307,7 +242,6 @@ mod tests {
         assert!(text.contains("# TYPE gcs_collective_ring_latency_ns summary"));
         assert!(text.contains("gcs_collective_ring_latency_ns{quantile=\"0.99\"}"));
         assert!(text.contains("gcs_collective_ring_latency_ns_count 100"));
-        assert!(text.contains("gcs_train_vnmse_latest{round=\"0\"} 0.1"));
         // Every non-comment line is `name[{labels}] value`.
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             let (_, value) = line.rsplit_once(' ').expect("line has a value");
@@ -364,13 +298,5 @@ mod tests {
         assert_eq!(type_lines, 1, "{text}");
         let sample_lines = text.lines().filter(|l| l.starts_with("gcs_a_b ")).count();
         assert_eq!(sample_lines, 2, "{text}");
-    }
-
-    #[test]
-    fn label_values_are_escaped() {
-        assert_eq!(prom_label_value("plain"), "plain");
-        assert_eq!(prom_label_value("a\"b"), "a\\\"b");
-        assert_eq!(prom_label_value("a\\b"), "a\\\\b");
-        assert_eq!(prom_label_value("a\nb"), "a\\nb");
     }
 }

@@ -191,19 +191,6 @@ impl Network {
         Ok(self)
     }
 
-    /// Panicking convenience over [`Network::try_with_degradation`] for
-    /// builder chains whose schedules are statically known good.
-    ///
-    /// # Panics
-    /// Panics on an out-of-range node, a non-finite/negative factor, or a
-    /// non-finite/negative time — malformed schedules are caller bugs.
-    pub fn with_degradation(self, d: Degradation) -> Network {
-        match self.try_with_degradation(d) {
-            Ok(net) => net,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.egress.len()
@@ -585,8 +572,9 @@ mod tests {
     fn mid_simulation_slowdown_stretches_completion() {
         // 10 GB at 10 GB/s would finish at t=1; halving the sender's egress
         // at t=0.5 leaves 5 GB to move at 5 GB/s -> finish at 1.5 s.
-        let net =
-            Network::homogeneous(2, 10.0 * GB).with_degradation(Degradation::slowdown(0.5, 0, 0.5));
+        let net = Network::homogeneous(2, 10.0 * GB)
+            .try_with_degradation(Degradation::slowdown(0.5, 0, 0.5))
+            .expect("valid degradation");
         let r = net.simulate(&[Flow {
             src: 0,
             dst: 1,
@@ -600,7 +588,9 @@ mod tests {
     fn capacity_cut_aborts_stranded_flow_finitely() {
         // The sender's link dies at t=0.5 with half the bytes still queued:
         // the flow must abort *at* 0.5, not hang or panic.
-        let net = Network::homogeneous(2, 10.0 * GB).with_degradation(Degradation::cut(0.5, 0));
+        let net = Network::homogeneous(2, 10.0 * GB)
+            .try_with_degradation(Degradation::cut(0.5, 0))
+            .expect("valid degradation");
         let r = net.simulate(&[Flow {
             src: 0,
             dst: 1,
@@ -614,7 +604,9 @@ mod tests {
 
     #[test]
     fn zero_capacity_link_aborts_at_time_zero_and_counts() {
-        let net = Network::homogeneous(3, 10.0 * GB).with_degradation(Degradation::cut(0.0, 1));
+        let net = Network::homogeneous(3, 10.0 * GB)
+            .try_with_degradation(Degradation::cut(0.0, 1))
+            .expect("valid degradation");
         let flows = vec![
             Flow {
                 src: 0,
@@ -644,8 +636,10 @@ mod tests {
         // Link dies at 0.2 and comes back at 0.7: 2 GB moved, 0.5 s stall,
         // then the remaining 8 GB at line rate -> 0.7 + 0.8 = 1.5 s.
         let net = Network::homogeneous(2, 10.0 * GB)
-            .with_degradation(Degradation::cut(0.2, 0))
-            .with_degradation(Degradation::slowdown(0.7, 0, 1.0));
+            .try_with_degradation(Degradation::cut(0.2, 0))
+            .expect("valid degradation")
+            .try_with_degradation(Degradation::slowdown(0.7, 0, 1.0))
+            .expect("valid degradation");
         let r = net.simulate(&[Flow {
             src: 0,
             dst: 1,
@@ -661,7 +655,8 @@ mod tests {
     #[test]
     fn straggler_monitor_sees_injected_degradation() {
         let net = Network::homogeneous(4, 10.0 * GB)
-            .with_degradation(Degradation::slowdown(0.0, 1, 0.25));
+            .try_with_degradation(Degradation::slowdown(0.0, 1, 0.25))
+            .expect("valid degradation");
         let flows = vec![
             Flow {
                 src: 0,
@@ -682,12 +677,6 @@ mod tests {
         let skew = max / (r.completion.iter().sum::<f64>() / 2.0);
         // max/mean = 4.0 / 2.5 = 1.6.
         assert!((skew - 1.6).abs() < 1e-6, "skew = {skew}");
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn degradation_rejects_bad_node() {
-        let _ = Network::homogeneous(2, GB).with_degradation(Degradation::cut(0.0, 5));
     }
 
     #[test]
@@ -727,6 +716,8 @@ mod tests {
         assert!(net().try_with_degradation(Degradation::cut(1.0, 1)).is_ok());
         let msg = FlowSimError::BadEventTime { at: f64::NAN }.to_string();
         assert!(msg.contains("bad time"), "{msg}");
+        let msg = FlowSimError::NodeOutOfRange { node: 5, len: 2 }.to_string();
+        assert!(msg.contains("out of range"), "{msg}");
     }
 
     #[test]
@@ -735,7 +726,9 @@ mod tests {
         // t=0 carrying a zero-byte flow. Nothing needs to move, so the flow
         // completes instantly instead of aborting or dividing 0/0 into the
         // event queue.
-        let net = Network::homogeneous(2, GB).with_degradation(Degradation::cut(0.0, 0));
+        let net = Network::homogeneous(2, GB)
+            .try_with_degradation(Degradation::cut(0.0, 0))
+            .expect("valid degradation");
         let r = net.simulate(&[Flow {
             src: 0,
             dst: 1,

@@ -116,7 +116,7 @@ proptest! {
         // monotone in effective sender capacity.
         let bw = 1e10;
         let net = Network::homogeneous(n, bw)
-            .with_degradation(Degradation::slowdown(0.0, 0, factor));
+            .try_with_degradation(Degradation::slowdown(0.0, 0, factor)).expect("valid degradation");
         let flows: Vec<Flow> = (0..n - 1)
             .map(|s| Flow { src: s, dst: n - 1, bytes })
             .collect();
@@ -147,7 +147,7 @@ proptest! {
         // the report is always finite and the abort flag is always honest.
         let bw = 1e9;
         let net = Network::homogeneous(n, bw)
-            .with_degradation(Degradation::cut(cut_at, 0));
+            .try_with_degradation(Degradation::cut(cut_at, 0)).expect("valid degradation");
         let flows = vec![Flow { src: 0, dst: n - 1, bytes }];
         let report = net.simulate(&flows);
         prop_assert!(report.makespan.is_finite());

@@ -35,4 +35,4 @@ pub use attention::SelfAttention;
 pub use data::{Batch, ImageDataset, TextDataset};
 pub use layers::{Layer, LayerNorm, ParamSegment, Sequential};
 pub use models::{BertMini, Model, TransformerMini, VggMini};
-pub use optim::{Adam, LrSchedule, Sgd};
+pub use optim::Sgd;

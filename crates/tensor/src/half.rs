@@ -43,11 +43,6 @@ impl F16 {
         (self.0 & 0x7c00) == 0x7c00 && (self.0 & 0x03ff) != 0
     }
 
-    /// Returns true if the value is +/- infinity.
-    pub fn is_infinite(self) -> bool {
-        (self.0 & 0x7fff) == 0x7c00
-    }
-
     /// Sum performed in binary16 precision: convert both to f32, add, round
     /// back to binary16. This is the reduction NCCL performs for
     /// `ncclFloat16` all-reduce and is what the FP16 baseline and TopKC's
@@ -187,7 +182,7 @@ mod tests {
         assert_eq!(F16::from_f32(1e6), F16::INFINITY);
         assert_eq!(F16::from_f32(-1e6), F16::NEG_INFINITY);
         // 65520 is the rounding boundary: rounds to infinity.
-        assert!(F16::from_f32(65520.0).is_infinite());
+        assert_eq!(F16::from_f32(65520.0), F16::INFINITY);
         // Just below the boundary rounds to MAX.
         assert_eq!(F16::from_f32(65519.0).0, F16::MAX.0);
     }

@@ -17,7 +17,7 @@
 //! timeline. An 8-process training round therefore renders as eight
 //! aligned swimlane groups in one trace viewer tab.
 
-use crate::bytes::{put_f64, put_str, put_u32, put_u64, Cursor, Prefix};
+use crate::bytes::{put_f64, put_str, put_u32, put_u64, Cursor, Prefix, WireError};
 use crate::chrome::{escape_into, ns_to_us, push_f64, push_u64, sep};
 use crate::{Phase, Trace};
 
@@ -125,8 +125,8 @@ const MIN_SPAN_BYTES: usize = 1 + 2 + 32;
 const MIN_COUNTER_BYTES: usize = 2 + 32;
 
 /// Decodes the output of [`encode_trace`]. Any truncation, unknown
-/// version, bad phase tag, or length prefix past the buffer end is an
-/// error naming the problem.
+/// version, bad phase tag, length prefix past the buffer end, or byte left
+/// after the last counter is an error naming the problem.
 pub fn decode_trace(bytes: &[u8]) -> Result<OwnedTrace, String> {
     let mut cur = Cursor::new(bytes);
     let version = cur.u8()?;
@@ -160,7 +160,10 @@ pub fn decode_trace(bytes: &[u8]) -> Result<OwnedTrace, String> {
             tid: cur.u64()?,
         });
     }
-    Ok(OwnedTrace { spans, counters })
+    match cur.remaining() {
+        0 => Ok(OwnedTrace { spans, counters }),
+        extra => Err(WireError::Trailing { extra }.into()),
+    }
 }
 
 /// One rank's contribution to a merged fleet trace.

@@ -26,7 +26,7 @@ use gradient_utility::core::schemes::topk::TopK;
 use gradient_utility::core::schemes::topkc::TopKC;
 use gradient_utility::core::schemes::topkc_q::TopKCQ;
 use gradient_utility::gpusim::DeviceSpec;
-use gradient_utility::nn::{Adam, BertMini, Model, Sgd, TransformerMini, VggMini};
+use gradient_utility::nn::{BertMini, Model, Sgd, TransformerMini, VggMini};
 use gradient_utility::tensor::bitpack::PackedIntVec;
 use gradient_utility::tensor::hadamard::RotationMode;
 use gradient_utility::tensor::parallel::with_threads;
@@ -259,7 +259,7 @@ fn powersgd_round_allocation_budget_is_bounded() {
 
 #[test]
 fn optimizer_step_into_steady_state_is_allocation_free() {
-    // `step_into` updates in place, with optimizer state sized once on the
+    // `step_into` updates in place, with the velocity sized once on the
     // first call (covered by the warm-up rounds).
     with_threads(1, || {
         let g = grads(1, D);
@@ -267,11 +267,6 @@ fn optimizer_step_into_steady_state_is_allocation_free() {
         let mut sgd = Sgd::new(0.05, 0.9, 1e-4);
         let events = steady_events(|| sgd.step_into(&mut params, &g[0]));
         assert_eq!(events, 0, "Sgd::step_into must not allocate");
-
-        let mut params = vec![0.1f32; D];
-        let mut adam = Adam::new(0.002, 1e-4);
-        let events = steady_events(|| adam.step_into(&mut params, &g[0]));
-        assert_eq!(events, 0, "Adam::step_into must not allocate");
     });
 }
 

@@ -6,9 +6,11 @@
 //! * every strict prefix of a valid encoding is `Err`, never a panic;
 //! * every single-byte mutation returns `Ok` or `Err`, never a panic;
 //! * a count or length prefix inflated to its maximum is refused *before*
-//!   it can size an allocation.
+//!   it can size an allocation;
+//! * a span or fleet wire encoding followed by one more byte is `Err`, so
+//!   a payload of another layout behind a forged version byte is refused.
 //!
-//! One generator per format; the three checks are shared. The length
+//! One generator per format; the first three checks are shared. The length
 //! prefix of the framed carrier under all of them is held to the third
 //! rule on a live socket.
 
@@ -153,9 +155,8 @@ fn registry_strategy() -> impl Strategy<Value = Registry> {
         prop::collection::vec(sample(), 0..4),
         prop::collection::vec(sample(), 0..4),
         prop::collection::vec(sample(), 0..6),
-        prop::collection::vec(sample(), 0..6),
     )
-        .prop_map(|(counters, gauges, observations, points)| {
+        .prop_map(|(counters, gauges, observations)| {
             let mut reg = Registry::new();
             for (name, bits) in counters {
                 reg.counter_add(NAMES[name], f64::from_bits(bits));
@@ -165,9 +166,6 @@ fn registry_strategy() -> impl Strategy<Value = Registry> {
             }
             for (name, bits) in observations {
                 reg.observe(NAMES[name], (bits % 1_000_000) as f64);
-            }
-            for (round, (name, bits)) in points.into_iter().enumerate() {
-                reg.series_push(NAMES[name], round as u64, f64::from_bits(bits));
             }
             reg
         })
@@ -369,6 +367,20 @@ proptest! {
     }
 
     #[test]
+    fn span_and_fleet_wire_refuse_trailing_bytes(
+        trace in trace_strategy(),
+        reg in registry_strategy(),
+        extra in any::<u8>(),
+    ) {
+        let mut span = encode_trace(&trace);
+        span.push(extra);
+        prop_assert!(decode_trace(&span).is_err());
+        let mut fleet = encode_registry(&reg);
+        fleet.push(extra);
+        prop_assert!(decode_registry(&fleet).is_err());
+    }
+
+    #[test]
     fn aggd_messages_are_total(frame in aggd_strategy(), flip in any::<u8>()) {
         assert_total(&frame, flip, |bytes| decode_aggd(bytes, DIM));
     }
@@ -484,28 +496,23 @@ fn inflated_prefixes_are_refused_before_they_size_an_allocation() {
     assert_guards_prefixes(&encode_trace(&trace), &prefixes, decode_trace);
 
     // Fleet wire: [version][n_counters u32] [name u32+utf8][f64] … [n_gauges u32] … with the
-    // histogram's bucket count and the series' point count further in.
+    // histogram's bucket count further in.
     let mut reg = Registry::new();
     for (i, name) in [LONG, "b", "c"].into_iter().enumerate() {
         reg.counter_add(name, i as f64);
     }
     reg.gauge_set("g", 1.0);
     reg.observe("h", 1000.0);
-    reg.series_push("s", 0, 0.5);
     let counters = 3 * (4 + 8) + LONG.len() + 2;
     let n_gauges = 5 + counters;
     let n_hists = n_gauges + 4 + (4 + 1 + 8);
     let n_buckets = n_hists + 4 + (4 + 1) + 5 * 8;
-    let n_series = n_buckets + 4 + 12;
-    let n_points = n_series + 4 + (4 + 1);
     let prefixes = [
         (1, 4, 3),
         (5, 4, name),
         (n_gauges, 4, 1),
         (n_hists, 4, 1),
         (n_buckets, 4, 1),
-        (n_series, 4, 1),
-        (n_points, 4, 1),
     ];
     let registry_bytes = encode_registry(&reg);
     assert_guards_prefixes(&registry_bytes, &prefixes, decode_registry);

@@ -5,14 +5,14 @@
 //!   layer order (the old `Vec<f32>`-per-layer storage discipline), for
 //!   VggMini and BertMini, at 1/2/4 threads;
 //! * a single whole-model optimizer step equals independent per-layer
-//!   optimizer steps over the arena's layer slices (SGD+momentum and Adam);
+//!   optimizer steps over the arena's layer slices (SGD+momentum);
 //! * arena offsets tile the parameter space exactly (no gaps, no overlap).
 //!
 //! Together these justify the engine's single-slice replica sync and the
 //! schemes' whole-model pooled collective calls: nothing about flattening
 //! can change a bit of the training trajectory.
 
-use gradient_utility::nn::{Adam, BertMini, Model, Sgd, VggMini};
+use gradient_utility::nn::{BertMini, Model, Sgd, VggMini};
 use gradient_utility::tensor::parallel::with_threads;
 use proptest::prelude::*;
 
@@ -80,41 +80,22 @@ fn assert_flat_matches_layered(
 /// Splits `flat` at the arena offsets and applies one optimizer step per
 /// layer with an independent optimizer instance; element-wise optimizer
 /// state makes this bitwise-equal to the whole-model step.
-fn step_per_layer(params: &mut [f32], grad: &[f32], offsets: &[usize], opts: &mut [AnyOpt]) {
+fn step_per_layer(params: &mut [f32], grad: &[f32], offsets: &[usize], opts: &mut [Sgd]) {
     for (l, w) in offsets.windows(2).enumerate() {
         let (lo, hi) = (w[0], w[1]);
         opts[l].step_into(&mut params[lo..hi], &grad[lo..hi]);
     }
 }
 
-enum AnyOpt {
-    Sgd(Sgd),
-    Adam(Adam),
-}
-
-impl AnyOpt {
-    fn step_into(&mut self, params: &mut [f32], grad: &[f32]) {
-        match self {
-            AnyOpt::Sgd(o) => o.step_into(params, grad),
-            AnyOpt::Adam(o) => o.step_into(params, grad),
-        }
-    }
-}
-
-fn assert_whole_model_step_matches_per_layer(make_sgd: bool, seed: u64) {
-    let mut whole = VggMini::new(seed);
-    let mut layered = VggMini::new(seed);
+#[test]
+fn whole_model_sgd_step_matches_per_layer_steps_bitwise() {
+    let mut whole = VggMini::new(11);
+    let mut layered = VggMini::new(11);
     let offsets: Vec<usize> = whole.net().param_arena().offsets().to_vec();
     let n_layers = offsets.len() - 1;
-    let make_opt = || {
-        if make_sgd {
-            AnyOpt::Sgd(Sgd::new(0.05, 0.9, 1e-4))
-        } else {
-            AnyOpt::Adam(Adam::new(0.002, 1e-4))
-        }
-    };
+    let make_opt = || Sgd::new(0.05, 0.9, 1e-4);
     let mut whole_opt = make_opt();
-    let mut layer_opts: Vec<AnyOpt> = (0..n_layers).map(|_| make_opt()).collect();
+    let mut layer_opts: Vec<Sgd> = (0..n_layers).map(|_| make_opt()).collect();
     for round in 0..3u64 {
         let batch = whole.train_batch(4, 0, round);
         whole.forward_backward(&batch);
@@ -169,16 +150,6 @@ fn arena_offsets_tile_the_parameter_space_exactly() {
         }
         assert_eq!(lens.iter().sum::<usize>(), arena_len, "{name}: coverage");
     }
-}
-
-#[test]
-fn whole_model_sgd_step_matches_per_layer_steps_bitwise() {
-    assert_whole_model_step_matches_per_layer(true, 11);
-}
-
-#[test]
-fn whole_model_adam_step_matches_per_layer_steps_bitwise() {
-    assert_whole_model_step_matches_per_layer(false, 11);
 }
 
 proptest! {
