@@ -35,21 +35,31 @@ thread_local! {
 /// ```
 pub struct CountingAlloc;
 
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract, and returns what `System` returned.
+// The counting around each call only bumps const-initialized thread-local
+// `Cell<u64>`s: they have no destructor and no lazy initializer, so the
+// hooks never allocate (no recursion), never observe a destroyed key and
+// never panic (no unwinding out of the allocator).
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|c| c.set(c.get() + 1));
         BYTES.with(|c| c.set(c.get() + layout.size() as u64));
+        // SAFETY: the caller's `layout` contract is `System.alloc`'s.
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         DEALLOCS.with(|c| c.set(c.get() + 1));
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
+        // this `layout` (the caller's contract).
         System.dealloc(ptr, layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|c| c.set(c.get() + 1));
         BYTES.with(|c| c.set(c.get() + layout.size() as u64));
+        // SAFETY: the caller's `layout` contract is `System.alloc_zeroed`'s.
         System.alloc_zeroed(layout)
     }
 
@@ -58,6 +68,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
         if new_size > layout.size() {
             BYTES.with(|c| c.set(c.get() + (new_size - layout.size()) as u64));
         }
+        // SAFETY: `ptr` came from `System` with `layout`, and `new_size`
+        // meets `realloc`'s contract (the caller's obligations, passed on).
         System.realloc(ptr, layout, new_size)
     }
 }

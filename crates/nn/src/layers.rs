@@ -17,11 +17,11 @@
 //! so model initialization is bitwise-identical); `Sequential::new` then
 //! moves those values into the arena via [`Layer::take_init`].
 //!
-//! The kernels are loop interchanges of the textbook per-element loops,
-//! never a change in the order any single accumulator is summed in (and
-//! never an FMA): they are bit-identical to those loops, which
-//! `tests/nn_kernels.rs` keeps as oracles. DESIGN.md §6g has the argument
-//! per kernel.
+//! The kernels are loop interchanges and register tiles of the textbook
+//! per-element loops, never a change in the order any single accumulator
+//! is summed in (and never an FMA): they are bit-identical to those loops,
+//! which `tests/nn_kernels.rs` keeps as oracles. DESIGN.md §6g has the
+//! argument per kernel.
 //!
 //! Correctness is guarded by finite-difference gradient checks in the test
 //! module (the strongest test a hand-written backprop can have).
@@ -104,6 +104,10 @@ pub struct Dense {
     out_dim: usize,
     /// Initial `[weights (out*in) | bias (out)]`, consumed into the arena.
     init: Vec<f32>,
+    /// The input batch transposed, `[in × batch]`, so a tile loads its
+    /// samples' `x[i]` contiguously; sized by the largest batch seen and
+    /// reused.
+    xt: Vec<f32>,
 }
 
 impl Dense {
@@ -119,52 +123,85 @@ impl Dense {
             in_dim,
             out_dim,
             init,
+            xt: Vec::new(),
         }
     }
 
-    /// Output rows whose dot products run side by side in
-    /// [`Dense::forward`].
-    const ROWS: usize = 4;
+    /// Every output row of samples `s..s + S`, `R` rows a tile (4, then
+    /// single rows for the tail).
+    fn rows_of<const S: usize>(&self, w: &[f32], b: &[f32], s: usize, output: &mut [f32]) {
+        let mut o = 0;
+        while o + 4 <= self.out_dim {
+            self.tile::<4, S>(w, b, o, s, output);
+            o += 4;
+        }
+        for o in o..self.out_dim {
+            self.tile::<1, S>(w, b, o, s, output);
+        }
+    }
+
+    /// Outputs `o..o + R` of samples `s..s + S`: `R × S` independent add
+    /// chains, each `seed + w[o][0]·x[0] + w[o][1]·x[1] + …` in `i` order,
+    /// then `b[o] + chain`.
+    fn tile<const R: usize, const S: usize>(
+        &self,
+        w: &[f32],
+        b: &[f32],
+        o: usize,
+        s: usize,
+        output: &mut [f32],
+    ) {
+        let (ind, outd) = (self.in_dim, self.out_dim);
+        let batch = self.xt.len() / ind;
+        let seed: f32 = std::iter::empty::<f32>().sum();
+        let rows: [&[f32]; R] = std::array::from_fn(|r| &w[(o + r) * ind..][..ind]);
+        let mut acc = [[seed; S]; R];
+        for (i, xs) in self.xt.chunks_exact(batch).enumerate() {
+            let xs: &[f32; S] = xs[s..s + S].try_into().expect("S samples");
+            for (acc, row) in acc.iter_mut().zip(&rows) {
+                let wv = row[i];
+                for (a, x) in acc.iter_mut().zip(xs) {
+                    *a += wv * x;
+                }
+            }
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            for (l, a) in acc.iter().enumerate() {
+                output[(s + l) * outd + o + r] = b[o + r] + a;
+            }
+        }
+    }
 }
 
 impl Layer for Dense {
     /// `y[o] = b[o] + Σ_i w[o][i]·x[i]`, every dot a strict left-to-right
-    /// sum seeded as `Iterator::sum` seeds it. A single such sum is bound
-    /// by the latency of its add chain, so `Dense::ROWS` rows advance
-    /// together: independent chains, each in its own unchanged order.
+    /// sum seeded as `Iterator::sum` seeds it. One such sum is bound by the
+    /// latency of its add chain, so the batch is staged transposed and
+    /// register tiles of 4 rows × 8 samples (then 4 samples, then single
+    /// samples; single rows for the row tail) advance 32 independent
+    /// chains together, each in its own unchanged order.
     fn forward(&mut self, input: &[f32], output: &mut [f32], params: &[f32]) {
         let (ind, outd) = (self.in_dim, self.out_dim);
         let batch = batch_of(input, ind, "Dense");
         assert_eq!(output.len(), batch * outd, "Dense: bad output size");
         let (w, b) = params.split_at(outd * ind);
-        let seed: f32 = std::iter::empty::<f32>().sum();
-        for (x, y) in input.chunks_exact(ind).zip(output.chunks_exact_mut(outd)) {
-            let blocks = y
-                .chunks_mut(Self::ROWS)
-                .zip(w.chunks(Self::ROWS * ind))
-                .zip(b.chunks(Self::ROWS));
-            for ((yb, wb), bb) in blocks {
-                if let [y0, y1, y2, y3] = yb {
-                    let (r0, rest) = wb.split_at(ind);
-                    let (r1, rest) = rest.split_at(ind);
-                    let (r2, r3) = rest.split_at(ind);
-                    let mut acc = [seed; Self::ROWS];
-                    for ((((xi, w0), w1), w2), w3) in x.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
-                        acc[0] += w0 * xi;
-                        acc[1] += w1 * xi;
-                        acc[2] += w2 * xi;
-                        acc[3] += w3 * xi;
-                    }
-                    *y0 = bb[0] + acc[0];
-                    *y1 = bb[1] + acc[1];
-                    *y2 = bb[2] + acc[2];
-                    *y3 = bb[3] + acc[3];
-                } else {
-                    for ((yo, row), bo) in yb.iter_mut().zip(wb.chunks_exact(ind)).zip(bb) {
-                        *yo = bo + row.iter().zip(x).map(|(wi, xi)| wi * xi).sum::<f32>();
-                    }
-                }
+        self.xt.resize(ind * batch, 0.0);
+        for (s, x) in input.chunks_exact(ind).enumerate() {
+            for (xt, &v) in self.xt[s..].iter_mut().step_by(batch).zip(x) {
+                *xt = v;
             }
+        }
+        let mut s = 0;
+        while s + 8 <= batch {
+            self.rows_of::<8>(w, b, s, output);
+            s += 8;
+        }
+        if s + 4 <= batch {
+            self.rows_of::<4>(w, b, s, output);
+            s += 4;
+        }
+        for s in s..batch {
+            self.rows_of::<1>(w, b, s, output);
         }
     }
 
@@ -285,6 +322,12 @@ pub struct Conv3x3 {
     w: usize,
     /// Initial `[weights (out*in*9) | bias (out)]`, consumed into the arena.
     init: Vec<f32>,
+    /// `[9 × hw]`: all ones where tap `(ky, kx)` of an output position falls
+    /// inside the map, 0 where it falls on the padding.
+    tap_mask: Vec<u32>,
+    /// One sample's input as `[in_ch·9 × hw]`: row `(c, ky, kx)` is plane
+    /// `c` shifted by the tap, 0 where the tap is off the map.
+    taps: Vec<f32>,
 }
 
 impl Conv3x3 {
@@ -304,12 +347,74 @@ impl Conv3x3 {
             init.push(rng.gen_range(-bound..bound));
         }
         init.extend(std::iter::repeat_n(0.0, out_ch));
+        let mut tap_mask = vec![0u32; 9 * h * w];
+        for (k, mask) in tap_mask.chunks_exact_mut(h * w).enumerate() {
+            for y in tap_range(k / 3, h) {
+                mask[y * w..][tap_range(k % 3, w)].fill(u32::MAX);
+            }
+        }
         Conv3x3 {
             in_ch,
             out_ch,
             h,
             w,
             init,
+            tap_mask,
+            taps: Vec::new(),
+        }
+    }
+
+    /// Every out-channel of positions `p..p + P` of one sample, `R`
+    /// channels a tile (4, then single channels for the tail).
+    fn channels_of<const P: usize>(
+        &self,
+        weights: &[f32],
+        bias: &[f32],
+        p: usize,
+        out: &mut [f32],
+    ) {
+        let mut o = 0;
+        while o + 4 <= self.out_ch {
+            self.tile::<4, P>(weights, bias, o, p, out);
+            o += 4;
+        }
+        for o in o..self.out_ch {
+            self.tile::<1, P>(weights, bias, o, p, out);
+        }
+    }
+
+    /// Out-channels `o..o + R` at positions `p..p + P`: each accumulator
+    /// starts at its bias and takes `acc + w·x` for `(c, ky, kx)` ascending
+    /// only in the lanes whose tap is inside the map; elsewhere it keeps
+    /// its bits.
+    fn tile<const R: usize, const P: usize>(
+        &self,
+        weights: &[f32],
+        bias: &[f32],
+        o: usize,
+        p: usize,
+        out: &mut [f32],
+    ) {
+        let (hw, k9) = (self.h * self.w, self.in_ch * 9);
+        let rows: [&[f32]; R] = std::array::from_fn(|r| &weights[(o + r) * k9..][..k9]);
+        let mut acc: [[f32; P]; R] = std::array::from_fn(|r| [bias[o + r]; P]);
+        for j in 0..k9 {
+            let xs: &[f32; P] = self.taps[j * hw + p..][..P]
+                .try_into()
+                .expect("P positions");
+            let ms: &[u32; P] = self.tap_mask[j % 9 * hw + p..][..P]
+                .try_into()
+                .expect("P positions");
+            for (acc, row) in acc.iter_mut().zip(&rows) {
+                let wv = row[j];
+                for ((a, x), m) in acc.iter_mut().zip(xs).zip(ms) {
+                    let sum = (*a + wv * x).to_bits();
+                    *a = f32::from_bits((sum & m) | (a.to_bits() & !m));
+                }
+            }
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            out[(o + r) * hw + p..][..P].copy_from_slice(acc);
         }
     }
 }
@@ -327,12 +432,14 @@ fn taps_inside(p: usize, len: usize) -> std::ops::Range<usize> {
 }
 
 impl Layer for Conv3x3 {
-    /// Row AXPY: each `(sample, out-channel)` plane starts at the bias and
-    /// then, for `(in-channel, ky, kx)` in that order, gains `w · in_row`
-    /// over the rows and columns the tap reaches. Every output element
-    /// receives the same products in the same order as the textbook
-    /// per-element loop, but the innermost loop is a branch-free pass over
-    /// two contiguous rows.
+    /// Register-tiled over staged taps. Per sample, the 9 shifted copies of
+    /// each input plane are staged as `[in_ch·9 × hw]`, after which every
+    /// tile of 4 out-channels × 8 positions (single channels and single
+    /// positions for the tails) is a small matrix product: from the bias,
+    /// `acc + w·x` for `(in-channel, ky, kx)` ascending, kept only in the
+    /// lanes whose tap is inside the map. Every output element receives the
+    /// same products in the same order as the textbook per-element loop,
+    /// and a skipped tap leaves its bits alone (a −0.0 bias stays −0.0).
     fn forward(&mut self, input: &[f32], output: &mut [f32], params: &[f32]) {
         let (h, w) = (self.h, self.w);
         let hw = h * w;
@@ -343,27 +450,30 @@ impl Layer for Conv3x3 {
             "Conv3x3: bad output size"
         );
         let (weights, bias) = params.split_at(self.out_ch * self.in_ch * 9);
+        // Off-map entries are written as 0 here and never again.
+        self.taps.resize(self.in_ch * 9 * hw, 0.0);
         let samples = input
             .chunks_exact(self.in_ch * hw)
             .zip(output.chunks_exact_mut(self.out_ch * hw));
         for (xin, out) in samples {
-            for (o, plane) in out.chunks_exact_mut(hw).enumerate() {
-                plane.fill(bias[o]);
-                for (c, xc) in xin.chunks_exact(hw).enumerate() {
-                    let taps = &weights[(o * self.in_ch + c) * 9..][..9];
-                    for (k, &wv) in taps.iter().enumerate() {
-                        let (ky, kx) = (k / 3, k % 3);
-                        let cols = tap_range(kx, w);
-                        for y in tap_range(ky, h) {
-                            let src = (y + ky - 1) * w + kx;
-                            let orow = &mut plane[y * w..][cols.clone()];
-                            let irow = &xc[src + cols.start - 1..src + cols.end - 1];
-                            for (ov, iv) in orow.iter_mut().zip(irow) {
-                                *ov += wv * iv;
-                            }
-                        }
+            for (xc, plane) in xin.chunks_exact(hw).zip(self.taps.chunks_exact_mut(9 * hw)) {
+                for (k, row) in plane.chunks_exact_mut(hw).enumerate() {
+                    let (ky, kx) = (k / 3, k % 3);
+                    let cols = tap_range(kx, w);
+                    for y in tap_range(ky, h) {
+                        let src = (y + ky - 1) * w + kx;
+                        row[y * w..][cols.clone()]
+                            .copy_from_slice(&xc[src + cols.start - 1..src + cols.end - 1]);
                     }
                 }
+            }
+            let mut p = 0;
+            while p + 8 <= hw {
+                self.channels_of::<8>(weights, bias, p, out);
+                p += 8;
+            }
+            for p in p..hw {
+                self.channels_of::<1>(weights, bias, p, out);
             }
         }
     }
@@ -1066,7 +1176,7 @@ mod tests {
         let mut layer = Dense::new(5, 4, &mut r);
         let input: Vec<f32> = (0..10).map(|i| (i as f32 * 0.7).sin()).collect();
         grad_check(&mut layer, &input, 2, 2e-2);
-        // Six outputs: one block of side-by-side rows and a remainder.
+        // Six outputs: one 4-row tile and two single-row tails.
         grad_check(&mut Dense::new(5, 6, &mut r), &input, 2, 2e-2);
     }
 

@@ -78,6 +78,9 @@ pub fn butterfly_scalar(lo: &mut [f32], hi: &mut [f32], c: f32) {
     }
 }
 
+/// # Safety
+/// The CPU must support AVX2. The slices may differ in length: the vector
+/// body stops at the shorter one.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn butterfly_avx2(lo: &mut [f32], hi: &mut [f32], c: f32) {
@@ -86,6 +89,9 @@ unsafe fn butterfly_avx2(lo: &mut [f32], hi: &mut [f32], c: f32) {
     let vc = _mm256_set1_ps(c);
     let mut i = 0;
     while i < main {
+        // SAFETY: `i + LANES <= main <= n`, and both slices hold at least
+        // `n` elements, so every unaligned 8-lane load and store stays in
+        // bounds.
         let a = _mm256_loadu_ps(lo.as_ptr().add(i));
         let b = _mm256_loadu_ps(hi.as_ptr().add(i));
         _mm256_storeu_ps(
@@ -110,6 +116,7 @@ pub fn butterfly(lo: &mut [f32], hi: &mut [f32], c: f32) {
     assert_eq!(lo.len(), hi.len(), "butterfly: half length mismatch");
     #[cfg(target_arch = "x86_64")]
     if avx2_enabled() {
+        // SAFETY: `avx2_enabled()` just detected AVX2 at run time.
         return unsafe { butterfly_avx2(lo, hi, c) };
     }
     butterfly_scalar(lo, hi, c);
@@ -147,6 +154,9 @@ pub fn dot_folded_scalar(a: &[f32], b: &[f32]) -> f32 {
     fold_partials(p, a, b, main)
 }
 
+/// # Safety
+/// The CPU must support AVX2. The slices may differ in length: the vector
+/// body stops at the shorter one.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn dot_folded_avx2(a: &[f32], b: &[f32]) -> f32 {
@@ -156,12 +166,15 @@ unsafe fn dot_folded_avx2(a: &[f32], b: &[f32]) -> f32 {
     let mut acc = _mm256_setzero_ps();
     let mut i = 0;
     while i < main {
+        // SAFETY: `i + LANES <= main <= n`, and both slices hold at least
+        // `n` elements, so both unaligned 8-lane loads stay in bounds.
         let va = _mm256_loadu_ps(a.as_ptr().add(i));
         let vb = _mm256_loadu_ps(b.as_ptr().add(i));
         acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
         i += LANES;
     }
     let mut p = [0.0f32; LANES];
+    // SAFETY: `p` holds exactly `LANES` elements.
     _mm256_storeu_ps(p.as_mut_ptr(), acc);
     fold_partials(p, a, b, main)
 }
@@ -179,6 +192,7 @@ pub fn dot_folded(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot_folded: length mismatch");
     #[cfg(target_arch = "x86_64")]
     if avx2_enabled() {
+        // SAFETY: `avx2_enabled()` just detected AVX2 at run time.
         return unsafe { dot_folded_avx2(a, b) };
     }
     dot_folded_scalar(a, b)
@@ -196,6 +210,9 @@ pub fn axpy_scalar(alpha: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
+/// # Safety
+/// The CPU must support AVX2. The slices may differ in length: the vector
+/// body stops at the shorter one.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn axpy_avx2(alpha: f32, x: &[f32], y: &mut [f32]) {
@@ -204,6 +221,9 @@ unsafe fn axpy_avx2(alpha: f32, x: &[f32], y: &mut [f32]) {
     let va = _mm256_set1_ps(alpha);
     let mut i = 0;
     while i < main {
+        // SAFETY: `i + LANES <= main <= n`, and both slices hold at least
+        // `n` elements, so every unaligned 8-lane load and store stays in
+        // bounds.
         let vx = _mm256_loadu_ps(x.as_ptr().add(i));
         let vy = _mm256_loadu_ps(y.as_ptr().add(i));
         _mm256_storeu_ps(
@@ -223,6 +243,7 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
     #[cfg(target_arch = "x86_64")]
     if avx2_enabled() {
+        // SAFETY: `avx2_enabled()` just detected AVX2 at run time.
         return unsafe { axpy_avx2(alpha, x, y) };
     }
     axpy_scalar(alpha, x, y);
@@ -235,6 +256,8 @@ pub fn scale_scalar(v: &mut [f32], alpha: f32) {
     }
 }
 
+/// # Safety
+/// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn scale_avx2(v: &mut [f32], alpha: f32) {
@@ -243,6 +266,8 @@ unsafe fn scale_avx2(v: &mut [f32], alpha: f32) {
     let va = _mm256_set1_ps(alpha);
     let mut i = 0;
     while i < main {
+        // SAFETY: `i + LANES <= main <= n = v.len()`, so the unaligned
+        // 8-lane load and store stay in bounds.
         let vx = _mm256_loadu_ps(v.as_ptr().add(i));
         _mm256_storeu_ps(v.as_mut_ptr().add(i), _mm256_mul_ps(vx, va));
         i += LANES;
@@ -254,6 +279,7 @@ unsafe fn scale_avx2(v: &mut [f32], alpha: f32) {
 pub fn scale(v: &mut [f32], alpha: f32) {
     #[cfg(target_arch = "x86_64")]
     if avx2_enabled() {
+        // SAFETY: `avx2_enabled()` just detected AVX2 at run time.
         return unsafe { scale_avx2(v, alpha) };
     }
     scale_scalar(v, alpha);
@@ -270,6 +296,9 @@ pub fn abs_keys_scalar(v: &[f32], out: &mut [u32]) {
     }
 }
 
+/// # Safety
+/// The CPU must support AVX2. The slices may differ in length: the vector
+/// body stops at the shorter one.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn abs_keys_avx2(v: &[f32], out: &mut [u32]) {
@@ -278,6 +307,9 @@ unsafe fn abs_keys_avx2(v: &[f32], out: &mut [u32]) {
     let mask = _mm256_set1_epi32(0x7fff_ffff);
     let mut i = 0;
     while i < main {
+        // SAFETY: `i + LANES <= main <= n`, and both slices hold at least
+        // `n` 4-byte elements, so the unaligned 32-byte load and store stay
+        // in bounds.
         let bits = _mm256_loadu_si256(v.as_ptr().add(i) as *const __m256i);
         _mm256_storeu_si256(
             out.as_mut_ptr().add(i) as *mut __m256i,
@@ -301,6 +333,7 @@ pub fn abs_keys_into(v: &[f32], out: &mut [u32]) {
     assert_eq!(v.len(), out.len(), "abs_keys_into: length mismatch");
     #[cfg(target_arch = "x86_64")]
     if avx2_enabled() {
+        // SAFETY: `avx2_enabled()` just detected AVX2 at run time.
         return unsafe { abs_keys_avx2(v, out) };
     }
     abs_keys_scalar(v, out);
@@ -315,6 +348,10 @@ pub fn collect_indices_above_scalar(keys: &[u32], t: u32, base: usize, out: &mut
     }
 }
 
+/// # Safety
+/// The CPU must support AVX2. (`t > i32::MAX` is not unsafe, only inexact:
+/// the signed compare would misorder it, so the caller keeps such `t` on
+/// the scalar path.)
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn collect_indices_above_avx2(keys: &[u32], t: u32, base: usize, out: &mut Vec<usize>) {
@@ -325,6 +362,8 @@ unsafe fn collect_indices_above_avx2(keys: &[u32], t: u32, base: usize, out: &mu
     let vt = _mm256_set1_epi32(t as i32);
     let mut i = 0;
     while i < main {
+        // SAFETY: `i + LANES <= main <= n = keys.len()`, so the unaligned
+        // 32-byte load stays in bounds.
         let vk = _mm256_loadu_si256(keys.as_ptr().add(i) as *const __m256i);
         let gt = _mm256_cmpgt_epi32(vk, vt);
         let mut m = _mm256_movemask_ps(_mm256_castsi256_ps(gt)) as u32;
@@ -348,6 +387,7 @@ unsafe fn collect_indices_above_avx2(keys: &[u32], t: u32, base: usize, out: &mu
 pub fn collect_indices_above(keys: &[u32], t: u32, base: usize, out: &mut Vec<usize>) {
     #[cfg(target_arch = "x86_64")]
     if t <= i32::MAX as u32 && avx2_enabled() {
+        // SAFETY: `avx2_enabled()` just detected AVX2 at run time.
         return unsafe { collect_indices_above_avx2(keys, t, base, out) };
     }
     collect_indices_above_scalar(keys, t, base, out);

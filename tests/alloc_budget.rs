@@ -387,6 +387,22 @@ fn forward_backward_and_evaluate_steady_state_are_allocation_free() {
                 model.evaluate();
             });
             assert_eq!(events, 0, "{}: evaluate allocates", model.name());
+            // `Trainer::train` interleaves the two: a training batch of 4 or
+            // 8 samples, then an evaluation in chunks of 8. Layer scratch
+            // sized by one call must serve the other as it stands.
+            for train_size in [4, 8] {
+                let batch = model.train_batch(train_size, 0, 0);
+                let events = steady_events(|| {
+                    model.forward_backward(&batch);
+                    model.evaluate();
+                });
+                assert_eq!(
+                    events,
+                    0,
+                    "{}: training at batch {train_size} between evaluations allocates",
+                    model.name()
+                );
+            }
         }
     });
 }

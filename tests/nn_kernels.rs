@@ -1,10 +1,12 @@
 //! Differential and golden tests for `gcs-nn`'s compute path.
 //!
-//! The kernels in `crates/nn/src/layers.rs` are written for speed (row
-//! AXPYs, side-by-side dot products, tap ranges found once per position)
+//! The kernels in `crates/nn/src/layers.rs` are written for speed (register
+//! tiles over a transposed or tap-staged input in the forward passes, row
+//! AXPYs and tap ranges found once per position in the backward passes)
 //! under one rule: every output, parameter gradient and input gradient is
 //! **bit for bit** what the textbook per-element loops produce. Those loops
-//! live here, as oracles, and nowhere in `src/`.
+//! live here, as oracles, and nowhere in `src/`. The inputs, weights and
+//! biases include `−0.0`, and the batches reach every tile shape.
 //!
 //! The golden half pins whole training runs — parameter checksum and
 //! evaluation curve after ten `Trainer::train` rounds — to constants
@@ -186,15 +188,15 @@ fn dense_backward_naive(
 // Inputs
 // ---------------------------------------------------------------------------
 
-/// Finite values in `(-2, 2)`, about one in eight an exact zero.
+/// Finite values in `(-2, 2)`, about one in eight an exact zero and one
+/// in eight a negative zero (a `−0.0` bias is where skipping a border tap
+/// and adding `w·0` differ).
 fn values(rng: &mut StdRng, len: usize) -> Vec<f32> {
     (0..len)
-        .map(|_| {
-            if rng.gen_range(0..8) == 0 {
-                0.0
-            } else {
-                rng.gen_range(-2.0f32..2.0)
-            }
+        .map(|_| match rng.gen_range(0..8) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-2.0f32..2.0),
         })
         .collect()
 }
@@ -290,7 +292,8 @@ proptest! {
     fn dense_matches_the_per_element_loops_bit_for_bit(
         in_dim in 1usize..41,
         out_dim in 1usize..14,
-        batch in 1usize..6,
+        // 8- and 4-sample tiles and single-sample tails.
+        batch in 1usize..20,
         seed in any::<u64>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
