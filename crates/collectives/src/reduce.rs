@@ -61,6 +61,12 @@ impl ReduceOp<F16> for F16Sum {
     fn reduce(&self, acc: &mut F16, x: &F16) {
         *acc = acc.add_f16(*x);
     }
+
+    /// The bulk binary16 add (F16C where the CPU has it), bitwise-identical
+    /// to folding `reduce` over the elements.
+    fn reduce_slice(&self, acc: &mut [F16], xs: &[F16]) {
+        gcs_tensor::half::add_f16_slice(acc, xs);
+    }
 }
 
 /// Plain i32 addition (for widened integer payloads where overflow is
@@ -141,6 +147,20 @@ mod tests {
         let mut acc = F16::from_f32(2048.0);
         op.reduce(&mut acc, &F16::from_f32(1.0));
         assert_eq!(acc.to_f32(), 2048.0);
+    }
+
+    #[test]
+    fn f16_sum_reduce_slice_matches_the_element_wise_fold() {
+        // Every binary16 pattern against a shifted copy of itself: NaNs,
+        // infinities, subnormals and overflowing sums all meet.
+        let xs: Vec<F16> = (0..=u16::MAX).map(F16).collect();
+        let mut bulk: Vec<F16> = (0..=u16::MAX).map(|b| F16(b.wrapping_mul(40503))).collect();
+        let mut fold = bulk.clone();
+        F16Sum.reduce_slice(&mut bulk, &xs);
+        for (a, x) in fold.iter_mut().zip(&xs) {
+            F16Sum.reduce(a, x);
+        }
+        assert_eq!(bulk, fold);
     }
 
     #[test]

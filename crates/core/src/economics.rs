@@ -45,15 +45,6 @@ impl CostModel {
         }
     }
 
-    /// On-premises: capital amortization only, traffic free.
-    pub fn on_prem_a100(n_gpus: usize) -> CostModel {
-        CostModel {
-            n_gpus,
-            gpu_hour_price: 1.20,
-            per_gib_price: 0.0,
-        }
-    }
-
     /// Dollars for a training prefix of `seconds` wall-clock during which
     /// `wire_bytes` crossed the network in total.
     pub fn dollars(&self, seconds: f64, wire_bytes: f64) -> f64 {
@@ -220,7 +211,12 @@ mod tests {
         };
         let tta_a = curve(fast_heavy.step_seconds(), 100);
         let tta_b = curve(slow_light.step_seconds(), 100);
-        let on_prem = CostModel::on_prem_a100(4);
+        // On-premises: capital amortization only, traffic free.
+        let on_prem = CostModel {
+            gpu_hour_price: 1.20,
+            per_gib_price: 0.0,
+            ..CostModel::cloud_a100(4)
+        };
         let cloud = CostModel {
             per_gib_price: 0.05,
             ..CostModel::cloud_a100(4)
@@ -244,16 +240,8 @@ mod tests {
             comm_seconds: 0.5,
             wire_bytes: 1e6,
         };
-        assert!(cost_to_accuracy(&tta, res, &CostModel::on_prem_a100(4), 2.0).is_none());
+        assert!(cost_to_accuracy(&tta, res, &CostModel::cloud_a100(4), 2.0).is_none());
         assert!(power_to_accuracy(&tta, res, &PowerModel::a100(4), 2.0).is_none());
-    }
-
-    #[test]
-    fn on_prem_ignores_traffic() {
-        let c = CostModel::on_prem_a100(8);
-        let with_traffic = c.dollars(100.0, 1e12);
-        let without = c.dollars(100.0, 0.0);
-        assert_eq!(with_traffic, without);
     }
 
     #[test]
@@ -264,7 +252,7 @@ mod tests {
             comm_seconds: 0.2,
             wire_bytes: 1e6,
         };
-        let cc = cost_curve(&tta, res, &CostModel::on_prem_a100(4));
+        let cc = cost_curve(&tta, res, &CostModel::cloud_a100(4));
         assert_eq!(cc.points.len(), 4);
         for (orig, conv) in tta.points.iter().zip(&cc.points) {
             assert_eq!(orig.1, conv.1);

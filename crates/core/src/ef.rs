@@ -177,11 +177,6 @@ impl ErrorFeedback {
         }
     }
 
-    /// Current memory L2 norm for `worker` (diagnostics).
-    pub fn memory_norm(&self, worker: usize) -> f32 {
-        gcs_tensor::vector::norm(&self.memories[worker])
-    }
-
     /// Clears all memories.
     pub fn reset(&mut self) {
         for m in &mut self.memories {
@@ -214,7 +209,7 @@ mod tests {
         // Coordinate 0 is always fully sent; coordinate 1 accumulates.
         assert!((cum_sent[0] - cum_grad[0]).abs() < 1e-6);
         assert!((cum_grad[1] - ef.memories[0][1] - cum_sent[1]).abs() < 1e-6);
-        assert!(ef.memory_norm(0) > 0.0);
+        assert!(gcs_tensor::vector::norm(&ef.memories[0]) > 0.0);
     }
 
     #[test]
@@ -234,7 +229,7 @@ mod tests {
         let g = vec![1.0f32];
         let c = ef.corrected(0, &g);
         ef.update(0, &c, &[0.0]);
-        assert!(ef.memory_norm(0) > 0.0);
+        assert!(gcs_tensor::vector::norm(&ef.memories[0]) > 0.0);
         ef.reset();
         let c = ef.corrected(0, &g);
         assert_eq!(c, vec![1.0]);

@@ -117,21 +117,9 @@ impl TtaCurve {
             .reduce(|a, b| self.direction.better(a, b))
     }
 
-    /// The first recorded metric. `None` when the curve is empty — a run
-    /// that crashed before its first eval produces exactly that, so
-    /// consumers must not unwrap.
-    pub fn first_metric(&self) -> Option<f64> {
-        self.points.first().map(|&(_, m)| m)
-    }
-
     /// The final (last-point) metric.
     pub fn final_metric(&self) -> Option<f64> {
         self.points.last().map(|&(_, m)| m)
-    }
-
-    /// Total trained time.
-    pub fn total_time(&self) -> f64 {
-        self.points.last().map(|&(t, _)| t).unwrap_or(0.0)
     }
 }
 
@@ -280,11 +268,6 @@ impl EarlyStopping {
         }
         self.seen >= self.min_evals && self.strikes >= self.patience
     }
-
-    /// Best (lowest) internal loss seen so far.
-    pub fn best_loss(&self) -> Option<f64> {
-        self.best
-    }
 }
 
 #[cfg(test)]
@@ -418,7 +401,7 @@ mod tests {
         assert!(!es.observe(8.0));
         assert!(!es.observe(9.0)); // 12.5% worse: strike 1
         assert!(es.observe(9.5)); // strike 2 -> stop
-        assert_eq!(es.best_loss(), Some(8.0));
+        assert_eq!(es.best, Some(8.0));
     }
 
     #[test]
@@ -444,10 +427,10 @@ mod tests {
         let mut es = EarlyStopping::new(5.0, 2, 0, Direction::LowerIsBetter);
         assert!(!es.observe(f64::NAN)); // strike 1, no best
         assert!(!es.observe(1.0)); // first finite best: strikes reset
-        assert_eq!(es.best_loss(), Some(1.0));
+        assert_eq!(es.best, Some(1.0));
         let stop = (0..10).position(|_| es.observe(100.0));
         assert_eq!(stop, Some(1), "two GL violations must stop");
-        assert_eq!(es.best_loss(), Some(1.0));
+        assert_eq!(es.best, Some(1.0));
     }
 
     #[test]
@@ -462,7 +445,7 @@ mod tests {
             es.observe(f64::INFINITY),
             "an infinite accuracy is divergence"
         );
-        assert_eq!(es.best_loss(), Some(-0.5));
+        assert_eq!(es.best, Some(-0.5));
     }
 
     #[test]

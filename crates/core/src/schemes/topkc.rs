@@ -26,7 +26,7 @@ use crate::scheme::{AggregationOutcome, CommEvent, CompressionScheme, RoundConte
 use gcs_collectives::{ring_all_reduce_into, F16Sum, RingScratch, Traffic};
 use gcs_gpusim::{ops, DeviceSpec};
 use gcs_netsim::Collective;
-use gcs_tensor::half::F16;
+use gcs_tensor::half::{decode_f16_into, decode_f16_slice, encode_f16_slice, round_trip_f16, F16};
 use gcs_tensor::pool::WorkerBufs;
 use gcs_tensor::rng::{shared_permutation, SharedSeed, Stream};
 use gcs_tensor::vector::TopKScratch;
@@ -188,10 +188,7 @@ impl CompressionScheme for TopKC {
             &mut scratch.ring,
             &mut out.traffic,
         );
-        scratch.agg_norms.clear();
-        scratch
-            .agg_norms
-            .extend(scratch.norms.slice(n)[0].iter().map(|x| x.to_f32()));
+        decode_f16_into(&scratch.norms.slice(n)[0], &mut scratch.agg_norms);
         debug_assert_eq!(scratch.agg_norms.len(), chunks);
 
         // Stage 2: consensus top-J chunks (identical on every worker).
@@ -222,7 +219,9 @@ impl CompressionScheme for TopKC {
                 for &p in selected {
                     let lo = p * chunk;
                     let hi = (lo + chunk).min(d);
-                    buf.extend(c[lo..hi].iter().map(|&v| F16::from_f32(v)));
+                    let start = buf.len();
+                    buf.resize(start + (hi - lo), F16::ZERO);
+                    encode_f16_slice(&c[lo..hi], &mut buf[start..]);
                 }
             });
         }
@@ -245,10 +244,11 @@ impl CompressionScheme for TopKC {
             for &p in &scratch.selected {
                 let lo = p * chunk;
                 let hi = (lo + chunk).min(d);
+                decode_f16_slice(&summed[cursor..cursor + (hi - lo)], &mut mean[lo..hi]);
                 for m in &mut mean[lo..hi] {
-                    *m = summed[cursor].to_f32() / n as f32;
-                    cursor += 1;
+                    *m /= n as f32;
                 }
+                cursor += hi - lo;
             }
             if let Some(p) = &perm {
                 let unperm = &mut scratch.unperm;
@@ -281,9 +281,8 @@ impl CompressionScheme for TopKC {
                     for &p in selected {
                         let lo = p * chunk;
                         let hi = (lo + chunk).min(d);
-                        for pos in lo..hi {
-                            sent[pos] = F16::from_f32(c[pos]).to_f32();
-                        }
+                        sent[lo..hi].copy_from_slice(&c[lo..hi]);
+                        round_trip_f16(&mut sent[lo..hi]);
                     }
                 });
             }

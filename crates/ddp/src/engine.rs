@@ -428,7 +428,7 @@ mod tests {
         let mut model = BertMini::new(2);
         let mut scheme = PrecisionBaseline::fp32();
         let log = Trainer::new(quick_config()).train(&mut model, &mut scheme, 0.5);
-        let first = log.curve.first_metric().expect("run recorded evals");
+        let first = log.curve.points.first().expect("run recorded evals").1;
         let last = log.final_metric;
         assert!(last < first, "perplexity should fall: {first} -> {last}");
         assert!((log.bits_per_coord - 32.0).abs() < 0.5);
@@ -441,7 +441,7 @@ mod tests {
         let mut scheme = TopKC::with_bits(2.0, 64, 2, true);
         let log = Trainer::new(quick_config()).train(&mut model, &mut scheme, 0.25);
         assert!(log.mean_vnmse > 1e-4, "vNMSE = {}", log.mean_vnmse);
-        assert!(log.final_metric < log.curve.first_metric().expect("run recorded evals"));
+        assert!(log.final_metric < log.curve.points.first().expect("run recorded evals").1);
         assert!((log.bits_per_coord - 2.0).abs() < 0.5);
     }
 
@@ -498,7 +498,7 @@ mod tests {
         };
         let log = Trainer::new(cfg).train(&mut model, &mut scheme, 2.0);
         assert_eq!(log.curve.points.len(), 4);
-        assert_eq!(log.curve.total_time(), 80.0);
+        assert_eq!(log.curve.points.last().map(|&(t, _)| t), Some(80.0));
     }
 
     #[test]
@@ -622,7 +622,15 @@ mod tests {
             n_workers: 2,
             max_rounds: 30,
             eval_every: 10,
-            faults: Some(gcs_faults::TrainFaultPlan::crash_at(3, 0).and_crash(3, 0)),
+            faults: Some(gcs_faults::TrainFaultPlan {
+                crashes: vec![
+                    gcs_faults::WorkerCrash {
+                        round: 3,
+                        worker: 0
+                    };
+                    2
+                ],
+            }),
             ..quick_config()
         };
         let log = Trainer::new(cfg).train(&mut model, &mut scheme, 0.5);
@@ -634,7 +642,7 @@ mod tests {
 
     /// Regression for the reporter-panic bug: a run whose workers all die
     /// before the first eval produces an *empty* TTA curve. The `Option`
-    /// accessors must surface that as `None` — consumers used to call
+    /// accessor must surface that as `None` — consumers used to call
     /// `curve.points.first().unwrap()` and abort the whole report.
     #[test]
     fn run_dead_before_first_eval_yields_none_not_panic() {
@@ -644,14 +652,21 @@ mod tests {
             n_workers: 2,
             max_rounds: 30,
             eval_every: 10,
-            faults: Some(gcs_faults::TrainFaultPlan::crash_at(0, 0).and_crash(0, 0)),
+            faults: Some(gcs_faults::TrainFaultPlan {
+                crashes: vec![
+                    gcs_faults::WorkerCrash {
+                        round: 0,
+                        worker: 0
+                    };
+                    2
+                ],
+            }),
             ..quick_config()
         };
         let log = Trainer::new(cfg).train(&mut model, &mut scheme, 0.5);
         assert_eq!(log.rounds, 0);
         assert_eq!(log.survivors, 0);
         assert!(log.curve.points.is_empty());
-        assert_eq!(log.curve.first_metric(), None);
         assert_eq!(log.curve.final_metric(), None);
         // The struct-level final_metric still falls back to a live eval so
         // downstream f64 consumers stay finite.

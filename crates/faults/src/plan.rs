@@ -105,11 +105,6 @@ impl FaultPlan {
         self
     }
 
-    /// True if the plan can inject anything at all.
-    pub fn is_active(&self) -> bool {
-        self.drop_p > 0.0 || self.delay_p > 0.0 || self.dup_p > 0.0 || self.crash.is_some()
-    }
-
     /// The injection applied to transmission `attempt` of data frame `seq`
     /// on the directed link `src → dst`. Pure and deterministic.
     pub fn injection(&self, src: usize, dst: usize, seq: u64, attempt: u32) -> Injection {
@@ -172,12 +167,6 @@ impl TrainFaultPlan {
         TrainFaultPlan {
             crashes: vec![WorkerCrash { round, worker }],
         }
-    }
-
-    /// Adds another crash to the plan.
-    pub fn and_crash(mut self, round: u64, worker: usize) -> TrainFaultPlan {
-        self.crashes.push(WorkerCrash { round, worker });
-        self
     }
 
     /// Crashes scheduled for `round`, in plan order.
@@ -261,7 +250,6 @@ mod tests {
     #[test]
     fn healthy_plan_always_delivers() {
         let plan = FaultPlan::healthy();
-        assert!(!plan.is_active());
         for seq in 0..100 {
             assert_eq!(plan.injection(0, 1, seq, 0), Injection::Deliver);
         }
@@ -278,9 +266,10 @@ mod tests {
 
     #[test]
     fn train_plan_filters_by_round() {
-        let plan = TrainFaultPlan::crash_at(10, 3)
-            .and_crash(10, 1)
-            .and_crash(20, 0);
+        let crash = |round, worker| WorkerCrash { round, worker };
+        let plan = TrainFaultPlan {
+            crashes: vec![crash(10, 3), crash(10, 1), crash(20, 0)],
+        };
         assert_eq!(plan.len(), 3);
         assert_eq!(plan.crashes_at(10).count(), 2);
         assert_eq!(plan.crashes_at(20).count(), 1);

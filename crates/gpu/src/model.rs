@@ -57,15 +57,6 @@ impl ModelProfile {
         }
     }
 
-    /// Total `(rows + cols) · r` values PowerSGD communicates per round at
-    /// rank `r` (the P and Q factors).
-    pub fn powersgd_values(&self, r: u32) -> u64 {
-        self.layer_shapes
-            .iter()
-            .map(|&(rows, cols)| (rows + cols) * r as u64)
-            .sum()
-    }
-
     /// BERT-large for masked language modelling (345 M parameters), per the
     /// paper's setup: per-worker batch 4.
     pub fn bert_large() -> ModelProfile {
@@ -159,11 +150,19 @@ mod tests {
     fn powersgd_bits_per_coordinate_near_table9() {
         // Table 9 reports b = 2.95 (BERT, r=64) and b = 1.36 (VGG, r=64)
         // with FP32-communicated P/Q factors.
+        // PowerSGD communicates `(rows + cols) · r` values (P and Q) per
+        // layer matrix.
+        let values = |m: &ModelProfile| {
+            m.layer_shapes
+                .iter()
+                .map(|&(rows, cols)| (rows + cols) * 64)
+                .sum::<u64>()
+        };
         let bert = ModelProfile::bert_large();
-        let b_bert = bert.powersgd_values(64) as f64 * 32.0 / bert.params as f64;
+        let b_bert = values(&bert) as f64 * 32.0 / bert.params as f64;
         assert!((b_bert - 2.95).abs() < 0.45, "bert b = {b_bert}");
         let vgg = ModelProfile::vgg19();
-        let b_vgg = vgg.powersgd_values(64) as f64 * 32.0 / vgg.params as f64;
+        let b_vgg = values(&vgg) as f64 * 32.0 / vgg.params as f64;
         assert!((b_vgg - 1.36).abs() < 0.25, "vgg b = {b_vgg}");
     }
 

@@ -205,10 +205,12 @@ impl Layer for Dense {
         }
     }
 
-    /// Per sample and output `o`, two row AXPYs: `dW[o] += g·x` and
-    /// `dx += g·W[o]`. Every `dW` element still accumulates over samples in
-    /// order and every `dx` element over outputs in order; the elements of
-    /// a row are independent, which is what lets the rows vectorise.
+    /// Per output `o` and sample, two row AXPYs: `dW[o] += g·x` and
+    /// `dx += g·W[o]`. Outputs run outermost, so `W[o]` and `dW[o]` stay in
+    /// L1 across the batch. Every `dW` element still accumulates over
+    /// samples in order and every `dx` element over outputs in order; the
+    /// elements of a row are independent, which is what lets the rows
+    /// vectorise.
     fn backward(
         &mut self,
         input: &[f32],
@@ -226,19 +228,16 @@ impl Layer for Dense {
         if let Some(gin) = grad_in.as_deref_mut() {
             gin.fill(0.0);
         }
-        for (s, (x, gy)) in input
+        for (o, (w_o, dw_o)) in w
             .chunks_exact(ind)
-            .zip(grad_out.chunks_exact(outd))
+            .zip(dw.chunks_exact_mut(ind))
             .enumerate()
         {
-            let mut gx = grad_in
-                .as_deref_mut()
-                .map(|g| &mut g[s * ind..(s + 1) * ind]);
-            for (o, &g) in gy.iter().enumerate() {
-                let row = o * ind..(o + 1) * ind;
-                simd::axpy(g, x, &mut dw[row.clone()]);
-                if let Some(gx) = gx.as_deref_mut() {
-                    simd::axpy(g, &w[row], gx);
+            for (s, x) in input.chunks_exact(ind).enumerate() {
+                let g = grad_out[s * outd + o];
+                simd::axpy(g, x, dw_o);
+                if let Some(gin) = grad_in.as_deref_mut() {
+                    simd::axpy(g, w_o, &mut gin[s * ind..(s + 1) * ind]);
                 }
                 db[o] += g;
             }
@@ -1320,7 +1319,7 @@ mod tests {
         // Layer slices concatenate to exactly the flat view, in order.
         let flat = seq.params_flat();
         assert_eq!(&flat[..arena.layer_len(0)], arena.layer(0));
-        assert_eq!(&flat[arena.offset_of(2)..], arena.layer(2));
+        assert_eq!(&flat[arena.offsets()[2]..], arena.layer(2));
         assert_eq!(arena.len(), flat.len());
     }
 

@@ -73,11 +73,6 @@ impl ParamArena {
         self.data.is_empty()
     }
 
-    /// Start offset (in elements) of layer `i`.
-    pub fn offset_of(&self, i: usize) -> usize {
-        self.offsets[i]
-    }
-
     /// Element count of layer `i`.
     pub fn layer_len(&self, i: usize) -> usize {
         self.offsets[i + 1] - self.offsets[i]
@@ -241,7 +236,6 @@ mod tests {
         assert_eq!(a.offsets(), &[0, 6, 6, 10, 20]);
         assert_eq!(a.layer_len(1), 0);
         assert!(a.layer(1).is_empty());
-        assert_eq!(a.offset_of(2), 6);
         assert_eq!(a.layer(3).len(), 10);
     }
 

@@ -5,9 +5,11 @@
 //! This crate provides everything the compression schemes and the neural-network
 //! substrate need that would normally come from a GPU math library:
 //!
-//! * [`half`] — software IEEE-754 binary16 ([`half::F16`]) with
-//!   round-to-nearest-even semantics. Gradient *communication* precision is
-//!   modelled bit-exactly.
+//! * [`half`] — IEEE-754 binary16 ([`half::F16`]) with round-to-nearest-even
+//!   semantics: software scalar conversions, and slice kernels (encode,
+//!   decode, binary16 add) on F16C where the CPU has it, bitwise-identical
+//!   to the scalar ones. Gradient *communication* precision is modelled
+//!   bit-exactly.
 //! * [`vector`] — flat `f32` vector kernels (norms, scale, reductions,
 //!   top-k).
 //! * [`arena`] — [`arena::ParamArena`]: one contiguous `Box<[f32]>` +

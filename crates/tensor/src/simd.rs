@@ -41,7 +41,8 @@
 //! Dispatch is by runtime feature detection ([`avx2_enabled`], cached); the
 //! scalar path runs on non-x86-64 targets and wherever AVX2 is absent.
 //! Tests pin `f(_) == f_scalar(_)` bit-for-bit on every primitive, so the
-//! dispatch choice is unobservable in outputs.
+//! dispatch choice is unobservable in outputs. The binary16 conversions
+//! have their own F16C kernels under the same contract, in [`crate::half`].
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;

@@ -2,7 +2,10 @@
 
 use gcs_tensor::bitpack::PackedIntVec;
 use gcs_tensor::hadamard::{fwht, fwht_iterations, rht_forward, rht_inverse};
-use gcs_tensor::half::F16;
+use gcs_tensor::half::{
+    add_f16_slice, add_f16_slice_scalar, decode_f16_slice, decode_f16_slice_scalar,
+    encode_f16_slice, encode_f16_slice_scalar, F16,
+};
 use gcs_tensor::matrix::{orthonormalize_columns_with, GsScratch, Matrix};
 use gcs_tensor::rng::{invert_permutation, shared_permutation, SharedSeed};
 use gcs_tensor::vector::{squared_norm, top_k_indices_into, vnmse, TopKScratch};
@@ -416,4 +419,73 @@ proptest! {
 #[test]
 fn top_k_matches_the_chunked_path_it_replaced_at_the_benchmark_length() {
     check_top_k_against_oracle(1 << 20, 0x5eed, &mut TopKScratch::new());
+}
+
+/// Raw `f32` bit patterns, weighted towards what a binary16 conversion
+/// treats specially: NaN payloads of both signs, ±inf, ±0, values that
+/// round to binary16 subnormals or underflow, and the 65504 / 65520
+/// rounding edges.
+fn f32_patterns() -> impl Strategy<Value = u32> {
+    let sign = |b: u32| b & 0x8000_0000;
+    prop_oneof![
+        any::<u32>(),
+        any::<u32>().prop_map(move |b| sign(b) | 0x7f80_0000 | (b & 0x007f_ffff).max(1)),
+        prop_oneof![
+            Just(0x7f80_0000u32),
+            Just(0xff80_0000),
+            Just(0),
+            Just(0x8000_0000)
+        ],
+        (any::<u32>(), 0x3280_0000u32..0x3880_0000).prop_map(move |(b, m)| sign(b) | m),
+        (any::<u32>(), 0x477f_df00u32..0x477f_f100).prop_map(move |(b, m)| sign(b) | m),
+    ]
+}
+
+/// Raw binary16 bit patterns: uniform, plus NaN payloads, infinities,
+/// zeros and subnormals of both signs.
+fn f16_patterns() -> impl Strategy<Value = u16> {
+    prop_oneof![
+        any::<u16>(),
+        any::<u16>().prop_map(|b| (b & 0x8000) | 0x7c00 | (b & 0x03ff).max(1)),
+        prop_oneof![
+            Just(0x7c00u16),
+            Just(0xfc00),
+            Just(0),
+            Just(0x8000),
+            Just(0x7bff)
+        ],
+        any::<u16>().prop_map(|b| b & 0x83ff),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Lengths 0..=40 give every tail length after the 8-lane body.
+    #[test]
+    fn f16_slice_kernels_match_their_scalar_references_bitwise(
+        bits in prop::collection::vec(f32_patterns(), 0..=40),
+        acc in prop::collection::vec(f16_patterns(), 40),
+        xs in prop::collection::vec(f16_patterns(), 40),
+    ) {
+        let n = bits.len();
+        let src: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+        let (mut fast, mut slow) = (vec![F16::ZERO; n], vec![F16::ZERO; n]);
+        encode_f16_slice(&src, &mut fast);
+        encode_f16_slice_scalar(&src, &mut slow);
+        prop_assert_eq!(&fast, &slow, "encode of {:08x?}", bits);
+
+        let halves: Vec<F16> = acc[..n].iter().map(|&b| F16(b)).collect();
+        let (mut fast, mut slow) = (vec![0f32; n], vec![0f32; n]);
+        decode_f16_slice(&halves, &mut fast);
+        decode_f16_slice_scalar(&halves, &mut slow);
+        let to_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        prop_assert_eq!(to_bits(&fast), to_bits(&slow), "decode of {:04x?}", &acc[..n]);
+
+        let addend: Vec<F16> = xs[..n].iter().map(|&b| F16(b)).collect();
+        let (mut fast, mut slow) = (halves.clone(), halves);
+        add_f16_slice(&mut fast, &addend);
+        add_f16_slice_scalar(&mut slow, &addend);
+        prop_assert_eq!(fast, slow, "add of {:04x?} + {:04x?}", &acc[..n], &xs[..n]);
+    }
 }
