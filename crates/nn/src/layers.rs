@@ -23,6 +23,14 @@
 //! which `tests/nn_kernels.rs` keeps as oracles. DESIGN.md §6g has the
 //! argument per kernel.
 //!
+//! Three of them have explicit AVX2 versions, none of which uses FMA,
+//! behind [`simd::avx2_enabled`] (`GCS_SIMD=scalar` turns them off): the
+//! `Dense` forward tiles (4 rows × 8 samples, and 8 rows × 4 samples for a
+//! 4-sample batch), the `Conv3x3` forward tile (8 out-channels × 8
+//! positions), and a one-pass `Dense` backward for batches of 4 and 8 with
+//! `in % 8 == 0`. The portable tiles stay as the scalar reference and take
+//! every tail.
+//!
 //! Correctness is guarded by finite-difference gradient checks in the test
 //! module (the strongest test a hand-written backprop can have).
 
@@ -127,10 +135,22 @@ impl Dense {
         }
     }
 
-    /// Every output row of samples `s..s + S`, `R` rows a tile (4, then
-    /// single rows for the tail).
+    /// Every output row of samples `s..s + S`: the AVX2 tiles where they
+    /// apply, then `R` rows a tile (4, then single rows for the tail).
     fn rows_of<const S: usize>(&self, w: &[f32], b: &[f32], s: usize, output: &mut [f32]) {
         let mut o = 0;
+        #[cfg(target_arch = "x86_64")]
+        if S != 1 && simd::avx2_enabled() {
+            let (xt, ind) = (&self.xt[..], self.in_dim);
+            o = if S == 8 {
+                // SAFETY: AVX2 was just detected; the tile asserts the
+                // shapes it indexes by.
+                unsafe { avx2::dense_tiles_4x8(xt, ind, s, w, b, sum_seed(), output) }
+            } else {
+                // SAFETY: as above.
+                unsafe { avx2::dense_tiles_8x4(xt, ind, s, w, b, sum_seed(), output) }
+            };
+        }
         while o + 4 <= self.out_dim {
             self.tile::<4, S>(w, b, o, s, output);
             o += 4;
@@ -153,7 +173,7 @@ impl Dense {
     ) {
         let (ind, outd) = (self.in_dim, self.out_dim);
         let batch = self.xt.len() / ind;
-        let seed: f32 = std::iter::empty::<f32>().sum();
+        let seed = sum_seed();
         let rows: [&[f32]; R] = std::array::from_fn(|r| &w[(o + r) * ind..][..ind]);
         let mut acc = [[seed; S]; R];
         for (i, xs) in self.xt.chunks_exact(batch).enumerate() {
@@ -173,18 +193,27 @@ impl Dense {
     }
 }
 
+/// The value `Iterator::sum` starts an `f32` sum from, whatever the
+/// toolchain makes it.
+fn sum_seed() -> f32 {
+    std::iter::empty::<f32>().sum()
+}
+
 impl Layer for Dense {
     /// `y[o] = b[o] + Σ_i w[o][i]·x[i]`, every dot a strict left-to-right
     /// sum seeded as `Iterator::sum` seeds it. One such sum is bound by the
     /// latency of its add chain, so the batch is staged transposed and
     /// register tiles of 4 rows × 8 samples (then 4 samples, then single
     /// samples; single rows for the row tail) advance 32 independent
-    /// chains together, each in its own unchanged order.
+    /// chains together, each in its own unchanged order. With AVX2 the
+    /// 8-sample tile is four `__m256` accumulators, and the 4-sample tile
+    /// takes 8 rows, two rows a register.
     fn forward(&mut self, input: &[f32], output: &mut [f32], params: &[f32]) {
         let (ind, outd) = (self.in_dim, self.out_dim);
         let batch = batch_of(input, ind, "Dense");
         assert_eq!(output.len(), batch * outd, "Dense: bad output size");
         let (w, b) = params.split_at(outd * ind);
+        let b = &b[..outd];
         self.xt.resize(ind * batch, 0.0);
         for (s, x) in input.chunks_exact(ind).enumerate() {
             for (xt, &v) in self.xt[s..].iter_mut().step_by(batch).zip(x) {
@@ -210,7 +239,10 @@ impl Layer for Dense {
     /// L1 across the batch. Every `dW` element still accumulates over
     /// samples in order and every `dx` element over outputs in order; the
     /// elements of a row are independent, which is what lets the rows
-    /// vectorise.
+    /// vectorise. With AVX2, batches of 4 and 8 and `in % 8 == 0`, blocks
+    /// of 4 rows take one pass instead: each 8-lane `dW` slice takes every
+    /// sample's product in a register (one load and one store, not one per
+    /// sample), and each `dx` slice the block's 4 rows in order.
     fn backward(
         &mut self,
         input: &[f32],
@@ -225,13 +257,28 @@ impl Layer for Dense {
         assert_eq!(grad_out.len(), batch * outd, "Dense: bad grad size");
         let w = &params[..outd * ind];
         let (dw, db) = grads.split_at_mut(outd * ind);
+        let db = &mut db[..outd];
         if let Some(gin) = grad_in.as_deref_mut() {
             gin.fill(0.0);
+        }
+        let mut done = 0;
+        #[cfg(target_arch = "x86_64")]
+        if ind.is_multiple_of(simd::LANES) && simd::avx2_enabled() {
+            let gin = grad_in.as_deref_mut();
+            done = match batch {
+                // SAFETY: AVX2 was just detected; the pass asserts the
+                // shapes it indexes by.
+                4 => unsafe { avx2::dense_backward_rows::<4>(input, grad_out, w, dw, db, gin) },
+                // SAFETY: as above.
+                8 => unsafe { avx2::dense_backward_rows::<8>(input, grad_out, w, dw, db, gin) },
+                _ => 0,
+            };
         }
         for (o, (w_o, dw_o)) in w
             .chunks_exact(ind)
             .zip(dw.chunks_exact_mut(ind))
             .enumerate()
+            .skip(done)
         {
             for (s, x) in input.chunks_exact(ind).enumerate() {
                 let g = grad_out[s * outd + o];
@@ -363,8 +410,9 @@ impl Conv3x3 {
         }
     }
 
-    /// Every out-channel of positions `p..p + P` of one sample, `R`
-    /// channels a tile (4, then single channels for the tail).
+    /// Every out-channel of positions `p..p + P` of one sample: the AVX2
+    /// tiles where they apply, then `R` channels a tile (4, then single
+    /// channels for the tail).
     fn channels_of<const P: usize>(
         &self,
         weights: &[f32],
@@ -373,6 +421,13 @@ impl Conv3x3 {
         out: &mut [f32],
     ) {
         let mut o = 0;
+        #[cfg(target_arch = "x86_64")]
+        if P == 8 && simd::avx2_enabled() {
+            let (taps, mask) = (&self.taps[..], &self.tap_mask[..]);
+            // SAFETY: AVX2 was just detected; the tile asserts the shapes
+            // it indexes by.
+            o = unsafe { avx2::conv_tiles_8x8(taps, mask, p, weights, bias, out) };
+        }
         while o + 4 <= self.out_ch {
             self.tile::<4, P>(weights, bias, o, p, out);
             o += 4;
@@ -430,6 +485,290 @@ fn taps_inside(p: usize, len: usize) -> std::ops::Range<usize> {
     usize::from(p == 0)..if p + 1 == len { 2 } else { 3 }
 }
 
+/// The AVX2 tiles of [`Dense`] and [`Conv3x3`]. Each computes the
+/// expression tree of the scalar tile or loop it stands in for: a product,
+/// then a separate add (no FMA), every accumulator taking its addends in
+/// the scalar order. Each covers whole blocks of rows or channels and
+/// returns the first one it left to the scalar tails.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use std::arch::x86_64::*;
+
+    /// [`super::Dense`]'s tiles of 4 rows × samples `s..s + 8`: one
+    /// `__m256` accumulator per row, lane `l` being sample `s + l`, each
+    /// `seed + w[o][0]·x[0] + w[o][1]·x[1] + …` in `i` order, then
+    /// `b[o] + acc`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    ///
+    /// # Panics
+    /// Panics unless `xt` is `[ind × batch]` with `s + 8 <= batch`, `w` is
+    /// `b.len() × ind` and `output` is `batch × b.len()`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn dense_tiles_4x8(
+        xt: &[f32],
+        ind: usize,
+        s: usize,
+        w: &[f32],
+        b: &[f32],
+        seed: f32,
+        output: &mut [f32],
+    ) -> usize {
+        let (batch, outd) = (xt.len() / ind, b.len());
+        assert!(
+            xt.len() == ind * batch && s + 8 <= batch,
+            "xt is [in × batch]"
+        );
+        assert!(
+            w.len() == outd * ind && output.len() == batch * outd,
+            "Dense shapes"
+        );
+        let mut o = 0;
+        while o + 4 <= outd {
+            let mut acc = [_mm256_set1_ps(seed); 4];
+            for i in 0..ind {
+                // SAFETY: `i < ind` and `s + 8 <= batch` (asserted), so the
+                // 8 samples of `xt` row `i` are inside `xt`; `o + 4 <= outd`
+                // and `w.len() == outd · ind` (asserted) keep `w[o + r][i]`
+                // inside `w`.
+                let x = _mm256_loadu_ps(xt.as_ptr().add(i * batch + s));
+                for (r, a) in acc.iter_mut().enumerate() {
+                    let wv = _mm256_set1_ps(*w.get_unchecked((o + r) * ind + i));
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(wv, x));
+                }
+            }
+            let mut lanes = [[0.0f32; 8]; 4];
+            for (v, a) in lanes.iter_mut().zip(acc) {
+                // SAFETY: `v` is the 8 lanes of one store.
+                _mm256_storeu_ps(v.as_mut_ptr(), a);
+            }
+            for (r, v) in lanes.iter().enumerate() {
+                for (l, a) in v.iter().enumerate() {
+                    output[(s + l) * outd + o + r] = b[o + r] + a;
+                }
+            }
+            o += 4;
+        }
+        o
+    }
+
+    /// [`super::Dense`]'s tiles of 8 rows × samples `s..s + 4`, for a
+    /// 4-sample batch: two rows a `__m256`, lanes `0..4` row `o + 2k` and
+    /// lanes `4..8` row `o + 2k + 1`, each lane the chain of
+    /// [`dense_tiles_4x8`].
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    ///
+    /// # Panics
+    /// Panics unless `xt` is `[ind × batch]` with `s + 4 <= batch`, `w` is
+    /// `b.len() × ind` and `output` is `batch × b.len()`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn dense_tiles_8x4(
+        xt: &[f32],
+        ind: usize,
+        s: usize,
+        w: &[f32],
+        b: &[f32],
+        seed: f32,
+        output: &mut [f32],
+    ) -> usize {
+        let (batch, outd) = (xt.len() / ind, b.len());
+        assert!(
+            xt.len() == ind * batch && s + 4 <= batch,
+            "xt is [in × batch]"
+        );
+        assert!(
+            w.len() == outd * ind && output.len() == batch * outd,
+            "Dense shapes"
+        );
+        let mut o = 0;
+        while o + 8 <= outd {
+            let mut acc = [_mm256_set1_ps(seed); 4];
+            for i in 0..ind {
+                // SAFETY: `i < ind` and `s + 4 <= batch` (asserted), so the
+                // 4 samples of `xt` row `i` are inside `xt`; `o + 8 <= outd`
+                // and `w.len() == outd · ind` (asserted) keep `w[o + r][i]`
+                // inside `w`.
+                let x4 = _mm_loadu_ps(xt.as_ptr().add(i * batch + s));
+                let x = _mm256_set_m128(x4, x4);
+                for (k, a) in acc.iter_mut().enumerate() {
+                    let lo = _mm256_broadcast_ss(w.get_unchecked((o + 2 * k) * ind + i));
+                    let hi = _mm256_broadcast_ss(w.get_unchecked((o + 2 * k + 1) * ind + i));
+                    let wv = _mm256_blend_ps::<0xF0>(lo, hi);
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(wv, x));
+                }
+            }
+            let mut lanes = [[0.0f32; 8]; 4];
+            for (v, a) in lanes.iter_mut().zip(acc) {
+                // SAFETY: `v` is the 8 lanes of one store.
+                _mm256_storeu_ps(v.as_mut_ptr(), a);
+            }
+            for (r, v) in lanes.iter().flat_map(|v| v.chunks_exact(4)).enumerate() {
+                for (l, a) in v.iter().enumerate() {
+                    output[(s + l) * outd + o + r] = b[o + r] + a;
+                }
+            }
+            o += 8;
+        }
+        o
+    }
+
+    /// [`super::Conv3x3`]'s tiles of 8 out-channels × positions `p..p + 8`
+    /// of one sample: one `__m256` accumulator per channel, from its bias,
+    /// taking `acc + w·x` for `j = (c, ky, kx)` ascending only in the lanes
+    /// whose tap mask is set (`sum & m | acc & !m`); elsewhere a lane keeps
+    /// its bits. A tap that no lane takes is skipped and one that every
+    /// lane takes is added unmasked: both are what the select would leave.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    ///
+    /// # Panics
+    /// Panics unless `mask` is `[9 × hw]` with `p + 8 <= hw`, `taps` is
+    /// `[k9 × hw]`, `weights` is `bias.len() × k9` and `out` is `bias.len()
+    /// × hw`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn conv_tiles_8x8(
+        taps: &[f32],
+        mask: &[u32],
+        p: usize,
+        weights: &[f32],
+        bias: &[f32],
+        out: &mut [f32],
+    ) -> usize {
+        let (hw, out_ch) = (mask.len() / 9, bias.len());
+        assert!(mask.len() == 9 * hw && p + 8 <= hw, "mask is [9 × hw]");
+        let k9 = taps.len() / hw;
+        assert!(taps.len() == k9 * hw, "taps are [in_ch·9 × hw]");
+        assert!(
+            weights.len() == out_ch * k9 && out.len() == out_ch * hw,
+            "Conv3x3 shapes"
+        );
+        let mut o = 0;
+        while o + 8 <= out_ch {
+            let mut acc = [_mm256_setzero_ps(); 8];
+            for (a, &b) in acc.iter_mut().zip(&bias[o..o + 8]) {
+                *a = _mm256_set1_ps(b);
+            }
+            for j in 0..k9 {
+                // SAFETY: `j < k9` and `p + 8 <= hw` (asserted), so the 8
+                // positions of tap row `j` are inside `taps` and those of
+                // mask row `j % 9` inside `mask`; `o + 8 <= out_ch` and
+                // `weights.len() == out_ch · k9` (asserted) keep
+                // `weights[o + r][j]` inside `weights`.
+                let x = _mm256_loadu_ps(taps.as_ptr().add(j * hw + p));
+                let m = _mm256_loadu_ps(mask.as_ptr().add(j % 9 * hw + p).cast());
+                let w = |r: usize| _mm256_set1_ps(*weights.get_unchecked((o + r) * k9 + j));
+                match _mm256_movemask_ps(m) {
+                    0 => {}
+                    0xFF => {
+                        for (r, a) in acc.iter_mut().enumerate() {
+                            *a = _mm256_add_ps(*a, _mm256_mul_ps(w(r), x));
+                        }
+                    }
+                    _ => {
+                        for (r, a) in acc.iter_mut().enumerate() {
+                            let sum = _mm256_add_ps(*a, _mm256_mul_ps(w(r), x));
+                            *a = _mm256_or_ps(_mm256_and_ps(sum, m), _mm256_andnot_ps(m, *a));
+                        }
+                    }
+                }
+            }
+            for (r, a) in acc.into_iter().enumerate() {
+                // SAFETY: `o + r < out_ch`, `p + 8 <= hw` and `out.len() ==
+                // out_ch · hw` (asserted): inside `out`.
+                _mm256_storeu_ps(out.as_mut_ptr().add((o + r) * hw + p), a);
+            }
+            o += 8;
+        }
+        o
+    }
+
+    /// [`super::Dense`]'s backward for a batch of `B`, 4 rows a pass: per
+    /// 8-lane slice `i..i + 8`, each row's `dW` slice takes `g[s][o]·x[s]`
+    /// for `s` ascending in a register, and each sample's `dx` slice takes
+    /// `g[s][o]·W[o]` for the 4 rows `o` ascending; then `db[o] += g[s][o]`
+    /// for `s` ascending. Those are the row-AXPY loop's orders.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    ///
+    /// # Panics
+    /// Panics unless `x` is `B × ind` with `ind % 8 == 0`, `g` is `B ×
+    /// db.len()`, `w` and `dw` are `db.len() × ind`, and `gin`, when given,
+    /// is `B × ind`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn dense_backward_rows<const B: usize>(
+        x: &[f32],
+        g: &[f32],
+        w: &[f32],
+        dw: &mut [f32],
+        db: &mut [f32],
+        gin: Option<&mut [f32]>,
+    ) -> usize {
+        let (ind, outd) = (x.len() / B, db.len());
+        assert!(
+            x.len() == B * ind && ind.is_multiple_of(8),
+            "x is [B × in], in % 8 == 0"
+        );
+        assert!(
+            g.len() == B * outd && w.len() == outd * ind && dw.len() == w.len(),
+            "Dense shapes"
+        );
+        assert!(
+            gin.as_ref().is_none_or(|gin| gin.len() == x.len()),
+            "dx is [B × in]"
+        );
+        let gin = gin.map(|gin| gin.as_mut_ptr());
+        let mut o = 0;
+        while o + 4 <= outd {
+            for i in (0..ind).step_by(8) {
+                let (mut wr, mut dwr) = ([_mm256_setzero_ps(); 4], [_mm256_setzero_ps(); 4]);
+                for (r, (wv, dv)) in wr.iter_mut().zip(&mut dwr).enumerate() {
+                    // SAFETY: `o + r < outd` and `i + 8 <= ind` (`ind % 8 ==
+                    // 0`), and `w` and `dw` are `outd × ind` (asserted).
+                    *wv = _mm256_loadu_ps(w.as_ptr().add((o + r) * ind + i));
+                    *dv = _mm256_loadu_ps(dw.as_ptr().add((o + r) * ind + i));
+                }
+                for s in 0..B {
+                    // SAFETY: `s < B` and `i + 8 <= ind`, and `x` and `gin`
+                    // are `B × ind` (asserted); `o + 4 <= outd` and `g` being
+                    // `B × outd` (asserted) keep `g[s][o + r]` inside `g`.
+                    let xv = _mm256_loadu_ps(x.as_ptr().add(s * ind + i));
+                    let mut gv = [_mm256_setzero_ps(); 4];
+                    for (r, v) in gv.iter_mut().enumerate() {
+                        *v = _mm256_set1_ps(*g.get_unchecked(s * outd + o + r));
+                    }
+                    for (dv, gv) in dwr.iter_mut().zip(gv) {
+                        *dv = _mm256_add_ps(*dv, _mm256_mul_ps(gv, xv));
+                    }
+                    if let Some(gin) = gin {
+                        let dst = gin.add(s * ind + i);
+                        let mut d = _mm256_loadu_ps(dst);
+                        for (gv, wv) in gv.into_iter().zip(wr) {
+                            d = _mm256_add_ps(d, _mm256_mul_ps(gv, wv));
+                        }
+                        _mm256_storeu_ps(dst, d);
+                    }
+                }
+                for (r, dv) in dwr.into_iter().enumerate() {
+                    // SAFETY: as for the loads above.
+                    _mm256_storeu_ps(dw.as_mut_ptr().add((o + r) * ind + i), dv);
+                }
+            }
+            for (r, d) in db[o..o + 4].iter_mut().enumerate() {
+                for s in 0..B {
+                    *d += g[s * outd + o + r];
+                }
+            }
+            o += 4;
+        }
+        o
+    }
+}
+
 impl Layer for Conv3x3 {
     /// Register-tiled over staged taps. Per sample, the 9 shifted copies of
     /// each input plane are staged as `[in_ch·9 × hw]`, after which every
@@ -439,6 +778,9 @@ impl Layer for Conv3x3 {
     /// lanes whose tap is inside the map. Every output element receives the
     /// same products in the same order as the textbook per-element loop,
     /// and a skipped tap leaves its bits alone (a −0.0 bias stays −0.0).
+    /// With AVX2 a tile is 8 out-channels × 8 positions in eight `__m256`
+    /// accumulators, and the lane select is an and/andnot/or against the
+    /// mask.
     fn forward(&mut self, input: &[f32], output: &mut [f32], params: &[f32]) {
         let (h, w) = (self.h, self.w);
         let hw = h * w;
@@ -449,6 +791,7 @@ impl Layer for Conv3x3 {
             "Conv3x3: bad output size"
         );
         let (weights, bias) = params.split_at(self.out_ch * self.in_ch * 9);
+        let bias = &bias[..self.out_ch];
         // Off-map entries are written as 0 here and never again.
         self.taps.resize(self.in_ch * 9 * hw, 0.0);
         let samples = input

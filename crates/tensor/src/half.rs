@@ -170,13 +170,17 @@ fn f16_bits_to_f32(h: u16) -> f32 {
     f32::from_bits(bits)
 }
 
-/// True when the running CPU supports F16C and AVX (cached after first
-/// query).
+/// True when the running CPU supports F16C and AVX and `GCS_SIMD=scalar` is
+/// not set (cached after first query).
 #[cfg(target_arch = "x86_64")]
 fn f16c_enabled() -> bool {
     use std::sync::OnceLock;
     static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| is_x86_feature_detected!("f16c") && is_x86_feature_detected!("avx"))
+    *ENABLED.get_or_init(|| {
+        crate::simd::simd_allowed()
+            && is_x86_feature_detected!("f16c")
+            && is_x86_feature_detected!("avx")
+    })
 }
 
 // ---------------------------------------------------------------------------

@@ -39,10 +39,24 @@
 //! NaN included.
 //!
 //! Dispatch is by runtime feature detection ([`avx2_enabled`], cached); the
-//! scalar path runs on non-x86-64 targets and wherever AVX2 is absent.
-//! Tests pin `f(_) == f_scalar(_)` bit-for-bit on every primitive, so the
-//! dispatch choice is unobservable in outputs. The binary16 conversions
-//! have their own F16C kernels under the same contract, in [`crate::half`].
+//! scalar path runs on non-x86-64 targets, wherever AVX2 is absent, and in
+//! a process started with `GCS_SIMD=scalar`. Tests pin `f(_) ==
+//! f_scalar(_)` bit-for-bit on every primitive, so the dispatch choice is
+//! unobservable in outputs. The binary16 conversions have their own F16C
+//! kernels under the same contract, in [`crate::half`], and the same
+//! switch turns them off.
+//!
+//! **Who takes the AVX2 paths.** [`avx2_enabled`] decides for:
+//!
+//! * the primitives here, and through them `hadamard`'s FWHT/RHT
+//!   ([`butterfly`]), `vector`'s top-k threshold scan ([`abs_keys_into`],
+//!   [`collect_indices_above`]) and scaling ([`scale`]), `matrix`'s
+//!   PowerSGD products and Gram–Schmidt ([`axpy`], [`dot_folded`],
+//!   [`scale`]), THC's rounding in `gcs-core` ([`quantize_stochastic`]),
+//!   and `gcs-nn`'s row-AXPY `Dense` backward ([`axpy`]);
+//! * `gcs-nn`'s own AVX2 layer kernels (`crates/nn/src/layers.rs`): the
+//!   `Dense` and `Conv3x3` forward tiles and the one-pass `Dense` backward,
+//!   which check [`avx2_enabled`] themselves.
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
@@ -51,13 +65,24 @@ use std::arch::x86_64::*;
 /// reference paths use the same stride so both sides share one fold shape.
 pub const LANES: usize = 8;
 
-/// True when the running CPU supports AVX2 (cached after first query).
+/// False when the process runs with `GCS_SIMD=scalar`: every dispatch in
+/// this crate and its users then takes its scalar reference, whatever the
+/// CPU supports, so a golden can be shown to hold on a machine without
+/// AVX2 or F16C. Read where [`avx2_enabled`] and the F16C check cache
+/// their answers, so once per process.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn simd_allowed() -> bool {
+    std::env::var_os("GCS_SIMD").is_none_or(|v| v != "scalar")
+}
+
+/// True when the running CPU supports AVX2 and `GCS_SIMD=scalar` is not set
+/// (cached after first query).
 pub fn avx2_enabled() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         use std::sync::OnceLock;
         static ENABLED: OnceLock<bool> = OnceLock::new();
-        *ENABLED.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
+        *ENABLED.get_or_init(|| simd_allowed() && std::arch::is_x86_feature_detected!("avx2"))
     }
     #[cfg(not(target_arch = "x86_64"))]
     {

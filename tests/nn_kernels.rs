@@ -241,6 +241,76 @@ fn run_layer(
     (output, grad_in)
 }
 
+/// `Conv3x3` on `sh` against the oracles: output, `dW`/`db` (accumulated
+/// onto a non-zero start) and `d_in` must agree bit for bit.
+fn check_conv(sh: ConvShape, batch: usize, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut layer = Conv3x3::new(sh.in_ch, sh.out_ch, sh.h, sh.w, &mut rng);
+    let params = values(&mut rng, layer.param_len());
+    let input = values(&mut rng, batch * sh.in_sz());
+    let grad_out = sparse_gradient(&mut rng, batch * sh.out_sz(), sh.w);
+    // Gradients accumulate: start both sides from the same non-zero state.
+    let grads0 = values(&mut rng, params.len());
+
+    let want_out = conv_forward_naive(sh, &input, batch, &params);
+    let mut want_grads = grads0.clone();
+    let want_gin = conv_backward_naive(sh, &input, &grad_out, batch, &params, &mut want_grads);
+
+    let mut grads = grads0;
+    let (out, gin) = run_layer(
+        &mut layer,
+        &input,
+        want_out.len(),
+        &grad_out,
+        &params,
+        &mut grads,
+    );
+    assert_eq!(bits(&out), bits(&want_out), "output, {sh:?} batch {batch}");
+    assert_eq!(
+        bits(&grads),
+        bits(&want_grads),
+        "dW/db, {sh:?} batch {batch}"
+    );
+    assert_eq!(bits(&gin), bits(&want_gin), "d_in, {sh:?} batch {batch}");
+}
+
+/// `Dense` of `in_dim → out_dim` at `batch` against the oracles, as
+/// [`check_conv`] does.
+fn check_dense(in_dim: usize, out_dim: usize, batch: usize, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut layer = Dense::new(in_dim, out_dim, &mut rng);
+    let params = values(&mut rng, layer.param_len());
+    let input = values(&mut rng, batch * in_dim);
+    let grad_out = sparse_gradient(&mut rng, batch * out_dim, out_dim);
+    let grads0 = values(&mut rng, params.len());
+
+    let want_out = dense_forward_naive(in_dim, out_dim, &input, batch, &params);
+    let mut want_grads = grads0.clone();
+    let want_gin = dense_backward_naive(
+        in_dim,
+        out_dim,
+        &input,
+        &grad_out,
+        batch,
+        &params,
+        &mut want_grads,
+    );
+
+    let mut grads = grads0;
+    let (out, gin) = run_layer(
+        &mut layer,
+        &input,
+        want_out.len(),
+        &grad_out,
+        &params,
+        &mut grads,
+    );
+    let shape = format!("{in_dim}->{out_dim} batch {batch}");
+    assert_eq!(bits(&out), bits(&want_out), "output, {shape}");
+    assert_eq!(bits(&grads), bits(&want_grads), "dW/db, {shape}");
+    assert_eq!(bits(&gin), bits(&want_gin), "d_in, {shape}");
+}
+
 /// Map sides that hit every border case: 1, 2, odd, and VggMini's own.
 fn side() -> impl Strategy<Value = usize> {
     prop_oneof![
@@ -252,6 +322,47 @@ fn side() -> impl Strategy<Value = usize> {
         Just(8),
         Just(16)
     ]
+}
+
+/// Every `Dense` dispatch branch and tail, whatever the proptest draws:
+/// batches of 8-sample tiles, 4-sample tiles and single samples (the
+/// one-pass backward takes batches of 4 and 8 only), every `out % 8`
+/// (8-row, 4-row and single-row tiles), and `in` a multiple of 8 (the
+/// one-pass backward) and not.
+#[test]
+fn dense_reaches_every_dispatch_branch_and_tail() {
+    for batch in [1, 3, 4, 5, 8, 9, 12] {
+        for out_dim in 1..=16 {
+            for in_dim in [8, 13, 24] {
+                check_dense(
+                    in_dim,
+                    out_dim,
+                    batch,
+                    (batch * 1000 + out_dim * 10 + in_dim) as u64,
+                );
+            }
+        }
+    }
+}
+
+/// Every `Conv3x3` dispatch branch and tail: 8-channel, 4-channel and
+/// single-channel tiles, and maps whose `h·w` is a multiple of 8 (only
+/// 8-position tiles) or not (single-position tails too).
+#[test]
+fn conv3x3_reaches_every_dispatch_branch_and_tail() {
+    for (h, w) in [(8, 8), (2, 4), (4, 6), (3, 5), (5, 5), (1, 7)] {
+        for out_ch in [1, 3, 4, 7, 8, 9, 12, 13, 16, 17] {
+            for in_ch in [1, 2] {
+                let sh = ConvShape {
+                    in_ch,
+                    out_ch,
+                    h,
+                    w,
+                };
+                check_conv(sh, 2, (h * 1000 + w * 100 + out_ch * 10 + in_ch) as u64);
+            }
+        }
+    }
 }
 
 proptest! {
@@ -266,26 +377,7 @@ proptest! {
         batch in 1usize..4,
         seed in any::<u64>(),
     ) {
-        let sh = ConvShape { in_ch, out_ch, h, w };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut layer = Conv3x3::new(in_ch, out_ch, h, w, &mut rng);
-        let params = values(&mut rng, layer.param_len());
-        let input = values(&mut rng, batch * sh.in_sz());
-        let grad_out = sparse_gradient(&mut rng, batch * sh.out_sz(), w);
-        // Gradients accumulate: start both sides from the same non-zero state.
-        let grads0 = values(&mut rng, params.len());
-
-        let want_out = conv_forward_naive(sh, &input, batch, &params);
-        let mut want_grads = grads0.clone();
-        let want_gin =
-            conv_backward_naive(sh, &input, &grad_out, batch, &params, &mut want_grads);
-
-        let mut grads = grads0;
-        let (out, gin) =
-            run_layer(&mut layer, &input, want_out.len(), &grad_out, &params, &mut grads);
-        prop_assert_eq!(bits(&out), bits(&want_out), "output, {:?} batch {}", sh, batch);
-        prop_assert_eq!(bits(&grads), bits(&want_grads), "dW/db, {:?} batch {}", sh, batch);
-        prop_assert_eq!(bits(&gin), bits(&want_gin), "d_in, {:?} batch {}", sh, batch);
+        check_conv(ConvShape { in_ch, out_ch, h, w }, batch, seed);
     }
 
     #[test]
@@ -296,25 +388,7 @@ proptest! {
         batch in 1usize..20,
         seed in any::<u64>(),
     ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut layer = Dense::new(in_dim, out_dim, &mut rng);
-        let params = values(&mut rng, layer.param_len());
-        let input = values(&mut rng, batch * in_dim);
-        let grad_out = sparse_gradient(&mut rng, batch * out_dim, out_dim);
-        let grads0 = values(&mut rng, params.len());
-
-        let want_out = dense_forward_naive(in_dim, out_dim, &input, batch, &params);
-        let mut want_grads = grads0.clone();
-        let want_gin = dense_backward_naive(
-            in_dim, out_dim, &input, &grad_out, batch, &params, &mut want_grads,
-        );
-
-        let mut grads = grads0;
-        let (out, gin) =
-            run_layer(&mut layer, &input, want_out.len(), &grad_out, &params, &mut grads);
-        prop_assert_eq!(bits(&out), bits(&want_out), "output, {}->{}", in_dim, out_dim);
-        prop_assert_eq!(bits(&grads), bits(&want_grads), "dW/db, {}->{}", in_dim, out_dim);
-        prop_assert_eq!(bits(&gin), bits(&want_gin), "d_in, {}->{}", in_dim, out_dim);
+        check_dense(in_dim, out_dim, batch, seed);
     }
 
     /// Evaluation streams the held-out batch through chunk-sized buffers;
