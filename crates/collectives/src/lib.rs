@@ -11,11 +11,11 @@
 //! cannot be expressed through [`ops`]'s reduction interface.
 //!
 //! * [`reduce`] — reduction operators: exact f32 sum, FP16-precision sum
-//!   (NCCL `ncclFloat16` semantics), f32 max, and the saturating / widened
-//!   q-bit integer sums that THC-style quantization needs.
+//!   (NCCL `ncclFloat16` semantics) and f32 max.
 //! * [`ops`] — the three collectives the schemes run, in memory: the ring
 //!   all-reduce (reduce-scatter + all-gather) over any element type and
-//!   reduction operator, the same walk over bit-packed lanes, and the
+//!   reduction operator, the same walk over bit-packed lanes (where the
+//!   saturating and widened q-bit sums of THC and TopKC-Q run), and the
 //!   all-gather — each with exact per-worker traffic accounting. (Tree,
 //!   parameter-server and hierarchical shapes exist as `gcs-netsim` time
 //!   models; the parameter server as running code is `gcs-aggd`.)
@@ -55,7 +55,7 @@ pub use gcs_trace::bytes;
 pub use ops::{
     all_gather_into, ring_all_reduce_into, ring_all_reduce_packed_into, RingScratch, Traffic,
 };
-pub use reduce::{F16Sum, F32Max, F32Sum, ReduceOp, SaturatingIntSum, WideIntSum};
+pub use reduce::{F16Sum, F32Max, F32Sum, ReduceOp};
 pub use tcp::{
     decode_elems, decode_elems_into, encode_elems_into, FleetWorker, FramedStream, RecvFail,
     Registry, RoundStart, TcpCluster, TcpLinks, TcpMesh, TcpTimeouts, WireElem,

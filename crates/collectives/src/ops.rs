@@ -275,7 +275,7 @@ pub fn all_gather_into<T: Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reduce::{F32Sum, SaturatingIntSum};
+    use crate::reduce::F32Sum;
 
     impl Traffic {
         fn new(n: usize) -> Traffic {
@@ -478,11 +478,16 @@ mod tests {
         // Four workers each contribute +6 in 4-bit lanes: the exact sum (24)
         // saturates at 7 somewhere along the ring — and every worker agrees
         // on the final (clamped) value.
-        let op = SaturatingIntSum::new(4);
-        let mut bufs: Vec<Vec<i32>> = (0..4).map(|_| vec![6i32; 8]).collect();
-        ring_all_reduce(&mut bufs, &op, 0.5);
+        let mut bufs: Vec<PackedIntVec> = (0..4)
+            .map(|_| PackedIntVec::from_signed(4, &[6; 8]))
+            .collect();
+        let mut traffic = Traffic::default();
+        let scratch = &mut RingScratch::new();
+        ring_all_reduce_packed_into(&mut bufs, LaneAdd::Saturating, scratch, &mut traffic);
+        let mut lanes = [0i32; 8];
         for b in &bufs {
-            assert_eq!(b, &vec![7i32; 8]);
+            b.unpack_into(0, &mut lanes);
+            assert_eq!(lanes, [7; 8]);
         }
     }
 

@@ -12,20 +12,21 @@
 //! * [`F16Sum`] — sum rounded to binary16 after every addition, NCCL's
 //!   FP16 all-reduce semantics (the paper's stronger baseline, and TopKC's
 //!   chunk aggregation).
-//! * [`WideIntSum`] — plain integer sum for widened payloads (THC's
-//!   "simple adaptation": communicate `b > q` bits so sums cannot
-//!   overflow).
-//! * [`SaturatingIntSum`] — the paper's `Sat(x,y)` operator (§3.2.2):
-//!   clamp to `[−(2^{b−1}−1), 2^{b−1}−1]`, enabling `b = q`.
 //! * [`F32Max`] — element-wise maximum, for agreeing on quantization scales.
+//!
+//! Quantized integer payloads are not summed through a [`ReduceOp`]: they
+//! travel as bit-packed lanes, and the packed ring
+//! ([`crate::ring_all_reduce_packed_into`]) folds them a word at a time with
+//! a [`gcs_tensor::bitpack::LaneAdd`] — the paper's `Sat(x, y)` (§3.2.2) or
+//! the wrapping sum widened payloads run under.
 
 use gcs_tensor::F16;
 
 /// An associative-enough binary reduction over elements of type `T`.
 ///
-/// "Enough": FP16 and saturating sums are *not* exactly associative; the
-/// collectives apply them in a deterministic order, mirroring real NCCL
-/// behaviour where reduction order is topology-determined.
+/// "Enough": FP16 sums are *not* exactly associative; the collectives
+/// apply them in a deterministic order, mirroring real NCCL behaviour
+/// where reduction order is topology-determined.
 pub trait ReduceOp<T>: Sync {
     /// Folds `x` into the accumulator.
     fn reduce(&self, acc: &mut T, x: &T);
@@ -66,51 +67,6 @@ impl ReduceOp<F16> for F16Sum {
     /// to folding `reduce` over the elements.
     fn reduce_slice(&self, acc: &mut [F16], xs: &[F16]) {
         gcs_tensor::half::add_f16_slice(acc, xs);
-    }
-}
-
-/// Plain i32 addition (for widened integer payloads where overflow is
-/// impossible by construction).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WideIntSum;
-
-impl ReduceOp<i32> for WideIntSum {
-    fn reduce(&self, acc: &mut i32, x: &i32) {
-        *acc += *x;
-    }
-}
-
-/// The paper's saturation operator over `b`-bit signed lanes:
-/// `Sat(x, y) = min(2^{b−1}−1, max(−2^{b−1}+1, x+y))`.
-#[derive(Clone, Copy, Debug)]
-pub struct SaturatingIntSum {
-    hi: i32,
-}
-
-impl SaturatingIntSum {
-    /// Creates the operator for `b`-bit lanes (`2 <= b <= 31`).
-    ///
-    /// # Panics
-    /// Panics if `b` is out of range.
-    pub fn new(b: u32) -> SaturatingIntSum {
-        assert!(
-            (2..=31).contains(&b),
-            "SaturatingIntSum: b={b} out of range"
-        );
-        SaturatingIntSum {
-            hi: (1i32 << (b - 1)) - 1,
-        }
-    }
-
-    /// The symmetric clamp bound `2^{b−1}−1`.
-    pub fn bound(&self) -> i32 {
-        self.hi
-    }
-}
-
-impl ReduceOp<i32> for SaturatingIntSum {
-    fn reduce(&self, acc: &mut i32, x: &i32) {
-        *acc = (*acc + *x).clamp(-self.hi, self.hi);
     }
 }
 
@@ -161,41 +117,5 @@ mod tests {
             F16Sum.reduce(a, x);
         }
         assert_eq!(bulk, fold);
-    }
-
-    #[test]
-    fn saturating_sum_clamps() {
-        let op = SaturatingIntSum::new(4); // lanes in [-7, 7]
-        let mut acc = 6i32;
-        op.reduce(&mut acc, &5);
-        assert_eq!(acc, 7);
-        let mut acc = -6i32;
-        op.reduce(&mut acc, &-5);
-        assert_eq!(acc, -7);
-        let mut acc = 6i32;
-        op.reduce(&mut acc, &-5);
-        assert_eq!(acc, 1);
-    }
-
-    #[test]
-    fn saturating_matches_packed_int_vec_semantics() {
-        // The collectives' i32 lanes and the wire-format PackedIntVec must
-        // agree on what Sat() means.
-        use gcs_tensor::PackedIntVec;
-        let q = 4u32;
-        let a = [7i32, -7, 3, -3, 0];
-        let b = [5i32, -5, 5, -5, 7];
-        let mut lanes = a.to_vec();
-        let op = SaturatingIntSum::new(q);
-        op.reduce_slice(&mut lanes, &b);
-        let mut packed = PackedIntVec::from_signed(q, &a);
-        packed.add_saturating(&PackedIntVec::from_signed(q, &b));
-        assert_eq!(lanes, packed.to_signed_vec());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn saturating_rejects_bad_width() {
-        SaturatingIntSum::new(1);
     }
 }

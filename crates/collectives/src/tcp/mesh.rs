@@ -80,12 +80,21 @@ pub fn decode_elems_into<T: WireElem>(
     Ok(())
 }
 
-/// Folds a payload of `acc.len()` encoded elements into `acc` with `op`,
-/// one `op.reduce` per element in ascending order — `reduce_slice` over the
-/// decoded payload, bit for bit, without staging the decode anywhere.
+/// Folds a payload of `acc.len()` encoded elements into `acc` with `op`:
+/// each stack block of the payload is decoded once and handed to
+/// `op.reduce_slice`, so an op's bulk kernel runs over sockets too — and
+/// the bits are those of `reduce_slice` over the whole decoded payload.
 fn fold_elems<T: WireElem, O: ReduceOp<T>>(bytes: &[u8], acc: &mut [T], op: &O) {
-    for (a, chunk) in acc.iter_mut().zip(bytes.chunks_exact(T::BYTES)) {
-        op.reduce(a, &T::read_le(chunk));
+    /// Elements decoded per stack block.
+    const BLOCK: usize = 64;
+    let Some(first) = acc.first() else {
+        return;
+    };
+    let mut block: [T; BLOCK] = std::array::from_fn(|_| first.clone());
+    for (acc, bytes) in acc.chunks_mut(BLOCK).zip(bytes.chunks(BLOCK * T::BYTES)) {
+        let xs = &mut block[..acc.len()];
+        get_elems(bytes, xs);
+        op.reduce_slice(acc, xs);
     }
 }
 

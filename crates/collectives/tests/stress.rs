@@ -1,9 +1,10 @@
 //! Concurrency stress and property tests for the collectives.
 
 use gcs_collectives::{
-    ring_all_reduce_into, threaded_ring_all_reduce, F16Sum, F32Sum, ReduceOp, RingScratch,
-    SaturatingIntSum, Traffic,
+    ring_all_reduce_into, ring_all_reduce_packed_into, threaded_ring_all_reduce, F16Sum, F32Sum,
+    ReduceOp, RingScratch, Traffic,
 };
+use gcs_tensor::bitpack::{LaneAdd, PackedIntVec};
 use gcs_tensor::half::encode_f16_into;
 use proptest::prelude::*;
 
@@ -79,14 +80,18 @@ proptest! {
         lanes in prop::collection::vec(-7i32..=7, 8..40),
     ) {
         // All workers identical: the saturated sum must equal the clamped
-        // n*value per lane.
-        let bufs: Vec<Vec<i32>> = (0..n).map(|_| lanes.clone()).collect();
-        let op = SaturatingIntSum::new(4);
-        let mut out = bufs.clone();
-        ring_all_reduce(&mut out, &op, 0.5);
-        for (lane, &orig) in out[0].iter().zip(&lanes) {
-            let expect = (orig * n as i32).clamp(-7, 7);
-            prop_assert_eq!(*lane, expect);
+        // n*value per lane, on every worker.
+        let mut bufs: Vec<PackedIntVec> =
+            (0..n).map(|_| PackedIntVec::from_signed(4, &lanes)).collect();
+        let (scratch, traffic) = (&mut RingScratch::new(), &mut Traffic::default());
+        ring_all_reduce_packed_into(&mut bufs, LaneAdd::Saturating, scratch, traffic);
+        let mut out = vec![0i32; lanes.len()];
+        for b in &bufs {
+            b.unpack_into(0, &mut out);
+            for (lane, &orig) in out.iter().zip(&lanes) {
+                let expect = (orig * n as i32).clamp(-7, 7);
+                prop_assert_eq!(*lane, expect);
+            }
         }
     }
 

@@ -8,18 +8,16 @@
 //! part of the algorithm's definition. The paper applies EF to both TopK and
 //! TopKC (§3.1.3).
 //!
-//! The helper here is deliberately dumb: schemes call
-//! [`ErrorFeedback::corrected`] to get `gradient + memory` and
-//! [`ErrorFeedback::update`] with the contribution that actually made it
-//! onto the wire. The *telescoping invariant* —
-//! `memory_{t+1} = corrected_t − sent_t`, so the cumulative sent stream
-//! equals the cumulative gradient stream minus the current memory — is
-//! property-tested.
-//!
-//! The batched [`ErrorFeedback::corrected_all_into`] / [`ErrorFeedback::update_all`]
-//! variants fan out across workers on [`gcs_tensor::parallel`] — memories are
-//! per-worker disjoint, so this is embarrassingly parallel and bitwise
-//! identical to the per-worker loop for any thread count.
+//! The helper here is deliberately dumb, and has one form: every scheme
+//! calls [`ErrorFeedback::corrected_all_into`] to get `gradient + memory`
+//! for all its workers and [`ErrorFeedback::update_all`] with the
+//! contributions that actually made it onto the wire. The *telescoping
+//! invariant* — `memory_{t+1} = corrected_t − sent_t`, so the cumulative
+//! sent stream equals the cumulative gradient stream minus the current
+//! memory — is tested. Both calls fan out across workers on
+//! [`gcs_tensor::parallel`]: memories are per-worker disjoint, so the
+//! result is bitwise identical to a per-worker loop for any thread count,
+//! and both write into buffers the scheme's round scratch owns.
 
 /// Per-worker error-feedback memories.
 #[derive(Clone, Debug)]
@@ -48,52 +46,9 @@ impl ErrorFeedback {
         self.memories.len()
     }
 
-    /// Returns `gradient + memory[worker]` (or a plain copy when disabled).
-    ///
-    /// # Panics
-    /// Panics if `worker` is out of range or the gradient length changed
-    /// between rounds.
-    pub fn corrected(&mut self, worker: usize, gradient: &[f32]) -> Vec<f32> {
-        let mem = &mut self.memories[worker];
-        if mem.is_empty() {
-            mem.resize(gradient.len(), 0.0);
-        }
-        assert_eq!(
-            mem.len(),
-            gradient.len(),
-            "ErrorFeedback: gradient dimension changed"
-        );
-        if !self.enabled {
-            return gradient.to_vec();
-        }
-        gradient
-            .iter()
-            .zip(mem.iter())
-            .map(|(g, m)| g + m)
-            .collect()
-    }
-
-    /// Records what was actually sent: `memory[worker] = corrected − sent`.
-    /// No-op when disabled.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn update(&mut self, worker: usize, corrected: &[f32], sent: &[f32]) {
-        if !self.enabled {
-            return;
-        }
-        assert_eq!(
-            corrected.len(),
-            sent.len(),
-            "ErrorFeedback: length mismatch"
-        );
-        let mem = &mut self.memories[worker];
-        mem.clear();
-        mem.extend(corrected.iter().zip(sent).map(|(c, s)| c - s));
-    }
-
-    /// Batched [`ErrorFeedback::corrected`] over workers `0..grads.len()`,
-    /// parallel across workers, writing into caller-owned vectors (resized
+    /// `gradient + memory` (a plain copy when disabled) for workers
+    /// `0..grads.len()`, parallel across workers, written into caller-owned
+    /// vectors (resized
     /// to one per worker, in worker order, each cleared and refilled in
     /// place) — allocation-free at steady state for schemes that own a round
     /// scratch.
@@ -137,9 +92,9 @@ impl ErrorFeedback {
         });
     }
 
-    /// Batched [`ErrorFeedback::update`] over workers `0..corrected.len()`,
-    /// parallel across workers (their memories are disjoint). No-op when
-    /// disabled.
+    /// Records what was actually sent, `memory = corrected − sent`, for
+    /// workers `0..corrected.len()`, parallel across workers (their memories
+    /// are disjoint). No-op when disabled.
     ///
     /// # Panics
     /// Panics on any worker-count or dimension mismatch.
@@ -189,6 +144,46 @@ impl ErrorFeedback {
 mod tests {
     use super::*;
 
+    /// Textbook EF, one memory per worker: `c = g + m`, then `m = c − s`.
+    #[derive(Default)]
+    struct Textbook {
+        memories: Vec<Vec<f32>>,
+    }
+
+    impl Textbook {
+        fn corrected(&mut self, grads: &[Vec<f32>]) -> Vec<Vec<f32>> {
+            self.memories.resize_with(grads.len(), Vec::new);
+            grads
+                .iter()
+                .zip(&mut self.memories)
+                .map(|(g, m)| {
+                    m.resize(g.len(), 0.0);
+                    g.iter().zip(m.iter()).map(|(g, m)| g + m).collect()
+                })
+                .collect()
+        }
+
+        fn update(&mut self, corrected: &[Vec<f32>], sent: &[Vec<f32>]) {
+            for ((m, c), s) in self.memories.iter_mut().zip(corrected).zip(sent) {
+                *m = c.iter().zip(s).map(|(c, s)| c - s).collect();
+            }
+        }
+    }
+
+    /// One EF round: the corrected gradients, then the memory update with
+    /// `compress(corrected)` as what was sent.
+    fn round(
+        ef: &mut ErrorFeedback,
+        grads: &[Vec<f32>],
+        compress: impl Fn(&[f32]) -> Vec<f32>,
+    ) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
+        let mut corrected = Vec::new();
+        ef.corrected_all_into(grads, &mut corrected);
+        let sent: Vec<Vec<f32>> = corrected.iter().map(|c| compress(c)).collect();
+        ef.update_all(&corrected, &sent);
+        (corrected, sent)
+    }
+
     #[test]
     fn telescoping_invariant() {
         // Over T rounds of a "send only the first coordinate" compressor,
@@ -198,11 +193,9 @@ mod tests {
         let mut cum_sent = [0.0f32; 2];
         let mut cum_grad = [0.0f32; 2];
         for g in &grads {
-            let corrected = ef.corrected(0, g);
-            let sent = vec![corrected[0], 0.0]; // biased compressor
-            ef.update(0, &corrected, &sent);
+            let (_, sent) = round(&mut ef, std::slice::from_ref(g), |c| vec![c[0], 0.0]);
             for i in 0..2 {
-                cum_sent[i] += sent[i];
+                cum_sent[i] += sent[0][i];
                 cum_grad[i] += g[i];
             }
         }
@@ -215,24 +208,22 @@ mod tests {
     #[test]
     fn disabled_ef_is_identity() {
         let mut ef = ErrorFeedback::new(2, false);
-        let g = vec![1.0f32, 2.0];
-        let c = ef.corrected(1, &g);
-        assert_eq!(c, g);
-        ef.update(1, &c, &[0.0, 0.0]);
-        let c2 = ef.corrected(1, &g);
-        assert_eq!(c2, g); // nothing remembered
+        let grads = vec![vec![0.5f32], vec![1.0, 2.0]];
+        let (c, _) = round(&mut ef, &grads, |c| vec![0.0; c.len()]);
+        assert_eq!(c, grads);
+        let (c2, _) = round(&mut ef, &grads, |c| vec![0.0; c.len()]);
+        assert_eq!(c2, grads); // nothing remembered
     }
 
     #[test]
     fn reset_clears() {
         let mut ef = ErrorFeedback::new(1, true);
-        let g = vec![1.0f32];
-        let c = ef.corrected(0, &g);
-        ef.update(0, &c, &[0.0]);
+        let g = vec![vec![1.0f32]];
+        round(&mut ef, &g, |_| vec![0.0]);
         assert!(gcs_tensor::vector::norm(&ef.memories[0]) > 0.0);
         ef.reset();
-        let c = ef.corrected(0, &g);
-        assert_eq!(c, vec![1.0]);
+        let (c, _) = round(&mut ef, &g, |_| vec![0.0]);
+        assert_eq!(c, g);
     }
 
     #[test]
@@ -242,31 +233,25 @@ mod tests {
         let grads: Vec<Vec<f32>> = (0..n)
             .map(|w| (0..d).map(|i| ((w * d + i) as f32 * 0.13).sin()).collect())
             .collect();
-        let sents: Vec<Vec<f32>> = grads
-            .iter()
-            .map(|g| g.iter().map(|x| (x * 4.0).round() / 4.0).collect())
-            .collect();
-        // Reference: the scalar API, two rounds.
-        let mut reference = ErrorFeedback::new(n, true);
+        let quarter =
+            |c: &[f32]| -> Vec<f32> { c.iter().map(|x| (x * 4.0).round() / 4.0).collect() };
+        // Reference: the textbook per-worker loop, two rounds.
+        let mut reference = Textbook::default();
         let mut ref_corrected = Vec::new();
         for _round in 0..2 {
-            ref_corrected = (0..n).map(|w| reference.corrected(w, &grads[w])).collect();
-            for w in 0..n {
-                reference.update(w, &ref_corrected[w], &sents[w]);
-            }
+            ref_corrected = reference.corrected(&grads);
+            let sents: Vec<Vec<f32>> = ref_corrected.iter().map(|c| quarter(c)).collect();
+            reference.update(&ref_corrected, &sents);
         }
         for threads in [1, 2, 4] {
             gcs_tensor::parallel::with_threads(threads, || {
                 let mut ef = ErrorFeedback::new(n, true);
                 let mut corrected = Vec::new();
                 for _round in 0..2 {
-                    ef.corrected_all_into(&grads, &mut corrected);
-                    ef.update_all(&corrected, &sents);
+                    corrected = round(&mut ef, &grads, quarter).0;
                 }
                 assert_eq!(corrected, ref_corrected, "threads={threads}");
-                for w in 0..n {
-                    assert_eq!(ef.memories[w], reference.memories[w]);
-                }
+                assert_eq!(ef.memories, reference.memories, "threads={threads}");
             });
         }
     }
@@ -282,20 +267,24 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let mut a = ErrorFeedback::new(n, enabled);
-            let mut b = ErrorFeedback::new(n, enabled);
+            let mut reference = Textbook::default();
+            let mut ef = ErrorFeedback::new(n, enabled);
             let mut out = Vec::new();
             let mut ptrs: Vec<*const f32> = Vec::new();
             for round in 0..3 {
-                let expect: Vec<Vec<f32>> = (0..n).map(|w| a.corrected(w, &grads[w])).collect();
-                b.corrected_all_into(&grads, &mut out);
+                let expect = if enabled {
+                    reference.corrected(&grads)
+                } else {
+                    grads.clone()
+                };
+                ef.corrected_all_into(&grads, &mut out);
                 assert_eq!(out, expect, "enabled={enabled} round={round}");
                 let sents: Vec<Vec<f32>> = out
                     .iter()
                     .map(|c| c.iter().map(|x| x * 0.5).collect())
                     .collect();
-                a.update_all(&expect, &sents);
-                b.update_all(&out, &sents);
+                reference.update(&expect, &sents);
+                ef.update_all(&out, &sents);
                 if round == 0 {
                     ptrs = out.iter().map(|o| o.as_ptr()).collect();
                 } else {
@@ -311,7 +300,8 @@ mod tests {
     #[should_panic(expected = "dimension changed")]
     fn dimension_change_is_detected() {
         let mut ef = ErrorFeedback::new(1, true);
-        ef.corrected(0, &[1.0, 2.0]);
-        ef.corrected(0, &[1.0]);
+        let mut out = Vec::new();
+        ef.corrected_all_into(&[vec![1.0, 2.0]], &mut out);
+        ef.corrected_all_into(&[vec![1.0]], &mut out);
     }
 }

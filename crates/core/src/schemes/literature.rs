@@ -16,6 +16,7 @@ use gcs_collectives::{all_gather_into, ring_all_reduce_into, F16Sum, RingScratch
 use gcs_gpusim::{ops, DeviceSpec};
 use gcs_netsim::Collective;
 use gcs_tensor::half::F16;
+use gcs_tensor::pool::WorkerBufs;
 use gcs_tensor::rng::{worker_rng, SharedSeed, Stream};
 use rand::Rng;
 
@@ -139,6 +140,17 @@ impl CompressionScheme for Qsgd {
 pub struct RandomK {
     bits: f64,
     ef: ErrorFeedback,
+    scratch: RandomKScratch,
+}
+
+/// Round scratch owned across rounds: the EF-corrected gradients, the
+/// FP16 payloads, what each worker sent, and the ring's staging.
+#[derive(Clone, Debug, Default)]
+struct RandomKScratch {
+    corrected: Vec<Vec<f32>>,
+    values: WorkerBufs<F16>,
+    sent: WorkerBufs<f32>,
+    ring: RingScratch<F16>,
 }
 
 impl RandomK {
@@ -152,6 +164,7 @@ impl RandomK {
         RandomK {
             bits,
             ef: ErrorFeedback::new(n_workers, true),
+            scratch: RandomKScratch::default(),
         }
     }
 
@@ -181,42 +194,42 @@ impl CompressionScheme for RandomK {
             SharedSeed::derive(ctx.experiment_seed, ctx.round, Stream::Custom(0xA11)),
         );
         let selected = &perm[..k];
+        let scratch = &mut self.scratch;
 
-        let encode_span = gcs_trace::span(gcs_trace::Phase::Compress, "randomk_gather");
-        let mut corrected_all = Vec::with_capacity(n);
-        let mut bufs: Vec<Vec<F16>> = Vec::with_capacity(n);
-        for (w, g) in grads.iter().enumerate() {
-            let corrected = self.ef.corrected(w, g);
-            bufs.push(
-                selected
-                    .iter()
-                    .map(|&i| F16::from_f32(corrected[i]))
-                    .collect(),
-            );
-            corrected_all.push(corrected);
+        self.ef.corrected_all_into(grads, &mut scratch.corrected);
+        {
+            let _span = gcs_trace::span(gcs_trace::Phase::Compress, "randomk_gather");
+            let values = scratch.values.prepare(n);
+            for (buf, c) in values.iter_mut().zip(&scratch.corrected) {
+                buf.extend(selected.iter().map(|&i| F16::from_f32(c[i])));
+            }
         }
-        drop(encode_span);
         ring_all_reduce_into(
-            &mut bufs,
+            scratch.values.slice_mut(n),
             &F16Sum,
             2.0,
-            &mut RingScratch::new(),
+            &mut scratch.ring,
             &mut out.traffic,
         );
-        let _decode_span = gcs_trace::span(gcs_trace::Phase::Decompress, "randomk_scatter");
-        let mean = &mut out.mean_estimate;
-        mean.clear();
-        mean.resize(d, 0.0);
-        for (slot, &i) in selected.iter().enumerate() {
-            mean[i] = bufs[0][slot].to_f32() / n as f32;
-        }
-        for (w, corrected) in corrected_all.iter().enumerate() {
-            let mut sent = vec![0.0f32; d];
-            for &i in selected {
-                sent[i] = F16::from_f32(corrected[i]).to_f32();
+        {
+            let _span = gcs_trace::span(gcs_trace::Phase::Decompress, "randomk_scatter");
+            let mean = &mut out.mean_estimate;
+            mean.clear();
+            mean.resize(d, 0.0);
+            let summed = &scratch.values.slice(n)[0];
+            for (slot, &i) in selected.iter().enumerate() {
+                mean[i] = summed[slot].to_f32() / n as f32;
             }
-            self.ef.update(w, corrected, &sent);
         }
+        let sent_bufs = scratch.sent.prepare(n);
+        for (sent, c) in sent_bufs.iter_mut().zip(&scratch.corrected) {
+            sent.resize(d, 0.0);
+            for &i in selected {
+                sent[i] = F16::from_f32(c[i]).to_f32();
+            }
+        }
+        self.ef
+            .update_all(&scratch.corrected, scratch.sent.slice(n));
         out.comm.clear();
         out.comm.push(CommEvent {
             collective: Collective::RingAllReduce,

@@ -20,10 +20,11 @@
 use crate::ef::ErrorFeedback;
 use crate::scheme::{AggregationOutcome, CommEvent, CompressionScheme, RoundContext};
 use gcs_collectives::{
-    ring_all_reduce_into, F16Sum, F32Max, RingScratch, SaturatingIntSum, Traffic,
+    ring_all_reduce_into, ring_all_reduce_packed_into, F16Sum, F32Max, RingScratch, Traffic,
 };
 use gcs_gpusim::{ops, DeviceSpec};
 use gcs_netsim::Collective;
+use gcs_tensor::bitpack::{LaneAdd, PackedIntVec};
 use gcs_tensor::half::F16;
 use gcs_tensor::pool::WorkerBufs;
 use gcs_tensor::rng::worker_rng;
@@ -38,14 +39,15 @@ struct TopKCQScratch {
     norms: WorkerBufs<F16>,
     gathered: WorkerBufs<f32>,
     scales: WorkerBufs<f32>,
-    lanes: WorkerBufs<i32>,
+    lanes: Vec<PackedIntVec>,
+    summed: Vec<i32>,
     sent: WorkerBufs<f32>,
     agg_norms: Vec<f32>,
     selected: Vec<usize>,
     topk: TopKScratch,
     ring_f16: RingScratch<F16>,
     ring_f32: RingScratch<f32>,
-    ring_i32: RingScratch<i32>,
+    ring_words: RingScratch<u64>,
     stage_traffic: Traffic,
 }
 
@@ -185,36 +187,41 @@ impl CompressionScheme for TopKCQ {
         );
         out.traffic.merge(&scratch.stage_traffic);
 
-        // Stage 3: stochastic quantization + saturating all-reduce. Unlike
+        // Stage 3: stochastic quantization straight into packed `q`-bit
+        // lanes, then a saturating ring over their words. Unlike
         // THC-Sat (which banks on cross-worker cancellation), the quantizer
         // here is *average-targeting*: each worker encodes `v/n`, so the
         // aggregated sum is bounded by the shared scale by construction —
         // `|Σ v_w/n| <= max_w |v_w| <= scale` — and the clamp never loses
         // signal even with perfectly correlated workers.
+        if scratch.lanes.len() < n {
+            scratch
+                .lanes
+                .resize_with(n, || PackedIntVec::zeros(self.q, 0));
+        }
         {
             let _span = gcs_trace::span(gcs_trace::Phase::Compress, "topkcq_quantize");
             let gathered = scratch.gathered.slice(n);
             let scales = &scratch.scales.slice(n)[0];
-            let lane_bufs = scratch.lanes.prepare(n);
-            for (w, (lanes, g)) in lane_bufs.iter_mut().zip(gathered).enumerate() {
+            for (w, (lanes, g)) in scratch.lanes[..n].iter_mut().zip(gathered).enumerate() {
                 let mut rng = worker_rng(ctx.experiment_seed ^ 0x1c9, w, ctx.round);
-                lanes.extend(g.iter().enumerate().map(|(i, &x)| {
+                lanes.reset(self.q, g.len());
+                lanes.pack_with(|i| {
                     let s = scales[i / chunk];
                     if s <= 0.0 {
                         return 0;
                     }
-                    let y = (x / (n as f32 * s)) * qmax as f32;
+                    let y = (g[i] / (n as f32 * s)) * qmax as f32;
                     let lo = y.floor();
                     let up: bool = rng.gen::<f32>() < y - lo;
                     ((lo as i32) + i32::from(up)).clamp(-qmax, qmax)
-                }));
+                });
             }
         }
-        ring_all_reduce_into(
-            scratch.lanes.slice_mut(n),
-            &SaturatingIntSum::new(self.q),
-            self.q as f64 / 8.0,
-            &mut scratch.ring_i32,
+        ring_all_reduce_packed_into(
+            &mut scratch.lanes[..n],
+            LaneAdd::Saturating,
+            &mut scratch.ring_words,
             &mut scratch.stage_traffic,
         );
         out.traffic.merge(&scratch.stage_traffic);
@@ -225,7 +232,9 @@ impl CompressionScheme for TopKCQ {
             let mean = &mut out.mean_estimate;
             mean.clear();
             mean.resize(d, 0.0);
-            let summed = &scratch.lanes.slice(n)[0];
+            let summed = &mut scratch.summed;
+            summed.resize(scratch.lanes[0].len(), 0);
+            scratch.lanes[0].unpack_into(0, summed);
             let scales = &scratch.scales.slice(n)[0];
             let mut cursor = 0usize;
             for &p in &scratch.selected {

@@ -67,22 +67,6 @@ impl DeviceSpec {
         }
     }
 
-    /// NVIDIA V100-SXM2-32GB (no TF32; tensor cores for FP16 only). Used by
-    /// ablations exploring older hardware where FP16's advantage is larger.
-    pub fn v100() -> DeviceSpec {
-        DeviceSpec {
-            name: "V100-SXM2-32GB",
-            fp32_flops: 10.0e12,
-            tf32_flops: 10.0e12, // no TF32: falls back to FP32 rate
-            fp16_flops: 80.0e12,
-            mem_bandwidth: 0.80e12,
-            shared_mem_bytes: 48 * 1024,
-            non_coalesced_penalty: 4.0,
-            serial_step_latency: 8.0e-6,
-            low_occupancy_flops: 3.0e10,
-        }
-    }
-
     /// Achieved flop rate for a given precision.
     pub fn flops(&self, p: Precision) -> f64 {
         match p {

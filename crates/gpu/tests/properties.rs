@@ -4,8 +4,21 @@
 use gcs_gpusim::{ops, DeviceSpec, KernelCost, ModelProfile, Precision};
 use proptest::prelude::*;
 
+/// The A100 preset and an older part without TF32 (its TF32 rate is its
+/// FP32 rate) and with a larger FP16 advantage.
 fn devices() -> Vec<DeviceSpec> {
-    vec![DeviceSpec::a100(), DeviceSpec::v100()]
+    let older = DeviceSpec {
+        name: "no-TF32 device",
+        fp32_flops: 10.0e12,
+        tf32_flops: 10.0e12,
+        fp16_flops: 80.0e12,
+        mem_bandwidth: 0.80e12,
+        shared_mem_bytes: 48 * 1024,
+        non_coalesced_penalty: 4.0,
+        serial_step_latency: 8.0e-6,
+        low_occupancy_flops: 3.0e10,
+    };
+    vec![DeviceSpec::a100(), older]
 }
 
 proptest! {

@@ -33,8 +33,7 @@ pub struct FlowReport {
     /// Time at which the last flow completed (the step's makespan).
     pub makespan: f64,
     /// Per-flow abort flag: `true` if the flow was stranded with zero rate
-    /// and no future capacity event could revive it (e.g. its only path
-    /// crosses a link degraded to zero). Same order as the input.
+    /// (its path crosses a zero-capacity link). Same order as the input.
     pub aborted: Vec<bool>,
 }
 
@@ -43,107 +42,14 @@ impl FlowReport {
     pub fn aborted_count(&self) -> usize {
         self.aborted.iter().filter(|&&a| a).count()
     }
-
-    /// True if every flow completed.
-    pub fn all_completed(&self) -> bool {
-        self.aborted_count() == 0
-    }
 }
-
-/// A scheduled mid-simulation capacity change on one node's links: at time
-/// `at`, the node's egress/ingress capacities become `factor × baseline`.
-/// Factors in `(0, 1)` model stragglers (slow NIC, congested ToR port),
-/// `0.0` models a dead link, and factors `> 1` model recovery/upgrades.
-/// Injected degradation shows in the slowed flows' completion times
-/// ([`FlowReport::completion`]) and in the `flowsim/fct_s` histogram.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Degradation {
-    /// Simulation time (seconds) at which the change takes effect.
-    pub at: f64,
-    /// Node whose links degrade.
-    pub node: usize,
-    /// Multiplier on the node's baseline egress capacity.
-    pub egress_factor: f64,
-    /// Multiplier on the node's baseline ingress capacity.
-    pub ingress_factor: f64,
-}
-
-impl Degradation {
-    /// Symmetric slowdown: both directions scaled by `factor`.
-    pub fn slowdown(at: f64, node: usize, factor: f64) -> Degradation {
-        Degradation {
-            at,
-            node,
-            egress_factor: factor,
-            ingress_factor: factor,
-        }
-    }
-
-    /// Total link cut: both directions to zero.
-    pub fn cut(at: f64, node: usize) -> Degradation {
-        Degradation::slowdown(at, node, 0.0)
-    }
-}
-
-/// Why a [`Degradation`] cannot be admitted into a schedule. Rejecting the
-/// bad event *at insertion* is what lets the event loop sort with
-/// `f64::total_cmp` and never meet a NaN mid-simulation (the seed sorted
-/// with `partial_cmp(..).expect("finite event times")`, which panicked at
-/// simulation time — long after the buggy value was constructed, e.g. by a
-/// `0/0` in a degraded-link computation).
-#[derive(Clone, Debug, PartialEq)]
-pub enum FlowSimError {
-    /// The event's node id does not exist in this network.
-    NodeOutOfRange {
-        /// Offending node id.
-        node: usize,
-        /// Number of nodes in the network.
-        len: usize,
-    },
-    /// The event time is NaN, infinite, or negative.
-    BadEventTime {
-        /// Offending time.
-        at: f64,
-    },
-    /// A capacity factor is NaN, infinite, or negative.
-    BadFactor {
-        /// Offending factor (egress or ingress).
-        factor: f64,
-    },
-}
-
-impl std::fmt::Display for FlowSimError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FlowSimError::NodeOutOfRange { node, len } => {
-                write!(
-                    f,
-                    "degradation: node {node} out of range (network has {len})"
-                )
-            }
-            FlowSimError::BadEventTime { at } => {
-                write!(f, "degradation: bad time {at} (must be finite and >= 0)")
-            }
-            FlowSimError::BadFactor { factor } => {
-                write!(
-                    f,
-                    "degradation: bad factor {factor} (must be finite and >= 0)"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for FlowSimError {}
 
 /// A network of `n` nodes, each with independent egress and ingress
-/// capacity (full-duplex NIC model), plus an optional schedule of mid-run
-/// capacity changes ([`Degradation`]).
+/// capacity (full-duplex NIC model).
 #[derive(Clone, Debug)]
 pub struct Network {
     egress: Vec<f64>,
     ingress: Vec<f64>,
-    degradations: Vec<Degradation>,
 }
 
 impl Network {
@@ -153,42 +59,15 @@ impl Network {
         Network {
             egress: vec![capacity; n],
             ingress: vec![capacity; n],
-            degradations: Vec::new(),
         }
     }
 
-    /// Overrides one node's capacities (e.g. a beefier parameter server).
+    /// Overrides one node's capacities (e.g. a beefier parameter server, a
+    /// straggler's slow NIC, or `0.0` for a dead link).
     pub fn with_node_capacity(mut self, node: usize, egress: f64, ingress: f64) -> Network {
         self.egress[node] = egress;
         self.ingress[node] = ingress;
         self
-    }
-
-    /// Schedules a mid-simulation capacity change. Factors apply to the
-    /// node's *baseline* capacities (piecewise-constant, last event wins),
-    /// so two successive events don't compound.
-    ///
-    /// Rejects malformed events with a typed [`FlowSimError`]: out-of-range
-    /// node, non-finite/negative time (NaN from a `0/0` in a degraded-link
-    /// computation lands here, at insertion, instead of panicking the event
-    /// sort mid-simulation), or non-finite/negative factor.
-    pub fn try_with_degradation(mut self, d: Degradation) -> Result<Network, FlowSimError> {
-        if d.node >= self.len() {
-            return Err(FlowSimError::NodeOutOfRange {
-                node: d.node,
-                len: self.len(),
-            });
-        }
-        if !d.at.is_finite() || d.at < 0.0 {
-            return Err(FlowSimError::BadEventTime { at: d.at });
-        }
-        for factor in [d.egress_factor, d.ingress_factor] {
-            if !factor.is_finite() || factor < 0.0 {
-                return Err(FlowSimError::BadFactor { factor });
-            }
-        }
-        self.degradations.push(d);
-        Ok(self)
     }
 
     /// Number of nodes.
@@ -203,8 +82,8 @@ impl Network {
 
     /// Max-min fair rates for the given set of active flows under the given
     /// *effective* capacities (progressive filling). A flow crossing a
-    /// zero-capacity link freezes at rate 0 — the caller decides whether a
-    /// future [`Degradation`] can revive it or the flow must abort.
+    /// zero-capacity link freezes at rate 0 — the caller aborts it once no
+    /// flow can progress.
     fn fair_rates(egress: &[f64], ingress: &[f64], flows: &[(usize, usize)]) -> Vec<f64> {
         let n = egress.len();
         // Link layout: 0..n egress, n..2n ingress.
@@ -258,15 +137,12 @@ impl Network {
     }
 
     /// Simulates the given flows starting simultaneously at t=0; rates are
-    /// recomputed (max-min) after every completion *and every scheduled
-    /// [`Degradation`]* (piecewise-constant capacities).
+    /// recomputed (max-min) after every completion.
     ///
-    /// The seed version of this loop asserted `dt.is_finite()` and panicked
-    /// when flows were stranded. Stranded flows are now a *reported*
-    /// condition: a flow with zero rate and no future capacity event that
-    /// could revive it is marked aborted at the current time, the
-    /// `faults/flow_aborted_total` counter is bumped, and the report stays
-    /// finite — degraded fabrics are data, not crashes.
+    /// Stranded flows are a *reported* condition, not a panic: once no
+    /// active flow can progress (each crosses a zero-capacity link), the
+    /// remaining flows are marked aborted at the current time and the report
+    /// stays finite — degraded fabrics are data, not crashes.
     ///
     /// An empty flow list is a valid degenerate input (a collective step
     /// with nothing to send) and yields a zero report rather than touching
@@ -279,28 +155,12 @@ impl Network {
                 aborted: Vec::new(),
             };
         }
-        // Effective capacities evolve as degradation events fire.
-        let mut egress = self.egress.clone();
-        let mut ingress = self.ingress.clone();
-        let mut events = self.degradations.clone();
-        // Total order: insertion validation guarantees finite times, and
-        // `total_cmp` cannot panic even if that invariant is ever violated.
-        events.sort_by(|a, b| a.at.total_cmp(&b.at));
-        let mut next_event = 0usize;
-
         let mut remaining: Vec<f64> = flows.iter().map(|f| f.bytes.max(0.0)).collect();
         let mut completion = vec![0.0f64; flows.len()];
         let mut aborted = vec![false; flows.len()];
         let mut done: Vec<bool> = remaining.iter().map(|&b| b == 0.0).collect();
         let mut now = 0.0f64;
         loop {
-            // Fire every event due at (or before) the current time.
-            while next_event < events.len() && events[next_event].at <= now + 1e-12 {
-                let d = events[next_event];
-                egress[d.node] = self.egress[d.node] * d.egress_factor;
-                ingress[d.node] = self.ingress[d.node] * d.ingress_factor;
-                next_event += 1;
-            }
             let active: Vec<usize> = (0..flows.len()).filter(|&i| !done[i]).collect();
             if active.is_empty() {
                 break;
@@ -309,7 +169,7 @@ impl Network {
                 .iter()
                 .map(|&i| (flows[i].src, flows[i].dst))
                 .collect();
-            let rates = Self::fair_rates(&egress, &ingress, &endpoints);
+            let rates = Self::fair_rates(&self.egress, &self.ingress, &endpoints);
             // Earliest completion among active flows.
             let mut dt = f64::INFINITY;
             for (k, &i) in active.iter().enumerate() {
@@ -317,10 +177,8 @@ impl Network {
                     dt = dt.min(remaining[i] / rates[k]);
                 }
             }
-            let horizon = events.get(next_event).map(|e| e.at);
-            if !dt.is_finite() && horizon.is_none() {
-                // No flow can progress and no event can change that: abort
-                // the stranded flows at the current instant.
+            if !dt.is_finite() {
+                // No flow can progress: abort the stranded flows now.
                 for &i in &active {
                     done[i] = true;
                     aborted[i] = true;
@@ -328,14 +186,9 @@ impl Network {
                 }
                 break;
             }
-            // Advance to the earlier of next completion and next event.
-            let step = match horizon {
-                Some(t) if t - now < dt => (t - now).max(0.0),
-                _ => dt,
-            };
-            now += step;
+            now += dt;
             for (k, &i) in active.iter().enumerate() {
-                remaining[i] -= rates[k] * step;
+                remaining[i] -= rates[k] * dt;
                 if remaining[i] <= 1e-6 {
                     remaining[i] = 0.0;
                     done[i] = true;
@@ -565,32 +418,14 @@ mod tests {
             bytes: 0.0,
         }]);
         assert_eq!(r.makespan, 0.0);
-        assert!(r.all_completed());
-    }
-
-    #[test]
-    fn mid_simulation_slowdown_stretches_completion() {
-        // 10 GB at 10 GB/s would finish at t=1; halving the sender's egress
-        // at t=0.5 leaves 5 GB to move at 5 GB/s -> finish at 1.5 s.
-        let net = Network::homogeneous(2, 10.0 * GB)
-            .try_with_degradation(Degradation::slowdown(0.5, 0, 0.5))
-            .expect("valid degradation");
-        let r = net.simulate(&[Flow {
-            src: 0,
-            dst: 1,
-            bytes: 10.0 * GB,
-        }]);
-        assert!(r.all_completed());
-        assert!((r.makespan - 1.5).abs() < 1e-6, "{r:?}");
+        assert_eq!(r.aborted_count(), 0);
     }
 
     #[test]
     fn capacity_cut_aborts_stranded_flow_finitely() {
-        // The sender's link dies at t=0.5 with half the bytes still queued:
-        // the flow must abort *at* 0.5, not hang or panic.
-        let net = Network::homogeneous(2, 10.0 * GB)
-            .try_with_degradation(Degradation::cut(0.5, 0))
-            .expect("valid degradation");
+        // The sender's link is dead: the flow must abort at once, not hang
+        // or panic.
+        let net = Network::homogeneous(2, 10.0 * GB).with_node_capacity(0, 0.0, 0.0);
         let r = net.simulate(&[Flow {
             src: 0,
             dst: 1,
@@ -599,14 +434,12 @@ mod tests {
         assert_eq!(r.aborted, vec![true]);
         assert_eq!(r.aborted_count(), 1);
         assert!(r.makespan.is_finite());
-        assert!((r.completion[0] - 0.5).abs() < 1e-9, "{r:?}");
+        assert_eq!(r.completion[0], 0.0, "{r:?}");
     }
 
     #[test]
     fn zero_capacity_link_aborts_at_time_zero_and_counts() {
-        let net = Network::homogeneous(3, 10.0 * GB)
-            .try_with_degradation(Degradation::cut(0.0, 1))
-            .expect("valid degradation");
+        let net = Network::homogeneous(3, 10.0 * GB).with_node_capacity(1, 0.0, 0.0);
         let flows = vec![
             Flow {
                 src: 0,
@@ -620,7 +453,7 @@ mod tests {
             },
         ];
         let r = net.simulate(&flows);
-        // The healthy flow still completes; the dead-sender flow aborts at 0.
+        // The healthy flow still completes; the dead-sender flow aborts.
         assert!(!r.aborted[0]);
         assert!((r.completion[0] - 1.0).abs() < 1e-6, "{r:?}");
         assert!(r.aborted[1]);
@@ -631,32 +464,11 @@ mod tests {
         assert!(r.makespan.is_finite());
     }
 
-    #[test]
-    fn degradation_recovery_revives_a_stalled_flow() {
-        // Link dies at 0.2 and comes back at 0.7: 2 GB moved, 0.5 s stall,
-        // then the remaining 8 GB at line rate -> 0.7 + 0.8 = 1.5 s.
-        let net = Network::homogeneous(2, 10.0 * GB)
-            .try_with_degradation(Degradation::cut(0.2, 0))
-            .expect("valid degradation")
-            .try_with_degradation(Degradation::slowdown(0.7, 0, 1.0))
-            .expect("valid degradation");
-        let r = net.simulate(&[Flow {
-            src: 0,
-            dst: 1,
-            bytes: 10.0 * GB,
-        }]);
-        assert!(r.all_completed(), "{r:?}");
-        assert!((r.makespan - 1.5).abs() < 1e-6, "{r:?}");
-    }
-
-    /// End-to-end: an injected straggler slowdown in the flow simulator is
-    /// visible in the completion times — the degraded worker finishes last,
-    /// with the expected max/mean flow skew.
+    /// A straggler's slow NIC is visible in the completion times: the
+    /// degraded worker finishes last, with the expected max/mean flow skew.
     #[test]
     fn straggler_monitor_sees_injected_degradation() {
-        let net = Network::homogeneous(4, 10.0 * GB)
-            .try_with_degradation(Degradation::slowdown(0.0, 1, 0.25))
-            .expect("valid degradation");
+        let net = Network::homogeneous(4, 10.0 * GB).with_node_capacity(1, 2.5 * GB, 2.5 * GB);
         let flows = vec![
             Flow {
                 src: 0,
@@ -670,7 +482,7 @@ mod tests {
             },
         ];
         let r = net.simulate(&flows);
-        assert!(r.all_completed());
+        assert_eq!(r.aborted_count(), 0);
         assert!((r.completion[0] - 1.0).abs() < 1e-6, "{r:?}");
         assert!((r.completion[1] - 4.0).abs() < 1e-6, "{r:?}");
         let max = r.completion.iter().copied().fold(0.0, f64::max);
@@ -680,55 +492,11 @@ mod tests {
     }
 
     #[test]
-    fn try_with_degradation_returns_typed_errors() {
-        let net = || Network::homogeneous(2, GB);
-        assert_eq!(
-            net()
-                .try_with_degradation(Degradation::cut(0.0, 5))
-                .unwrap_err(),
-            FlowSimError::NodeOutOfRange { node: 5, len: 2 }
-        );
-        match net().try_with_degradation(Degradation::cut(f64::NAN, 0)) {
-            Err(FlowSimError::BadEventTime { at }) => assert!(at.is_nan()),
-            other => panic!("NaN time admitted: {other:?}"),
-        }
-        assert_eq!(
-            net()
-                .try_with_degradation(Degradation::cut(-1.0, 0))
-                .unwrap_err(),
-            FlowSimError::BadEventTime { at: -1.0 }
-        );
-        match net().try_with_degradation(Degradation::slowdown(0.0, 0, f64::NAN)) {
-            Err(FlowSimError::BadFactor { factor }) => assert!(factor.is_nan()),
-            other => panic!("NaN factor admitted: {other:?}"),
-        }
-        // The seed's asserts let +inf through (`inf >= 0.0` holds); the
-        // typed path rejects every non-finite factor.
-        assert_eq!(
-            net()
-                .try_with_degradation(Degradation::slowdown(0.0, 0, f64::INFINITY))
-                .unwrap_err(),
-            FlowSimError::BadFactor {
-                factor: f64::INFINITY
-            }
-        );
-        // A good event is admitted and the error type renders usefully.
-        assert!(net().try_with_degradation(Degradation::cut(1.0, 1)).is_ok());
-        let msg = FlowSimError::BadEventTime { at: f64::NAN }.to_string();
-        assert!(msg.contains("bad time"), "{msg}");
-        let msg = FlowSimError::NodeOutOfRange { node: 5, len: 2 }.to_string();
-        assert!(msg.contains("out of range"), "{msg}");
-    }
-
-    #[test]
     fn zero_capacity_zero_size_flow_stays_finite() {
-        // Degenerate corner the ISSUE pins: a link cut to zero capacity at
-        // t=0 carrying a zero-byte flow. Nothing needs to move, so the flow
-        // completes instantly instead of aborting or dividing 0/0 into the
-        // event queue.
-        let net = Network::homogeneous(2, GB)
-            .try_with_degradation(Degradation::cut(0.0, 0))
-            .expect("valid degradation");
+        // A zero-capacity link carrying a zero-byte flow: nothing needs to
+        // move, so the flow completes instantly instead of aborting or
+        // dividing 0/0.
+        let net = Network::homogeneous(2, GB).with_node_capacity(0, 0.0, 0.0);
         let r = net.simulate(&[Flow {
             src: 0,
             dst: 1,

@@ -13,11 +13,10 @@
 //!   sharing. It exists to *validate* the closed forms (integration tests
 //!   compare them) and to expose the incast effects that make all-gather and
 //!   parameter-server aggregation less scalable than all-reduce (§2.1):
-//!   many-to-one traffic serializes on the receiver's ingress link. Links
-//!   can degrade mid-simulation ([`flowsim::Degradation`]: capacity cuts,
-//!   straggler slowdowns) so the fault-injection layer can observe injected
-//!   network faults end-to-end; stranded flows abort finitely instead of
-//!   panicking.
+//!   many-to-one traffic serializes on the receiver's ingress link. Each
+//!   node's capacity can be set on its own (a slow straggler NIC, a beefy
+//!   parameter server, a dead link at zero); flows stranded on a dead link
+//!   abort finitely instead of panicking.
 //!
 //! The calibrated [`timing::ClusterSpec::paper_testbed`] reflects the paper's
 //! 2-node x 2-A100, 100 Gbps setup: the *effective* per-worker all-reduce
@@ -27,5 +26,5 @@
 pub mod flowsim;
 pub mod timing;
 
-pub use flowsim::{Degradation, Flow, FlowReport, FlowSimError, Network};
+pub use flowsim::{Flow, FlowReport, Network};
 pub use timing::{ClusterSpec, Collective, HierarchicalSpec};

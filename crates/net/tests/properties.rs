@@ -1,7 +1,7 @@
 //! Property tests for the network models: conservation laws, fairness, and
 //! agreement between the closed forms and the flow-level simulator.
 
-use gcs_netsim::flowsim::{all_gather_flows, ring_all_reduce_phases, Degradation, Flow, Network};
+use gcs_netsim::flowsim::{all_gather_flows, ring_all_reduce_phases, Flow, Network};
 use gcs_netsim::{ClusterSpec, Collective, HierarchicalSpec};
 use proptest::prelude::*;
 
@@ -109,19 +109,18 @@ proptest! {
         factor in 0.1f64..0.9,
         bytes in 1e8f64..1e10,
     ) {
-        // Cut one sender's egress by `factor` from t=0; all flows target one
+        // Cut one sender's capacity by `factor`; all flows target one
         // receiver. Max-min fairness must hold under the degraded capacity:
         // nobody beats line rate on their (possibly degraded) egress, the
         // receiver's ingress is never oversubscribed, and completions are
         // monotone in effective sender capacity.
         let bw = 1e10;
-        let net = Network::homogeneous(n, bw)
-            .try_with_degradation(Degradation::slowdown(0.0, 0, factor)).expect("valid degradation");
+        let net = Network::homogeneous(n, bw).with_node_capacity(0, bw * factor, bw * factor);
         let flows: Vec<Flow> = (0..n - 1)
             .map(|s| Flow { src: s, dst: n - 1, bytes })
             .collect();
         let report = net.simulate(&flows);
-        prop_assert!(report.all_completed());
+        prop_assert_eq!(report.aborted_count(), 0);
         // Line-rate bound per sender under its effective egress.
         prop_assert!(report.completion[0] >= bytes / (bw * factor) - 1e-9);
         for t in &report.completion[1..] {
@@ -138,27 +137,26 @@ proptest! {
 
     #[test]
     fn zero_capacity_always_aborts_finitely(
-        n in 2usize..6,
-        cut_at in 0.0f64..2.0,
+        n in 3usize..6,
+        healthy_bytes in 0.0f64..2e9,
         bytes in 1e9f64..1e11,
     ) {
-        // Whatever the cut time and flow size, a dead egress either lets the
-        // flow finish first or aborts it at exactly the stranding instant —
-        // the report is always finite and the abort flag is always honest.
+        // A dead sender's flow aborts at exactly the stranding instant: when
+        // the last healthy flow, which could still free capacity, completes.
+        // The report is always finite and the abort flag always honest.
         let bw = 1e9;
-        let net = Network::homogeneous(n, bw)
-            .try_with_degradation(Degradation::cut(cut_at, 0)).expect("valid degradation");
-        let flows = vec![Flow { src: 0, dst: n - 1, bytes }];
+        let net = Network::homogeneous(n, bw).with_node_capacity(0, 0.0, 0.0);
+        let flows = vec![
+            Flow { src: 0, dst: n - 1, bytes },
+            Flow { src: 1, dst: n - 1, bytes: healthy_bytes },
+        ];
         let report = net.simulate(&flows);
         prop_assert!(report.makespan.is_finite());
-        prop_assert!(report.completion[0].is_finite());
-        let unimpeded = bytes / bw;
-        if unimpeded <= cut_at + 1e-9 {
-            prop_assert!(report.all_completed(), "{report:?}");
-        } else {
-            prop_assert!(report.aborted[0], "{report:?}");
-            prop_assert!((report.completion[0] - cut_at).abs() < 1e-9, "{report:?}");
-        }
+        prop_assert!(report.completion.iter().all(|t| t.is_finite()));
+        prop_assert_eq!(&report.aborted, &vec![true, false]);
+        let stranded_at = healthy_bytes / bw;
+        prop_assert!((report.completion[1] - stranded_at).abs() < 1e-9, "{report:?}");
+        prop_assert_eq!(report.completion[0], report.completion[1], "{:?}", report);
     }
 
     #[test]

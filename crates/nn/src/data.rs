@@ -224,24 +224,6 @@ impl TextDataset {
     pub fn eval_batch(&self, batch: usize) -> Batch {
         self.sample(batch, u64::MAX / 2)
     }
-
-    /// The chain's per-step conditional entropy in nats — a lower bound on
-    /// achievable cross-entropy loss (so `exp(entropy)` lower-bounds
-    /// perplexity).
-    pub fn entropy(&self) -> f64 {
-        let mut h = 0.0f64;
-        for r in 0..self.vocab {
-            let row = &self.transitions[r * self.vocab..(r + 1) * self.vocab];
-            let mut hr = 0.0f64;
-            for &p in row {
-                if p > 0.0 {
-                    hr -= (p as f64) * (p as f64).ln();
-                }
-            }
-            h += hr / self.vocab as f64; // uniform stationary approximation
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -324,7 +306,6 @@ mod tests {
             let s: f32 = d.transitions[r * 16..(r + 1) * 16].iter().sum();
             assert!((s - 1.0).abs() < 1e-5);
         }
-        assert!(d.entropy() > 0.0 && d.entropy() < (16f64).ln());
     }
 
     #[test]

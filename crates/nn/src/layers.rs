@@ -1655,13 +1655,13 @@ mod tests {
             ],
         );
         let arena = seq.param_arena();
-        assert_eq!(arena.n_layers(), 3);
-        assert_eq!(arena.layer_len(0), 3 * 2 + 2);
-        assert_eq!(arena.layer_len(1), 0);
-        assert_eq!(arena.layer_len(2), 2 * 4 + 4);
+        assert_eq!(arena.offsets().len(), 4);
+        assert_eq!(arena.layer(0).len(), 3 * 2 + 2);
+        assert_eq!(arena.layer(1).len(), 0);
+        assert_eq!(arena.layer(2).len(), 2 * 4 + 4);
         // Layer slices concatenate to exactly the flat view, in order.
         let flat = seq.params_flat();
-        assert_eq!(&flat[..arena.layer_len(0)], arena.layer(0));
+        assert_eq!(&flat[..arena.layer(0).len()], arena.layer(0));
         assert_eq!(&flat[arena.offsets()[2]..], arena.layer(2));
         assert_eq!(arena.len(), flat.len());
     }

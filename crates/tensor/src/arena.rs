@@ -58,11 +58,6 @@ impl ParamArena {
         }
     }
 
-    /// Number of layers the offset table describes.
-    pub fn n_layers(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
     /// Total number of `f32` elements across all layers.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -73,12 +68,7 @@ impl ParamArena {
         self.data.is_empty()
     }
 
-    /// Element count of layer `i`.
-    pub fn layer_len(&self, i: usize) -> usize {
-        self.offsets[i + 1] - self.offsets[i]
-    }
-
-    /// The offset table: `n_layers + 1` entries, first 0, last `len()`.
+    /// The offset table: one entry per layer plus one, first 0, last `len()`.
     pub fn offsets(&self) -> &[usize] {
         &self.offsets
     }
@@ -231,10 +221,9 @@ mod tests {
     #[test]
     fn layout_invariants_hold() {
         let a = ParamArena::from_layer_lens(&[6, 0, 4, 10]);
-        assert_eq!(a.n_layers(), 4);
+        assert_eq!(a.offsets().len(), 5);
         assert_eq!(a.len(), 20);
         assert_eq!(a.offsets(), &[0, 6, 6, 10, 20]);
-        assert_eq!(a.layer_len(1), 0);
         assert!(a.layer(1).is_empty());
         assert_eq!(a.layer(3).len(), 10);
     }
@@ -246,7 +235,7 @@ mod tests {
         a.layer_mut(1).copy_from_slice(&[4.0, 5.0]);
         assert_eq!(a.as_slice(), &[1.0, 2.0, 3.0, 4.0, 5.0]);
         // Concatenating layer views reproduces the flat slice bitwise.
-        let concat: Vec<f32> = (0..a.n_layers())
+        let concat: Vec<f32> = (0..a.offsets().len() - 1)
             .flat_map(|i| a.layer(i).to_vec())
             .collect();
         assert_eq!(concat, a.as_slice());
@@ -305,7 +294,6 @@ mod tests {
     fn empty_arena_is_legal() {
         let a = ParamArena::from_layer_lens(&[]);
         assert!(a.is_empty());
-        assert_eq!(a.n_layers(), 0);
         assert_eq!(a.offsets(), &[0]);
     }
 }

@@ -564,19 +564,6 @@ impl PackedIntVec {
         });
     }
 
-    /// Unpacks all lanes into a `Vec<i32>` (parallel for large vectors).
-    pub fn to_signed_vec(&self) -> Vec<i32> {
-        let mut out = vec![0i32; self.len];
-        if self.len < PACK_PAR_MIN_LANES || parallel::max_threads() <= 1 {
-            self.unpack_into(0, &mut out);
-            return out;
-        }
-        parallel::for_each_chunk_mut(&mut out, PACK_SEG_TARGET_LANES, |ci, chunk| {
-            self.unpack_into(ci * PACK_SEG_TARGET_LANES, chunk);
-        });
-        out
-    }
-
     /// Lane-wise **saturating** addition: the paper's `Sat(x, y) =
     /// min(2^{b-1}−1, max(−2^{b-1}+1, x+y))` operator (§3.2.2).
     ///
@@ -697,6 +684,13 @@ impl LaneWriter<'_> {
 mod tests {
     use super::*;
 
+    /// Every lane of `v`, sign-extended.
+    fn lanes(v: &PackedIntVec) -> Vec<i32> {
+        let mut out = vec![0i32; v.len()];
+        v.unpack_into(0, &mut out);
+        out
+    }
+
     #[test]
     fn round_trip_various_widths() {
         for q in [1u32, 2, 3, 4, 5, 7, 8, 13, 16, 31, 32] {
@@ -712,7 +706,7 @@ mod tests {
             for (i, &x) in vals.iter().enumerate() {
                 v.set(i, x);
             }
-            assert_eq!(v.to_signed_vec(), vals, "q={q}");
+            assert_eq!(lanes(&v), vals, "q={q}");
         }
     }
 
@@ -753,7 +747,7 @@ mod tests {
             state2 = state2.wrapping_mul(6364136223846793005).wrapping_add(1);
             ((state2 >> 33) % 63) as i32 - 31
         });
-        assert_eq!(fused.to_signed_vec(), vals);
+        assert_eq!(lanes(&fused), vals);
     }
 
     #[test]
@@ -762,12 +756,12 @@ mod tests {
         let ptr = v.words().as_ptr();
         v.reset(8, 9);
         assert_eq!(v.words().as_ptr(), ptr, "reset must reuse the words");
-        assert_eq!(v.to_signed_vec(), vec![0; 9]);
+        assert_eq!(lanes(&v), vec![0; 9]);
         // Re-shape to a different width within the same word budget.
         v.reset(4, 16);
         assert_eq!(v.lane_bits(), 4);
         assert_eq!(v.len(), 16);
-        assert_eq!(v.to_signed_vec(), vec![0; 16]);
+        assert_eq!(lanes(&v), vec![0; 16]);
     }
 
     #[test]
@@ -777,7 +771,7 @@ mod tests {
             v.reset(5, 77);
             v.pack_with(|i| ((i as i32 + round) % 31) - 15);
             let expect: Vec<i32> = (0..77).map(|i| ((i + round) % 31) - 15).collect();
-            assert_eq!(v.to_signed_vec(), expect, "round={round}");
+            assert_eq!(lanes(&v), expect, "round={round}");
         }
     }
 
@@ -800,7 +794,7 @@ mod tests {
         let b = PackedIntVec::from_signed(4, &[5, -5, -1, 1]);
         let mut s = a.clone();
         s.add_saturating(&b);
-        assert_eq!(s.to_signed_vec(), vec![7, -7, 2, -2]);
+        assert_eq!(lanes(&s), vec![7, -7, 2, -2]);
     }
 
     #[test]
@@ -963,7 +957,7 @@ mod tests {
                     let mut w = a.clone();
                     a.add_saturating(&b);
                     w.add_wrapping(&b);
-                    assert_eq!(a.to_signed_vec(), reference.0.to_signed_vec());
+                    assert_eq!(lanes(&a), lanes(&reference.0));
                     (a, w)
                 });
                 assert_eq!(got, reference, "q={q} threads={threads}");

@@ -106,15 +106,6 @@ pub fn shared_permutation(n: usize, seed: SharedSeed) -> Vec<usize> {
     perm
 }
 
-/// Inverts a permutation: `out[perm[i]] = i`.
-pub fn invert_permutation(perm: &[usize]) -> Vec<usize> {
-    let mut inv = vec![0usize; perm.len()];
-    for (i, &p) in perm.iter().enumerate() {
-        inv[p] = i;
-    }
-    inv
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,16 +145,6 @@ mod tests {
         assert!(seen.iter().all(|&s| s));
         // Not the identity (astronomically unlikely for a working shuffle).
         assert_ne!(perm, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn invert_permutation_round_trips() {
-        let perm = shared_permutation(37, SharedSeed::new(4));
-        let inv = invert_permutation(&perm);
-        for i in 0..37 {
-            assert_eq!(inv[perm[i]], i);
-            assert_eq!(perm[inv[i]], i);
-        }
     }
 
     #[test]

@@ -7,9 +7,16 @@ use gcs_tensor::half::{
     encode_f16_slice, encode_f16_slice_scalar, F16,
 };
 use gcs_tensor::matrix::{orthonormalize_columns_with, GsScratch, Matrix};
-use gcs_tensor::rng::{invert_permutation, shared_permutation, SharedSeed};
+use gcs_tensor::rng::{shared_permutation, SharedSeed};
 use gcs_tensor::vector::{squared_norm, top_k_indices_into, vnmse, TopKScratch};
 use proptest::prelude::*;
+
+/// Every lane of `v`, sign-extended.
+fn lanes(v: &PackedIntVec) -> Vec<i32> {
+    let mut out = vec![0i32; v.len()];
+    v.unpack_into(0, &mut out);
+    out
+}
 
 fn finite_f32() -> impl Strategy<Value = f32> {
     // Keep within the binary16 normal range for round-trip error bounds.
@@ -113,7 +120,7 @@ proptest! {
         let lo = -hi - 1;
         let clamped: Vec<i32> = values.iter().map(|&v| v.clamp(lo, hi)).collect();
         let packed = PackedIntVec::from_signed(q, &clamped);
-        prop_assert_eq!(packed.to_signed_vec(), clamped);
+        prop_assert_eq!(lanes(&packed), clamped);
     }
 
     #[test]
@@ -130,8 +137,8 @@ proptest! {
         ab.add_saturating(&pb);
         let mut ba = pb.clone();
         ba.add_saturating(&pa);
-        prop_assert_eq!(ab.to_signed_vec(), ba.to_signed_vec());
-        for v in ab.to_signed_vec() {
+        prop_assert_eq!(lanes(&ab), lanes(&ba));
+        for v in lanes(&ab) {
             prop_assert!(v.abs() <= hi);
         }
     }
@@ -144,7 +151,7 @@ proptest! {
         let mut wide = PackedIntVec::from_signed(8, &values);
         wide.add_saturating(&PackedIntVec::from_signed(8, &values));
         let expect: Vec<i32> = values.iter().map(|v| v * 2).collect();
-        prop_assert_eq!(wide.to_signed_vec(), expect);
+        prop_assert_eq!(lanes(&wide), expect);
     }
 
     #[test]
@@ -192,10 +199,13 @@ proptest! {
 
     #[test]
     fn permutations_invert(n in 1usize..200, seed in any::<u64>()) {
+        // Every value in `0..n` is hit exactly once, so the inverse
+        // `inv[p[i]] = i` is total.
         let p = shared_permutation(n, SharedSeed::new(seed));
-        let inv = invert_permutation(&p);
-        for i in 0..n {
-            prop_assert_eq!(p[inv[i]], i);
+        let mut inv = vec![usize::MAX; n];
+        for (i, &x) in p.iter().enumerate() {
+            prop_assert_eq!(inv[x], usize::MAX, "{} hit twice", x);
+            inv[x] = i;
         }
     }
 
@@ -314,7 +324,7 @@ proptest! {
             gcs_tensor::parallel::with_threads(threads, || {
                 let mut p = PackedIntVec::from_signed(q, &vals);
                 p.add_saturating(&PackedIntVec::from_signed(q, &other));
-                (p.to_signed_vec(), p)
+                (lanes(&p), p)
             })
         };
         let (seq_vals, seq_packed) = run(1);

@@ -11,7 +11,7 @@
 //!
 //! [trace event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-use crate::Trace;
+use crate::{Phase, Trace};
 
 /// Serializes `trace` into Chrome `trace_event` JSON.
 pub fn to_chrome_json(trace: &Trace) -> String {
@@ -21,36 +21,63 @@ pub fn to_chrome_json(trace: &Trace) -> String {
     let mut first = true;
     for s in &trace.spans {
         sep(&mut out, &mut first);
-        out.push_str("{\"name\":\"");
-        escape_into(&mut out, s.name);
-        out.push_str("\",\"cat\":\"");
-        out.push_str(s.phase.as_str());
-        out.push_str("\",\"ph\":\"X\",\"ts\":");
-        push_f64(&mut out, ns_to_us(s.start_ns));
-        out.push_str(",\"dur\":");
-        push_f64(&mut out, ns_to_us(s.dur_ns));
-        out.push_str(",\"pid\":1,\"tid\":");
-        push_u64(&mut out, s.tid);
-        out.push_str(",\"args\":{\"round\":");
-        push_u64(&mut out, s.round);
-        out.push_str("}}");
+        let lane = (1, s.tid);
+        push_span(
+            &mut out, s.name, s.phase, s.start_ns, s.dur_ns, lane, s.round,
+        );
     }
     for c in &trace.counters {
         sep(&mut out, &mut first);
-        out.push_str("{\"name\":\"");
-        escape_into(&mut out, c.name);
-        out.push_str("\",\"ph\":\"C\",\"ts\":");
-        push_f64(&mut out, ns_to_us(c.at_ns));
-        out.push_str(",\"pid\":1,\"tid\":");
-        push_u64(&mut out, c.tid);
-        out.push_str(",\"args\":{\"");
-        escape_into(&mut out, c.name);
-        out.push_str("\":");
-        push_f64(&mut out, c.value);
-        out.push_str("}}");
+        push_counter(&mut out, c.name, c.at_ns, (1, c.tid), c.value);
     }
     out.push_str("]}");
     out
+}
+
+/// Writes a span as a complete (`"ph": "X"`) event on swimlane `lane =
+/// (pid, tid)`; `ts_ns` is on the document's timeline.
+pub(crate) fn push_span(
+    out: &mut String,
+    name: &str,
+    phase: Phase,
+    ts_ns: u64,
+    dur_ns: u64,
+    lane: (u64, u64),
+    round: u64,
+) {
+    out.push_str("{\"name\":\"");
+    escape_into(out, name);
+    out.push_str("\",\"cat\":\"");
+    out.push_str(phase.as_str());
+    out.push_str("\",\"ph\":\"X\",\"ts\":");
+    push_f64(out, ns_to_us(ts_ns));
+    out.push_str(",\"dur\":");
+    push_f64(out, ns_to_us(dur_ns));
+    push_lane(out, lane);
+    out.push_str(",\"args\":{\"round\":");
+    push_u64(out, round);
+    out.push_str("}}");
+}
+
+/// Writes a counter sample as a `"ph": "C"` event on swimlane `lane`.
+pub(crate) fn push_counter(out: &mut String, name: &str, ts_ns: u64, lane: (u64, u64), value: f64) {
+    out.push_str("{\"name\":\"");
+    escape_into(out, name);
+    out.push_str("\",\"ph\":\"C\",\"ts\":");
+    push_f64(out, ns_to_us(ts_ns));
+    push_lane(out, lane);
+    out.push_str(",\"args\":{\"");
+    escape_into(out, name);
+    out.push_str("\":");
+    push_f64(out, value);
+    out.push_str("}}");
+}
+
+fn push_lane(out: &mut String, (pid, tid): (u64, u64)) {
+    out.push_str(",\"pid\":");
+    push_u64(out, pid);
+    out.push_str(",\"tid\":");
+    push_u64(out, tid);
 }
 
 pub(crate) fn sep(out: &mut String, first: &mut bool) {
@@ -61,7 +88,7 @@ pub(crate) fn sep(out: &mut String, first: &mut bool) {
     }
 }
 
-pub(crate) fn ns_to_us(ns: u64) -> f64 {
+fn ns_to_us(ns: u64) -> f64 {
     ns as f64 / 1000.0
 }
 
@@ -69,7 +96,7 @@ pub(crate) fn push_u64(out: &mut String, v: u64) {
     out.push_str(&v.to_string());
 }
 
-pub(crate) fn push_f64(out: &mut String, v: f64) {
+fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         out.push_str(&format!("{v}"));
     } else {
@@ -166,6 +193,23 @@ mod tests {
         // ts/dur are microseconds.
         assert!(json.contains("\"ts\":1.5"));
         assert!(json.contains("\"dur\":2"));
+    }
+
+    #[test]
+    fn sample_trace_serializes_byte_for_byte() {
+        assert_eq!(
+            to_chrome_json(&sample_trace()),
+            concat!(
+                r#"{"traceEvents":["#,
+                r#"{"name":"gram_schmidt","cat":"compress","ph":"X","ts":1.5,"dur":2,"#,
+                r#""pid":1,"tid":0,"args":{"round":0}},"#,
+                r#"{"name":"ring_all_reduce","cat":"reduce","ph":"X","ts":4,"dur":1,"#,
+                r#""pid":1,"tid":2,"args":{"round":1}},"#,
+                r#"{"name":"wire_bytes","ph":"C","ts":5,"pid":1,"tid":0,"#,
+                r#""args":{"wire_bytes":4096}}"#,
+                r#"]}"#,
+            )
+        );
     }
 
     #[test]

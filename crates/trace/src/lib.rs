@@ -46,7 +46,7 @@
 //!     counter("wire_bytes", 4096.0);
 //! });
 //! let report = trace.report();
-//! assert_eq!(report.op_calls("gram_schmidt"), 1);
+//! assert_eq!((report.ops[0].name, report.ops[0].calls), ("gram_schmidt", 1));
 //! println!("{}", report.render());
 //! ```
 

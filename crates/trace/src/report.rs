@@ -139,15 +139,6 @@ impl Report {
             .sum()
     }
 
-    /// Number of calls recorded for op `name`.
-    pub fn op_calls(&self, name: &str) -> u64 {
-        self.ops
-            .iter()
-            .filter(|o| o.name == name)
-            .map(|o| o.calls)
-            .sum()
-    }
-
     /// The ops of one phase, heaviest first — e.g. the compression
     /// components of a PowerSGD round (Table 9's rows).
     pub fn phase_ops(&self, phase: Phase) -> Vec<&OpStat> {
@@ -259,7 +250,7 @@ mod tests {
     fn aggregates_ops_and_sorts_by_total() {
         let r = Report::from_trace(&trace());
         assert_eq!(r.ops[0].name, "gram_schmidt");
-        assert_eq!(r.op_calls("gram_schmidt"), 2);
+        assert_eq!(r.ops[0].calls, 2);
         assert_eq!(r.op_total_ns("gram_schmidt"), 1000);
         assert_eq!(r.total_ns(), 2000);
         assert_eq!(r.rounds, 2);

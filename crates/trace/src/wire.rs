@@ -18,7 +18,7 @@
 //! aligned swimlane groups in one trace viewer tab.
 
 use crate::bytes::{put_f64, put_str, put_u32, put_u64, Cursor, Prefix, WireError};
-use crate::chrome::{escape_into, ns_to_us, push_f64, push_u64, sep};
+use crate::chrome::{escape_into, push_counter, push_span, push_u64, sep};
 use crate::{Phase, Trace};
 
 /// Version byte leading every encoded trace. Bump on layout change.
@@ -206,40 +206,14 @@ pub fn merged_chrome_json(ranks: &[RankTrace]) -> String {
         out.push_str("\"}}");
         for s in &r.trace.spans {
             sep(&mut out, &mut first);
-            out.push_str("{\"name\":\"");
-            escape_into(&mut out, &s.name);
-            out.push_str("\",\"cat\":\"");
-            out.push_str(s.phase.as_str());
-            out.push_str("\",\"ph\":\"X\",\"ts\":");
-            push_f64(
-                &mut out,
-                ns_to_us(aligned_ns(s.start_ns, r.clock_offset_ns)),
-            );
-            out.push_str(",\"dur\":");
-            push_f64(&mut out, ns_to_us(s.dur_ns));
-            out.push_str(",\"pid\":");
-            push_u64(&mut out, r.pid);
-            out.push_str(",\"tid\":");
-            push_u64(&mut out, s.tid);
-            out.push_str(",\"args\":{\"round\":");
-            push_u64(&mut out, s.round);
-            out.push_str("}}");
+            let ts_ns = aligned_ns(s.start_ns, r.clock_offset_ns);
+            let lane = (r.pid, s.tid);
+            push_span(&mut out, &s.name, s.phase, ts_ns, s.dur_ns, lane, s.round);
         }
         for c in &r.trace.counters {
             sep(&mut out, &mut first);
-            out.push_str("{\"name\":\"");
-            escape_into(&mut out, &c.name);
-            out.push_str("\",\"ph\":\"C\",\"ts\":");
-            push_f64(&mut out, ns_to_us(aligned_ns(c.at_ns, r.clock_offset_ns)));
-            out.push_str(",\"pid\":");
-            push_u64(&mut out, r.pid);
-            out.push_str(",\"tid\":");
-            push_u64(&mut out, c.tid);
-            out.push_str(",\"args\":{\"");
-            escape_into(&mut out, &c.name);
-            out.push_str("\":");
-            push_f64(&mut out, c.value);
-            out.push_str("}}");
+            let ts_ns = aligned_ns(c.at_ns, r.clock_offset_ns);
+            push_counter(&mut out, &c.name, ts_ns, (r.pid, c.tid), c.value);
         }
     }
     out.push_str("]}");

@@ -3,11 +3,12 @@
 //! agree with each other.
 
 use gradient_utility::collectives::{
-    all_gather_into, ring_all_reduce_into, threaded_ring_all_reduce, F16Sum, F32Sum, ReduceOp,
-    RingScratch, SaturatingIntSum, Traffic,
+    all_gather_into, ring_all_reduce_into, ring_all_reduce_packed_into, threaded_ring_all_reduce,
+    F16Sum, F32Sum, ReduceOp, RingScratch, Traffic,
 };
 use gradient_utility::netsim::flowsim::{ring_all_reduce_phases, Network};
 use gradient_utility::netsim::{ClusterSpec, Collective};
+use gradient_utility::tensor::bitpack::{LaneAdd, PackedIntVec};
 use gradient_utility::tensor::half::{encode_f16_into, F16};
 
 /// The sequential reference ring with fresh scratch, returning its traffic.
@@ -61,14 +62,40 @@ fn threaded_ring_is_bit_identical_for_non_associative_f16() {
     }
 }
 
+/// The paper's `Sat(x, y)` over 4-bit lanes held one per `i32`, defined
+/// here so the threaded ring runs it without sharing the packed kernel.
+#[derive(Clone)]
+struct Sat4;
+
+impl ReduceOp<i32> for Sat4 {
+    fn reduce(&self, acc: &mut i32, x: &i32) {
+        *acc = (*acc + *x).clamp(-7, 7);
+    }
+}
+
 #[test]
 fn threaded_ring_matches_for_saturating_lanes() {
-    let bufs: Vec<Vec<i32>> = (0..4i32).map(|w| vec![w * 3 - 4; 33]).collect();
-    let op = SaturatingIntSum::new(4);
-    let mut seq = bufs.clone();
-    ring_all_reduce(&mut seq, &op, 0.5);
-    let (thr, _) = threaded_ring_all_reduce(bufs, op, 0.5).expect("healthy cluster");
-    assert_eq!(thr, seq);
+    // Saturation is order-sensitive: the threaded ring must clamp partial
+    // sums in the same order as the packed ring the schemes run.
+    let lanes: Vec<Vec<i32>> = (0..4i32).map(|w| vec![w * 3 - 4; 33]).collect();
+    let mut packed: Vec<PackedIntVec> = lanes
+        .iter()
+        .map(|l| PackedIntVec::from_signed(4, l))
+        .collect();
+    let seq_traffic = &mut Traffic::default();
+    ring_all_reduce_packed_into(
+        &mut packed,
+        LaneAdd::Saturating,
+        &mut RingScratch::new(),
+        seq_traffic,
+    );
+    let (thr, thr_traffic) = threaded_ring_all_reduce(lanes, Sat4, 0.5).expect("healthy cluster");
+    let mut seq = vec![0i32; 33];
+    for (p, t) in packed.iter().zip(&thr) {
+        p.unpack_into(0, &mut seq);
+        assert_eq!(t, &seq);
+    }
+    assert_eq!(&thr_traffic, seq_traffic);
 }
 
 #[test]

@@ -23,7 +23,7 @@ fn vgg_grads(seed: u64, round: u64, batch: usize) -> (Vec<f32>, Vec<Vec<f32>>) {
     let b = m.train_batch(batch, 0, round);
     m.forward_backward(&b);
     let arena = m.net().grad_arena();
-    let layered = (0..arena.n_layers())
+    let layered = (0..arena.offsets().len() - 1)
         .map(|l| arena.layer(l).to_vec())
         .collect();
     (m.grads_flat().to_vec(), layered)
@@ -34,7 +34,7 @@ fn bert_grads(seed: u64, round: u64, batch: usize) -> (Vec<f32>, Vec<Vec<f32>>) 
     let b = m.train_batch(batch, 0, round);
     m.forward_backward(&b);
     let arena = m.net().grad_arena();
-    let layered = (0..arena.n_layers())
+    let layered = (0..arena.offsets().len() - 1)
         .map(|l| arena.layer(l).to_vec())
         .collect();
     (m.grads_flat().to_vec(), layered)
@@ -121,8 +121,8 @@ fn arena_offsets_tile_the_parameter_space_exactly() {
                 "VggMini",
                 a.len(),
                 a.offsets().to_vec(),
-                (0..a.n_layers())
-                    .map(|l| a.layer_len(l))
+                (0..a.offsets().len() - 1)
+                    .map(|l| a.layer(l).len())
                     .collect::<Vec<_>>(),
             )
         },
@@ -133,8 +133,8 @@ fn arena_offsets_tile_the_parameter_space_exactly() {
                 "BertMini",
                 a.len(),
                 a.offsets().to_vec(),
-                (0..a.n_layers())
-                    .map(|l| a.layer_len(l))
+                (0..a.offsets().len() - 1)
+                    .map(|l| a.layer(l).len())
                     .collect::<Vec<_>>(),
             )
         },

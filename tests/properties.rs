@@ -1,13 +1,14 @@
 //! Property-based tests across the full stack.
 
 use gradient_utility::collectives::{
-    ring_all_reduce_into, F32Sum, RingScratch, SaturatingIntSum, Traffic,
+    ring_all_reduce_into, ring_all_reduce_packed_into, F32Sum, RingScratch, Traffic,
 };
 use gradient_utility::core::scheme::{CompressionScheme, RoundContext};
 use gradient_utility::core::schemes::baseline::PrecisionBaseline;
 use gradient_utility::core::schemes::thc::{Thc, ThcAggregation};
 use gradient_utility::core::schemes::topkc::TopKC;
 use gradient_utility::netsim::{ClusterSpec, Collective};
+use gradient_utility::tensor::bitpack::{LaneAdd, PackedIntVec};
 use gradient_utility::tensor::hadamard::RotationMode;
 use gradient_utility::tensor::vector::{mean, vnmse};
 use proptest::prelude::*;
@@ -80,11 +81,14 @@ proptest! {
     fn saturating_reduction_is_bounded_regardless_of_input(
         lanes in prop::collection::vec(prop::collection::vec(-7i32..=7, 16), 2..6),
     ) {
-        let mut bufs = lanes.clone();
+        let mut bufs: Vec<PackedIntVec> =
+            lanes.iter().map(|l| PackedIntVec::from_signed(4, l)).collect();
         let (scratch, traffic) = (&mut RingScratch::new(), &mut Traffic::default());
-        ring_all_reduce_into(&mut bufs, &SaturatingIntSum::new(4), 0.5, scratch, traffic);
+        ring_all_reduce_packed_into(&mut bufs, LaneAdd::Saturating, scratch, traffic);
+        let mut out = [0i32; 16];
         for b in &bufs {
-            for &v in b {
+            b.unpack_into(0, &mut out);
+            for &v in &out {
                 prop_assert!(v.abs() <= 7);
             }
         }

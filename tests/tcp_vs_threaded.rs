@@ -22,7 +22,9 @@ use gradient_utility::collectives::tcp::{FleetWorker, Registry, TcpCluster, TcpT
 use gradient_utility::collectives::transport::{
     all_gather_worker, broadcast_worker, ring_all_reduce_worker_into, MessageLinks, ThreadedCluster,
 };
-use gradient_utility::collectives::{CollectiveError, F32Sum};
+use gradient_utility::collectives::{
+    ring_all_reduce_into, CollectiveError, F32Sum, ReduceOp, RingScratch, Traffic,
+};
 use proptest::prelude::*;
 
 #[derive(Clone, Copy, Debug)]
@@ -229,6 +231,45 @@ fn fused_receive_fold_matches_threaded_twin_bit_for_bit() {
 
 /// A message of the wrong length is a typed protocol error for
 /// `recv_reduce`, on the default path and the TCP override alike.
+/// `F32Sum` reachable only in bulk: the per-element `reduce` panics.
+#[derive(Clone, Copy)]
+struct BulkOnlySum;
+
+impl ReduceOp<f32> for BulkOnlySum {
+    fn reduce(&self, _: &mut f32, _: &f32) {
+        panic!("BulkOnlySum: the per-element fold was reached");
+    }
+
+    fn reduce_slice(&self, acc: &mut [f32], xs: &[f32]) {
+        for (a, x) in acc.iter_mut().zip(xs) {
+            *a += *x;
+        }
+    }
+}
+
+/// The socket mesh's receive-fold hands decoded blocks to the op's
+/// `reduce_slice`, never its `reduce`, and still produces the in-memory
+/// `F32Sum` ring's bits — across stack-block and frame-chunk edges.
+#[test]
+fn tcp_fold_reaches_the_ops_bulk_reduce_slice() {
+    for (n, len) in [(2usize, 1usize), (3, 203), (4, 40_001)] {
+        let bufs = awkward_inputs(n, len);
+        let mut expect = bufs.clone();
+        let scratch = &mut RingScratch::new();
+        ring_all_reduce_into(&mut expect, &F32Sum, 4.0, scratch, &mut Traffic::default());
+        let results = TcpCluster::run(n, move |rank, links: &mut _| {
+            let mut buf = bufs[rank].clone();
+            ring_all_reduce_worker_into(links, &mut buf, &BulkOnlySum, 4.0, &mut Vec::new())
+                .expect("healthy cluster");
+            buf
+        });
+        for (rank, (out, want)) in results.iter().zip(&expect).enumerate() {
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(out), bits(want), "n={n} len={len} rank={rank}");
+        }
+    }
+}
+
 #[test]
 fn recv_reduce_length_mismatch_is_protocol_error_on_both_transports() {
     fn body<L: MessageLinks<f32>>(rank: usize, links: &mut L) -> Option<CollectiveError> {

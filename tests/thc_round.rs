@@ -7,7 +7,8 @@
 //! shares no kernel with the code under test: its FWHT is the plain stage
 //! loop over `butterfly_scalar`, its sign flip a branch and a negation, its
 //! quantizer the original `floor`-based expression, its ring the generic
-//! `i32` ring with `SaturatingIntSum` / `WideIntSum`.
+//! `i32` ring with its own saturating and plain integer sums (`SatSum`,
+//! `WideSum`: the library sums integer lanes only packed).
 //!
 //! * the whole round — estimate bits, `Traffic`, comm events — against the
 //!   oracle over consecutive rounds on one instance, at 1 and 2 threads,
@@ -25,8 +26,7 @@
 //! radix-8 FWHT head and the sign XOR in `hadamard.rs`.
 
 use gradient_utility::collectives::{
-    ring_all_reduce_into, ring_all_reduce_packed_into, F32Max, RingScratch, SaturatingIntSum,
-    Traffic, WideIntSum,
+    ring_all_reduce_into, ring_all_reduce_packed_into, F32Max, ReduceOp, RingScratch, Traffic,
 };
 use gradient_utility::core::scheme::{
     AggregationOutcome, CommEvent, CompressionScheme, RoundContext,
@@ -45,6 +45,42 @@ use rand::Rng;
 // ---------------------------------------------------------------------------
 // The oracle: the i32-lane round this PR removed from `src/`
 // ---------------------------------------------------------------------------
+
+/// The paper's `Sat(x, y)` over `w`-bit lanes held one per `i32`: the sum
+/// clamped to `[−(2^{w−1}−1), 2^{w−1}−1]`.
+struct SatSum {
+    hi: i32,
+}
+
+impl SatSum {
+    fn new(w: u32) -> SatSum {
+        SatSum {
+            hi: (1i32 << (w - 1)) - 1,
+        }
+    }
+}
+
+impl ReduceOp<i32> for SatSum {
+    fn reduce(&self, acc: &mut i32, x: &i32) {
+        *acc = (*acc + *x).clamp(-self.hi, self.hi);
+    }
+}
+
+/// Plain `i32` addition: widened lanes, where no sum can overflow.
+struct WideSum;
+
+impl ReduceOp<i32> for WideSum {
+    fn reduce(&self, acc: &mut i32, x: &i32) {
+        *acc += *x;
+    }
+}
+
+/// Every lane of `p`, sign-extended.
+fn lanes_of(p: &PackedIntVec) -> Vec<i32> {
+    let mut out = vec![0i32; p.len()];
+    p.unpack_into(0, &mut out);
+    out
+}
 
 struct OracleThc {
     q: u32,
@@ -181,14 +217,14 @@ impl OracleThc {
         match self.aggregation {
             ThcAggregation::Saturating => ring_all_reduce_into(
                 &mut lanes,
-                &SaturatingIntSum::new(self.q),
+                &SatSum::new(self.q),
                 self.q as f64 / 8.0,
                 &mut RingScratch::new(),
                 &mut lane_traffic,
             ),
             ThcAggregation::Widened { b } => ring_all_reduce_into(
                 &mut lanes,
-                &WideIntSum,
+                &WideSum,
                 b as f64 / 8.0,
                 &mut RingScratch::new(),
                 &mut lane_traffic,
@@ -442,7 +478,7 @@ fn assert_adds_match_at_every_position(w: u32, xs: &[i32], ys: &[i32]) {
         sat.add_saturating(&b);
         let mut wrap = a.clone();
         wrap.add_wrapping(&b);
-        let (sat, wrap) = (sat.to_signed_vec(), wrap.to_signed_vec());
+        let (sat, wrap) = (lanes_of(&sat), lanes_of(&wrap));
         for i in 0..xs.len() {
             let at = format!("w={w} shift={shift} {} + {}", xs[i], ys[i]);
             assert_eq!(sat[i], sat_ref(xs[i], ys[i], w), "Sat, {at}");
@@ -522,7 +558,7 @@ fn packed_ring_matches_the_i32_ring() {
                 let (mut t_lanes, mut t_packed) = (Traffic::default(), Traffic::default());
                 ring_all_reduce_into(
                     &mut lanes,
-                    &SaturatingIntSum::new(w),
+                    &SatSum::new(w),
                     w as f64 / 8.0,
                     &mut RingScratch::new(),
                     &mut t_lanes,
@@ -535,7 +571,7 @@ fn packed_ring_matches_the_i32_ring() {
                 );
                 assert_eq!(t_packed, t_lanes, "traffic w={w} n={n} len={len}");
                 for (p, l) in packed.iter().zip(&lanes) {
-                    assert_eq!(&p.to_signed_vec(), l, "w={w} n={n} len={len}");
+                    assert_eq!(&lanes_of(p), l, "w={w} n={n} len={len}");
                 }
             }
         }
