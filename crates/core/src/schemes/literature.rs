@@ -143,10 +143,12 @@ pub struct RandomK {
     scratch: RandomKScratch,
 }
 
-/// Round scratch owned across rounds: the EF-corrected gradients, the
-/// FP16 payloads, what each worker sent, and the ring's staging.
+/// Round scratch owned across rounds: the shared permutation, the
+/// EF-corrected gradients, the FP16 payloads, what each worker sent, and
+/// the ring's staging.
 #[derive(Clone, Debug, Default)]
 struct RandomKScratch {
+    perm: Vec<usize>,
     corrected: Vec<Vec<f32>>,
     values: WorkerBufs<F16>,
     sent: WorkerBufs<f32>,
@@ -188,13 +190,14 @@ impl CompressionScheme for RandomK {
         let n = grads.len();
         let d = grads[0].len();
         let k = self.k_for(d);
+        let scratch = &mut self.scratch;
         // Shared selection: the first K entries of a shared permutation.
-        let perm = gcs_tensor::rng::shared_permutation(
+        gcs_tensor::rng::shared_permutation_into(
             d,
             SharedSeed::derive(ctx.experiment_seed, ctx.round, Stream::Custom(0xA11)),
+            &mut scratch.perm,
         );
-        let selected = &perm[..k];
-        let scratch = &mut self.scratch;
+        let selected = &scratch.perm[..k];
 
         self.ef.corrected_all_into(grads, &mut scratch.corrected);
         {

@@ -8,8 +8,9 @@
 //! 1. Pad the gradient to `2^l` and apply a Randomized Hadamard Transform —
 //!    fully (`l` iterations), partially (`l' = log2(shared-memory block)`
 //!    iterations ≡ independent per-block rotations), or not at all. Each
-//!    block is signed, transformed and scanned for its max magnitude while
-//!    it is cache-resident.
+//!    block is loaded, signed, transformed and scanned for its max
+//!    magnitude in one cache-resident visit
+//!    ([`gcs_tensor::hadamard::rht_block_forward`]).
 //! 2. Agree on per-block symmetric scales: each worker's per-block max
 //!    magnitude is max-all-reduced (tiny payload), so every worker uses the
 //!    *same* quantization grid — a precondition for summing lanes at
@@ -25,7 +26,9 @@
 //!    overflow — more traffic, still `n`-limited. The ring moves exactly the
 //!    `wire_bits / 8` bytes per lane that [`Traffic`] records, and folds
 //!    them a word at a time.
-//! 5. Unpack, rescale, inverse-rotate (again per block), truncate.
+//! 5. Per block: unpack and rescale, then in one visit
+//!    ([`gcs_tensor::hadamard::rht_block_inverse`]) inverse-rotate, undo
+//!    the signs and divide by `n`; then truncate the padding.
 //!
 //! The round is pinned, bit for bit, to a plain one-`i32`-per-lane
 //! formulation that shares none of these kernels (the oracle in
@@ -50,7 +53,7 @@ use gcs_gpusim::{ops, DeviceSpec};
 use gcs_netsim::Collective;
 use gcs_tensor::bitpack::{LaneAdd, PackedIntVec};
 use gcs_tensor::hadamard::{
-    fwht, padded_len, rademacher_diagonal, rademacher_diagonal_at, RotationMode,
+    padded_len, rht_block_forward, rht_block_inverse, RotationMode, SignWindow,
 };
 use gcs_tensor::half::F16;
 use gcs_tensor::pool::WorkerBufs;
@@ -252,26 +255,29 @@ impl Thc {
         self.rotation != RotationMode::None
     }
 
-    /// Step 1 for one worker: `rotated` becomes the padded gradient with
-    /// every block signed and transformed, `scales` each block's max
-    /// magnitude rounded to FP16 for the wire — one visit per block.
+    /// The Rademacher signs of the block starting at element `lo`, when
+    /// blocks are rotated.
+    fn signs_at(&self, seed: SharedSeed, lo: usize) -> Option<SignWindow> {
+        self.rotates().then_some(SignWindow { seed, start: lo })
+    }
+
+    /// Step 1 for one worker: `rotated` (`padded` long) becomes the padded
+    /// gradient with every block signed and transformed, `scales` each
+    /// block's max magnitude rounded to FP16 for the wire — one call, and
+    /// one cache-resident visit, per block.
     fn rotate_blocks(
         &self,
         grad: &[f32],
-        padded: usize,
         block_len: usize,
         seed: SharedSeed,
-        rotated: &mut Vec<f32>,
+        rotated: &mut [f32],
         scales: &mut Vec<f32>,
     ) {
-        rotated.extend_from_slice(grad);
-        rotated.resize(padded, 0.0);
+        let iters = self.rotation.iterations(rotated.len());
         for (b, block) in rotated.chunks_mut(block_len).enumerate() {
-            if self.rotates() {
-                rademacher_diagonal_at(block, seed, b * block_len);
-                fwht(block);
-            }
-            let max = block.iter().fold(0.0f32, |a, &x| a.max(x.abs()));
+            let lo = b * block_len;
+            let src = &grad[lo.min(grad.len())..(lo + block_len).min(grad.len())];
+            let max = rht_block_forward(src, block, iters, self.signs_at(seed, lo));
             scales.push(F16::from_f32(max).to_f32());
         }
     }
@@ -308,37 +314,39 @@ impl Thc {
         writer.finish();
     }
 
-    /// Step 5: the aggregated lanes back to a gradient-sum estimate —
-    /// unpack, rescale and inverse-transform block by block, then truncate
-    /// the padding and undo the signs.
+    /// Step 5: the aggregated lanes back to the mean estimate — per block,
+    /// unpack and rescale, then one call that inverse-transforms, undoes
+    /// the signs below `d` and divides by `n`; then the padding is
+    /// truncated. Blocks are independent, so they fan out over threads.
     fn decode_blocks(
         &self,
         sum: &PackedIntVec,
-        block_len: usize,
         scales: &[f32],
         seed: SharedSeed,
         d: usize,
+        n: usize,
         est: &mut Vec<f32>,
     ) {
+        let block_len = self.block_len_for(sum.len());
+        let iters = self.rotation.iterations(sum.len());
         let qmax = self.qmax() as f32;
-        let mut lanes = [0i32; LANE_BLOCK];
-        est.clear();
-        for (b, &s) in scales.iter().enumerate() {
+        est.resize(sum.len(), 0.0);
+        gcs_tensor::parallel::for_each_chunk_mut(est, block_len, |b, block| {
             let lo = b * block_len;
-            let hi = (lo + block_len).min(sum.len());
-            for at in (lo..hi).step_by(LANE_BLOCK) {
-                let lanes = &mut lanes[..LANE_BLOCK.min(hi - at)];
-                sum.unpack_into(at, lanes);
-                est.extend(lanes.iter().map(|&l| l as f32 * s / qmax));
+            let s = scales[b];
+            let mut lanes = [0i32; LANE_BLOCK];
+            for (i, out) in block.chunks_mut(LANE_BLOCK).enumerate() {
+                let lanes = &mut lanes[..out.len()];
+                sum.unpack_into(lo + i * LANE_BLOCK, lanes);
+                for (x, &l) in out.iter_mut().zip(lanes.iter()) {
+                    *x = l as f32 * s / qmax;
+                }
             }
-            if self.rotates() {
-                fwht(&mut est[lo..hi]);
-            }
-        }
+            let keep = d.saturating_sub(lo).min(block.len());
+            let signs = self.signs_at(seed, lo);
+            rht_block_inverse(block, iters, signs, keep, 1.0 / n as f32);
+        });
         est.truncate(d);
-        if self.rotates() {
-            rademacher_diagonal(est, seed);
-        }
     }
 }
 
@@ -381,10 +389,10 @@ impl CompressionScheme for Thc {
         // kernel inside parallelizes over the vector instead.
         {
             let _s = gcs_trace::span(gcs_trace::Phase::Compress, "thc_rotate");
-            let rotated = scratch.rotated.prepare(n);
+            let rotated = scratch.rotated.prepare_len(n, padded);
             let scale_bufs = scratch.scales.prepare(n);
             gcs_tensor::parallel::for_each_zip2_mut(rotated, scale_bufs, 1, |w, r, s| {
-                this.rotate_blocks(&grads[w], padded, block_len, seed, &mut r[0], &mut s[0]);
+                this.rotate_blocks(&grads[w], block_len, seed, &mut r[0], &mut s[0]);
             });
         }
 
@@ -429,13 +437,12 @@ impl CompressionScheme for Thc {
         );
         out.traffic.merge(&scratch.lane_traffic);
 
-        // Decode: rescale, inverse rotation, truncate, divide by n.
+        // Decode: rescale, inverse rotation, divide by n, truncate.
         {
             let _s = gcs_trace::span(gcs_trace::Phase::Decompress, "thc_decode");
             let scales = &scratch.scales.slice(n)[0];
             let est = &mut out.mean_estimate;
-            self.decode_blocks(&scratch.packed[0], block_len, scales, seed, d, est);
-            gcs_tensor::vector::scale(est, 1.0 / n as f32);
+            self.decode_blocks(&scratch.packed[0], scales, seed, d, n, est);
         }
 
         out.comm.clear();

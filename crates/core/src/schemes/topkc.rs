@@ -28,17 +28,20 @@ use gcs_gpusim::{ops, DeviceSpec};
 use gcs_netsim::Collective;
 use gcs_tensor::half::{decode_f16_into, decode_f16_slice, encode_f16_slice, round_trip_f16, F16};
 use gcs_tensor::pool::WorkerBufs;
-use gcs_tensor::rng::{shared_permutation, SharedSeed, Stream};
+use gcs_tensor::rng::{shared_permutation_into, SharedSeed, Stream};
 use gcs_tensor::vector::TopKScratch;
 
 /// Round scratch owned across rounds (zero-allocation steady state): EF
 /// staging, per-worker norm/value/sent buffers, consensus-selection
-/// workspace and collective staging. The permutation ablation still
-/// allocates (it is not a production path).
+/// workspace and collective staging — and for the permutation ablation the
+/// shared permutation, the permuted gradients, and the sent vectors back
+/// in original order.
 #[derive(Clone, Debug, Default)]
 struct TopKCScratch {
     corrected: Vec<Vec<f32>>,
+    perm: Vec<usize>,
     permuted: WorkerBufs<f32>,
+    sent_unpermuted: WorkerBufs<f32>,
     norms: WorkerBufs<F16>,
     values: WorkerBufs<F16>,
     sent: WorkerBufs<f32>,
@@ -131,26 +134,26 @@ impl CompressionScheme for TopKC {
         let j = self.j_for(d);
         let chunk = self.chunk;
 
-        // Optional shared permutation (locality-destroying ablation). All
-        // workers derive the same permutation from shared randomness.
-        let perm = if self.permute {
-            Some(shared_permutation(
-                d,
-                SharedSeed::derive(ctx.experiment_seed, ctx.round, Stream::Permutation),
-            ))
-        } else {
-            None
-        };
-
         // All per-round buffers live in the owned scratch, so the steady
         // state allocates nothing (borrowed out of `self` so EF and config
         // reads stay available).
         let mut scratch = std::mem::take(&mut self.scratch);
 
+        // Optional shared permutation (locality-destroying ablation). All
+        // workers derive the same permutation from shared randomness.
+        if self.permute {
+            shared_permutation_into(
+                d,
+                SharedSeed::derive(ctx.experiment_seed, ctx.round, Stream::Permutation),
+                &mut scratch.perm,
+            );
+        }
+        let perm = self.permute.then_some(&scratch.perm[..]);
+
         // Stage 0: EF-corrected (and permuted) local gradients. EF and the
         // permutation scatter are per-worker independent, so both fan out.
         self.ef.corrected_all_into(grads, &mut scratch.corrected);
-        if let Some(p) = &perm {
+        if let Some(p) = perm {
             let src = &scratch.corrected;
             let bufs = scratch.permuted.prepare(n);
             gcs_tensor::parallel::for_each_chunk_mut(bufs, 1, |w, slot| {
@@ -250,7 +253,7 @@ impl CompressionScheme for TopKC {
                 }
                 cursor += hi - lo;
             }
-            if let Some(p) = &perm {
+            if let Some(p) = perm {
                 let unperm = &mut scratch.unperm;
                 unperm.clear();
                 unperm.resize(d, 0.0);
@@ -286,26 +289,18 @@ impl CompressionScheme for TopKC {
                     }
                 });
             }
-            match &perm {
-                Some(pvec) => {
-                    // Ablation path: un-permute into freshly allocated pairs
-                    // (not a steady-state configuration).
-                    let corrected = scratch.permuted.slice(n);
-                    let sent_view = scratch.sent.slice(n);
-                    let pairs: Vec<(Vec<f32>, Vec<f32>)> =
-                        gcs_tensor::parallel::map_tasks(n, |w| {
-                            let c = &corrected[w];
-                            let s = &sent_view[w];
-                            let mut co = vec![0.0f32; d];
-                            let mut so = vec![0.0f32; d];
-                            for (i, &pi) in pvec.iter().enumerate() {
-                                co[i] = c[pi];
-                                so[i] = s[pi];
-                            }
-                            (co, so)
-                        });
-                    let (corr_orig, sent_orig): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
-                    self.ef.update_all(&corr_orig, &sent_orig);
+            match perm {
+                Some(p) => {
+                    // The sent vectors back in original order; the permuted
+                    // corrected gradients un-permute to `corrected` itself.
+                    let sent = scratch.sent.slice(n);
+                    let bufs = scratch.sent_unpermuted.prepare(n);
+                    gcs_tensor::parallel::for_each_chunk_mut(bufs, 1, |w, slot| {
+                        let s = &sent[w];
+                        slot[0].extend(p.iter().map(|&pi| s[pi]));
+                    });
+                    self.ef
+                        .update_all(&scratch.corrected, scratch.sent_unpermuted.slice(n));
                 }
                 None => self
                     .ef

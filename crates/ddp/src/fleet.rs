@@ -34,7 +34,7 @@
 use gcs_collectives::error::CollectiveError;
 use gcs_collectives::transport::{broadcast_worker, ring_all_reduce_worker_into, MessageLinks};
 use gcs_collectives::F32Sum;
-use gcs_nn::{Model, Sgd};
+use gcs_nn::{Batch, Model, Sgd};
 use gcs_tensor::rng::splitmix64;
 
 /// What one successful [`fleet_round`] produced on this worker.
@@ -48,39 +48,54 @@ pub struct FleetRoundOutcome {
     pub bytes_received: u64,
 }
 
+/// What a worker keeps across [`fleet_round`]s, so that a warm round
+/// allocates nothing: the training batch, the gradient being all-reduced,
+/// and the ring's segment staging.
+#[derive(Clone, Debug, Default)]
+pub struct FleetScratch {
+    batch: Batch,
+    grads: Vec<f32>,
+    ring: Vec<f32>,
+}
+
 /// Runs one synchronous data-parallel SGD round over any transport.
 ///
 /// Shard → backward → ring all-reduce (exact `F32Sum`) → mean → SGD step.
 /// The model is only mutated *after* the all-reduce succeeds, so a failed
 /// round (peer crash, timeout) leaves parameters untouched and the round
 /// can be retried wholesale after the fleet renumbers — rounds are atomic.
+/// Every buffer of the round lives in the caller's `scratch`.
 pub fn fleet_round<L: MessageLinks<f32>>(
     model: &mut dyn Model,
     opt: &mut Sgd,
     links: &mut L,
     batch_per_worker: usize,
     round: u64,
+    scratch: &mut FleetScratch,
 ) -> Result<FleetRoundOutcome, CollectiveError> {
     let rank = links.rank();
     let n = links.n();
-    let (loss, mut grads) = {
+    let FleetScratch { batch, grads, ring } = scratch;
+    let loss = {
         let _s = gcs_trace::span(gcs_trace::Phase::Compute, "fleet_compute");
-        let batch = model.train_batch(batch_per_worker, rank, round);
-        let loss = model.forward_backward(&batch);
-        (loss, model.grads_flat().to_vec())
+        model.train_batch_into(batch_per_worker, rank, round, batch);
+        let loss = model.forward_backward(batch);
+        grads.clear();
+        grads.extend_from_slice(model.grads_flat());
+        loss
     };
     let (bytes_sent, bytes_received) = {
         let _s = gcs_trace::span(gcs_trace::Phase::Network, "fleet_all_reduce");
-        ring_all_reduce_worker_into(links, &mut grads, &F32Sum, 4.0, &mut Vec::new())?
+        ring_all_reduce_worker_into(links, grads, &F32Sum, 4.0, ring)?
     };
     gcs_trace::counter("fleet_wire_bytes", (bytes_sent + bytes_received) as f64);
     {
         let _s = gcs_trace::span(gcs_trace::Phase::Optimizer, "fleet_sgd_step");
         let inv = 1.0 / n as f32;
-        for g in &mut grads {
+        for g in grads.iter_mut() {
             *g *= inv;
         }
-        opt.step_into(model.params_flat_mut(), &grads);
+        opt.step_into(model.params_flat_mut(), grads);
     }
     Ok(FleetRoundOutcome {
         loss,
@@ -133,8 +148,9 @@ mod tests {
             let mut model = VggMini::new(seed);
             let mut opt = Sgd::new(0.05, 0.9, 0.0);
             let mut losses = Vec::new();
+            let mut scratch = FleetScratch::default();
             for round in 0..rounds {
-                let out = fleet_round(&mut model, &mut opt, &mut links, 4, round)
+                let out = fleet_round(&mut model, &mut opt, &mut links, 4, round, &mut scratch)
                     .expect("healthy cluster");
                 losses.push(out.loss);
             }
@@ -160,7 +176,9 @@ mod tests {
             let mut opt = Sgd::new(0.05, 0.9, 0.0);
             sync_params(&mut model, &mut opt, &mut links).expect("healthy cluster");
             let after_sync = param_checksum(&model);
-            let out = fleet_round(&mut model, &mut opt, &mut links, 4, 0).expect("healthy cluster");
+            let mut scratch = FleetScratch::default();
+            let out = fleet_round(&mut model, &mut opt, &mut links, 4, 0, &mut scratch)
+                .expect("healthy cluster");
             (after_sync, out.loss, param_checksum(&model))
         });
         assert_eq!(results[0].0, results[1].0, "sync must align parameters");

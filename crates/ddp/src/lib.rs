@@ -30,5 +30,5 @@ pub mod throughput;
 pub use bucketing::{bucket_ranges, PipelineModel};
 pub use engine::{FaultEvent, TrainLog, Trainer, TrainerConfig};
 pub use experiments::{ExperimentPlan, Task};
-pub use fleet::{fleet_round, param_checksum, sync_params, FleetRoundOutcome};
+pub use fleet::{fleet_round, param_checksum, sync_params, FleetRoundOutcome, FleetScratch};
 pub use throughput::{StepBreakdown, ThroughputModel};

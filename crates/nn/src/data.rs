@@ -20,7 +20,7 @@ use rand::Rng;
 use rand::SeedableRng;
 
 /// A batch of supervised samples: flat inputs plus integer targets.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Batch {
     /// `[batch × features]` inputs.
     pub inputs: Vec<f32>,
@@ -102,12 +102,13 @@ impl ImageDataset {
         self.channels * self.size * self.size
     }
 
-    /// Samples a batch with the given RNG stream id (worker/round scoped).
-    pub fn sample(&self, batch: usize, stream: u64) -> Batch {
+    /// Samples a batch with the given RNG stream id (worker/round scoped)
+    /// into `out`, reusing its buffers.
+    pub fn sample_into(&self, batch: usize, stream: u64, out: &mut Batch) {
         let mut rng = StdRng::seed_from_u64(self.seed ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let dim = self.feature_dim();
-        let mut inputs = Vec::with_capacity(batch * dim);
-        let mut targets = Vec::with_capacity(batch);
+        let Batch { inputs, targets } = out;
+        inputs.clear();
+        targets.clear();
         for _ in 0..batch {
             let class = rng.gen_range(0..self.classes);
             targets.push(class);
@@ -129,12 +130,13 @@ impl ImageDataset {
                 }
             }
         }
-        Batch { inputs, targets }
     }
 
     /// A fixed held-out evaluation batch.
     pub fn eval_batch(&self, batch: usize) -> Batch {
-        self.sample(batch, u64::MAX / 2)
+        let mut out = Batch::default();
+        self.sample_into(batch, u64::MAX / 2, &mut out);
+        out
     }
 }
 
@@ -203,12 +205,14 @@ impl TextDataset {
         self.vocab - 1
     }
 
-    /// Samples a batch of (context, next-token) pairs. Inputs are token ids
-    /// encoded as f32 for the [`crate::layers::Embedding`] layer.
-    pub fn sample(&self, batch: usize, stream: u64) -> Batch {
+    /// Samples a batch of (context, next-token) pairs into `out`, reusing
+    /// its buffers. Inputs are token ids encoded as f32 for the
+    /// [`crate::layers::Embedding`] layer.
+    pub fn sample_into(&self, batch: usize, stream: u64, out: &mut Batch) {
         let mut rng = StdRng::seed_from_u64(self.seed ^ stream.wrapping_mul(0xbf58_476d_1ce4_e5b9));
-        let mut inputs = Vec::with_capacity(batch * self.context);
-        let mut targets = Vec::with_capacity(batch);
+        let Batch { inputs, targets } = out;
+        inputs.clear();
+        targets.clear();
         for _ in 0..batch {
             let mut state = rng.gen_range(0..self.vocab);
             for _ in 0..self.context {
@@ -217,12 +221,13 @@ impl TextDataset {
             }
             targets.push(state);
         }
-        Batch { inputs, targets }
     }
 
     /// A fixed held-out evaluation batch.
     pub fn eval_batch(&self, batch: usize) -> Batch {
-        self.sample(batch, u64::MAX / 2)
+        let mut out = Batch::default();
+        self.sample_into(batch, u64::MAX / 2, &mut out);
+        out
     }
 }
 
@@ -230,22 +235,38 @@ impl TextDataset {
 mod tests {
     use super::*;
 
+    fn image_batch(d: &ImageDataset, batch: usize, stream: u64) -> Batch {
+        let mut out = Batch::default();
+        d.sample_into(batch, stream, &mut out);
+        out
+    }
+
+    fn text_batch(d: &TextDataset, batch: usize, stream: u64) -> Batch {
+        let mut out = Batch::default();
+        d.sample_into(batch, stream, &mut out);
+        out
+    }
+
     #[test]
     fn image_dataset_is_deterministic() {
         let d = ImageDataset::new(8, 2, 4, 0.1, 7);
-        let a = d.sample(5, 3);
-        let b = d.sample(5, 3);
+        let a = image_batch(&d, 5, 3);
+        let b = image_batch(&d, 5, 3);
         assert_eq!(a.inputs, b.inputs);
         assert_eq!(a.targets, b.targets);
-        let c = d.sample(5, 4);
+        let c = image_batch(&d, 5, 4);
         assert_ne!(a.targets, c.targets);
+        // A reused, longer batch holds exactly the new sample.
+        let mut reused = image_batch(&d, 7, 4);
+        d.sample_into(5, 3, &mut reused);
+        assert_eq!((&reused.inputs, &reused.targets), (&a.inputs, &a.targets));
     }
 
     #[test]
     fn image_classes_are_separable_by_shifted_template_matching() {
         let size = 8usize;
         let d = ImageDataset::new(size, 1, 3, 0.05, 9);
-        let batch = d.sample(30, 1);
+        let batch = image_batch(&d, 30, 1);
         let dim = d.feature_dim();
         // Best match over all circular shifts and a small gain grid must be
         // the labelled class (the augmentation preserves class identity).
@@ -311,7 +332,7 @@ mod tests {
     #[test]
     fn text_samples_respect_shapes() {
         let d = TextDataset::new(16, 6, 2, 5);
-        let b = d.sample(9, 2);
+        let b = text_batch(&d, 9, 2);
         assert_eq!(b.inputs.len(), 9 * 6);
         assert_eq!(b.targets.len(), 9);
         assert!(b.inputs.iter().all(|&t| (t as usize) < 16));
@@ -323,7 +344,7 @@ mod tests {
         // With peak=1 most transitions go to a single successor: verify the
         // empirical conditional mode probability is high.
         let d = TextDataset::new(8, 1, 1, 13);
-        let b = d.sample(4000, 1);
+        let b = text_batch(&d, 4000, 1);
         let mut counts = vec![vec![0u32; 8]; 8];
         for (s, &t) in b.targets.iter().enumerate() {
             counts[b.inputs[s] as usize][t] += 1;

@@ -61,8 +61,17 @@ pub trait Model {
     /// Weight-matrix shapes for low-rank compression.
     fn matrix_shapes(&self) -> Vec<(usize, usize)>;
 
-    /// Samples a training batch for `(worker, round)`.
-    fn train_batch(&self, batch_size: usize, worker: usize, round: u64) -> Batch;
+    /// Samples the training batch for `(worker, round)` into `out`,
+    /// reusing its buffers (a caller that keeps `out` across rounds
+    /// allocates nothing once it has grown).
+    fn train_batch_into(&self, batch_size: usize, worker: usize, round: u64, out: &mut Batch);
+
+    /// [`Model::train_batch_into`] into a new batch.
+    fn train_batch(&self, batch_size: usize, worker: usize, round: u64) -> Batch {
+        let mut batch = Batch::default();
+        self.train_batch_into(batch_size, worker, round, &mut batch);
+        batch
+    }
 
     /// Deep copy of the model for parallel per-worker gradient computation
     /// (parameters, optimizer-visible state, dataset — everything a worker
@@ -152,9 +161,9 @@ impl Model for VggMini {
     fn matrix_shapes(&self) -> Vec<(usize, usize)> {
         self.net.matrix_shapes()
     }
-    fn train_batch(&self, batch_size: usize, worker: usize, round: u64) -> Batch {
+    fn train_batch_into(&self, batch_size: usize, worker: usize, round: u64, out: &mut Batch) {
         self.dataset
-            .sample(batch_size, (worker as u64) << 40 | round)
+            .sample_into(batch_size, (worker as u64) << 40 | round, out);
     }
     fn clone_boxed(&self) -> Option<Box<dyn Model + Send>> {
         Some(Box::new(self.clone()))
@@ -246,9 +255,9 @@ impl Model for BertMini {
     fn matrix_shapes(&self) -> Vec<(usize, usize)> {
         self.net.matrix_shapes()
     }
-    fn train_batch(&self, batch_size: usize, worker: usize, round: u64) -> Batch {
+    fn train_batch_into(&self, batch_size: usize, worker: usize, round: u64, out: &mut Batch) {
         self.dataset
-            .sample(batch_size, (worker as u64) << 40 | round)
+            .sample_into(batch_size, (worker as u64) << 40 | round, out);
     }
     fn clone_boxed(&self) -> Option<Box<dyn Model + Send>> {
         Some(Box::new(self.clone()))
@@ -333,9 +342,9 @@ impl Model for TransformerMini {
     fn matrix_shapes(&self) -> Vec<(usize, usize)> {
         self.net.matrix_shapes()
     }
-    fn train_batch(&self, batch_size: usize, worker: usize, round: u64) -> Batch {
+    fn train_batch_into(&self, batch_size: usize, worker: usize, round: u64, out: &mut Batch) {
         self.dataset
-            .sample(batch_size, (worker as u64) << 40 | round)
+            .sample_into(batch_size, (worker as u64) << 40 | round, out);
     }
     fn clone_boxed(&self) -> Option<Box<dyn Model + Send>> {
         Some(Box::new(self.clone()))

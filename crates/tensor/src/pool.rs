@@ -55,6 +55,22 @@ impl<T> WorkerBufs<T> {
 }
 
 impl<T: Clone> WorkerBufs<T> {
+    /// Ensures `n` slots, each exactly `len` long, without clearing: what
+    /// the last round left stays, and a grown tail is `T::default()`. For a
+    /// kernel that overwrites every element, so no round pays for a fill.
+    pub fn prepare_len(&mut self, n: usize, len: usize) -> &mut [Vec<T>]
+    where
+        T: Default,
+    {
+        if self.bufs.len() < n {
+            self.bufs.resize_with(n, Vec::new);
+        }
+        for buf in &mut self.bufs[..n] {
+            buf.resize(len, T::default());
+        }
+        &mut self.bufs[..n]
+    }
+
     /// Clears and refills the first `n` buffers as copies of `src`
     /// (sequential; use `parallel::for_each_chunk_mut` over
     /// [`WorkerBufs::prepare`]'s slice for the parallel version).

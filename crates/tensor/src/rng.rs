@@ -91,19 +91,22 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Deterministic Fisher–Yates permutation of `0..n` driven by a shared seed.
+/// Deterministic Fisher–Yates permutation of `0..n` driven by a shared
+/// seed, written into `perm` (its capacity is kept, so a caller that owns
+/// the buffer across rounds allocates nothing once it has grown).
 ///
-/// Used by the TopKC-Permutation ablation (Table 4): all workers must apply
-/// the *same* permutation for the aggregated result to be coherent.
-pub fn shared_permutation(n: usize, seed: SharedSeed) -> Vec<usize> {
+/// Used by the TopKC-Permutation ablation (Table 4) and RandomK's shared
+/// selection: all workers must apply the *same* permutation for the
+/// aggregated result to be coherent.
+pub fn shared_permutation_into(n: usize, seed: SharedSeed, perm: &mut Vec<usize>) {
     use rand::Rng;
     let mut rng = seed.rng();
-    let mut perm: Vec<usize> = (0..n).collect();
+    perm.clear();
+    perm.extend(0..n);
     for i in (1..n).rev() {
         let j = rng.gen_range(0..=i);
         perm.swap(i, j);
     }
-    perm
 }
 
 #[cfg(test)]
@@ -136,7 +139,8 @@ mod tests {
 
     #[test]
     fn permutation_is_a_bijection() {
-        let perm = shared_permutation(100, SharedSeed::new(9));
+        let mut perm = vec![7; 3];
+        shared_permutation_into(100, SharedSeed::new(9), &mut perm);
         let mut seen = [false; 100];
         for &p in &perm {
             assert!(!seen[p]);

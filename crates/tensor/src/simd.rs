@@ -13,9 +13,10 @@
 //! **Bitwise contract.** Every primitive has a `_scalar` reference and an
 //! AVX2 variant that computes the *same expression tree*:
 //!
-//! * element-wise ops ([`butterfly`], [`axpy`], [`scale`], [`abs_keys_into`],
-//!   [`quantize_stochastic`]) perform one independent IEEE-754 operation
-//!   sequence per element, so vectorization cannot change a bit;
+//! * element-wise ops ([`butterfly`], [`butterfly_pairs`], [`axpy`],
+//!   [`scale`], [`abs_keys_into`], [`quantize_stochastic`]) perform one
+//!   independent IEEE-754 operation sequence per element, so vectorization
+//!   cannot change a bit;
 //! * the one reduction ([`dot_folded`]) fixes its shape in the *scalar*
 //!   definition: 8 stride-8 partial accumulators (exactly the 8 lanes of a
 //!   `__m256`), folded in a fixed tree, then a sequential tail. The AVX2
@@ -49,14 +50,16 @@
 //! **Who takes the AVX2 paths.** [`avx2_enabled`] decides for:
 //!
 //! * the primitives here, and through them `hadamard`'s FWHT/RHT
-//!   ([`butterfly`]), `vector`'s top-k threshold scan ([`abs_keys_into`],
+//!   ([`butterfly`], [`butterfly_pairs`]), `vector`'s top-k threshold scan ([`abs_keys_into`],
 //!   [`collect_indices_above`]) and scaling ([`scale`]), `matrix`'s
 //!   PowerSGD products and Gram–Schmidt ([`axpy`], [`dot_folded`],
 //!   [`scale`]), THC's rounding in `gcs-core` ([`quantize_stochastic`]),
 //!   and `gcs-nn`'s row-AXPY `Dense` backward ([`axpy`]);
 //! * `gcs-nn`'s own AVX2 layer kernels (`crates/nn/src/layers.rs`): the
 //!   `Dense` and `Conv3x3` forward tiles and the one-pass `Dense` backward,
-//!   which check [`avx2_enabled`] themselves.
+//!   and `hadamard`'s radix-8 register head and one-pass block transforms
+//!   (`rht_block_forward`, `rht_block_inverse`), which check
+//!   [`avx2_enabled`] themselves.
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
@@ -146,6 +149,85 @@ pub fn butterfly(lo: &mut [f32], hi: &mut [f32], c: f32) {
         return unsafe { butterfly_avx2(lo, hi, c) };
     }
     butterfly_scalar(lo, hi, c);
+}
+
+// ---------------------------------------------------------------------------
+// Radix-4 FWHT stage pair: stages h and 2h over every aligned 4h window
+// ---------------------------------------------------------------------------
+
+/// Scalar reference for [`butterfly_pairs`]: on each aligned `4h` window
+/// with quarters `q0..q3`, stage `h` pairs `(q0, q1)` and `(q2, q3)`, then
+/// stage `2h` pairs `(q0, q2)` and `(q1, q3)` — per element the same
+/// expressions, in the same order, as two [`butterfly_scalar`] passes.
+pub fn butterfly_pairs_scalar(data: &mut [f32], h: usize, c: f32) {
+    for window in data.chunks_exact_mut(4 * h) {
+        let (front, back) = window.split_at_mut(2 * h);
+        let (q0, q1) = front.split_at_mut(h);
+        let (q2, q3) = back.split_at_mut(h);
+        let quarters = q0.iter_mut().zip(q1.iter_mut()).zip(q2.iter_mut().zip(q3));
+        for ((x0, x1), (x2, x3)) in quarters {
+            let (y0, y1) = ((*x0 + *x1) * c, (*x0 - *x1) * c);
+            let (y2, y3) = ((*x2 + *x3) * c, (*x2 - *x3) * c);
+            *x0 = (y0 + y2) * c;
+            *x2 = (y0 - y2) * c;
+            *x1 = (y1 + y3) * c;
+            *x3 = (y1 - y3) * c;
+        }
+    }
+}
+
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn butterfly_pairs_avx2(data: &mut [f32], h: usize, c: f32) {
+    assert!(
+        h >= LANES && h.is_multiple_of(LANES) && data.len().is_multiple_of(4 * h),
+        "butterfly_pairs_avx2: h = {h} over {} elements",
+        data.len()
+    );
+    let vc = _mm256_set1_ps(c);
+    let p = data.as_mut_ptr();
+    for base in (0..data.len()).step_by(4 * h) {
+        for i in (base..base + h).step_by(LANES) {
+            // SAFETY: `base + 4h <= data.len()` and `i + LANES <= base + h`
+            // (both asserted multiples), so the loads and stores at `i`,
+            // `i + h`, `i + 2h` and `i + 3h` stay inside the window.
+            let x0 = _mm256_loadu_ps(p.add(i));
+            let x1 = _mm256_loadu_ps(p.add(i + h));
+            let x2 = _mm256_loadu_ps(p.add(i + 2 * h));
+            let x3 = _mm256_loadu_ps(p.add(i + 3 * h));
+            let y0 = _mm256_mul_ps(_mm256_add_ps(x0, x1), vc);
+            let y1 = _mm256_mul_ps(_mm256_sub_ps(x0, x1), vc);
+            let y2 = _mm256_mul_ps(_mm256_add_ps(x2, x3), vc);
+            let y3 = _mm256_mul_ps(_mm256_sub_ps(x2, x3), vc);
+            _mm256_storeu_ps(p.add(i), _mm256_mul_ps(_mm256_add_ps(y0, y2), vc));
+            _mm256_storeu_ps(p.add(i + h), _mm256_mul_ps(_mm256_add_ps(y1, y3), vc));
+            _mm256_storeu_ps(p.add(i + 2 * h), _mm256_mul_ps(_mm256_sub_ps(y0, y2), vc));
+            _mm256_storeu_ps(p.add(i + 3 * h), _mm256_mul_ps(_mm256_sub_ps(y1, y3), vc));
+        }
+    }
+}
+
+/// Two butterfly stages in one pass: stage `h`, then stage `2h`, over every
+/// aligned `4h` window of `data` (see [`butterfly_pairs_scalar`]).
+/// Element-wise per stage, so the AVX2 path (for `h` a multiple of
+/// [`LANES`]) is bitwise-identical to the scalar one.
+///
+/// # Panics
+/// Panics if `h == 0` or `data.len()` is not a multiple of `4h`.
+pub fn butterfly_pairs(data: &mut [f32], h: usize, c: f32) {
+    assert!(
+        h > 0 && data.len().is_multiple_of(4 * h),
+        "butterfly_pairs: {} elements are not whole 4h windows at h = {h}",
+        data.len()
+    );
+    #[cfg(target_arch = "x86_64")]
+    if h.is_multiple_of(LANES) && avx2_enabled() {
+        // SAFETY: `avx2_enabled()` just detected AVX2 at run time.
+        return unsafe { butterfly_pairs_avx2(data, h, c) };
+    }
+    butterfly_pairs_scalar(data, h, c);
 }
 
 // ---------------------------------------------------------------------------
@@ -589,6 +671,36 @@ mod tests {
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&lo_a), bits(&lo_b), "n={n}");
             assert_eq!(bits(&hi_a), bits(&hi_b), "n={n}");
+        }
+    }
+
+    #[test]
+    fn butterfly_pairs_are_bitwise_two_butterfly_passes() {
+        let c = std::f32::consts::FRAC_1_SQRT_2;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (h, windows) in [
+            (1usize, 3usize),
+            (2, 1),
+            (4, 5),
+            (8, 1),
+            (8, 7),
+            (16, 2),
+            (64, 3),
+        ] {
+            let orig = finite_probe(4 * h * windows, 0x2a ^ h as u64);
+            let mut expect = orig.clone();
+            for step in [h, 2 * h] {
+                for window in expect.chunks_mut(2 * step) {
+                    let (lo, hi) = window.split_at_mut(step);
+                    butterfly_scalar(lo, hi, c);
+                }
+            }
+            let mut got = orig.clone();
+            butterfly_pairs(&mut got, h, c);
+            assert_eq!(bits(&got), bits(&expect), "dispatched h={h}");
+            let mut got = orig.clone();
+            butterfly_pairs_scalar(&mut got, h, c);
+            assert_eq!(bits(&got), bits(&expect), "scalar h={h}");
         }
     }
 

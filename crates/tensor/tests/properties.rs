@@ -7,7 +7,7 @@ use gcs_tensor::half::{
     encode_f16_slice, encode_f16_slice_scalar, F16,
 };
 use gcs_tensor::matrix::{orthonormalize_columns_with, GsScratch, Matrix};
-use gcs_tensor::rng::{shared_permutation, SharedSeed};
+use gcs_tensor::rng::{shared_permutation_into, SharedSeed};
 use gcs_tensor::vector::{squared_norm, top_k_indices_into, vnmse, TopKScratch};
 use proptest::prelude::*;
 
@@ -201,7 +201,8 @@ proptest! {
     fn permutations_invert(n in 1usize..200, seed in any::<u64>()) {
         // Every value in `0..n` is hit exactly once, so the inverse
         // `inv[p[i]] = i` is total.
-        let p = shared_permutation(n, SharedSeed::new(seed));
+        let mut p = Vec::new();
+        shared_permutation_into(n, SharedSeed::new(seed), &mut p);
         let mut inv = vec![usize::MAX; n];
         for (i, &x) in p.iter().enumerate() {
             prop_assert_eq!(inv[x], usize::MAX, "{} hit twice", x);

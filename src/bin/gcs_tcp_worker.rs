@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use gcs_collectives::tcp::{FleetWorker, TcpTimeouts};
 use gcs_collectives::telemetry::TelemetryShipper;
-use gcs_ddp::fleet::{fleet_round, param_checksum, sync_params};
+use gcs_ddp::fleet::{fleet_round, param_checksum, sync_params, FleetScratch};
 use gcs_metrics::fleet::{FlightRecorder, ROUND_HIST, WIRE_BYTES_COUNTER};
 use gcs_metrics::Registry;
 use gcs_nn::{Sgd, VggMini};
@@ -206,6 +206,7 @@ fn run(cfg: &Config) -> Result<(), gcs_collectives::error::CollectiveError> {
 
     let mut model = VggMini::new(cfg.seed);
     let mut opt = Sgd::new(cfg.lr, 0.9, 0.0);
+    let mut scratch = FleetScratch::default();
     let mut round = 0u64;
     let mut last_epoch: Option<u64> = None;
     let mut epochs_seen = 0u64;
@@ -252,7 +253,14 @@ fn run(cfg: &Config) -> Result<(), gcs_collectives::error::CollectiveError> {
 
         let mut links = worker.links::<f32>();
         let t0 = Instant::now();
-        match fleet_round(&mut model, &mut opt, &mut links, cfg.batch, round) {
+        match fleet_round(
+            &mut model,
+            &mut opt,
+            &mut links,
+            cfg.batch,
+            round,
+            &mut scratch,
+        ) {
             Ok(out) => {
                 tele.metrics
                     .observe(ROUND_HIST, t0.elapsed().as_nanos() as f64);

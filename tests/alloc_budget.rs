@@ -20,11 +20,13 @@ use gradient_utility::collectives::{
 };
 use gradient_utility::core::scheme::{AggregationOutcome, CompressionScheme, RoundContext};
 use gradient_utility::core::schemes::baseline::PrecisionBaseline;
+use gradient_utility::core::schemes::literature::RandomK;
 use gradient_utility::core::schemes::powersgd::PowerSgd;
 use gradient_utility::core::schemes::thc::{Thc, ThcAggregation};
 use gradient_utility::core::schemes::topk::TopK;
 use gradient_utility::core::schemes::topkc::TopKC;
 use gradient_utility::core::schemes::topkc_q::TopKCQ;
+use gradient_utility::ddp::fleet::{fleet_round, FleetScratch};
 use gradient_utility::gpusim::DeviceSpec;
 use gradient_utility::nn::{BertMini, Model, Sgd, TransformerMini, VggMini};
 use gradient_utility::tensor::bitpack::PackedIntVec;
@@ -142,6 +144,49 @@ fn tcp_ring_steady_state_is_allocation_free() {
 }
 
 #[test]
+fn tcp_fleet_round_steady_state_is_allocation_free() {
+    // A whole fleet training round over the persistent TCP mesh — batch
+    // sampling, forward/backward, the gradient's ring all-reduce and the
+    // SGD step — with every buffer in the caller's `FleetScratch`: after
+    // two warm-up rounds, no heap event on any rank.
+    let registry = Registry::spawn(2).expect("registry");
+    let addr = registry.addr();
+    let handles: Vec<_> = (0..2)
+        .map(|_| {
+            std::thread::spawn(move || {
+                with_threads(1, || {
+                    let mut w = FleetWorker::join(addr, TcpTimeouts::fast_test()).expect("join");
+                    w.next_round(0).expect("round");
+                    let mut model = VggMini::new(7);
+                    let mut opt = Sgd::new(0.05, 0.9, 0.0);
+                    let mut scratch = FleetScratch::default();
+                    let mut links = w.links::<f32>();
+                    let mut r = 0u64;
+                    let mut round = || {
+                        fleet_round(&mut model, &mut opt, &mut links, 4, r, &mut scratch)
+                            .expect("healthy fleet");
+                        r += 1;
+                    };
+                    round();
+                    round();
+                    let ((), stats) = measure(&mut round);
+                    w.leave().expect("leave");
+                    stats.total_events()
+                })
+            })
+        })
+        .collect();
+    let events: Vec<u64> = handles
+        .into_iter()
+        .map(|h| h.join().expect("tcp worker thread"))
+        .collect();
+    registry.shutdown();
+    for (rank, e) in events.iter().enumerate() {
+        assert_eq!(*e, 0, "a warm fleet round must not allocate (rank {rank})");
+    }
+}
+
+#[test]
 fn fused_quantize_pack_steady_state_is_allocation_free() {
     with_threads(1, || {
         let len = 1000;
@@ -217,6 +262,27 @@ fn topkc_round_steady_state_is_allocation_free() {
         let mut s = TopKC::with_bits(2.0, 64, N, true);
         let events = scheme_steady_events(&mut s, N, 4096);
         assert_eq!(events, 0, "TopKC round must not allocate at steady state");
+    });
+}
+
+#[test]
+fn topkc_perm_round_steady_state_is_allocation_free() {
+    with_threads(1, || {
+        let mut s = TopKC::with_bits(2.0, 64, N, true).with_permutation();
+        let events = scheme_steady_events(&mut s, N, 4096);
+        assert_eq!(
+            events, 0,
+            "TopKC-Perm round must not allocate at steady state"
+        );
+    });
+}
+
+#[test]
+fn randomk_round_steady_state_is_allocation_free() {
+    with_threads(1, || {
+        let mut s = RandomK::with_bits(4.0, N);
+        let events = scheme_steady_events(&mut s, N, 4096);
+        assert_eq!(events, 0, "RandomK round must not allocate at steady state");
     });
 }
 

@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use gcs_collectives::tcp::Registry;
 use gcs_collectives::transport::ThreadedCluster;
-use gcs_ddp::fleet::{fleet_round, param_checksum};
+use gcs_ddp::fleet::{fleet_round, param_checksum, FleetScratch};
 use gcs_nn::{Sgd, VggMini};
 
 const WORKER_BIN: &str = env!("CARGO_BIN_EXE_gcs_tcp_worker");
@@ -156,8 +156,9 @@ fn threaded_reference(n: usize, rounds: u64, batch: usize) -> (u64, Vec<Vec<u32>
         let mut model = VggMini::new(SEED);
         let mut opt = Sgd::new(LR, 0.9, 0.0);
         let mut losses = Vec::new();
+        let mut scratch = FleetScratch::default();
         for round in 0..rounds {
-            let out = fleet_round(&mut model, &mut opt, &mut links, batch, round)
+            let out = fleet_round(&mut model, &mut opt, &mut links, batch, round, &mut scratch)
                 .expect("healthy threaded cluster");
             losses.push(out.loss.to_bits());
         }
