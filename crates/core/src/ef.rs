@@ -8,16 +8,17 @@
 //! part of the algorithm's definition. The paper applies EF to both TopK and
 //! TopKC (§3.1.3).
 //!
-//! The helper here is deliberately dumb, and has one form: every scheme
-//! calls [`ErrorFeedback::corrected_all_into`] to get `gradient + memory`
-//! for all its workers and [`ErrorFeedback::update_all`] with the
-//! contributions that actually made it onto the wire. The *telescoping
-//! invariant* — `memory_{t+1} = corrected_t − sent_t`, so the cumulative
-//! sent stream equals the cumulative gradient stream minus the current
-//! memory — is tested. Both calls fan out across workers on
-//! [`gcs_tensor::parallel`]: memories are per-worker disjoint, so the
-//! result is bitwise identical to a per-worker loop for any thread count,
-//! and both write into buffers the scheme's round scratch owns.
+//! The helper here is deliberately dumb, works in place and has one form:
+//! [`ErrorFeedback::correct`] turns each worker's memory into its corrected
+//! gradient `gradient + memory` and lends it out, then
+//! [`ErrorFeedback::settle`] hands it back for the scheme to subtract what
+//! the worker sent, only where it sent something (an unsent `c` is the
+//! dense `c − 0.0` bit for bit). The *telescoping invariant* —
+//! `memory_{t+1} = corrected_t − sent_t`, so the cumulative sent stream
+//! equals the cumulative gradient stream minus the current memory — is
+//! tested. Both calls fan out across workers on [`gcs_tensor::parallel`]:
+//! memories are per-worker disjoint, so the result is bitwise identical to
+//! a per-worker loop for any thread count.
 
 /// Per-worker error-feedback memories.
 #[derive(Clone, Debug)]
@@ -46,17 +47,19 @@ impl ErrorFeedback {
         self.memories.len()
     }
 
-    /// `gradient + memory` (a plain copy when disabled) for workers
-    /// `0..grads.len()`, parallel across workers, written into caller-owned
-    /// vectors (resized
-    /// to one per worker, in worker order, each cleared and refilled in
-    /// place) — allocation-free at steady state for schemes that own a round
-    /// scratch.
+    /// The corrected gradients of workers `0..grads.len()`: each memory
+    /// becomes `gradient + memory` in place (in that order: of two NaNs,
+    /// x86 keeps the first one's payload), parallel across workers, and the
+    /// memories are returned. When disabled, `grads` itself.
     ///
     /// # Panics
     /// Panics if more gradients than workers are supplied, or a gradient
     /// length changed between rounds.
-    pub fn corrected_all_into(&mut self, grads: &[Vec<f32>], out: &mut Vec<Vec<f32>>) {
+    #[allow(clippy::assign_op_pattern)]
+    pub fn correct<'a>(&'a mut self, grads: &'a [Vec<f32>]) -> &'a [Vec<f32>] {
+        if !self.enabled {
+            return grads;
+        }
         let n = grads.len();
         assert!(
             n <= self.memories.len(),
@@ -73,37 +76,26 @@ impl ErrorFeedback {
                 "ErrorFeedback: gradient dimension changed"
             );
         }
-        if out.len() != n {
-            out.resize_with(n, Vec::new);
-        }
-        if !self.enabled {
-            for (o, g) in out.iter_mut().zip(grads) {
-                o.clear();
-                o.extend_from_slice(g);
-            }
-            return;
-        }
         let _span = gcs_trace::span(gcs_trace::Phase::Compress, "ef_corrected");
-        let memories = &self.memories;
-        gcs_tensor::parallel::for_each_chunk_mut(&mut out[..n], 1, |w, slot| {
-            let o = &mut slot[0];
-            o.clear();
-            o.extend(grads[w].iter().zip(memories[w].iter()).map(|(g, m)| g + m));
+        gcs_tensor::parallel::for_each_chunk_mut(&mut self.memories[..n], 1, |w, mem| {
+            for (m, g) in mem[0].iter_mut().zip(&grads[w]) {
+                *m = g + *m;
+            }
         });
+        &self.memories[..n]
     }
 
-    /// Records what was actually sent, `memory = corrected − sent`, for
-    /// workers `0..corrected.len()`, parallel across workers (their memories
-    /// are disjoint). No-op when disabled.
+    /// Records what workers `0..n` sent: `subtract(w, memory)` takes worker
+    /// `w`'s corrected gradient and subtracts from it what `w` sent, where
+    /// it sent something, leaving the residual. Parallel across workers
+    /// (their memories are disjoint). No-op when disabled.
     ///
     /// # Panics
-    /// Panics on any worker-count or dimension mismatch.
-    pub fn update_all(&mut self, corrected: &[Vec<f32>], sent: &[Vec<f32>]) {
+    /// Panics if `n` exceeds the worker count.
+    pub fn settle(&mut self, n: usize, subtract: impl Fn(usize, &mut [f32]) + Sync) {
         if !self.enabled {
             return;
         }
-        let n = corrected.len();
-        assert_eq!(n, sent.len(), "ErrorFeedback: worker count mismatch");
         assert!(
             n <= self.memories.len(),
             "ErrorFeedback: {n} updates for {} workers",
@@ -112,14 +104,7 @@ impl ErrorFeedback {
         {
             let _span = gcs_trace::span(gcs_trace::Phase::Compress, "ef_update");
             gcs_tensor::parallel::for_each_chunk_mut(&mut self.memories[..n], 1, |w, mem| {
-                let mem = &mut mem[0];
-                assert_eq!(
-                    corrected[w].len(),
-                    sent[w].len(),
-                    "ErrorFeedback: length mismatch"
-                );
-                mem.clear();
-                mem.extend(corrected[w].iter().zip(&sent[w]).map(|(c, s)| c - s));
+                subtract(w, &mut mem[0]);
             });
         }
         if gcs_trace::enabled() {
@@ -143,8 +128,11 @@ impl ErrorFeedback {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    /// Textbook EF, one memory per worker: `c = g + m`, then `m = c − s`.
+    /// Textbook EF, one memory per worker: `c = g + m`, then `m = c − s`
+    /// with a dense `s` (zero where nothing was sent).
     #[derive(Default)]
     struct Textbook {
         memories: Vec<Vec<f32>>,
@@ -170,18 +158,88 @@ mod tests {
         }
     }
 
+    /// What a compressor sends of one corrected gradient: a value per
+    /// coordinate it sends, `None` elsewhere.
+    type Sends = Vec<Option<f32>>;
+
     /// One EF round: the corrected gradients, then the memory update with
-    /// `compress(corrected)` as what was sent.
+    /// `compress(corrected)` as what was sent, returned dense (zero where
+    /// nothing was sent) for the textbook update.
     fn round(
         ef: &mut ErrorFeedback,
         grads: &[Vec<f32>],
-        compress: impl Fn(&[f32]) -> Vec<f32>,
+        compress: impl Fn(&[f32]) -> Sends,
     ) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
-        let mut corrected = Vec::new();
-        ef.corrected_all_into(grads, &mut corrected);
-        let sent: Vec<Vec<f32>> = corrected.iter().map(|c| compress(c)).collect();
-        ef.update_all(&corrected, &sent);
-        (corrected, sent)
+        let corrected = ef.correct(grads).to_vec();
+        let sends: Vec<Sends> = corrected.iter().map(|c| compress(c)).collect();
+        ef.settle(grads.len(), |w, m| {
+            for (x, s) in m.iter_mut().zip(&sends[w]) {
+                if let Some(s) = s {
+                    *x -= s;
+                }
+            }
+        });
+        let dense = sends
+            .iter()
+            .map(|s| s.iter().map(|v| v.unwrap_or(0.0)).collect())
+            .collect();
+        (corrected, dense)
+    }
+
+    /// Sends two coordinates in three, rounded to quarters (a NaN as it
+    /// is, so `c − s` has one NaN payload to keep).
+    fn quarter(c: &[f32]) -> Sends {
+        c.iter()
+            .enumerate()
+            .map(|(i, &x)| {
+                (i % 3 != 0).then(|| {
+                    if x.is_nan() {
+                        x
+                    } else {
+                        (x * 4.0).round() / 4.0
+                    }
+                })
+            })
+            .collect()
+    }
+
+    /// `rounds` rounds of `n` gradients of length `d`: finite values,
+    /// `±0.0`, subnormals of either sign and quiet NaNs with payloads. A
+    /// coordinate's NaN is drawn at most once, so no add or subtract meets
+    /// two different payloads (which operand's payload survives is then
+    /// not a property of the code).
+    fn edge_grads(rounds: usize, n: usize, d: usize) -> Vec<Vec<Vec<f32>>> {
+        let mut rng = StdRng::seed_from_u64(0xef);
+        let mut poisoned = vec![vec![false; d]; n];
+        let mut all = Vec::new();
+        for _ in 0..rounds {
+            let mut grads = Vec::new();
+            for seen in &mut poisoned {
+                let mut g = Vec::with_capacity(d);
+                for nan_seen in seen.iter_mut() {
+                    let sign = if rng.gen::<bool>() { 0x8000_0000u32 } else { 0 };
+                    g.push(match rng.gen_range(0..8) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => f32::from_bits(sign | rng.gen_range(1u32..0x0080_0000)),
+                        3 if !*nan_seen => {
+                            *nan_seen = true;
+                            f32::from_bits(sign | 0x7fc0_0000 | rng.gen_range(1u32..0x0040_0000))
+                        }
+                        _ => rng.gen_range(-2.0f32..2.0),
+                    });
+                }
+                grads.push(g);
+            }
+            all.push(grads);
+        }
+        all
+    }
+
+    fn bits(v: &[Vec<f32>]) -> Vec<Vec<u32>> {
+        v.iter()
+            .map(|x| x.iter().map(|x| x.to_bits()).collect())
+            .collect()
     }
 
     #[test]
@@ -193,7 +251,7 @@ mod tests {
         let mut cum_sent = [0.0f32; 2];
         let mut cum_grad = [0.0f32; 2];
         for g in &grads {
-            let (_, sent) = round(&mut ef, std::slice::from_ref(g), |c| vec![c[0], 0.0]);
+            let (_, sent) = round(&mut ef, std::slice::from_ref(g), |c| vec![Some(c[0]), None]);
             for i in 0..2 {
                 cum_sent[i] += sent[0][i];
                 cum_grad[i] += g[i];
@@ -209,89 +267,93 @@ mod tests {
     fn disabled_ef_is_identity() {
         let mut ef = ErrorFeedback::new(2, false);
         let grads = vec![vec![0.5f32], vec![1.0, 2.0]];
-        let (c, _) = round(&mut ef, &grads, |c| vec![0.0; c.len()]);
+        let (c, _) = round(&mut ef, &grads, |c| vec![None; c.len()]);
         assert_eq!(c, grads);
-        let (c2, _) = round(&mut ef, &grads, |c| vec![0.0; c.len()]);
+        let (c2, _) = round(&mut ef, &grads, |c| vec![None; c.len()]);
         assert_eq!(c2, grads); // nothing remembered
+                               // The gradients themselves are lent out, not a copy of them.
+        assert!(std::ptr::eq(ef.correct(&grads), &grads[..]));
+        assert!(ef.memories.iter().all(Vec::is_empty));
     }
 
     #[test]
     fn reset_clears() {
         let mut ef = ErrorFeedback::new(1, true);
         let g = vec![vec![1.0f32]];
-        round(&mut ef, &g, |_| vec![0.0]);
+        round(&mut ef, &g, |_| vec![None]);
         assert!(gcs_tensor::vector::norm(&ef.memories[0]) > 0.0);
         ef.reset();
-        let (c, _) = round(&mut ef, &g, |_| vec![0.0]);
+        let (c, _) = round(&mut ef, &g, |_| vec![None]);
         assert_eq!(c, g);
     }
 
     #[test]
     fn batched_api_matches_per_worker_loop_across_thread_counts() {
-        let n = 5;
-        let d = 300;
-        let grads: Vec<Vec<f32>> = (0..n)
-            .map(|w| (0..d).map(|i| ((w * d + i) as f32 * 0.13).sin()).collect())
-            .collect();
-        let quarter =
-            |c: &[f32]| -> Vec<f32> { c.iter().map(|x| (x * 4.0).round() / 4.0).collect() };
-        // Reference: the textbook per-worker loop, two rounds.
+        let (rounds, n, d) = (4, 5, 300);
+        let grads = edge_grads(rounds, n, d);
+        // Reference: the textbook per-worker loop with dense sends.
         let mut reference = Textbook::default();
         let mut ref_corrected = Vec::new();
-        for _round in 0..2 {
-            ref_corrected = reference.corrected(&grads);
-            let sents: Vec<Vec<f32>> = ref_corrected.iter().map(|c| quarter(c)).collect();
+        for g in &grads {
+            ref_corrected = reference.corrected(g);
+            let sents: Vec<Vec<f32>> = ref_corrected
+                .iter()
+                .map(|c| quarter(c).iter().map(|v| v.unwrap_or(0.0)).collect())
+                .collect();
             reference.update(&ref_corrected, &sents);
         }
         for threads in [1, 2, 4] {
             gcs_tensor::parallel::with_threads(threads, || {
                 let mut ef = ErrorFeedback::new(n, true);
                 let mut corrected = Vec::new();
-                for _round in 0..2 {
-                    corrected = round(&mut ef, &grads, quarter).0;
+                for g in &grads {
+                    corrected = round(&mut ef, g, quarter).0;
                 }
-                assert_eq!(corrected, ref_corrected, "threads={threads}");
-                assert_eq!(ef.memories, reference.memories, "threads={threads}");
+                assert_eq!(bits(&corrected), bits(&ref_corrected), "threads={threads}");
+                assert_eq!(
+                    bits(&ef.memories),
+                    bits(&reference.memories),
+                    "threads={threads}"
+                );
             });
         }
     }
 
     #[test]
-    fn corrected_all_into_reuses_buffers_and_matches() {
-        for enabled in [true, false] {
-            let n = 3;
-            let grads: Vec<Vec<f32>> = (0..n)
-                .map(|w| {
-                    (0..64)
-                        .map(|i| ((w * 64 + i) as f32 * 0.29).cos())
-                        .collect()
-                })
+    fn correct_reuses_its_memories_and_matches() {
+        let n = 3;
+        let grads = edge_grads(3, n, 64);
+        let mut reference = Textbook::default();
+        let mut ef = ErrorFeedback::new(n, true);
+        let mut ptrs: Vec<*const f32> = Vec::new();
+        for (round, g) in grads.iter().enumerate() {
+            let expect = reference.corrected(g);
+            let out = ef.correct(g);
+            assert_eq!(bits(out), bits(&expect), "round={round}");
+            let now: Vec<*const f32> = out.iter().map(|o| o.as_ptr()).collect();
+            let sends: Vec<Sends> = out
+                .iter()
+                .map(|c| c.iter().map(|&x| Some(x * 0.5)).collect())
                 .collect();
-            let mut reference = Textbook::default();
-            let mut ef = ErrorFeedback::new(n, enabled);
-            let mut out = Vec::new();
-            let mut ptrs: Vec<*const f32> = Vec::new();
-            for round in 0..3 {
-                let expect = if enabled {
-                    reference.corrected(&grads)
-                } else {
-                    grads.clone()
-                };
-                ef.corrected_all_into(&grads, &mut out);
-                assert_eq!(out, expect, "enabled={enabled} round={round}");
-                let sents: Vec<Vec<f32>> = out
-                    .iter()
-                    .map(|c| c.iter().map(|x| x * 0.5).collect())
-                    .collect();
-                reference.update(&expect, &sents);
-                ef.update_all(&out, &sents);
-                if round == 0 {
-                    ptrs = out.iter().map(|o| o.as_ptr()).collect();
-                } else {
-                    for (o, &p) in out.iter().zip(&ptrs) {
-                        assert_eq!(o.as_ptr(), p, "steady state must reuse buffers");
-                    }
+            let sents: Vec<Vec<f32>> = sends
+                .iter()
+                .map(|s| s.iter().map(|v| v.unwrap_or(0.0)).collect())
+                .collect();
+            reference.update(&expect, &sents);
+            ef.settle(n, |w, m| {
+                for (x, s) in m.iter_mut().zip(&sends[w]) {
+                    *x -= s.unwrap_or(0.0);
                 }
+            });
+            assert_eq!(
+                bits(&ef.memories),
+                bits(&reference.memories),
+                "round={round}"
+            );
+            if round == 0 {
+                ptrs = now;
+            } else {
+                assert_eq!(now, ptrs, "steady state must reuse the memories");
             }
         }
     }
@@ -300,8 +362,7 @@ mod tests {
     #[should_panic(expected = "dimension changed")]
     fn dimension_change_is_detected() {
         let mut ef = ErrorFeedback::new(1, true);
-        let mut out = Vec::new();
-        ef.corrected_all_into(&[vec![1.0, 2.0]], &mut out);
-        ef.corrected_all_into(&[vec![1.0]], &mut out);
+        ef.correct(&[vec![1.0, 2.0]]);
+        ef.correct(&[vec![1.0]]);
     }
 }

@@ -143,15 +143,12 @@ pub struct RandomK {
     scratch: RandomKScratch,
 }
 
-/// Round scratch owned across rounds: the shared permutation, the
-/// EF-corrected gradients, the FP16 payloads, what each worker sent, and
-/// the ring's staging.
+/// Round scratch owned across rounds: the shared permutation, the FP16
+/// payloads and the ring's staging.
 #[derive(Clone, Debug, Default)]
 struct RandomKScratch {
     perm: Vec<usize>,
-    corrected: Vec<Vec<f32>>,
     values: WorkerBufs<F16>,
-    sent: WorkerBufs<f32>,
     ring: RingScratch<F16>,
 }
 
@@ -199,11 +196,11 @@ impl CompressionScheme for RandomK {
         );
         let selected = &scratch.perm[..k];
 
-        self.ef.corrected_all_into(grads, &mut scratch.corrected);
+        let corrected = self.ef.correct(grads);
         {
             let _span = gcs_trace::span(gcs_trace::Phase::Compress, "randomk_gather");
             let values = scratch.values.prepare(n);
-            for (buf, c) in values.iter_mut().zip(&scratch.corrected) {
+            for (buf, c) in values.iter_mut().zip(corrected) {
                 buf.extend(selected.iter().map(|&i| F16::from_f32(c[i])));
             }
         }
@@ -224,15 +221,11 @@ impl CompressionScheme for RandomK {
                 mean[i] = summed[slot].to_f32() / n as f32;
             }
         }
-        let sent_bufs = scratch.sent.prepare(n);
-        for (sent, c) in sent_bufs.iter_mut().zip(&scratch.corrected) {
-            sent.resize(d, 0.0);
+        self.ef.settle(n, |_, memory| {
             for &i in selected {
-                sent[i] = F16::from_f32(c[i]).to_f32();
+                memory[i] -= F16::from_f32(memory[i]).to_f32();
             }
-        }
-        self.ef
-            .update_all(&scratch.corrected, scratch.sent.slice(n));
+        });
         out.comm.clear();
         out.comm.push(CommEvent {
             collective: Collective::RingAllReduce,

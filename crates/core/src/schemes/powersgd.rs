@@ -33,14 +33,14 @@ use gcs_tensor::rng::{SharedSeed, Stream};
 use rand::Rng;
 
 /// Round scratch owned across rounds. Every buffer the round touches —
-/// EF-corrected gradients, per-worker P/Q factors, the orthonormalized P̂,
+/// per-worker EF contributions and P/Q factors, the orthonormalized P̂,
 /// Gram–Schmidt staging, ring staging — lives here and is refilled in
 /// place, so the steady-state round performs no heap allocation (asserted
 /// by `tests/alloc_budget.rs`). The per-layer matmuls write straight into
 /// these buffers via the `_into` matrix free functions.
 #[derive(Clone, Debug, Default)]
 struct PowerSgdScratch {
-    corrected: Vec<Vec<f32>>,
+    /// Per-worker `P̂ (Mᵢᵀ P̂)ᵀ`, what EF subtracts.
     sent: WorkerBufs<f32>,
     p_bufs: WorkerBufs<f32>,
     /// Per-worker `Mᵢᵀ P̂`, kept un-reduced for the EF contributions.
@@ -113,10 +113,6 @@ impl PowerSgd {
         self.rank
     }
 
-    fn layer_rank(&self, rows: usize, cols: usize) -> usize {
-        (self.rank as usize).min(rows).min(cols)
-    }
-
     /// Values communicated per round (P plus Q factors) at the cost shapes.
     fn comm_values(&self) -> u64 {
         self.cost_shapes
@@ -151,12 +147,6 @@ impl CompressionScheme for PowerSgd {
 
         let mut scratch = std::mem::take(&mut self.scratch);
 
-        // EF-corrected gradients (batched, parallel across workers). The
-        // per-layer matmuls below parallelize internally over output rows,
-        // which fits PowerSGD's few-workers/large-matrices regime better
-        // than fanning out over the worker loop.
-        self.ef.corrected_all_into(grads, &mut scratch.corrected);
-
         // Lazily initialize Q states from shared randomness so all workers
         // (and reruns) agree.
         if self.q_states.len() != self.shapes.len() {
@@ -165,7 +155,7 @@ impl CompressionScheme for PowerSgd {
                 .iter()
                 .enumerate()
                 .map(|(l, &(rows, cols))| {
-                    let r = self.layer_rank(rows, cols);
+                    let r = (self.rank as usize).min(rows).min(cols);
                     let mut rng =
                         SharedSeed::derive(ctx.experiment_seed, l as u64, Stream::Custom(0x505))
                             .rng();
@@ -174,6 +164,13 @@ impl CompressionScheme for PowerSgd {
                 })
                 .collect();
         }
+        let ef_on = self.ef.enabled();
+
+        // EF-corrected gradients (batched, parallel across workers). The
+        // per-layer matmuls below parallelize internally over output rows,
+        // which fits PowerSGD's few-workers/large-matrices regime better
+        // than fanning out over the worker loop.
+        let corrected = self.ef.correct(grads);
 
         out.mean_estimate.clear();
         out.mean_estimate.resize(d, 0.0);
@@ -183,7 +180,6 @@ impl CompressionScheme for PowerSgd {
         let mut q_bytes = 0.0f64;
         let mut offset = 0usize;
         let PowerSgdScratch {
-            corrected,
             sent,
             p_bufs,
             q_locals,
@@ -195,13 +191,13 @@ impl CompressionScheme for PowerSgd {
             ring,
             stage_traffic,
         } = &mut scratch;
-        for s in sent.prepare(n).iter_mut() {
-            s.resize(d, 0.0);
+        for s in sent.prepare(n) {
+            s.resize(if ef_on { covered } else { 0 }, 0.0);
         }
 
         for (l, &(rows, cols)) in self.shapes.iter().enumerate() {
             let len = rows * cols;
-            let r = self.layer_rank(rows, cols);
+            let r = (self.rank as usize).min(rows).min(cols);
             let q_prev = &self.q_states[l];
 
             // P_i = M_i Q, all-reduced. Each worker's matrix is the layer
@@ -266,9 +262,8 @@ impl CompressionScheme for PowerSgd {
             }
 
             // Per-worker contributions for EF: P̂ (M_iᵀ P̂)ᵀ. Only needed
-            // when EF is on — `sent` feeds `update_all`, which no-ops when
-            // disabled, so skip the n_workers extra matmuls in that case.
-            if self.ef.enabled() {
+            // when EF is on, so skip the n_workers extra matmuls otherwise.
+            if ef_on {
                 let _s = gcs_trace::span(gcs_trace::Phase::Compress, "powersgd_ef_contrib");
                 let sent = sent.slice_mut(n);
                 for (w, q_local) in q_locals.slice(n).iter().enumerate() {
@@ -298,17 +293,22 @@ impl CompressionScheme for PowerSgd {
             out.traffic.merge(stage_traffic);
             q_bytes += ((d - offset) * 4) as f64;
             let rest = &rest.slice(n)[0];
-            let sent = sent.slice_mut(n);
             for (i, &v) in rest.iter().enumerate() {
                 estimate[offset + i] = v / n as f32;
             }
-            for (w, s) in sent.iter_mut().enumerate() {
-                s[offset..].copy_from_slice(&corrected[w][offset..]);
-            }
         }
 
-        // EF update (batched, parallel across workers).
-        self.ef.update_all(corrected, sent.slice(n));
+        // EF update (parallel across workers): the layers lose their
+        // contributions; the remainder was sent whole, so it keeps `x − x`.
+        let sent = sent.slice(n);
+        self.ef.settle(n, |w, memory| {
+            for (x, s) in memory.iter_mut().zip(&sent[w]) {
+                *x -= s;
+            }
+            for x in &mut memory[covered..] {
+                *x -= *x;
+            }
+        });
 
         out.comm.clear();
         out.comm.push(CommEvent {

@@ -64,14 +64,12 @@ struct SelectScratch {
     idx: Vec<usize>,
 }
 
-/// Round scratch owned across rounds: EF staging, per-worker selection
-/// workspaces and payloads, the gathered union, and EF sent buffers.
+/// Round scratch owned across rounds: per-worker selection workspaces and
+/// payloads, and the gathered union.
 #[derive(Clone, Debug, Default)]
 struct TopKRoundScratch {
-    corrected: Vec<Vec<f32>>,
     selects: Vec<SelectScratch>,
     payloads: WorkerBufs<SparseEntry>,
-    sent: WorkerBufs<f32>,
     gathered: Vec<SparseEntry>,
 }
 
@@ -168,13 +166,12 @@ impl CompressionScheme for TopK {
         // additionally sorts and gap-pads the index list (footnote 2).
         // Workers are independent, so selection fans out across them (the
         // per-vector top-k kernel itself parallelizes when workers are few).
-        self.ef.corrected_all_into(grads, &mut scratch.corrected);
+        let corrected_all = self.ef.correct(grads);
         if scratch.selects.len() < n {
             scratch.selects.resize_with(n, SelectScratch::default);
         }
         {
             let _span = gcs_trace::span(gcs_trace::Phase::Compress, "topk_select");
-            let corrected_all = &scratch.corrected;
             gcs_tensor::parallel::for_each_chunk_mut(&mut scratch.selects[..n], 1, |w, slot| {
                 let ws = &mut slot[0];
                 let corrected = &corrected_all[w];
@@ -217,22 +214,13 @@ impl CompressionScheme for TopK {
             }
         }
 
-        // EF update: what each worker actually contributed.
-        if self.ef.enabled() {
-            {
-                let payloads = scratch.payloads.slice(n);
-                let sent_bufs = scratch.sent.prepare(n);
-                gcs_tensor::parallel::for_each_chunk_mut(sent_bufs, 1, |w, slot| {
-                    let sent = &mut slot[0];
-                    sent.resize(d, 0.0);
-                    for e in &payloads[w] {
-                        sent[e.index as usize] = e.value.to_f32();
-                    }
-                });
+        // EF update: each worker's memory loses what it actually sent.
+        let payloads = scratch.payloads.slice(n);
+        self.ef.settle(n, |w, memory| {
+            for e in &payloads[w] {
+                memory[e.index as usize] -= e.value.to_f32();
             }
-            self.ef
-                .update_all(&scratch.corrected, scratch.sent.slice(n));
-        }
+        });
 
         out.comm.clear();
         out.comm.push(CommEvent {

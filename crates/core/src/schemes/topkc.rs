@@ -31,20 +31,18 @@ use gcs_tensor::pool::WorkerBufs;
 use gcs_tensor::rng::{shared_permutation_into, SharedSeed, Stream};
 use gcs_tensor::vector::TopKScratch;
 
-/// Round scratch owned across rounds (zero-allocation steady state): EF
-/// staging, per-worker norm/value/sent buffers, consensus-selection
-/// workspace and collective staging — and for the permutation ablation the
-/// shared permutation, the permuted gradients, and the sent vectors back
-/// in original order.
+/// Round scratch owned across rounds (zero-allocation steady state):
+/// per-worker norm/value buffers, consensus-selection workspace and
+/// collective staging — and for the permutation ablation the shared
+/// permutation, the permuted gradients, and which permuted chunks were
+/// sent.
 #[derive(Clone, Debug, Default)]
 struct TopKCScratch {
-    corrected: Vec<Vec<f32>>,
     perm: Vec<usize>,
     permuted: WorkerBufs<f32>,
-    sent_unpermuted: WorkerBufs<f32>,
+    chunk_sent: Vec<bool>,
     norms: WorkerBufs<F16>,
     values: WorkerBufs<F16>,
-    sent: WorkerBufs<f32>,
     agg_norms: Vec<f32>,
     selected: Vec<usize>,
     topk: TopKScratch,
@@ -152,9 +150,9 @@ impl CompressionScheme for TopKC {
 
         // Stage 0: EF-corrected (and permuted) local gradients. EF and the
         // permutation scatter are per-worker independent, so both fan out.
-        self.ef.corrected_all_into(grads, &mut scratch.corrected);
+        let corrected = self.ef.correct(grads);
         if let Some(p) = perm {
-            let src = &scratch.corrected;
+            let src = corrected;
             let bufs = scratch.permuted.prepare(n);
             gcs_tensor::parallel::for_each_chunk_mut(bufs, 1, |w, slot| {
                 let v = &mut slot[0];
@@ -171,14 +169,14 @@ impl CompressionScheme for TopKC {
         // deterministic) chunked reduction kernel.
         {
             let _span = gcs_trace::span(gcs_trace::Phase::Compress, "topkc_chunk_norms");
-            let corrected: &[Vec<f32>] = match &perm {
+            let chunked: &[Vec<f32>] = match &perm {
                 Some(_) => scratch.permuted.slice(n),
-                None => &scratch.corrected,
+                None => corrected,
             };
             let norm_bufs = scratch.norms.prepare(n);
             gcs_tensor::parallel::for_each_chunk_mut(norm_bufs, 1, |w, slot| {
                 slot[0].extend(
-                    corrected[w]
+                    chunked[w]
                         .chunks(chunk)
                         .map(|ch| F16::from_f32(gcs_tensor::vector::squared_norm(ch))),
                 );
@@ -210,14 +208,14 @@ impl CompressionScheme for TopKC {
         // (gathered per worker in parallel).
         {
             let _span = gcs_trace::span(gcs_trace::Phase::Compress, "topkc_value_gather");
-            let corrected: &[Vec<f32>] = match &perm {
+            let chunked: &[Vec<f32>] = match &perm {
                 Some(_) => scratch.permuted.slice(n),
-                None => &scratch.corrected,
+                None => corrected,
             };
             let selected = &scratch.selected;
             let value_bufs = scratch.values.prepare(n);
             gcs_tensor::parallel::for_each_chunk_mut(value_bufs, 1, |w, slot| {
-                let c = &corrected[w];
+                let c = &chunked[w];
                 let buf = &mut slot[0];
                 for &p in selected {
                     let lo = p * chunk;
@@ -264,47 +262,42 @@ impl CompressionScheme for TopKC {
             }
         }
 
-        // EF update: what each worker contributed (its own FP16-rounded
-        // values in the selected chunks), in the *original* coordinate
-        // order. Per-worker independent, so the sent vectors are built in
-        // parallel into pooled buffers and committed through the batched EF
-        // API.
-        if self.ef.enabled() {
-            {
-                let corrected: &[Vec<f32>] = match &perm {
-                    Some(_) => scratch.permuted.slice(n),
-                    None => &scratch.corrected,
-                };
-                let selected = &scratch.selected;
-                let sent_bufs = scratch.sent.prepare(n);
-                gcs_tensor::parallel::for_each_chunk_mut(sent_bufs, 1, |w, slot| {
-                    let c = &corrected[w];
-                    let sent = &mut slot[0];
-                    sent.resize(d, 0.0);
-                    for &p in selected {
-                        let lo = p * chunk;
-                        let hi = (lo + chunk).min(d);
-                        sent[lo..hi].copy_from_slice(&c[lo..hi]);
-                        round_trip_f16(&mut sent[lo..hi]);
+        // EF update: each worker's memory loses what it contributed, its
+        // own FP16-rounded values in the selected chunks, in the *original*
+        // coordinate order. Unpermuted, a selected chunk goes through a
+        // stack block: copy, round trip, subtract. Permuted, coordinate `i`
+        // was sent iff its permuted chunk was selected.
+        let selected = &scratch.selected;
+        match perm {
+            None => self.ef.settle(n, |_, memory| {
+                let mut block = [0.0f32; 64];
+                for &p in selected {
+                    let lo = p * chunk;
+                    let hi = (lo + chunk).min(d);
+                    for xs in memory[lo..hi].chunks_mut(block.len()) {
+                        let sent = &mut block[..xs.len()];
+                        sent.copy_from_slice(xs);
+                        round_trip_f16(sent);
+                        for (x, s) in xs.iter_mut().zip(sent.iter()) {
+                            *x -= s;
+                        }
+                    }
+                }
+            }),
+            Some(p) => {
+                scratch.chunk_sent.clear();
+                scratch.chunk_sent.resize(chunks, false);
+                for &c in selected {
+                    scratch.chunk_sent[c] = true;
+                }
+                let chunk_sent = &scratch.chunk_sent;
+                self.ef.settle(n, |_, memory| {
+                    for (x, &pi) in memory.iter_mut().zip(p) {
+                        if chunk_sent[pi / chunk] {
+                            *x -= F16::from_f32(*x).to_f32();
+                        }
                     }
                 });
-            }
-            match perm {
-                Some(p) => {
-                    // The sent vectors back in original order; the permuted
-                    // corrected gradients un-permute to `corrected` itself.
-                    let sent = scratch.sent.slice(n);
-                    let bufs = scratch.sent_unpermuted.prepare(n);
-                    gcs_tensor::parallel::for_each_chunk_mut(bufs, 1, |w, slot| {
-                        let s = &sent[w];
-                        slot[0].extend(p.iter().map(|&pi| s[pi]));
-                    });
-                    self.ef
-                        .update_all(&scratch.corrected, scratch.sent_unpermuted.slice(n));
-                }
-                None => self
-                    .ef
-                    .update_all(&scratch.corrected, scratch.sent.slice(n)),
             }
         }
 

@@ -35,13 +35,11 @@ use rand::Rng;
 /// consensus + quantize pipeline, so the steady state allocates nothing.
 #[derive(Clone, Debug, Default)]
 struct TopKCQScratch {
-    corrected: Vec<Vec<f32>>,
     norms: WorkerBufs<F16>,
     gathered: WorkerBufs<f32>,
     scales: WorkerBufs<f32>,
     lanes: Vec<PackedIntVec>,
     summed: Vec<i32>,
-    sent: WorkerBufs<f32>,
     agg_norms: Vec<f32>,
     selected: Vec<usize>,
     topk: TopKScratch,
@@ -121,12 +119,11 @@ impl CompressionScheme for TopKCQ {
         // allocates nothing.
         let mut scratch = std::mem::take(&mut self.scratch);
 
-        self.ef.corrected_all_into(grads, &mut scratch.corrected);
+        let corrected = self.ef.correct(grads);
 
         // Stage 1: chunk-norm consensus (identical to TopKC).
         {
             let _span = gcs_trace::span(gcs_trace::Phase::Compress, "topkcq_chunk_norms");
-            let corrected = &scratch.corrected;
             let norm_bufs = scratch.norms.prepare(n);
             for (buf, c) in norm_bufs.iter_mut().zip(corrected) {
                 buf.extend(
@@ -157,7 +154,6 @@ impl CompressionScheme for TopKCQ {
         // Stage 2: shared per-chunk scales (max |value| across workers).
         {
             let _span = gcs_trace::span(gcs_trace::Phase::Compress, "topkcq_scales");
-            let corrected = &scratch.corrected;
             let selected = &scratch.selected;
             let gathered = scratch.gathered.prepare(n);
             for (buf, c) in gathered.iter_mut().zip(corrected) {
@@ -249,23 +245,16 @@ impl CompressionScheme for TopKCQ {
         }
 
         // EF update: each worker's own dequantized expectation is its raw
-        // value (stochastic rounding is unbiased), so we feed back the
-        // gathered values it actually contributed.
-        {
-            let corrected = &scratch.corrected;
-            let selected = &scratch.selected;
-            let sent_bufs = scratch.sent.prepare(n);
-            for (sent, c) in sent_bufs.iter_mut().zip(corrected) {
-                sent.resize(d, 0.0);
-                for &p in selected {
-                    let lo = p * chunk;
-                    let hi = (lo + chunk).min(d);
-                    sent[lo..hi].copy_from_slice(&c[lo..hi]);
+        // value (stochastic rounding is unbiased), so the selected chunks
+        // count as sent whole and their residual is `x − x`.
+        let selected = &scratch.selected;
+        self.ef.settle(n, |_, memory| {
+            for &p in selected {
+                for x in &mut memory[p * chunk..((p + 1) * chunk).min(d)] {
+                    *x -= *x;
                 }
             }
-        }
-        self.ef
-            .update_all(&scratch.corrected, scratch.sent.slice(n));
+        });
 
         let j_prime: usize = scratch
             .selected

@@ -19,7 +19,7 @@
 use gcs_core::metrics::{Direction, EarlyStopping, TtaCurve};
 use gcs_core::scheme::{AggregationOutcome, CompressionScheme, RoundContext};
 use gcs_faults::TrainFaultPlan;
-use gcs_nn::{Model, Sgd};
+use gcs_nn::{Batch, Model, Sgd};
 use gcs_tensor::vector::vnmse;
 
 /// Configuration of one training run.
@@ -106,92 +106,105 @@ pub struct TrainLog {
     pub survivors: usize,
 }
 
-/// One worker replica plus its per-round outputs, used by the parallel
-/// gradient path. `grads` is a persistent buffer refilled by
-/// `copy_from_slice` every round, so the steady state allocates nothing.
+/// One worker replica plus its per-round batch and outputs, used by the
+/// parallel gradient path. `batch` and `grads` are refilled in place every
+/// round, so the steady state allocates nothing.
 struct WorkerSlot {
     model: Box<dyn Model + Send>,
+    batch: Batch,
     loss: f32,
     grads: Vec<f32>,
 }
 
-/// Builds per-worker model replicas when the parallel gradient path is
-/// usable: more than one worker, a multi-threaded runtime, and a model that
-/// supports replication ([`Model::clone_boxed`]). Returns an empty vec to
-/// select the sequential fallback.
-fn make_worker_slots(model: &dyn Model, n_workers: usize) -> Vec<WorkerSlot> {
-    if n_workers <= 1 || gcs_tensor::parallel::max_threads() <= 1 {
-        return Vec::new();
-    }
-    let mut slots = Vec::with_capacity(n_workers);
-    for _ in 0..n_workers {
-        match model.clone_boxed() {
-            Some(m) => slots.push(WorkerSlot {
-                model: m,
-                loss: 0.0,
-                grads: Vec::new(),
-            }),
-            None => return Vec::new(),
-        }
-    }
-    slots
+/// The per-worker state a run keeps across rounds: model replicas for the
+/// parallel gradient path (none selects the sequential one), the
+/// sequential path's batch, and one gradient buffer per worker.
+struct Workers {
+    slots: Vec<WorkerSlot>,
+    batch: Batch,
+    grads: Vec<Vec<f32>>,
 }
 
-/// Computes all per-worker gradients for one round into the caller's
-/// persistent `grads` buffers: in parallel on the replicas in `slots`
-/// (synced to `model`'s current parameters with one whole-arena
-/// `copy_from_slice`), or sequentially on `model` itself when `slots` is
-/// empty. Buffers are sized on first use and refilled in place afterwards,
-/// so the steady state performs no heap allocation.
-///
-/// Both paths produce bitwise-identical losses and gradients: a worker's
-/// gradient depends only on (parameters, batch), each replica carries the
-/// same parameters the shared model would, and losses are folded in worker
-/// order regardless of which thread computed them.
-fn worker_gradients(
-    model: &mut dyn Model,
-    slots: &mut [WorkerSlot],
-    grads: &mut Vec<Vec<f32>>,
-    batch_per_worker: usize,
-    n_workers: usize,
-    round: u64,
-) -> f32 {
-    let d = model.param_count();
-    if grads.len() != n_workers {
-        grads.resize_with(n_workers, Vec::new);
+impl Workers {
+    /// Replicates `model` per worker when the parallel gradient path is
+    /// usable: more than one worker, a multi-threaded runtime, and a model
+    /// that supports replication ([`Model::clone_boxed`]).
+    fn new(model: &dyn Model, n_workers: usize) -> Workers {
+        let parallel = n_workers > 1 && gcs_tensor::parallel::max_threads() > 1;
+        let replica = |_| {
+            Some(WorkerSlot {
+                model: model.clone_boxed()?,
+                batch: Batch::default(),
+                loss: 0.0,
+                grads: Vec::new(),
+            })
+        };
+        Workers {
+            // One model that cannot be replicated selects the sequential path.
+            slots: (0..if parallel { n_workers } else { 0 })
+                .map(replica)
+                .collect::<Option<_>>()
+                .unwrap_or_default(),
+            batch: Batch::default(),
+            grads: Vec::new(),
+        }
     }
-    if slots.is_empty() {
-        let mut loss_acc = 0.0f32;
-        for (w, gbuf) in grads.iter_mut().enumerate() {
-            let batch = model.train_batch(batch_per_worker, w, round);
-            loss_acc += model.forward_backward(&batch);
-            if gbuf.len() != d {
-                gbuf.resize(d, 0.0);
+
+    /// Computes all per-worker gradients for one round into `self.grads`:
+    /// in parallel on the replicas (synced to `model`'s current parameters
+    /// with one whole-arena `copy_from_slice`), or sequentially on `model`
+    /// itself when there are none. Buffers are sized on first use and
+    /// refilled in place afterwards, so the steady state performs no heap
+    /// allocation.
+    ///
+    /// Both paths produce bitwise-identical losses and gradients: a worker's
+    /// gradient depends only on (parameters, batch), each replica carries
+    /// the same parameters the shared model would, and losses are folded in
+    /// worker order regardless of which thread computed them.
+    fn gradients(&mut self, model: &mut dyn Model, per_worker: usize, n: usize, round: u64) -> f32 {
+        let Workers {
+            slots,
+            batch,
+            grads,
+        } = self;
+        let d = model.param_count();
+        if grads.len() != n {
+            grads.resize_with(n, Vec::new);
+        }
+        if slots.is_empty() {
+            let mut loss_acc = 0.0f32;
+            for (w, gbuf) in grads.iter_mut().enumerate() {
+                model.train_batch_into(per_worker, w, round, batch);
+                loss_acc += model.forward_backward(batch);
+                if gbuf.len() != d {
+                    gbuf.resize(d, 0.0);
+                }
+                gbuf.copy_from_slice(model.grads_flat());
             }
-            gbuf.copy_from_slice(model.grads_flat());
+            return loss_acc;
         }
-        return loss_acc;
-    }
-    // Replica sync is one contiguous copy of the parameter arena per worker.
-    let params: &[f32] = model.params_flat();
-    gcs_tensor::parallel::for_each_chunk_mut(slots, 1, |w, slot| {
-        let s = &mut slot[0];
-        s.model.set_flat_params(params);
-        let batch = s.model.train_batch(batch_per_worker, w, round);
-        s.loss = s.model.forward_backward(&batch);
-        if s.grads.len() != d {
-            s.grads.resize(d, 0.0);
+        // Replica sync is one contiguous copy of the parameter arena per
+        // worker.
+        let params: &[f32] = model.params_flat();
+        gcs_tensor::parallel::for_each_chunk_mut(slots, 1, |w, slot| {
+            let s = &mut slot[0];
+            s.model.set_flat_params(params);
+            s.model.train_batch_into(per_worker, w, round, &mut s.batch);
+            s.loss = s.model.forward_backward(&s.batch);
+            if s.grads.len() != d {
+                s.grads.resize(d, 0.0);
+            }
+            s.grads.copy_from_slice(s.model.grads_flat());
+        });
+        let mut loss_acc = 0.0f32;
+        for (s, gbuf) in slots.iter_mut().zip(grads.iter_mut()) {
+            loss_acc += s.loss;
+            // Alternate ownership of the two full-size buffers instead of
+            // copying: allocation-free once both are warm.
+            std::mem::swap(&mut s.grads, gbuf);
         }
-        s.grads.copy_from_slice(s.model.grads_flat());
-    });
-    let mut loss_acc = 0.0f32;
-    for (s, gbuf) in slots.iter_mut().zip(grads.iter_mut()) {
-        loss_acc += s.loss;
-        // Alternate ownership of the two full-size buffers instead of
-        // copying: allocation-free once both are warm.
-        std::mem::swap(&mut s.grads, gbuf);
+        loss_acc
     }
-    loss_acc
 }
 
 /// Drives a model + scheme to convergence.
@@ -230,19 +243,18 @@ impl Trainer {
         });
 
         let d = model.param_count();
-        let mut loss_history = Vec::new();
+        let mut loss_history = Vec::with_capacity(cfg.max_rounds as usize);
         let mut vnmse_sum = 0.0f64;
         let mut vnmse_n = 0u64;
         let mut bits_sum = 0.0f64;
         let mut early_stopped = false;
         let mut rounds_done = 0u64;
         let mut last_eval_round = 0u64;
-        let mut slots = make_worker_slots(model, cfg.n_workers);
-        // One reusable outcome and one set of per-worker gradient buffers
-        // across rounds: with the pooled schemes the steady-state
-        // aggregation path performs no heap allocation.
+        // One reusable outcome and one set of per-worker buffers across
+        // rounds: with the pooled schemes the steady-state round performs
+        // no heap allocation.
+        let mut workers = Workers::new(model, cfg.n_workers);
         let mut outcome = AggregationOutcome::default();
-        let mut grads: Vec<Vec<f32>> = Vec::new();
         // Graceful degradation state: `active` shrinks when an injected
         // crash fires; survivors are renumbered 0..active-1, which is the
         // shard assignment an `active`-worker clean run would use.
@@ -267,7 +279,7 @@ impl Trainer {
                         survivors: active,
                     });
                 }
-                slots.truncate(active);
+                workers.slots.truncate(active);
             }
             if active == 0 {
                 break;
@@ -277,27 +289,21 @@ impl Trainer {
             //    workers when the model supports replication).
             let loss_acc = {
                 let _s = gcs_trace::span(gcs_trace::Phase::Compute, "worker_gradients");
-                worker_gradients(
-                    model,
-                    &mut slots,
-                    &mut grads,
-                    cfg.batch_per_worker,
-                    active,
-                    round,
-                )
+                workers.gradients(model, cfg.batch_per_worker, active, round)
             };
             let mean_loss = loss_acc / active as f32;
             loss_history.push((round, mean_loss));
 
             // 2. Distributed aggregation through the scheme.
             let ctx = RoundContext::new(cfg.seed, round);
-            scheme.aggregate_round_into(&grads, &ctx, &mut outcome);
+            let grads = &workers.grads;
+            scheme.aggregate_round_into(grads, &ctx, &mut outcome);
             let bits = outcome.bits_per_coord(d as u64);
             bits_sum += bits;
             gcs_trace::counter("bits_per_coord", bits);
 
             if cfg.vnmse_every > 0 && round % cfg.vnmse_every == 0 {
-                let exact = gcs_tensor::vector::mean(&grads);
+                let exact = gcs_tensor::vector::mean(grads);
                 let sample = vnmse(&outcome.mean_estimate, &exact);
                 vnmse_sum += sample;
                 vnmse_n += 1;
@@ -374,24 +380,17 @@ impl Trainer {
         scheme.reset();
         let mut opt = Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay);
         let mut sum = 0.0f64;
-        let mut slots = make_worker_slots(model, cfg.n_workers);
+        let mut workers = Workers::new(model, cfg.n_workers);
         let mut outcome = AggregationOutcome::default();
-        let mut grads: Vec<Vec<f32>> = Vec::new();
         for round in 0..rounds {
             gcs_trace::set_round(round);
             {
                 let _s = gcs_trace::span(gcs_trace::Phase::Compute, "worker_gradients");
-                worker_gradients(
-                    model,
-                    &mut slots,
-                    &mut grads,
-                    cfg.batch_per_worker,
-                    cfg.n_workers,
-                    round,
-                );
+                workers.gradients(model, cfg.batch_per_worker, cfg.n_workers, round);
             }
-            scheme.aggregate_round_into(&grads, &RoundContext::new(cfg.seed, round), &mut outcome);
-            let exact = gcs_tensor::vector::mean(&grads);
+            let grads = &workers.grads;
+            scheme.aggregate_round_into(grads, &RoundContext::new(cfg.seed, round), &mut outcome);
+            let exact = gcs_tensor::vector::mean(grads);
             let sample = vnmse(&outcome.mean_estimate, &exact);
             gcs_trace::counter("vnmse", sample);
             sum += sample;

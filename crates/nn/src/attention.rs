@@ -162,6 +162,7 @@ impl Layer for SelfAttention {
         let (wq, rest) = params.split_at(d * d);
         let (wk, rest) = rest.split_at(d * d);
         let (wv, wo) = rest.split_at(d * d);
+        grads.fill(0.0);
         let (dwq, rest) = grads.split_at_mut(d * d);
         let (dwk, rest) = rest.split_at_mut(d * d);
         let (dwv, dwo) = rest.split_at_mut(d * d);

@@ -50,10 +50,11 @@ pub trait Layer {
     fn forward(&mut self, input: &[f32], output: &mut [f32], params: &[f32]);
 
     /// Backward pass, given the `input`/`output` of the matching forward
-    /// call and `grad_out = d(loss)/d(output)`: **accumulates** into `grads`
-    /// (this layer's slice of the gradient arena) and, unless the caller
-    /// has no use for it (the first layer of a stack), overwrites `grad_in`
-    /// with `d(loss)/d(input)`.
+    /// call and `grad_out = d(loss)/d(output)`: **overwrites** `grads` (this
+    /// layer's slice of the gradient arena, whatever it held; a layer that
+    /// scatter-adds zeroes it first) and, unless the caller has no use for
+    /// it (the first layer of a stack), overwrites `grad_in` with
+    /// `d(loss)/d(input)`.
     fn backward(
         &mut self,
         input: &[f32],
@@ -235,8 +236,9 @@ impl Layer for Dense {
     }
 
     /// Per output `o` and sample, two row AXPYs: `dW[o] += g·x` and
-    /// `dx += g·W[o]`. Outputs run outermost, so `W[o]` and `dW[o]` stay in
-    /// L1 across the batch. Every `dW` element still accumulates over
+    /// `dx += g·W[o]`, onto rows zeroed first. Outputs run outermost, so
+    /// `W[o]` and `dW[o]` stay in L1 across the batch. Every `dW` element
+    /// still accumulates over
     /// samples in order and every `dx` element over outputs in order; the
     /// elements of a row are independent, which is what lets the rows
     /// vectorise. With AVX2, batches of 4 and 8 and `in % 8 == 0`, blocks
@@ -258,6 +260,7 @@ impl Layer for Dense {
         let w = &params[..outd * ind];
         let (dw, db) = grads.split_at_mut(outd * ind);
         let db = &mut db[..outd];
+        db.fill(0.0);
         if let Some(gin) = grad_in.as_deref_mut() {
             gin.fill(0.0);
         }
@@ -280,6 +283,7 @@ impl Layer for Dense {
             .enumerate()
             .skip(done)
         {
+            dw_o.fill(0.0);
             for (s, x) in input.chunks_exact(ind).enumerate() {
                 let g = grad_out[s * outd + o];
                 simd::axpy(g, x, dw_o);
@@ -688,9 +692,9 @@ mod avx2 {
 
     /// [`super::Dense`]'s backward for a batch of `B`, 4 rows a pass: per
     /// 8-lane slice `i..i + 8`, each row's `dW` slice takes `g[s][o]·x[s]`
-    /// for `s` ascending in a register, and each sample's `dx` slice takes
-    /// `g[s][o]·W[o]` for the 4 rows `o` ascending; then `db[o] += g[s][o]`
-    /// for `s` ascending. Those are the row-AXPY loop's orders.
+    /// for `s` ascending in a register from `+0.0`, and each sample's `dx`
+    /// slice `g[s][o]·W[o]` for the 4 rows `o` ascending; then `db[o] +=
+    /// g[s][o]` onto a zeroed `db`. Those are the row-AXPY loop's orders.
     ///
     /// # Safety
     /// The CPU must support AVX2.
@@ -726,11 +730,10 @@ mod avx2 {
         while o + 4 <= outd {
             for i in (0..ind).step_by(8) {
                 let (mut wr, mut dwr) = ([_mm256_setzero_ps(); 4], [_mm256_setzero_ps(); 4]);
-                for (r, (wv, dv)) in wr.iter_mut().zip(&mut dwr).enumerate() {
+                for (r, wv) in wr.iter_mut().enumerate() {
                     // SAFETY: `o + r < outd` and `i + 8 <= ind` (`ind % 8 ==
                     // 0`), and `w` and `dw` are `outd × ind` (asserted).
                     *wv = _mm256_loadu_ps(w.as_ptr().add((o + r) * ind + i));
-                    *dv = _mm256_loadu_ps(dw.as_ptr().add((o + r) * ind + i));
                 }
                 for s in 0..B {
                     // SAFETY: `s < B` and `i + 8 <= ind`, and `x` and `gin`
@@ -820,8 +823,9 @@ impl Layer for Conv3x3 {
         }
     }
 
-    /// Scatter per non-zero output gradient, in `(sample, out-channel, y,
-    /// x)` order: the taps that stay inside the map are found once per
+    /// Zeroes `dW`/`db`, then scatters per non-zero output gradient, in
+    /// `(sample, out-channel, y, x)` order: the taps that stay inside the
+    /// map are found once per
     /// position, then each `(in-channel, ky)` is one short row of `dW += g ·
     /// in` and `d_in += g · w`. `dW` and `d_in` elements accumulate in the
     /// order of the per-element loop.
@@ -845,6 +849,7 @@ impl Layer for Conv3x3 {
         );
         let wlen = self.out_ch * self.in_ch * 9;
         let weights = &params[..wlen];
+        grads.fill(0.0);
         let (dw, db) = grads.split_at_mut(wlen);
         if let Some(gin) = grad_in.as_deref_mut() {
             gin.fill(0.0);
@@ -1130,6 +1135,7 @@ impl Layer for Embedding {
         grads: &mut [f32],
         grad_in: Option<&mut [f32]>,
     ) {
+        grads.fill(0.0);
         for (&t, g) in input.iter().zip(grad_out.chunks_exact(self.dim)) {
             for (gi, gv) in grads[self.row(t)].iter_mut().zip(g) {
                 *gi += gv;
@@ -1273,7 +1279,6 @@ impl Sequential {
         let classes = self.forward(&batch.inputs, n).len() / n.max(1);
         let (logits, grad) = self.output_and_grad_mut(n);
         let loss = softmax_cross_entropy(logits, &batch.targets, classes, Some(grad));
-        self.zero_grads();
         self.backward(&batch.inputs, n);
         loss
     }
@@ -1314,7 +1319,7 @@ impl Sequential {
         self.params.as_mut_slice()
     }
 
-    /// The whole model's accumulated gradient as one contiguous slice.
+    /// The last backward pass's whole-model gradient as one slice.
     pub fn grads_flat(&self) -> &[f32] {
         self.grads.as_slice()
     }
@@ -1336,11 +1341,6 @@ impl Sequential {
     /// Panics on length mismatch.
     pub fn set_flat_params(&mut self, flat: &[f32]) {
         self.params.copy_from(flat);
-    }
-
-    /// Zeroes all gradients (one `fill` over the flat arena).
-    pub fn zero_grads(&mut self) {
-        self.grads.zero();
     }
 
     /// Per-layer parameter shapes as `(rows, cols)` for low-rank schemes:
@@ -1679,7 +1679,6 @@ mod tests {
             for ((g, yi), xi) in grad.iter_mut().zip(y).zip(&x) {
                 *g = yi - 2.0 * xi;
             }
-            seq.zero_grads();
             seq.backward(&x, 3);
             let g = seq.grads_flat().to_vec();
             opt.step_into(seq.params_flat_mut(), &g);

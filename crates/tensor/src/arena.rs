@@ -105,11 +105,6 @@ impl ParamArena {
     pub fn copy_from(&mut self, src: &[f32]) {
         self.data.copy_from_slice(src);
     }
-
-    /// Zeroes every element (e.g. gradient clear between rounds).
-    pub fn zero(&mut self) {
-        self.data.fill(0.0);
-    }
 }
 
 /// What layer `i ≥ 1`'s backward pass touches in an [`ActivationArena`].
@@ -242,12 +237,11 @@ mod tests {
     }
 
     #[test]
-    fn copy_from_and_zero_cover_the_whole_arena() {
+    fn copy_from_covers_the_whole_arena() {
         let mut a = ParamArena::from_layer_lens(&[2, 2]);
         a.copy_from(&[9.0, 8.0, 7.0, 6.0]);
         assert_eq!(a.layer(1), &[7.0, 6.0]);
-        a.zero();
-        assert!(a.as_slice().iter().all(|&v| v == 0.0));
+        assert_eq!(a.as_slice(), &[9.0, 8.0, 7.0, 6.0]);
     }
 
     #[test]

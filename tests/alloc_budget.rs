@@ -27,6 +27,7 @@ use gradient_utility::core::schemes::topk::TopK;
 use gradient_utility::core::schemes::topkc::TopKC;
 use gradient_utility::core::schemes::topkc_q::TopKCQ;
 use gradient_utility::ddp::fleet::{fleet_round, FleetScratch};
+use gradient_utility::ddp::{Trainer, TrainerConfig};
 use gradient_utility::gpusim::DeviceSpec;
 use gradient_utility::nn::{BertMini, Model, Sgd, TransformerMini, VggMini};
 use gradient_utility::tensor::bitpack::PackedIntVec;
@@ -320,6 +321,46 @@ fn powersgd_round_allocation_budget_is_bounded() {
             events, 0,
             "PowerSGD round must not allocate at steady state"
         );
+    });
+}
+
+#[test]
+fn trainer_gradient_steps_are_allocation_free_once_warm() {
+    // `Trainer::train` keeps the batch, the per-worker gradients, the
+    // scheme's scratch and the outcome across rounds, so a longer run makes
+    // no more allocation events than a shorter one. Both runs probe vNMSE
+    // at round 0 only and evaluate once, at the end, so the rounds that
+    // differ are gradient steps: gradients, aggregation, optimizer.
+    with_threads(1, || {
+        let model = BertMini::new(7);
+        let shapes = model.matrix_shapes();
+        for name in ["fp16", "topkc", "thc_sat", "powersgd"] {
+            let make = || -> Box<dyn CompressionScheme> {
+                match name {
+                    "fp16" => Box::new(PrecisionBaseline::fp16()),
+                    "topkc" => Box::new(TopKC::with_bits(2.0, 64, 2, true)),
+                    "thc_sat" => Box::new(Thc::improved(4, &DeviceSpec::a100(), 2)),
+                    _ => Box::new(PowerSgd::new(4, shapes.clone(), 2)),
+                }
+            };
+            let events = |rounds: u64| {
+                let trainer = Trainer::new(TrainerConfig {
+                    n_workers: 2,
+                    batch_per_worker: 4,
+                    max_rounds: rounds,
+                    eval_every: 1000,
+                    vnmse_every: 1000,
+                    ..TrainerConfig::default()
+                });
+                let mut model = BertMini::new(7);
+                let mut scheme = make();
+                let (log, stats) = measure(|| trainer.train(&mut model, scheme.as_mut(), 0.25));
+                assert_eq!(log.rounds, rounds);
+                stats.total_events()
+            };
+            let (short, long) = (events(3), events(9));
+            assert_eq!(long, short, "{name}: six more warm Trainer rounds allocate");
+        }
     });
 }
 

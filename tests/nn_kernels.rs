@@ -6,7 +6,10 @@
 //! under one rule: every output, parameter gradient and input gradient is
 //! **bit for bit** what the textbook per-element loops produce. Those loops
 //! live here, as oracles, and nowhere in `src/`. The inputs, weights and
-//! biases include `−0.0`, and the batches reach every tile shape.
+//! biases include `−0.0`, and the batches reach every tile shape. A layer
+//! overwrites its gradient slice: it starts here from garbage, the oracle
+//! from zeros, and every layer type's gradients are the same bits from any
+//! start.
 //!
 //! The golden half pins whole training runs — parameter checksum and
 //! evaluation curve after ten `Trainer::train` rounds — to constants
@@ -19,7 +22,10 @@ use gradient_utility::core::schemes::thc::Thc;
 use gradient_utility::ddp::experiments::Task;
 use gradient_utility::ddp::{param_checksum, Trainer, TrainerConfig};
 use gradient_utility::gpusim::DeviceSpec;
-use gradient_utility::nn::layers::{Conv3x3, Dense, Layer, MaxPool2, Relu, Sequential};
+use gradient_utility::nn::layers::{
+    Conv3x3, Dense, Embedding, Layer, LayerNorm, MaxPool2, Relu, Sequential,
+};
+use gradient_utility::nn::SelfAttention;
 use gradient_utility::tensor::parallel::with_threads;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -220,12 +226,26 @@ fn sparse_gradient(rng: &mut StdRng, len: usize, row: usize) -> Vec<f32> {
     g
 }
 
+/// What a gradient slice may hold before a backward pass: [`values`] with
+/// one in eight a NaN, so an element a layer adds onto instead of
+/// overwriting shows.
+fn garbage(rng: &mut StdRng, len: usize) -> Vec<f32> {
+    let mut g = values(rng, len);
+    for v in g.iter_mut() {
+        if rng.gen_range(0..8) == 0 {
+            *v = f32::NAN;
+        }
+    }
+    g
+}
+
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
 /// Forward and backward of `layer` on the buffers a `Sequential` would lend
-/// it: `(output, d(loss)/d(input))`, with `grads` accumulated into.
+/// it: `(output, d(loss)/d(input))`, with the parameter gradient left in
+/// `grads`.
 fn run_layer(
     layer: &mut dyn Layer,
     input: &[f32],
@@ -241,19 +261,20 @@ fn run_layer(
     (output, grad_in)
 }
 
-/// `Conv3x3` on `sh` against the oracles: output, `dW`/`db` (accumulated
-/// onto a non-zero start) and `d_in` must agree bit for bit.
+/// `Conv3x3` on `sh` against the oracles: output, `dW`/`db` (the layer's
+/// slice starting from garbage, the oracle's from zeros) and `d_in` must
+/// agree bit for bit.
 fn check_conv(sh: ConvShape, batch: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut layer = Conv3x3::new(sh.in_ch, sh.out_ch, sh.h, sh.w, &mut rng);
     let params = values(&mut rng, layer.param_len());
     let input = values(&mut rng, batch * sh.in_sz());
     let grad_out = sparse_gradient(&mut rng, batch * sh.out_sz(), sh.w);
-    // Gradients accumulate: start both sides from the same non-zero state.
-    let grads0 = values(&mut rng, params.len());
+    // The layer overwrites its slice; the oracle accumulates onto zeros.
+    let grads0 = garbage(&mut rng, params.len());
 
     let want_out = conv_forward_naive(sh, &input, batch, &params);
-    let mut want_grads = grads0.clone();
+    let mut want_grads = vec![0.0f32; params.len()];
     let want_gin = conv_backward_naive(sh, &input, &grad_out, batch, &params, &mut want_grads);
 
     let mut grads = grads0;
@@ -282,10 +303,10 @@ fn check_dense(in_dim: usize, out_dim: usize, batch: usize, seed: u64) {
     let params = values(&mut rng, layer.param_len());
     let input = values(&mut rng, batch * in_dim);
     let grad_out = sparse_gradient(&mut rng, batch * out_dim, out_dim);
-    let grads0 = values(&mut rng, params.len());
+    let grads0 = garbage(&mut rng, params.len());
 
     let want_out = dense_forward_naive(in_dim, out_dim, &input, batch, &params);
-    let mut want_grads = grads0.clone();
+    let mut want_grads = vec![0.0f32; params.len()];
     let want_gin = dense_backward_naive(
         in_dim,
         out_dim,
@@ -360,6 +381,91 @@ fn conv3x3_reaches_every_dispatch_branch_and_tail() {
                     w,
                 };
                 check_conv(sh, 2, (h * 1000 + w * 100 + out_ch * 10 + in_ch) as u64);
+            }
+        }
+    }
+}
+
+/// `(name, layer, samples, per-sample input width)` for every `Layer`
+/// type: `Dense` at both one-pass AVX2 batches and at a tail shape.
+type LayerCase = (&'static str, Box<dyn Layer>, usize, usize);
+
+fn every_layer_type(rng: &mut StdRng) -> Vec<LayerCase> {
+    vec![
+        (
+            "Dense 16->12, 8 samples",
+            Box::new(Dense::new(16, 12, rng)),
+            8,
+            16,
+        ),
+        (
+            "Dense 24->9, 4 samples",
+            Box::new(Dense::new(24, 9, rng)),
+            4,
+            24,
+        ),
+        (
+            "Dense 13->5, 3 samples",
+            Box::new(Dense::new(13, 5, rng)),
+            3,
+            13,
+        ),
+        (
+            "Conv3x3",
+            Box::new(Conv3x3::new(2, 3, 4, 6, rng)),
+            2,
+            2 * 4 * 6,
+        ),
+        ("Embedding", Box::new(Embedding::new(10, 4, 3, rng)), 5, 3),
+        (
+            "SelfAttention",
+            Box::new(SelfAttention::new(3, 4, rng)),
+            2,
+            3 * 4,
+        ),
+        ("LayerNorm", Box::new(LayerNorm::new(6)), 3, 6),
+        ("Relu", Box::new(Relu::new()), 4, 7),
+        ("MaxPool2", Box::new(MaxPool2::new(2, 4, 4)), 2, 2 * 4 * 4),
+    ]
+}
+
+/// The layer contract: backward overwrites the layer's gradient slice, so
+/// its `dW`/`db` and `d_in` are the same bits from a zeroed slice and from
+/// two different garbage ones.
+#[test]
+fn every_layer_overwrites_its_gradient_slice() {
+    let mut rng = StdRng::seed_from_u64(0x1a7e);
+    for (name, mut layer, batch, width) in every_layer_type(&mut rng) {
+        let params = values(&mut rng, layer.param_len());
+        let input: Vec<f32> = if name == "Embedding" {
+            // Token ids below the vocabulary size.
+            (0..batch * width)
+                .map(|_| rng.gen_range(0..10) as f32)
+                .collect()
+        } else {
+            values(&mut rng, batch * width)
+        };
+        let out_len = batch * layer.out_dim(width);
+        let grad_out = values(&mut rng, out_len);
+        let starts = [
+            vec![0.0f32; params.len()],
+            garbage(&mut rng, params.len()),
+            garbage(&mut rng, params.len()),
+        ];
+        let mut first: Option<(Vec<u32>, Vec<u32>)> = None;
+        for mut grads in starts {
+            let (_, gin) = run_layer(
+                layer.as_mut(),
+                &input,
+                out_len,
+                &grad_out,
+                &params,
+                &mut grads,
+            );
+            let got = (bits(&grads), bits(&gin));
+            match &first {
+                Some(want) => assert_eq!(&got, want, "{name}"),
+                None => first = Some(got),
             }
         }
     }

@@ -392,15 +392,20 @@ const ZOO_GOLDEN: &[(&str, [u64; 3])] = &[
     ),
 ];
 
-#[test]
-fn every_scheme_reproduces_its_golden_hash() {
-    let mut got: Vec<(String, [u64; 3])> = zoo().iter().map(|s| (s.name(), [0; 3])).collect();
+/// Hashes `make()`'s schemes as [`ZOO_GOLDEN`] does, each on `N` workers'
+/// gradients of every dimension in [`GOLDEN_DIMS`], element by element
+/// from `draw` on a generator seeded with the dimension.
+fn golden_rows(
+    make: impl Fn() -> Vec<(String, Box<dyn CompressionScheme>)>,
+    draw: impl Fn(&mut rand::rngs::StdRng) -> f32,
+) -> Vec<(String, [u64; 3])> {
+    let mut got: Vec<(String, [u64; 3])> = make().into_iter().map(|(l, _)| (l, [0; 3])).collect();
     for (slot, &d) in GOLDEN_DIMS.iter().enumerate() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(d as u64);
         let g: Vec<Vec<f32>> = (0..N)
-            .map(|_| (0..d).map(|_| rng.gen_range(-0.5f32..0.5)).collect())
+            .map(|_| (0..d).map(|_| draw(&mut rng)).collect())
             .collect();
-        for (mut s, (_, row)) in zoo().into_iter().zip(&mut got) {
+        for ((_, mut s), (_, row)) in make().into_iter().zip(&mut got) {
             let mut h = 0xcbf2_9ce4_8422_2325;
             for r in 0..ROUNDS {
                 h = fold_outcome(h, &s.aggregate_round(&g, &RoundContext::new(7, r)));
@@ -408,13 +413,124 @@ fn every_scheme_reproduces_its_golden_hash() {
             row[slot] = h;
         }
     }
+    got
+}
+
+/// Panics with the computed table unless `got` is `want`.
+fn assert_golden(got: &[(String, [u64; 3])], want: &[(&str, [u64; 3])], what: &str) {
     let table: String = got
         .iter()
         .map(|(name, [a, b, c])| format!("    (\"{name}\", [{a:#018x}, {b:#018x}, {c:#018x}]),\n"))
         .collect();
-    let want: Vec<(String, [u64; 3])> = ZOO_GOLDEN
+    let want: Vec<(String, [u64; 3])> = want
         .iter()
         .map(|&(name, row)| (name.to_string(), row))
         .collect();
-    assert!(got == want, "zoo hashes moved; computed table:\n{table}");
+    assert!(got == want, "{what} hashes moved; computed table:\n{table}");
+}
+
+#[test]
+fn every_scheme_reproduces_its_golden_hash() {
+    let zoo = || zoo().into_iter().map(|s| (s.name(), s)).collect();
+    let got = golden_rows(zoo, |rng| rng.gen_range(-0.5f32..0.5));
+    assert_golden(&got, ZOO_GOLDEN, "zoo");
+}
+
+/// Error-feedback paths the zoo golden does not reach: TopK, TopKC and
+/// PowerSGD with EF off (the round reads the gradients themselves), on
+/// the zoo's gradients.
+fn ef_off() -> Vec<(String, Box<dyn CompressionScheme>)> {
+    vec![
+        (
+            "TopK no-EF".into(),
+            Box::new(TopK::with_bits(4.0, N, false)),
+        ),
+        (
+            "TopKC no-EF".into(),
+            Box::new(TopKC::with_bits(4.0, 16, N, false)),
+        ),
+        (
+            "PowerSGD no-EF".into(),
+            Box::new(PowerSgd::new(3, vec![(16, 16)], N).without_ef()),
+        ),
+    ]
+}
+
+/// Every scheme that runs error feedback, for the gradients of
+/// [`signed_zero_or_subnormal`].
+fn ef_on() -> Vec<(String, Box<dyn CompressionScheme>)> {
+    let schemes: Vec<Box<dyn CompressionScheme>> = vec![
+        Box::new(TopK::with_bits(4.0, N, true)),
+        Box::new(TopKC::with_bits(4.0, 16, N, true)),
+        Box::new(TopKC::with_bits(4.0, 16, N, true).with_permutation()),
+        Box::new(RandomK::with_bits(4.0, N)),
+        Box::new(TopKCQ::with_bits(4.0, 16, 4, N)),
+        Box::new(PowerSgd::new(3, vec![(16, 16)], N)),
+    ];
+    schemes.into_iter().map(|s| (s.name(), s)).collect()
+}
+
+/// A gradient element that is `+0.0`, `−0.0`, a subnormal of either sign
+/// (FP16 flushes each to zero, so it stays in the EF memory) or the zoo's
+/// value, one in four each.
+fn signed_zero_or_subnormal(rng: &mut rand::rngs::StdRng) -> f32 {
+    match rng.gen_range(0..4) {
+        0 => 0.0,
+        1 => -0.0,
+        2 => {
+            let sign = if rng.gen::<bool>() { 0x8000_0000 } else { 0 };
+            f32::from_bits(sign | rng.gen_range(1u32..0x0080_0000))
+        }
+        _ => rng.gen_range(-0.5f32..0.5),
+    }
+}
+
+const EF_OFF_GOLDEN: &[(&str, [u64; 3])] = &[
+    (
+        "TopK no-EF",
+        [0xc166af538aad6da6, 0x3fde836adaf25139, 0xc6be3b9baa978a53],
+    ),
+    (
+        "TopKC no-EF",
+        [0x675c2b4ad3de642a, 0x20ab182dcfa8c60d, 0xb59a21713edfbe04],
+    ),
+    (
+        "PowerSGD no-EF",
+        [0x9d04dde42764007f, 0x04b9a48a82662112, 0xf1783c580c2ccc3e],
+    ),
+];
+
+const EF_EDGE_GOLDEN: &[(&str, [u64; 3])] = &[
+    (
+        "TopK(b=4)",
+        [0x56a15713c61c2eb8, 0xf230dfa054b4e4eb, 0x6317236f0d22a877],
+    ),
+    (
+        "TopKC(b=4, C=16)",
+        [0x3118bb74c5da8d33, 0xbc6b6e78adc8ed78, 0xa1dcd67868c8205d],
+    ),
+    (
+        "TopKC-Perm(b=4, C=16)",
+        [0x6b1677d43a9836a7, 0x45963974aa48af8b, 0xfa3b4d7064a080a3],
+    ),
+    (
+        "RandomK(b=4)",
+        [0xcba5c07bfbe2622f, 0x567d8aa489633d46, 0x2a7e532bc5b4b70d],
+    ),
+    (
+        "TopKC-Q(b=4, C=16, q=4)",
+        [0x380fbb8668281747, 0xd75c6b71d96173d2, 0xb475e2155f9619e5],
+    ),
+    (
+        "PowerSGD(r=3)",
+        [0xf3e7483c256a2c3a, 0x8ab3cd1746927ded, 0x1cff6940efb9f091],
+    ),
+];
+
+#[test]
+fn error_feedback_paths_reproduce_their_golden_hashes() {
+    let got = golden_rows(ef_off, |rng| rng.gen_range(-0.5f32..0.5));
+    assert_golden(&got, EF_OFF_GOLDEN, "EF-off");
+    let got = golden_rows(ef_on, signed_zero_or_subnormal);
+    assert_golden(&got, EF_EDGE_GOLDEN, "signed-zero/subnormal EF");
 }
