@@ -55,7 +55,7 @@ use gcs_tensor::bitpack::{LaneAdd, PackedIntVec};
 use gcs_tensor::hadamard::{
     padded_len, rht_block_forward, rht_block_inverse, RotationMode, SignWindow,
 };
-use gcs_tensor::half::F16;
+use gcs_tensor::half::round_trip_f16;
 use gcs_tensor::pool::WorkerBufs;
 use gcs_tensor::rng::{worker_rng, SharedSeed, Stream};
 use gcs_tensor::simd::quantize_stochastic;
@@ -264,7 +264,8 @@ impl Thc {
     /// Step 1 for one worker: `rotated` (`padded` long) becomes the padded
     /// gradient with every block signed and transformed, `scales` each
     /// block's max magnitude rounded to FP16 for the wire — one call, and
-    /// one cache-resident visit, per block.
+    /// one cache-resident visit, per block; then one slice round-trip for
+    /// all of the worker's scales.
     fn rotate_blocks(
         &self,
         grad: &[f32],
@@ -278,8 +279,9 @@ impl Thc {
             let lo = b * block_len;
             let src = &grad[lo.min(grad.len())..(lo + block_len).min(grad.len())];
             let max = rht_block_forward(src, block, iters, self.signs_at(seed, lo));
-            scales.push(F16::from_f32(max).to_f32());
+            scales.push(max);
         }
+        round_trip_f16(scales);
     }
 
     /// Step 3 for one worker: unbiased stochastic rounding of every block

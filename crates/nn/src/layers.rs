@@ -23,13 +23,15 @@
 //! which `tests/nn_kernels.rs` keeps as oracles. DESIGN.md §6g has the
 //! argument per kernel.
 //!
-//! Three of them have explicit AVX2 versions, none of which uses FMA,
+//! Four of them have explicit AVX2 versions, none of which uses FMA,
 //! behind [`simd::avx2_enabled`] (`GCS_SIMD=scalar` turns them off): the
 //! `Dense` forward tiles (4 rows × 8 samples, and 8 rows × 4 samples for a
 //! 4-sample batch), the `Conv3x3` forward tile (8 out-channels × 8
-//! positions), and a one-pass `Dense` backward for batches of 4 and 8 with
-//! `in % 8 == 0`. The portable tiles stay as the scalar reference and take
-//! every tail.
+//! positions), a one-pass `Dense` backward for batches of 4 and 8 with
+//! `in % 8 == 0`, and a `Conv3x3` backward that runs each plane's non-zero
+//! output gradients through a register-held `dW` row and a position-major
+//! `d_in`. The portable tiles and the scatter stay as the scalar reference
+//! and take every tail.
 //!
 //! Correctness is guarded by finite-difference gradient checks in the test
 //! module (the strongest test a hand-written backprop can have).
@@ -378,6 +380,41 @@ pub struct Conv3x3 {
     /// One sample's input as `[in_ch·9 × hw]`: row `(c, ky, kx)` is plane
     /// `c` shifted by the tap, 0 where the tap is off the map.
     taps: Vec<f32>,
+    /// The AVX2 backward's staging, sized on its first call.
+    back: BackwardStage,
+}
+
+/// [`Conv3x3`]'s AVX2 backward staging: sized by the layer's shape (`hw ·
+/// in_ch · 9` and `out_ch · in_ch · 9` floats), never by the batch, and
+/// reused. `k9p` is `in_ch·9` and `cp` is `in_ch`, each rounded up to
+/// whole 8-lane registers.
+#[derive(Clone, Default)]
+struct BackwardStage {
+    /// One sample's input transposed, `[hw × k9p]`: row `pos` holds the
+    /// `(c, ky, kx)` taps of output position `pos`; 0 off the map and in
+    /// the padding, written once when sized and never again.
+    cols: Vec<f32>,
+    /// `[16 × k9p]`: row `ends(y, h)·4 + ends(x, w)` is all ones where
+    /// that border class's tap `(c, ky, kx)` is inside the map, 0 where it
+    /// falls on the padding and past `in_ch·9`.
+    masks: Vec<u32>,
+    /// `dW` as `[out_ch × k9p]` rows.
+    dw: Vec<f32>,
+    /// The weights transposed per call to `[out_ch × 9 × cp]`, for `d_in`.
+    wt: Vec<f32>,
+    /// One sample's `d_in`, position-major: `[hw × cp]`.
+    din: Vec<f32>,
+    /// The non-zero output gradients of one plane, in position order, at
+    /// the front of `[hw]` entries.
+    nz: Vec<NonZero>,
+}
+
+/// One non-zero output gradient `g` at `(y, x)`.
+#[derive(Clone, Copy)]
+struct NonZero {
+    y: u32,
+    x: u32,
+    g: f32,
 }
 
 impl Conv3x3 {
@@ -411,6 +448,27 @@ impl Conv3x3 {
             init,
             tap_mask,
             taps: Vec::new(),
+            back: BackwardStage::default(),
+        }
+    }
+
+    /// Stages one sample's input `xin` into `taps`, `[in_ch·9 × hw]`: row
+    /// `(c, ky, kx)` is plane `c` shifted by the tap. Off-map entries are
+    /// written as 0 when the buffer is sized and never again.
+    fn stage_taps(&mut self, xin: &[f32]) {
+        let (h, w) = (self.h, self.w);
+        let hw = h * w;
+        self.taps.resize(self.in_ch * 9 * hw, 0.0);
+        for (xc, plane) in xin.chunks_exact(hw).zip(self.taps.chunks_exact_mut(9 * hw)) {
+            for (k, row) in plane.chunks_exact_mut(hw).enumerate() {
+                let (ky, kx) = (k / 3, k % 3);
+                let cols = tap_range(kx, w);
+                for y in tap_range(ky, h) {
+                    let src = (y + ky - 1) * w + kx;
+                    row[y * w..][cols.clone()]
+                        .copy_from_slice(&xc[src + cols.start - 1..src + cols.end - 1]);
+                }
+            }
         }
     }
 
@@ -475,6 +533,112 @@ impl Conv3x3 {
             out[(o + r) * hw + p..][..P].copy_from_slice(acc);
         }
     }
+
+    /// The AVX2 backward onto a zeroed `dW`/`db`. Per sample the input is
+    /// staged transposed (`cols`); per out-channel the plane's non-zero
+    /// `g` are listed in position order and each list runs through `db[o]`,
+    /// `dW[o]`'s row ([`avx2::conv_dw_row`]) and, unless this is the first
+    /// layer, the sample's position-major `d_in` ([`avx2::conv_din`]),
+    /// which is then transposed into `grad_in`.
+    #[cfg(target_arch = "x86_64")]
+    fn backward_avx2(
+        &mut self,
+        input: &[f32],
+        grad_out: &[f32],
+        weights: &[f32],
+        dw: &mut [f32],
+        db: &mut [f32],
+        mut grad_in: Option<&mut [f32]>,
+    ) {
+        let (in_ch, h, w) = (self.in_ch, self.h, self.w);
+        let (hw, k9) = (h * w, in_ch * 9);
+        let (k9p, cp) = (k9.next_multiple_of(8), in_ch.next_multiple_of(8));
+        let st = &mut self.back;
+        // Off-map and padding entries of `cols` come from `taps` as 0, or
+        // stay at the 0 written here.
+        if st.cols.len() != hw * k9p {
+            st.cols = vec![0.0; hw * k9p];
+            st.masks = vec![0; 16 * k9p];
+            for (class, mask) in st.masks.chunks_exact_mut(k9p).enumerate() {
+                let (kys, kxs) = (taps_at(class / 4), taps_at(class % 4));
+                for (j, m) in mask[..k9].iter_mut().enumerate() {
+                    if kys.contains(&(j % 9 / 3)) && kxs.contains(&(j % 3)) {
+                        *m = u32::MAX;
+                    }
+                }
+            }
+            st.dw = vec![0.0; self.out_ch * k9p];
+            st.wt = vec![0.0; self.out_ch * 9 * cp];
+            st.din = vec![0.0; hw * cp];
+            st.nz = vec![NonZero { y: 0, x: 0, g: 0.0 }; hw];
+        }
+        st.dw.fill(0.0);
+        if grad_in.is_some() {
+            for (wt, wo) in st.wt.chunks_exact_mut(9 * cp).zip(weights.chunks_exact(k9)) {
+                for (c, wc) in wo.chunks_exact(9).enumerate() {
+                    for (k, &v) in wc.iter().enumerate() {
+                        wt[k * cp + c] = v;
+                    }
+                }
+            }
+        }
+        let samples = input
+            .chunks_exact(in_ch * hw)
+            .zip(grad_out.chunks_exact(self.out_ch * hw));
+        for (s, (xin, gout)) in samples.enumerate() {
+            self.stage_taps(xin);
+            let st = &mut self.back;
+            // SAFETY: AVX2 was detected by the caller; the kernel asserts
+            // the shapes it indexes by.
+            let done = unsafe { avx2::transpose_taps(&self.taps, hw, &mut st.cols) };
+            for p in done..hw {
+                for (j, c) in st.cols[p * k9p..][..k9].iter_mut().enumerate() {
+                    *c = self.taps[j * hw + p];
+                }
+            }
+            let gin = grad_in
+                .as_deref_mut()
+                .map(|g| &mut g[s * in_ch * hw..][..in_ch * hw]);
+            if gin.is_some() {
+                st.din.fill(0.0);
+            }
+            for (o, gplane) in gout.chunks_exact(hw).enumerate() {
+                // Every position is written and the count advances past
+                // the non-zero ones: no branch on `g`.
+                let mut n = 0;
+                for (y, grow) in gplane.chunks_exact(w).enumerate() {
+                    for (x, &g) in grow.iter().enumerate() {
+                        let (y, x) = (y as u32, x as u32);
+                        st.nz[n] = NonZero { y, x, g };
+                        n += usize::from(g != 0.0);
+                    }
+                }
+                let nz = &st.nz[..n];
+                for e in nz {
+                    db[o] += e.g;
+                }
+                let dw_o = &mut st.dw[o * k9p..][..k9p];
+                // SAFETY: AVX2 was detected by the caller; the kernel
+                // asserts the shapes and list positions it indexes by.
+                unsafe { avx2::conv_dw_row(&st.cols, &st.masks, h, w, nz, dw_o) };
+                if gin.is_some() {
+                    let wt_o = &st.wt[o * 9 * cp..][..9 * cp];
+                    // SAFETY: as above.
+                    unsafe { avx2::conv_din(wt_o, h, w, nz, &mut st.din) };
+                }
+            }
+            if let Some(gin) = gin {
+                for (c, gc) in gin.chunks_exact_mut(hw).enumerate() {
+                    for (gi, d) in gc.iter_mut().zip(st.din[c..].iter().step_by(cp)) {
+                        *gi = *d;
+                    }
+                }
+            }
+        }
+        for (dw_o, st_o) in dw.chunks_exact_mut(k9).zip(self.back.dw.chunks_exact(k9p)) {
+            dw_o.copy_from_slice(&st_o[..k9]);
+        }
+    }
 }
 
 /// The output positions along an axis of length `len` whose tap `k`
@@ -486,7 +650,18 @@ fn tap_range(k: usize, len: usize) -> std::ops::Range<usize> {
 /// The taps `k` of output position `p` that fall inside an axis of length
 /// `len`.
 fn taps_inside(p: usize, len: usize) -> std::ops::Range<usize> {
-    usize::from(p == 0)..if p + 1 == len { 2 } else { 3 }
+    taps_at(ends(p, len))
+}
+
+/// Which ends of an axis of length `len` position `p` sits on: bit 0 the
+/// first (tap 0 is off the map), bit 1 the last (tap 2 is).
+fn ends(p: usize, len: usize) -> usize {
+    usize::from(p == 0) | usize::from(p + 1 == len) << 1
+}
+
+/// The taps inside the map at a position on the [`ends`] `e`.
+fn taps_at(e: usize) -> std::ops::Range<usize> {
+    (e & 1)..3 - (e >> 1)
 }
 
 /// The AVX2 tiles of [`Dense`] and [`Conv3x3`]. Each computes the
@@ -770,6 +945,231 @@ mod avx2 {
         }
         o
     }
+
+    /// [`super::Conv3x3`]'s staged taps `[k9 × hw]` transposed into `cols`
+    /// `[hw × k9p]`, `k9p` being `k9` rounded up to a whole register, in
+    /// 8 × 8 blocks of positions `p..p + 8` × taps `j..j + 8` (rows past
+    /// `k9` read as 0); a pure permutation of bits. Returns the first
+    /// position it left to the scalar tail (`hw` rounded down to 8).
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    ///
+    /// # Panics
+    /// Panics unless `taps` is `[k9 × hw]` and `cols` `[hw × k9p]` with
+    /// `k9 <= k9p`, `k9p % 8 == 0`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn transpose_taps(taps: &[f32], hw: usize, cols: &mut [f32]) -> usize {
+        let (k9, k9p) = (taps.len() / hw, cols.len() / hw);
+        assert!(
+            taps.len() == k9 * hw && cols.len() == hw * k9p,
+            "taps are [k9 × hw], cols [hw × k9p]"
+        );
+        assert!(
+            k9 <= k9p && k9p.is_multiple_of(8),
+            "k9p is k9 in whole registers"
+        );
+        let mut p = 0;
+        while p + 8 <= hw {
+            for j in (0..k9p).step_by(8) {
+                let mut r = [_mm256_setzero_ps(); 8];
+                for (i, r) in r.iter_mut().enumerate().take(k9.saturating_sub(j)) {
+                    // SAFETY: `j + i < k9` and `p + 8 <= hw`: inside `taps`.
+                    *r = _mm256_loadu_ps(taps.as_ptr().add((j + i) * hw + p));
+                }
+                let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+                let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+                let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+                let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+                let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+                let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+                let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+                let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+                let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+                let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+                let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+                let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+                let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+                let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+                let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+                let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+                let out = [
+                    _mm256_permute2f128_ps::<0x20>(u0, u4),
+                    _mm256_permute2f128_ps::<0x20>(u1, u5),
+                    _mm256_permute2f128_ps::<0x20>(u2, u6),
+                    _mm256_permute2f128_ps::<0x20>(u3, u7),
+                    _mm256_permute2f128_ps::<0x31>(u0, u4),
+                    _mm256_permute2f128_ps::<0x31>(u1, u5),
+                    _mm256_permute2f128_ps::<0x31>(u2, u6),
+                    _mm256_permute2f128_ps::<0x31>(u3, u7),
+                ];
+                for (l, v) in out.into_iter().enumerate() {
+                    // SAFETY: `p + l < hw` and `j + 8 <= k9p`: inside `cols`.
+                    _mm256_storeu_ps(cols.as_mut_ptr().add((p + l) * k9p + j), v);
+                }
+            }
+            p += 8;
+        }
+        p
+    }
+
+    /// [`super::Conv3x3`]'s `dW` row of one out-channel over one sample,
+    /// held in groups of up to 6 `__m256`s: for each non-zero `g` of `nz`
+    /// in list order, `acc + g·col` in the lanes whose tap is inside the
+    /// map and the accumulator's own bits elsewhere, which is the
+    /// scatter's skip. For a finite `g` that is the plain `acc + g·col`:
+    /// an off-map `col` is the staged `+0.0`, `g·0` is `±0.0`, and `acc +
+    /// ±0.0` is `acc`, since an accumulator that starts at `+0.0` is never
+    /// `−0.0` (a round-to-nearest sum is `−0.0` only when both addends
+    /// are). A non-finite `g` makes `g·0` NaN, so it takes the select:
+    /// `blendv` on the position's border-class mask.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    ///
+    /// # Panics
+    /// Panics unless `dw` is `k9p` long with `k9p % 8 == 0`, `cols` is `[h·w
+    /// × k9p]`, `masks` is `[16 × k9p]` and every entry of `nz` is inside
+    /// the `h × w` map.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn conv_dw_row(
+        cols: &[f32],
+        masks: &[u32],
+        h: usize,
+        w: usize,
+        nz: &[super::NonZero],
+        dw: &mut [f32],
+    ) {
+        let k9p = dw.len();
+        assert!(k9p.is_multiple_of(8), "dW rows are whole registers");
+        assert!(
+            cols.len() == h * w * k9p && masks.len() == 16 * k9p,
+            "cols is [hw × k9p], masks [16 × k9p]"
+        );
+        assert!(
+            nz.iter().all(|e| (e.y as usize) < h && (e.x as usize) < w),
+            "non-zeros inside the map"
+        );
+        let regs = k9p / 8;
+        let mut r = 0;
+        while r < regs {
+            let off = r * 8;
+            // SAFETY (each arm): `off + 8·G <= k9p` and the shapes and
+            // positions are asserted above.
+            match regs - r {
+                1 => dw_group::<1>(cols, masks, h, w, nz, dw, off),
+                2 => dw_group::<2>(cols, masks, h, w, nz, dw, off),
+                3 => dw_group::<3>(cols, masks, h, w, nz, dw, off),
+                4 => dw_group::<4>(cols, masks, h, w, nz, dw, off),
+                5 => dw_group::<5>(cols, masks, h, w, nz, dw, off),
+                _ => dw_group::<6>(cols, masks, h, w, nz, dw, off),
+            }
+            r += 6;
+        }
+    }
+
+    /// Registers `off / 8..off / 8 + G` of [`conv_dw_row`]'s row.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2, `off + 8·G <= dw.len()`, and the shapes
+    /// and positions are as [`conv_dw_row`] asserts.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn dw_group<const G: usize>(
+        cols: &[f32],
+        masks: &[u32],
+        h: usize,
+        w: usize,
+        nz: &[super::NonZero],
+        dw: &mut [f32],
+        off: usize,
+    ) {
+        let k9p = dw.len();
+        let mut acc = [_mm256_setzero_ps(); G];
+        for (r, a) in acc.iter_mut().enumerate() {
+            // SAFETY: `off + 8·G <= k9p` (caller).
+            *a = _mm256_loadu_ps(dw.as_ptr().add(off + 8 * r));
+        }
+        for e in nz {
+            let (y, x) = (e.y as usize, e.x as usize);
+            let g = _mm256_set1_ps(e.g);
+            // SAFETY: `y < h` and `x < w` keep the row inside `cols`
+            // (`[hw × k9p]`).
+            let col = cols.as_ptr().add((y * w + x) * k9p + off);
+            if e.g.is_finite() {
+                for (r, a) in acc.iter_mut().enumerate() {
+                    let p = _mm256_mul_ps(g, _mm256_loadu_ps(col.add(8 * r)));
+                    *a = _mm256_add_ps(*a, p);
+                }
+            } else {
+                let class = super::ends(y, h) * 4 + super::ends(x, w);
+                // SAFETY: `class < 16` keeps the row inside `masks` (`[16 ×
+                // k9p]`).
+                let mask = masks.as_ptr().add(class * k9p + off).cast::<f32>();
+                for (r, a) in acc.iter_mut().enumerate() {
+                    let sum = _mm256_add_ps(*a, _mm256_mul_ps(g, _mm256_loadu_ps(col.add(8 * r))));
+                    *a = _mm256_blendv_ps(*a, sum, _mm256_loadu_ps(mask.add(8 * r)));
+                }
+            }
+        }
+        for (r, a) in acc.into_iter().enumerate() {
+            // SAFETY: as for the loads.
+            _mm256_storeu_ps(dw.as_mut_ptr().add(off + 8 * r), a);
+        }
+    }
+
+    /// [`super::Conv3x3`]'s `d_in` of one sample from one out-channel: for
+    /// each non-zero `g` of `nz` in list order and each of its in-map taps
+    /// `(ky, kx)`, `d_in[q] += g·wT[tap]` at the source position `q`, `cp`
+    /// channels a row, 8 a register.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    ///
+    /// # Panics
+    /// Panics unless `wt` is `[9 × cp]` with `cp % 8 == 0`, `din` is `[h·w
+    /// × cp]` and every entry of `nz` is inside the `h × w` map.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn conv_din(
+        wt: &[f32],
+        h: usize,
+        w: usize,
+        nz: &[super::NonZero],
+        din: &mut [f32],
+    ) {
+        let cp = wt.len() / 9;
+        assert!(
+            wt.len() == 9 * cp && cp.is_multiple_of(8),
+            "wT is [9 × cp], cp % 8 == 0"
+        );
+        assert_eq!(din.len(), h * w * cp, "d_in is [hw × cp]");
+        assert!(
+            nz.iter().all(|e| (e.y as usize) < h && (e.x as usize) < w),
+            "non-zeros inside the map"
+        );
+        for e in nz {
+            let (y, x) = (e.y as usize, e.x as usize);
+            let g = _mm256_set1_ps(e.g);
+            let kxs = super::taps_inside(x, w);
+            // Per `ky`, the in-map taps `kx` are one run of `wT` rows and
+            // their source positions one run of `d_in` rows.
+            let run = kxs.len() * cp;
+            for ky in super::taps_inside(y, h) {
+                // SAFETY: every tap of the run is inside the map, so its
+                // source position `(y + ky − 1, x + kx − 1)` is below `hw`
+                // and its row inside `din`; `ky·3 + kx < 9` keeps its tap
+                // row inside `wt`.
+                let q = (y + ky - 1) * w + x + kxs.start - 1;
+                let src = wt.as_ptr().add((ky * 3 + kxs.start) * cp);
+                let dst = din.as_mut_ptr().add(q * cp);
+                for r in (0..run).step_by(8) {
+                    let d = _mm256_loadu_ps(dst.add(r));
+                    let p = _mm256_mul_ps(g, _mm256_loadu_ps(src.add(r)));
+                    _mm256_storeu_ps(dst.add(r), _mm256_add_ps(d, p));
+                }
+            }
+        }
+    }
 }
 
 impl Layer for Conv3x3 {
@@ -785,8 +1185,7 @@ impl Layer for Conv3x3 {
     /// accumulators, and the lane select is an and/andnot/or against the
     /// mask.
     fn forward(&mut self, input: &[f32], output: &mut [f32], params: &[f32]) {
-        let (h, w) = (self.h, self.w);
-        let hw = h * w;
+        let hw = self.h * self.w;
         let batch = batch_of(input, self.in_ch * hw, "Conv3x3");
         assert_eq!(
             output.len(),
@@ -795,23 +1194,11 @@ impl Layer for Conv3x3 {
         );
         let (weights, bias) = params.split_at(self.out_ch * self.in_ch * 9);
         let bias = &bias[..self.out_ch];
-        // Off-map entries are written as 0 here and never again.
-        self.taps.resize(self.in_ch * 9 * hw, 0.0);
         let samples = input
             .chunks_exact(self.in_ch * hw)
             .zip(output.chunks_exact_mut(self.out_ch * hw));
         for (xin, out) in samples {
-            for (xc, plane) in xin.chunks_exact(hw).zip(self.taps.chunks_exact_mut(9 * hw)) {
-                for (k, row) in plane.chunks_exact_mut(hw).enumerate() {
-                    let (ky, kx) = (k / 3, k % 3);
-                    let cols = tap_range(kx, w);
-                    for y in tap_range(ky, h) {
-                        let src = (y + ky - 1) * w + kx;
-                        row[y * w..][cols.clone()]
-                            .copy_from_slice(&xc[src + cols.start - 1..src + cols.end - 1]);
-                    }
-                }
-            }
+            self.stage_taps(xin);
             let mut p = 0;
             while p + 8 <= hw {
                 self.channels_of::<8>(weights, bias, p, out);
@@ -823,12 +1210,14 @@ impl Layer for Conv3x3 {
         }
     }
 
-    /// Zeroes `dW`/`db`, then scatters per non-zero output gradient, in
-    /// `(sample, out-channel, y, x)` order: the taps that stay inside the
-    /// map are found once per
-    /// position, then each `(in-channel, ky)` is one short row of `dW += g ·
-    /// in` and `d_in += g · w`. `dW` and `d_in` elements accumulate in the
-    /// order of the per-element loop.
+    /// Every `dW`, `db` and `d_in` element is a sum from `+0.0` over the
+    /// non-zero output gradients `g` that reach it, in `(sample,
+    /// out-channel, y, x)` order: `dW += g·in`, `db += g`, `d_in += g·w`,
+    /// skipping a tap that falls off the map. The portable path is that
+    /// scatter, with the in-map taps found once per position. With AVX2,
+    /// per sample and out-channel, the plane's non-zero `g` are listed in
+    /// position order, and `Conv3x3::backward_avx2` runs them through
+    /// `dW`'s row in registers and through a position-major `d_in`.
     fn backward(
         &mut self,
         input: &[f32],
@@ -851,6 +1240,11 @@ impl Layer for Conv3x3 {
         let weights = &params[..wlen];
         grads.fill(0.0);
         let (dw, db) = grads.split_at_mut(wlen);
+        #[cfg(target_arch = "x86_64")]
+        if simd::avx2_enabled() {
+            self.backward_avx2(input, grad_out, weights, dw, db, grad_in);
+            return;
+        }
         if let Some(gin) = grad_in.as_deref_mut() {
             gin.fill(0.0);
         }

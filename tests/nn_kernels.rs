@@ -2,8 +2,9 @@
 //!
 //! The kernels in `crates/nn/src/layers.rs` are written for speed (register
 //! tiles over a transposed or tap-staged input in the forward passes, row
-//! AXPYs and tap ranges found once per position in the backward passes)
-//! under one rule: every output, parameter gradient and input gradient is
+//! AXPYs and tap ranges found once per position in the backward passes,
+//! and register-held rows over each plane's non-zero gradients in the AVX2
+//! `Conv3x3` backward) under one rule: every output, parameter gradient and input gradient is
 //! **bit for bit** what the textbook per-element loops produce. Those loops
 //! live here, as oracles, and nowhere in `src/`. The inputs, weights and
 //! biases include `−0.0`, and the batches reach every tile shape. A layer
@@ -261,15 +262,72 @@ fn run_layer(
     (output, grad_in)
 }
 
+/// The output gradient a [`check_conv_with`] case feeds `Conv3x3`.
+#[derive(Clone, Copy, Debug)]
+enum GradOut {
+    /// [`sparse_gradient`].
+    Sparse,
+    /// Every element `±0.0`: each plane's list of non-zeros is empty.
+    Zero,
+    /// No element zero: each plane's list holds every position.
+    Full,
+    /// [`sparse_gradient`], with `±inf` and NaN at border positions of
+    /// the gradient and of the input.
+    NonFinite,
+}
+
+/// The NaN this machine's arithmetic makes (`inf − inf`). With it as the
+/// only NaN in a case, every NaN an operation returns has these bits
+/// whichever operand it came from, so a comparison pins the arithmetic,
+/// not the payload rule.
+fn machine_nan() -> f32 {
+    std::hint::black_box(f32::INFINITY) - std::hint::black_box(f32::INFINITY)
+}
+
+/// Puts `±inf` or NaN at about a third of the border positions of each
+/// `h × w` plane of `v`.
+fn spike_borders(rng: &mut StdRng, v: &mut [f32], h: usize, w: usize) {
+    let specials = [f32::INFINITY, f32::NEG_INFINITY, machine_nan()];
+    for plane in v.chunks_exact_mut(h * w) {
+        for (pos, e) in plane.iter_mut().enumerate() {
+            let (y, x) = (pos / w, pos % w);
+            let border = y == 0 || y + 1 == h || x == 0 || x + 1 == w;
+            if border && rng.gen_range(0..3) == 0 {
+                *e = specials[rng.gen_range(0..3usize)];
+            }
+        }
+    }
+}
+
 /// `Conv3x3` on `sh` against the oracles: output, `dW`/`db` (the layer's
 /// slice starting from garbage, the oracle's from zeros) and `d_in` must
 /// agree bit for bit.
 fn check_conv(sh: ConvShape, batch: usize, seed: u64) {
+    check_conv_with(sh, batch, seed, GradOut::Sparse);
+}
+
+/// [`check_conv`] on an output gradient of the given kind.
+fn check_conv_with(sh: ConvShape, batch: usize, seed: u64, kind: GradOut) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut layer = Conv3x3::new(sh.in_ch, sh.out_ch, sh.h, sh.w, &mut rng);
     let params = values(&mut rng, layer.param_len());
-    let input = values(&mut rng, batch * sh.in_sz());
-    let grad_out = sparse_gradient(&mut rng, batch * sh.out_sz(), sh.w);
+    let mut input = values(&mut rng, batch * sh.in_sz());
+    let out_len = batch * sh.out_sz();
+    let grad_out = match kind {
+        GradOut::Sparse => sparse_gradient(&mut rng, out_len, sh.w),
+        GradOut::Zero => (0..out_len)
+            .map(|_| if rng.gen() { 0.0 } else { -0.0 })
+            .collect(),
+        GradOut::Full => (0..out_len)
+            .map(|_| rng.gen_range(0.25f32..2.0) * if rng.gen() { 1.0 } else { -1.0 })
+            .collect(),
+        GradOut::NonFinite => {
+            spike_borders(&mut rng, &mut input, sh.h, sh.w);
+            let mut g = sparse_gradient(&mut rng, out_len, sh.w);
+            spike_borders(&mut rng, &mut g, sh.h, sh.w);
+            g
+        }
+    };
     // The layer overwrites its slice; the oracle accumulates onto zeros.
     let grads0 = garbage(&mut rng, params.len());
 
@@ -286,13 +344,10 @@ fn check_conv(sh: ConvShape, batch: usize, seed: u64) {
         &params,
         &mut grads,
     );
-    assert_eq!(bits(&out), bits(&want_out), "output, {sh:?} batch {batch}");
-    assert_eq!(
-        bits(&grads),
-        bits(&want_grads),
-        "dW/db, {sh:?} batch {batch}"
-    );
-    assert_eq!(bits(&gin), bits(&want_gin), "d_in, {sh:?} batch {batch}");
+    let case = format!("{sh:?} batch {batch} {kind:?}");
+    assert_eq!(bits(&out), bits(&want_out), "output, {case}");
+    assert_eq!(bits(&grads), bits(&want_grads), "dW/db, {case}");
+    assert_eq!(bits(&gin), bits(&want_gin), "d_in, {case}");
 }
 
 /// `Dense` of `in_dim → out_dim` at `batch` against the oracles, as
@@ -367,13 +422,18 @@ fn dense_reaches_every_dispatch_branch_and_tail() {
 }
 
 /// Every `Conv3x3` dispatch branch and tail: 8-channel, 4-channel and
-/// single-channel tiles, and maps whose `h·w` is a multiple of 8 (only
-/// 8-position tiles) or not (single-position tails too).
+/// single-channel forward tiles, and maps whose `h·w` is a multiple of 8
+/// (only 8-position tiles and 8 × 8 tap transposes) or not (single-position
+/// tails too). The AVX2 backward holds a `dW` row of `in_ch·9`, rounded up
+/// to whole registers, in groups of up to 6: `in_ch` 1, 2, 3 and 4 make
+/// one group of 2 to 5 registers whose last is partly padding, 16 three
+/// whole groups, and 6, 8 and 17 a group of 1, 3 and 2 after whole ones;
+/// `d_in` rows are `in_ch` rounded up to whole 8-channel registers.
 #[test]
 fn conv3x3_reaches_every_dispatch_branch_and_tail() {
     for (h, w) in [(8, 8), (2, 4), (4, 6), (3, 5), (5, 5), (1, 7)] {
         for out_ch in [1, 3, 4, 7, 8, 9, 12, 13, 16, 17] {
-            for in_ch in [1, 2] {
+            for in_ch in [1, 2, 3, 4, 6, 8, 16, 17] {
                 let sh = ConvShape {
                     in_ch,
                     out_ch,
@@ -381,6 +441,53 @@ fn conv3x3_reaches_every_dispatch_branch_and_tail() {
                     w,
                 };
                 check_conv(sh, 2, (h * 1000 + w * 100 + out_ch * 10 + in_ch) as u64);
+            }
+        }
+    }
+}
+
+/// VggMini's two convolutions at a training batch of 8 and at 1 sample,
+/// on sparse gradients, on planes with no non-zero and on planes with no
+/// zero (the backward's list of non-zeros empty and full).
+#[test]
+fn conv3x3_matches_the_oracles_on_vgg_mini_shapes() {
+    let shapes = [
+        ConvShape {
+            in_ch: 3,
+            out_ch: 16,
+            h: 16,
+            w: 16,
+        },
+        ConvShape {
+            in_ch: 16,
+            out_ch: 32,
+            h: 8,
+            w: 8,
+        },
+    ];
+    for (i, sh) in shapes.into_iter().enumerate() {
+        for batch in [8, 1] {
+            for kind in [GradOut::Sparse, GradOut::Zero, GradOut::Full] {
+                check_conv_with(sh, batch, (100 * i + batch) as u64, kind);
+            }
+        }
+    }
+}
+
+/// Non-finite gradients and inputs on the border: a tap off the map must
+/// be skipped, not added as `g·0`, which is NaN for `g = ±inf` or NaN.
+#[test]
+fn conv3x3_skips_off_map_taps_of_non_finite_values() {
+    for (h, w) in [(8, 8), (3, 5), (1, 7), (16, 16)] {
+        for in_ch in [1, 3, 16, 17] {
+            let sh = ConvShape {
+                in_ch,
+                out_ch: 5,
+                h,
+                w,
+            };
+            for batch in [1, 2] {
+                check_conv_with(sh, batch, (h * 100 + in_ch) as u64, GradOut::NonFinite);
             }
         }
     }
@@ -476,7 +583,7 @@ proptest! {
 
     #[test]
     fn conv3x3_matches_the_per_element_loops_bit_for_bit(
-        in_ch in 1usize..5,
+        in_ch in 1usize..19,
         out_ch in 1usize..6,
         h in side(),
         w in side(),
